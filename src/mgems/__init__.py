@@ -19,9 +19,9 @@ from .metrics import (EconomicSummary, EmissionSummary, EnergyTotals,
 from .model import (BatterySpec, DieselSpec, EconomicsConfig, EmissionFactors,
                     EmsConfig, GridSpec, MicrogridConfig, PvSpec,
                     ValidationReport, WindSpec, validate_config)
-from .profiles import (ResourceRow, StepInput, load_profile, parse_profile,
-                       pv_power, resource_to_inputs, serialize_profile,
-                       wind_power)
+from .profiles import (Profile, ResourceProfile, ResourceRow, StepInput,
+                       load_profile, parse_profile, pv_power,
+                       resource_to_inputs, serialize_profile, wind_power)
 from .scenarios import (Scenario, ScenarioOutcome, apply_scenario,
                         builtin_scenario, run_matrix)
 
@@ -29,7 +29,8 @@ __all__ = [
     "BACKEND", "BatterySpec", "BatteryState", "DieselSpec", "DispatchDecision",
     "EconomicSummary", "EconomicsConfig", "EmissionFactors", "EmissionSummary",
     "EmsConfig", "EnergyTotals", "Gate", "GridSpec", "Intent",
-    "MicrogridConfig", "PvSpec", "ReliabilityStats", "ResourceRow", "Scenario",
+    "MicrogridConfig", "Profile", "PvSpec", "ReliabilityStats",
+    "ResourceProfile", "ResourceRow", "Scenario",
     "ScenarioOutcome", "SimulationReport", "StepInput", "SurplusResult",
     "ValidationReport", "WindSpec", "accumulate", "apply_scenario",
     "build_report", "builtin_scenario", "dispatch_step", "emissions",

@@ -12,14 +12,18 @@ cdef inline double _min(double a, double b) noexcept nogil:
     return a if a < b else b
 
 
-def run_kernel(double[::1] demand, double[::1] pv, double[::1] wind,
-               unsigned char[::1] grid_ok, double[::1] compare,
+def run_kernel(const double[::1] demand, const double[::1] pv,
+               const double[::1] wind, const unsigned char[::1] grid_ok,
+               const double[::1] compare,
                double threshold, double dt, double cap, double energy0,
                double e_min, double e_max, double sqrt_eta,
                double max_chg, double max_dis, double imp_lim,
                double exp_lim, double dg_cap, double dg_min_frac,
                double soc_fallback, double[:, ::1] out):
-    """Run the step rule over a horizon, filling the (n, 11) output matrix."""
+    """Run the step rule over a horizon, filling the (n, 11) output matrix.
+
+    The input columns are const so that read-only Profile arrays are accepted.
+    """
     cdef Py_ssize_t n = demand.shape[0]
     cdef Py_ssize_t i
     cdef double energy = energy0

@@ -18,16 +18,15 @@ from pathlib import Path
 from typing import Sequence
 
 from . import __version__
-from ._kernel import (CHARGE, CURTAILED, DG, DISCHARGE, EXPORT, IMPORT,
-                      PV_USED, SOC, UNSERVED, WIND_USED)
+from ._kernel import SOC
 from .configio import LoadedConfig, load_config
 from .dispatch import (GRID_CONNECTED, ISLANDED, HorizonArrays, check_balance,
                        initial_state, price_threshold, run_arrays)
 from .errors import BalanceError, ConfigFileError, MgemsError, ProfileFormatError
 from .metrics import build_report
 from .model import MicrogridConfig, validate_config
-from .profiles import (GENERATION_MODE, PRICE_CENTS, RESOURCE_MODE, StepInput,
-                       load_profile)
+from .profiles import (GENERATION_MODE, PRICE_CENTS, RESOURCE_MODE, Profile,
+                       StepInput, load_profile)
 from .scenarios import (BASE_KEY, BUILTIN_IDS, DELTA_METRICS, OutageSpec,
                         Scenario, builtin_scenario, run_matrix)
 
@@ -73,7 +72,7 @@ class _CommandError(Exception):
         self.exit_code = exit_code
 
 
-def _load_inputs(args, loaded: LoadedConfig) -> list[StepInput]:
+def _load_inputs(args, loaded: LoadedConfig) -> Profile:
     path = Path(args.profile)
     if not path.is_file():
         raise _CommandError(EXIT_IO, f"profile file not found: {path}")
@@ -93,7 +92,7 @@ def _load_inputs(args, loaded: LoadedConfig) -> list[StepInput]:
                 EXIT_VALIDATION,
                 f"--steps {args.steps} exceeds the {len(inputs)}-step profile")
         inputs = inputs[:args.steps]
-    if not inputs:
+    if not len(inputs):
         raise _CommandError(EXIT_VALIDATION, "profile has no data rows: empty horizon")
     return inputs
 
@@ -123,31 +122,30 @@ def _outage_override(args) -> OutageSpec | None:
                       duration_hours=args.outage_hours)
 
 
-def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return repr(float(value))  # builtin float: shortest round-trip repr
-    return str(value)
-
-
 def trace_csv_bytes(inputs: Sequence[StepInput], trace: HorizonArrays) -> bytes:
-    """Per-step trace rows: inputs, allocation, SOC, threshold, and mode."""
+    """Per-step trace rows: inputs, allocation, SOC, threshold, and mode.
+
+    The index is the step position; floats use the shortest round-trip repr.
+    """
+    inputs = Profile.from_steps(inputs)
+    modes = (ISLANDED, GRID_CONNECTED)
+    threshold = repr(float(trace.threshold))
     lines = [",".join(TRACE_HEADER)]
-    cols = trace.columns
-    for i, s in enumerate(inputs):
-        mode = GRID_CONNECTED if s.grid_available else ISLANDED
-        row = (s.index, s.demand_kw, s.price, s.grid_available, s.pv_kw,
-               s.wind_kw, cols[i, PV_USED], cols[i, WIND_USED],
-               cols[i, CURTAILED], cols[i, CHARGE], cols[i, DISCHARGE],
-               cols[i, DG], cols[i, IMPORT], cols[i, EXPORT],
-               cols[i, UNSERVED], cols[i, SOC], trace.threshold, mode)
-        lines.append(",".join(_format_value(v) for v in row))
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    # kernel columns PV_USED..SOC are the trace's allocation columns, in
+    # order; converted row by row to keep long horizons' memory down
+    for i, d, p, g, pv, w, row in zip(
+            range(len(inputs)), inputs.demand_kw.tolist(), inputs.price.tolist(),
+            (inputs.grid_available != 0).tolist(), inputs.pv_kw.tolist(),
+            inputs.wind_kw.tolist(), trace.columns[:, :SOC + 1]):
+        lines.append(f"{i},{d!r},{p!r},{g:d},{pv!r},{w!r},"
+                     f"{','.join(map(repr, row.tolist()))},{threshold},{modes[g]}")
+    lines.append("")  # trailing newline
+    return "\n".join(lines).encode("utf-8")
 
 
 def report_json_bytes(report) -> bytes:
-    return (json.dumps(report.to_dict(), indent=2) + "\n").encode("utf-8")
+    return (json.dumps(report.to_dict(), indent=2, allow_nan=False) + "\n") \
+        .encode("utf-8")
 
 
 def _write_outputs(out_dir: Path, files: dict[str, bytes]) -> None:
@@ -173,7 +171,7 @@ def _manifest(args, selection: tuple[str, ...] = ()) -> RunManifest:
     )
 
 
-def _simulate_trace(inputs: list[StepInput], config: MicrogridConfig,
+def _simulate_trace(inputs: Profile, config: MicrogridConfig,
                     outage: OutageSpec | None):
     if outage is not None:
         from .scenarios import apply_scenario
@@ -261,8 +259,7 @@ def cmd_scenarios(args) -> int:
     scenario_list = _select_scenarios(args.scenarios, loaded,
                                       _outage_override(args))
     try:
-        outcomes = run_matrix(inputs, loaded.config, scenario_list,
-                              max_workers=args.workers)
+        outcomes = run_matrix(inputs, loaded.config, scenario_list)
     except BalanceError as exc:
         raise _CommandError(EXIT_INVARIANT, f"internal invariant breach: {exc}")
     except ValueError as exc:
@@ -315,7 +312,7 @@ def cmd_validate(args) -> int:
         inputs = _load_inputs(args, loaded)
         print(f"horizon: {len(inputs)} steps x {config.step_hours} h")
         try:
-            threshold = price_threshold([s.price for s in inputs], config.ems)
+            threshold = price_threshold(inputs.price, config.ems)
         except ValueError as exc:
             raise _CommandError(EXIT_VALIDATION, str(exc))
         print(f"threshold: {threshold!r} ({config.ems.threshold_mode})")
@@ -353,8 +350,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_scen.add_argument("--out", required=True, help="output directory")
     p_scen.add_argument("--scenarios", required=True,
                         help="comma-separated ids, or 'all'")
-    p_scen.add_argument("--workers", type=int, default=None,
-                        help="parallel scenario workers (default: auto)")
     p_scen.set_defaults(func=cmd_scenarios)
 
     p_val = sub.add_parser("validate", help="check config and profile, print summary")

@@ -23,7 +23,7 @@ from ._kernel import (CHARGE, CURTAILED, DG, DISCHARGE, ENERGY, EXPORT,
 from .errors import BalanceError
 from .model import (THRESHOLD_FIXED, THRESHOLD_LOAD, THRESHOLD_PERCENTILE,
                     BatterySpec, EmsConfig, MicrogridConfig)
-from .profiles import StepInput
+from .profiles import Profile, StepInput
 
 BALANCE_TOLERANCE_KW = 1e-6
 SOC_TOLERANCE = 1e-9
@@ -122,11 +122,12 @@ def price_threshold(prices: Sequence[float], ems: EmsConfig) -> float:
     if ems.threshold_mode == THRESHOLD_LOAD:
         return float(ems.load_threshold_kw)
     if ems.threshold_mode == THRESHOLD_PERCENTILE:
-        if not prices:
+        # stable, as sorted() was: equal prices keep their order (0.0 / -0.0)
+        ordered = np.sort(np.asarray(prices, dtype=np.float64), kind="stable")
+        if not len(ordered):
             raise ValueError("percentile threshold needs a nonempty price sequence")
-        ordered = sorted(prices)
         index = math.floor(ems.percentile * (len(ordered) - 1))
-        return ordered[index]
+        return float(ordered[index])
     raise ValueError(f"unknown threshold mode: {ems.threshold_mode!r}")
 
 
@@ -213,10 +214,11 @@ class HorizonArrays:
         return self.columns.shape[0]
 
 
-def _compare_values(inputs: Sequence[StepInput], ems: EmsConfig) -> np.ndarray:
+def compare_values(inputs: Profile, ems: EmsConfig) -> np.ndarray:
+    """The per-step column tested against the threshold in this mode."""
     if ems.threshold_mode == THRESHOLD_LOAD:
-        return np.array([s.demand_kw for s in inputs], dtype=np.float64)
-    return np.array([s.price for s in inputs], dtype=np.float64)
+        return inputs.demand_kw
+    return inputs.price
 
 
 def run_arrays(inputs: Sequence[StepInput], initial: BatteryState,
@@ -226,27 +228,23 @@ def run_arrays(inputs: Sequence[StepInput], initial: BatteryState,
 
     The threshold is resolved from the full price sequence unless given.
     """
-    if not inputs:
+    inputs = Profile.from_steps(inputs)
+    if not len(inputs):
         raise ValueError("empty horizon")
     if threshold is None:
-        threshold = price_threshold([s.price for s in inputs], config.ems)
+        threshold = price_threshold(inputs.price, config.ems)
     b = config.battery
-    demand = np.array([s.demand_kw for s in inputs], dtype=np.float64)
-    pv = np.array([s.pv_kw for s in inputs], dtype=np.float64)
-    wind = np.array([s.wind_kw for s in inputs], dtype=np.float64)
-    grid_ok = np.array([1 if s.grid_available else 0 for s in inputs],
-                       dtype=np.uint8)
-    compare = _compare_values(inputs, config.ems)
     out = np.empty((len(inputs), N_COLUMNS), dtype=np.float64)
     final_energy = _kernel_run(
-        demand, pv, wind, grid_ok, compare, float(threshold),
+        inputs.demand_kw, inputs.pv_kw, inputs.wind_kw, inputs.grid_available,
+        compare_values(inputs, config.ems), float(threshold),
         config.step_hours, b.capacity_kwh, initial.energy_kwh,
         b.soc_min * b.capacity_kwh, b.soc_max * b.capacity_kwh,
         math.sqrt(b.roundtrip_efficiency), b.max_charge_kw, b.max_discharge_kw,
         config.grid.import_limit_kw, config.grid.export_limit_kw,
         config.diesel.capacity_kw, config.diesel.min_loading_fraction,
         b.soc_min, out)
-    return HorizonArrays(columns=out, grid_available=grid_ok,
+    return HorizonArrays(columns=out, grid_available=inputs.grid_available,
                          threshold=float(threshold),
                          final_energy_kwh=float(final_energy))
 
@@ -255,7 +253,7 @@ def balance_residuals(trace: HorizonArrays,
                       inputs: Sequence[StepInput]) -> np.ndarray:
     """Per-step power-balance residual, generation side minus load side."""
     cols = trace.columns
-    demand = np.array([s.demand_kw for s in inputs], dtype=np.float64)
+    demand = Profile.from_steps(inputs).demand_kw
     supply = (cols[:, PV_USED] + cols[:, WIND_USED] + cols[:, DISCHARGE]
               + cols[:, DG] + cols[:, IMPORT])
     load = (demand - cols[:, UNSERVED]) + cols[:, CHARGE] + cols[:, EXPORT]
@@ -263,10 +261,10 @@ def balance_residuals(trace: HorizonArrays,
 
 
 def check_balance(trace: HorizonArrays, inputs: Sequence[StepInput]) -> None:
-    """Raise BalanceError if any step's residual exceeds the tolerance."""
+    """Raise BalanceError if any step's residual exceeds the tolerance or is NaN."""
     residuals = balance_residuals(trace, inputs)
     worst = float(np.max(np.abs(residuals))) if len(residuals) else 0.0
-    if worst > BALANCE_TOLERANCE_KW:
+    if not worst <= BALANCE_TOLERANCE_KW:
         step = int(np.argmax(np.abs(residuals)))
         raise BalanceError(
             f"power balance residual {worst} kW at step {step} exceeds "

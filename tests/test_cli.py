@@ -1,11 +1,14 @@
 """CLI behaviour: outputs, exit codes, golden files, determinism."""
 
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
-from mgems.cli import main
+from mgems.cli import main, report_json_bytes
+from mgems.dispatch import initial_state, run_arrays
+from mgems.metrics import build_report
 
 from conftest import data_path
 
@@ -237,3 +240,23 @@ def test_outputs_stay_inside_the_output_directory(fixture_args):
     created = {p for p in out.rglob("*")} - before
     assert created
     assert all(target in p.parents or p == target for p in created)
+
+
+def test_simulate_rejects_a_nan_profile_value(fixture_args):
+    config, _, out = fixture_args
+    profile = out / "nan.csv"
+    profile.write_text("index,demand_kw,price,grid_available,pv_kw,wind_kw\n"
+                       "0,10,12.0,1,0,0\n1,nan,12.0,1,0,0\n")
+    assert run_cli("simulate", "--config", config, "--profile", profile,
+                   "--out", out / "run") == 2
+    assert not (out / "run").exists()
+
+
+def test_report_json_is_strict(example_config, example_inputs):
+    config = example_config.config
+    trace = run_arrays(example_inputs, initial_state(config.battery), config)
+    report = build_report(trace, example_inputs, config)
+    assert b"NaN" not in report_json_bytes(report)
+    with pytest.raises(ValueError):
+        report_json_bytes(dataclasses.replace(report, threshold=float("nan")))
+

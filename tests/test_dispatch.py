@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mgems.dispatch import (BatteryState, Gate, Intent, balance_residuals,
-                            dispatch_step, initial_state, price_threshold,
-                            run_arrays, run_horizon, shaving_intent, soc_gate,
-                            step_battery, surplus)
+                            check_balance, dispatch_step, initial_state,
+                            price_threshold, run_arrays, run_horizon,
+                            shaving_intent, soc_gate, step_battery, surplus)
+from mgems.errors import BalanceError
 from mgems.model import EmsConfig
 from mgems.profiles import StepInput
 from mgems._kernel import CHARGE, DG, DISCHARGE, EXPORT, IMPORT, SOC
@@ -394,3 +395,11 @@ def test_single_step_balance_property(demand, renewables, price, grid, soc0):
     load = ((demand - decision.unserved_kw) + decision.battery_charge_kw
             + decision.grid_export_kw)
     assert supply == pytest.approx(load, abs=1e-6)
+
+
+def test_check_balance_rejects_a_nan_residual():
+    config = make_config()
+    inputs = [step(demand=50.0), step(index=1, demand=float("nan"))]
+    trace = run_arrays(inputs, initial_state(config.battery), config)
+    with pytest.raises(BalanceError, match="at step 1"):
+        check_balance(trace, inputs)

@@ -1,11 +1,12 @@
 """Profile parsing and renewable conversion tests."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from mgems.errors import ProfileFormatError
 from mgems.model import PvSpec, WindSpec
-from mgems.profiles import (ResourceRow, StepInput, convert_prices,
+from mgems.profiles import (Profile, ResourceRow, StepInput, convert_prices,
                             parse_profile, pv_power, resource_to_inputs,
                             serialize_profile, wind_power)
 
@@ -186,3 +187,93 @@ def test_wind_fleet_scales_with_capacity():
                      capital_cost=0.0, om_cost=0.0, lifetime_years=20.0)
     assert wind_power(12.0, fleet) == 120.0
     assert wind_power(8.0, fleet) == pytest.approx(40.0 * wind_power(8.0, WT))
+
+
+# --- non-finite values and the columnar Profile ------------------------------
+
+@pytest.mark.parametrize("row,column", [
+    ("0,nan,0.12,1,0,0", "demand_kw"),
+    ("0,5,inf,1,0,0", "price"),
+    ("0,5,0.12,1,NaN,0", "pv_kw"),
+    ("0,5,0.12,1,0,-inf", "wind_kw"),
+])
+def test_non_finite_values_are_rejected_with_line_and_column(row, column):
+    data = (GEN_HEADER + "\n0,1,1,1,0,0\n" + row + "\n").encode()
+    with pytest.raises(ProfileFormatError) as exc:
+        parse_profile(data, "generation")
+    assert f"line 3, column {column}: must be finite" in str(exc.value)
+
+
+def test_non_finite_resource_value_is_rejected():
+    data = (RES_HEADER + "\n0,5,0.12,1,inf,3\n").encode()
+    with pytest.raises(ProfileFormatError,
+                       match="line 2, column irradiance_wm2: must be finite"):
+        parse_profile(data, "resource")
+
+
+def test_profile_columns_are_read_only_and_rows_are_views():
+    data = (GEN_HEADER + "\n7,1.5,0.25,0,2,3\n3,2.5,0.5,1,4,5\n").encode()
+    profile = parse_profile(data, "generation")
+    assert isinstance(profile, Profile)
+    assert profile.demand_kw.dtype == np.float64
+    assert profile.grid_available.dtype == np.uint8
+    with pytest.raises(ValueError):
+        profile.demand_kw[0] = 9.0
+    assert profile[-1] == StepInput(1, 2.5, 0.5, True, 4.0, 5.0)
+    assert list(profile[1:]) == [StepInput(0, 2.5, 0.5, True, 4.0, 5.0)]
+    assert Profile.from_steps(list(profile)) == profile
+    with pytest.raises(IndexError):
+        profile[2]
+
+
+def test_profile_does_not_alias_a_writable_source():
+    demand = np.array([1.0, 2.0])
+    profile = Profile(demand, [0.1, 0.2], [1, 1], [0.0, 0.0], [0.0, 0.0])
+    demand[0] = 5.0
+    assert profile.demand_kw[0] == 1.0
+
+
+def test_profile_columns_must_have_equal_length():
+    with pytest.raises(ValueError, match="column price"):
+        Profile([1.0, 2.0], [0.1], [1, 1], [0.0, 0.0], [0.0, 0.0])
+
+
+# --- exactness of the column arithmetic --------------------------------------
+
+SHEARED = WindSpec(capacity_kw=120.0, unit_rated_kw=3.0, cut_in_ms=3.5,
+                   cut_out_ms=25.0, rated_speed_ms=11.5, hub_height_m=30.0,
+                   anemometer_height_m=10.0, shear_exponent=1.0 / 7.0,
+                   capital_cost=0.0, om_cost=0.0, lifetime_years=20.0)
+
+irradiance = st.one_of(st.floats(min_value=0, max_value=1500),
+                       st.sampled_from([0.0, 999.999, 1000.0, 1000.001, 1400.0]))
+speed = st.one_of(st.floats(min_value=0, max_value=40),
+                  st.sampled_from([WT.cut_in_ms, WT.rated_speed_ms,
+                                   WT.cut_out_ms, 0.0]))
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+@given(st.lists(st.tuples(irradiance, speed), max_size=40),
+       st.sampled_from([WT, SHEARED]))
+def test_resource_conversion_equals_scalar_models_bitwise(rows, wind_spec):
+    config = make_config(pv=PV, wind=wind_spec)
+    records = [ResourceRow(i, 10.0, 0.1, True, irr, ws)
+               for i, (irr, ws) in enumerate(rows)]
+    profile = resource_to_inputs(records, config)
+    assert _bits(profile.pv_kw) == _bits([pv_power(irr, PV) for irr, _ in rows])
+    assert _bits(profile.wind_kw) == \
+        _bits([wind_power(ws, wind_spec) for _, ws in rows])
+
+
+finite_value = st.floats(min_value=0, max_value=1e9, allow_nan=False,
+                         allow_infinity=False)
+
+
+@given(st.lists(finite_value, max_size=40))
+def test_cents_conversion_equals_python_division(prices):
+    records = [StepInput(i, 1.0, p, True, 0.0, 0.0) for i, p in enumerate(prices)]
+    converted = convert_prices(records, "cents_per_kwh")
+    assert _bits(converted.price) == _bits([s.price / 100.0 for s in records])

@@ -4,11 +4,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from mgems.dispatch import initial_state, run_arrays
 from mgems.metrics import accumulate_arrays, renewable_fraction
 from mgems.model import EmsConfig
-from mgems.profiles import StepInput
+from mgems.profiles import Profile, StepInput
 from mgems.scenarios import (BASE_KEY, IDENTITY_SCENARIO, OutageSpec, Scenario,
                              apply_scenario, builtin_scenario, run_matrix)
 
@@ -177,16 +178,6 @@ def test_run_matrix_isolates_failing_scenarios(example_config, example_inputs):
     assert "does not fit" in outcomes["broken"].error
 
 
-def test_run_matrix_parallel_matches_sequential(example_config, example_inputs):
-    config = example_config.config
-    scenarios = [builtin_scenario(s) for s in ("S1", "S2", "S3", "S4")]
-    sequential = run_matrix(example_inputs, config, scenarios, max_workers=1)
-    parallel = run_matrix(example_inputs, config, scenarios, max_workers=4)
-    for key in sequential:
-        assert sequential[key].report == parallel[key].report
-        assert sequential[key].deltas == parallel[key].deltas
-
-
 def test_s2_never_increases_renewable_fraction():
     rng = np.random.default_rng(17)
     config = make_config(ems=EmsConfig(threshold_mode="fixed-price",
@@ -211,3 +202,51 @@ def test_s2_never_increases_renewable_fraction():
         s2_totals, _ = accumulate_arrays(s2_trace, scaled, 1.0)
         assert renewable_fraction(s2_totals) <= \
             renewable_fraction(base_totals) + 1e-9
+
+
+def test_default_outage_start_in_load_threshold_mode_compares_demand():
+    config = make_config(ems=EmsConfig(threshold_mode="load-threshold",
+                                       load_threshold_kw=150.0))
+    inputs = day()  # price 0.2 never exceeds a 150 kW threshold
+    inputs[7] = dataclasses.replace(inputs[7], demand_kw=180.0)
+    inputs[12] = dataclasses.replace(inputs[12], demand_kw=200.0)
+    scaled, _ = apply_scenario(inputs, config, builtin_scenario("S3"))
+    available = [s.grid_available for s in scaled]
+    assert available == [True] * 7 + [False] * 6 + [True] * 11
+
+
+def test_default_outage_start_needs_a_step_above_the_threshold():
+    config = make_config(ems=EmsConfig(threshold_mode="load-threshold",
+                                       load_threshold_kw=150.0))
+    with pytest.raises(ValueError, match="no step above the threshold"):
+        apply_scenario(day(), config, builtin_scenario("S3"))
+
+
+multiplier = st.floats(min_value=0.01, max_value=10.0)
+column = st.lists(st.floats(min_value=0, max_value=1e6), min_size=1,
+                  max_size=30)
+
+
+@given(column, multiplier, multiplier, multiplier)
+def test_apply_scenario_equals_per_row_python_products(values, dm, pm, wm):
+    inputs = Profile.from_steps(
+        [StepInput(i, v, 0.1, True, v / 3.0, v * 0.7)
+         for i, v in enumerate(values)])
+    scenario = Scenario(id="x", demand_multiplier=dm, pv_multiplier=pm,
+                        wind_multiplier=wm)
+    scaled, _ = apply_scenario(inputs, make_config(), scenario)
+    assert list(scaled) == [
+        dataclasses.replace(s, demand_kw=s.demand_kw * dm, pv_kw=s.pv_kw * pm,
+                            wind_kw=s.wind_kw * wm)
+        for s in inputs]
+    assert scaled.price is inputs.price  # unchanged columns are shared
+
+
+def test_apply_scenario_outage_leaves_the_base_profile_unchanged():
+    config = make_config()
+    inputs = Profile.from_steps(day())
+    scenario = Scenario(id="x", outage=OutageSpec(start_step=2,
+                                                  duration_steps=3))
+    scaled, _ = apply_scenario(inputs, config, scenario)
+    assert list(scaled.grid_available[:6]) == [1, 1, 0, 0, 0, 1]
+    assert inputs.grid_available.all()
