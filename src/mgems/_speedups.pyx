@@ -1,10 +1,11 @@
 # cython: boundscheck=False, wraparound=False, cdivision=True
 """Compiled dispatch kernel.
 
-Transliteration of _kernel.run_kernel: same arithmetic, same operation
-order, so traces are bit-identical to the pure-Python backend (the build
-disables floating-point contraction to keep it that way). Keep in sync with
-_kernel.py; test_kernel checks parity.
+Transliteration of the frozen reference step rule in
+tests/kernel_reference.py: same arithmetic, same operation order, so traces
+are bit-identical to it and to the pure-Python backend (the build disables
+floating-point contraction to keep it that way). A change of the step rule
+must change _kernel.py and this file together; test_kernel checks parity.
 """
 
 

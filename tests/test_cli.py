@@ -260,3 +260,13 @@ def test_report_json_is_strict(example_config, example_inputs):
     with pytest.raises(ValueError):
         report_json_bytes(dataclasses.replace(report, threshold=float("nan")))
 
+
+
+def test_simulate_accepts_a_huge_finite_demand(fixture_args):
+    # 1e308 - 250 kW of import rounds back to 1e308; that is not a breach
+    config, _, out = fixture_args
+    profile = out / "huge.csv"
+    profile.write_text("index,demand_kw,price,grid_available,pv_kw,wind_kw\n"
+                       "0,1e308,12.0,1,0,0\n")
+    assert run_cli("simulate", "--config", config, "--profile", profile,
+                   "--out", out / "run") == 0

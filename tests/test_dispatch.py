@@ -7,14 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mgems.dispatch import (BatteryState, Gate, Intent, balance_residuals,
-                            check_balance, dispatch_step, initial_state,
+from mgems.dispatch import (BatteryState, Gate, HorizonArrays, Intent,
+                            balance_residuals, check_balance, dispatch_step,
+                            initial_state,
                             price_threshold, run_arrays, run_horizon,
                             shaving_intent, soc_gate, step_battery, surplus)
 from mgems.errors import BalanceError
 from mgems.model import EmsConfig
 from mgems.profiles import StepInput
-from mgems._kernel import CHARGE, DG, DISCHARGE, EXPORT, IMPORT, SOC
+from mgems._kernel import (CHARGE, DG, DISCHARGE, EXPORT, IMPORT, N_COLUMNS,
+                           PV_USED, SOC, UNSERVED)
 
 from conftest import DAY_PRICES_CENTS, make_config
 
@@ -403,3 +405,62 @@ def test_check_balance_rejects_a_nan_residual():
     trace = run_arrays(inputs, initial_state(config.battery), config)
     with pytest.raises(BalanceError, match="at step 1"):
         check_balance(trace, inputs)
+
+
+def test_check_balance_scales_its_tolerance_with_huge_flows():
+    # 1e308 - 250 rounds back to 1e308: a 250 kW residual that is rounding
+    config = make_config()
+    inputs = [step(demand=1e308)]
+    trace = run_arrays(inputs, initial_state(config.battery), config)
+    assert balance_residuals(trace, inputs)[0] == 250.0
+    check_balance(trace, inputs)
+
+
+def test_check_balance_still_catches_a_small_residual_at_normal_scale(
+        example_config, example_inputs):
+    config = example_config.config
+    trace = run_arrays(example_inputs, initial_state(config.battery), config)
+    check_balance(trace, example_inputs)
+    trace.columns[3, IMPORT] += 1e-5
+    with pytest.raises(BalanceError, match="residual .* at step 3"):
+        check_balance(trace, example_inputs)
+
+
+# each row: the invariant's message, the planted flows at step 2, whether
+# step 2 is grid-connected, and its demand; every planted row balances
+PLANTED_BREACHES = [
+    ("negative flow", {PV_USED: -5.0, UNSERVED: 5.0}, True, 0.0),
+    ("battery charges and discharges", {CHARGE: 10.0, DISCHARGE: 10.0},
+     True, 0.0),
+    ("grid imports and exports", {IMPORT: 10.0, EXPORT: 10.0}, True, 0.0),
+    ("grid exchange while islanded", {IMPORT: 10.0}, False, 10.0),
+    ("diesel runs while grid-connected", {DG: 10.0}, True, 10.0),
+]
+
+
+def planted_trace(flows, grid, demand):
+    columns = np.zeros((4, N_COLUMNS))
+    for column, value in flows.items():
+        columns[2, column] = value
+    grid_available = np.array([1, 1, grid, 1], dtype=np.uint8)
+    inputs = [step(index=i, demand=demand if i == 2 else 0.0,
+                   grid=bool(grid_available[i])) for i in range(4)]
+    trace = HorizonArrays(columns=columns, grid_available=grid_available,
+                          threshold=0.25, final_energy_kwh=0.0)
+    return trace, inputs
+
+
+@pytest.mark.parametrize("name, flows, grid, demand", PLANTED_BREACHES,
+                         ids=[row[0] for row in PLANTED_BREACHES])
+def test_check_balance_names_a_planted_breach(name, flows, grid, demand):
+    trace, inputs = planted_trace(flows, grid, demand)
+    assert not balance_residuals(trace, inputs).any()
+    with pytest.raises(BalanceError, match=f"^{name} at step 2$"):
+        check_balance(trace, inputs)
+
+
+def test_check_balance_allows_negative_zero_flows():
+    # the kernel reports -0.0 discharge when pv + wind == demand exactly
+    trace, inputs = planted_trace({}, False, 0.0)
+    trace.columns[:, :UNSERVED + 1] = -0.0
+    check_balance(trace, inputs)
