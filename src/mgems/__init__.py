@@ -10,8 +10,8 @@ __version__ = "0.1.0"
 
 from .dispatch import (BACKEND, BatteryState, DispatchDecision, Gate, Intent,
                        SurplusResult, dispatch_step, initial_state,
-                       price_threshold, run_arrays, run_horizon, shaving_intent,
-                       soc_gate, step_battery, surplus)
+                       price_threshold, run_arrays, shaving_intent, soc_gate,
+                       step_battery, surplus)
 from .metrics import (EconomicSummary, EmissionSummary, EnergyTotals,
                       ReliabilityStats, SimulationReport, accumulate,
                       build_report, emissions, lcoe, npc, operating_cost,
@@ -36,7 +36,7 @@ __all__ = [
     "build_report", "builtin_scenario", "dispatch_step", "emissions",
     "initial_state", "lcoe", "load_profile", "npc", "operating_cost",
     "parse_profile", "percent_change", "price_threshold", "pv_power",
-    "renewable_fraction", "resource_to_inputs", "run_arrays", "run_horizon",
-    "run_matrix", "serialize_profile", "shaving_intent", "soc_gate",
-    "step_battery", "surplus", "validate_config", "wind_power",
+    "renewable_fraction", "resource_to_inputs", "run_arrays", "run_matrix",
+    "serialize_profile", "shaving_intent", "soc_gate", "step_battery",
+    "surplus", "validate_config", "wind_power",
 ]

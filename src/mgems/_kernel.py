@@ -27,9 +27,8 @@ run_kernel works in three phases:
      PV-first attribution and the SOC column.
 
 The reference for this rule is the frozen one-step-at-a-time version in
-tests/kernel_reference.py; tests require run_kernel and the compiled twin
-in _speedups.pyx to reproduce it bit for bit, signed zeros included. Two
-rules keep that true:
+tests/kernel_reference.py; tests require run_kernel to reproduce it bit
+for bit, signed zeros included. Two rules keep that true:
   - every expression keeps the reference's operands and operation order
     (no reassociation; only loop-invariant subexpressions are hoisted);
   - every min is written np.where(a < b, a, b), the vector form of

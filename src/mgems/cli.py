@@ -178,7 +178,7 @@ def _simulate_trace(inputs: Profile, config: MicrogridConfig,
         inputs, config = apply_scenario(
             inputs, config, Scenario(id="outage-override", outage=outage))
     trace = run_arrays(inputs, initial_state(config.battery), config)
-    check_balance(trace, inputs)
+    check_balance(trace, inputs, config)
     return inputs, config, trace
 
 

@@ -7,6 +7,7 @@ live in [scenario:NAME] sections; the built-ins S1-S4 need no definition.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -61,19 +62,18 @@ class _Section:
             raise ConfigFileError(
                 f"[{self.name}] {key}: not a number: {raw!r}") from None
 
-    def integer(self, key: str, default: int | None = None) -> int:
-        value = self.number(key, default)
-        if value != int(value):
-            raise ConfigFileError(f"[{self.name}] {key}: must be an integer")
+    def _whole(self, key: str, value: float) -> int:
+        if not math.isfinite(value) or value != int(value):
+            raise ConfigFileError(
+                f"[{self.name}] {key}: must be an integer, got {value}")
         return int(value)
+
+    def integer(self, key: str, default: int | None = None) -> int:
+        return self._whole(key, self.number(key, default))
 
     def opt_integer(self, key: str) -> int | None:
         value = self.opt_number(key)
-        if value is None:
-            return None
-        if value != int(value):
-            raise ConfigFileError(f"[{self.name}] {key}: must be an integer")
-        return int(value)
+        return None if value is None else self._whole(key, value)
 
     def text(self, key: str, default: str | None = None) -> str:
         raw = self._fetch(key)

@@ -1,17 +1,15 @@
 """EMS core: threshold rules, battery state stepping, and horizon dispatch.
 
-The per-step allocation rule lives in a kernel with two interchangeable
-backends: a compiled extension (mgems._speedups) and a pure-Python fallback
-(mgems._kernel). The compiled backend is selected at import when available;
-set MGEMS_BACKEND=python or MGEMS_BACKEND=compiled to force one. Both
-produce bit-identical traces.
+The per-step allocation rule lives in one kernel, mgems._kernel.run_kernel.
+run_arrays calls it through the module global _kernel_run, which the
+benchmark's span tracer (perfbench/spans.py) wraps; BACKEND names the
+kernel in the benchmark's meta line.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -33,21 +31,8 @@ GRID_CONNECTED = "grid-connected"
 ISLANDED = "islanded"
 
 
-def _select_backend():
-    forced = os.environ.get("MGEMS_BACKEND", "").strip().lower()
-    if forced == "python":
-        return _kernel.run_kernel, "python"
-    try:
-        from . import _speedups
-    except ImportError:
-        if forced == "compiled":
-            raise ImportError(
-                "MGEMS_BACKEND=compiled but mgems._speedups is not built")
-        return _kernel.run_kernel, "python"
-    return _speedups.run_kernel, "compiled"
-
-
-_kernel_run, BACKEND = _select_backend()
+_kernel_run = _kernel.run_kernel
+BACKEND = "python"
 
 
 class Intent(enum.Enum):
@@ -96,10 +81,6 @@ class DispatchDecision:
     grid_export_kw: float
     unserved_kw: float
     mode: str
-
-    FIELDS = ("pv_used_kw", "wind_used_kw", "curtailed_kw", "battery_charge_kw",
-              "battery_discharge_kw", "dg_kw", "grid_import_kw",
-              "grid_export_kw", "unserved_kw", "mode")
 
 
 @dataclass(frozen=True)
@@ -181,12 +162,15 @@ class HorizonArrays:
     """Array-valued dispatch trace for a whole horizon.
 
     columns is the (n, 11) kernel output matrix (see mgems._kernel for the
-    column order); threshold is the resolved comparison threshold.
+    column order); threshold is the resolved comparison threshold, and
+    initial_energy_kwh / final_energy_kwh are the stored energy before the
+    first step and after the last.
     """
 
     columns: np.ndarray
     grid_available: np.ndarray
     threshold: float
+    initial_energy_kwh: float
     final_energy_kwh: float
 
     def column(self, index: int) -> np.ndarray:
@@ -247,6 +231,7 @@ def run_arrays(inputs: Sequence[StepInput], initial: BatteryState,
         b.soc_min, out)
     return HorizonArrays(columns=out, grid_available=inputs.grid_available,
                          threshold=float(threshold),
+                         initial_energy_kwh=float(initial.energy_kwh),
                          final_energy_kwh=float(final_energy))
 
 
@@ -261,7 +246,8 @@ def balance_residuals(trace: HorizonArrays,
     return supply - load
 
 
-def check_balance(trace: HorizonArrays, inputs: Sequence[StepInput]) -> None:
+def check_balance(trace: HorizonArrays, inputs: Sequence[StepInput],
+                  config: MicrogridConfig) -> None:
     """Raise BalanceError at the first step that breaks a dispatch invariant.
 
     The invariants, checked in this order: the power balance holds within
@@ -270,9 +256,12 @@ def check_balance(trace: HorizonArrays, inputs: Sequence[StepInput]) -> None:
     reading as a breach, and adds under 2e-9 kW below 1e6 kW); no flow is
     negative (-0.0 is allowed); charge and discharge are never both
     nonzero, nor import and export; an islanded step exchanges nothing with
-    the grid; and the diesel unit runs only islanded. The SOC band and
-    energy continuity need the battery spec and are not checked here.
+    the grid; the diesel unit runs only islanded; the SOC stays in its band
+    within 1e-9; and each step's stored energy is exactly the previous one
+    plus its charge and minus its discharge, recomputed in the kernel's
+    operation order.
     """
+    battery, dt_h = config.battery, config.step_hours
     cols = trace.columns
     flows = cols[:, :UNSERVED + 1]
     residuals = np.abs(balance_residuals(trace, inputs))
@@ -292,12 +281,22 @@ def check_balance(trace: HorizonArrays, inputs: Sequence[StepInput]) -> None:
     grid = trace.grid_available != 0
     charging, discharging = cols[:, CHARGE] != 0.0, cols[:, DISCHARGE] != 0.0
     importing, exporting = cols[:, IMPORT] != 0.0, cols[:, EXPORT] != 0.0
-    for name, broken in (
-            ("negative flow", flows < 0.0),
-            ("battery charges and discharges", charging & discharging),
-            ("grid imports and exports", importing & exporting),
-            ("grid exchange while islanded", ~grid & (importing | exporting)),
-            ("diesel runs while grid-connected", grid & (cols[:, DG] != 0.0))):
+    soc, energy = cols[:, SOC], cols[:, ENERGY]
+    low = battery.soc_min - SOC_TOLERANCE
+    high = battery.soc_max + SOC_TOLERANCE
+    sqrt_eta = math.sqrt(battery.roundtrip_efficiency)
+    before = np.concatenate(([trace.initial_energy_kwh], energy))[:-1]
+    after = before + cols[:, CHARGE] * sqrt_eta * dt_h \
+        - (cols[:, DISCHARGE] / sqrt_eta) * dt_h
+    checks = [
+        ("negative flow", flows < 0.0),
+        ("battery charges and discharges", charging & discharging),
+        ("grid imports and exports", importing & exporting),
+        ("grid exchange while islanded", ~grid & (importing | exporting)),
+        ("diesel runs while grid-connected", grid & (cols[:, DG] != 0.0)),
+        ("SOC outside its band", ~((soc >= low) & (soc <= high))),
+        ("stored energy breaks continuity", ~(after == energy))]
+    for name, broken in checks:
         if broken.any():
             step = np.argmax(broken.reshape(len(cols), -1).any(axis=1))
             raise BalanceError(f"{name} at step {int(step)}")
@@ -308,15 +307,3 @@ def dispatch_step(state: BatteryState, inp: StepInput, threshold: float,
     """Allocate one step and advance the battery state (a one-step horizon)."""
     trace = run_arrays([inp], state, config, threshold)
     return trace.decision(0), trace.state(0)
-
-
-def run_horizon(inputs: Sequence[StepInput], initial: BatteryState,
-                config: MicrogridConfig,
-                threshold: float | None = None,
-                ) -> list[tuple[DispatchDecision, BatteryState]]:
-    """Dispatch a horizon step by step, deterministically.
-
-    Returns one (decision, post-step battery state) pair per input.
-    """
-    trace = run_arrays(inputs, initial, config, threshold)
-    return [(trace.decision(i), trace.state(i)) for i in range(len(inputs))]

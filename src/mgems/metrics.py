@@ -17,13 +17,11 @@ import numpy as np
 
 from ._kernel import (CHARGE, CURTAILED, DG, DISCHARGE, EXPORT, IMPORT,
                       UNSERVED)
-from .dispatch import BatteryState, DispatchDecision, HorizonArrays
+from .dispatch import HorizonArrays
 from .model import POLLUTANTS, EmissionFactors, MicrogridConfig
 from .profiles import Profile, StepInput
 
 HOURS_PER_YEAR = 8760.0
-
-ObjectTrace = Sequence[tuple[DispatchDecision, BatteryState]]
 
 
 @dataclass(frozen=True)
@@ -92,16 +90,6 @@ class SimulationReport:
         }
 
 
-def _trace_matrix(trace: ObjectTrace) -> np.ndarray:
-    rows = [
-        (d.pv_used_kw, d.wind_used_kw, d.curtailed_kw, d.battery_charge_kw,
-         d.battery_discharge_kw, d.dg_kw, d.grid_import_kw, d.grid_export_kw,
-         d.unserved_kw, s.soc, s.energy_kwh)
-        for d, s in trace
-    ]
-    return np.array(rows, dtype=np.float64).reshape(len(rows), 11)
-
-
 def _outage_runs(grid_available: np.ndarray) -> tuple[int, int]:
     """Count maximal unavailable runs and total unavailable steps."""
     down = grid_available == 0
@@ -112,8 +100,16 @@ def _outage_runs(grid_available: np.ndarray) -> tuple[int, int]:
     return starts, steps
 
 
-def _accumulate(columns: np.ndarray, inputs: Profile,
-                dt_h: float) -> tuple[EnergyTotals, ReliabilityStats]:
+def accumulate(trace: HorizonArrays, inputs: Sequence[StepInput],
+               dt_h: float) -> tuple[EnergyTotals, ReliabilityStats]:
+    """Sum a dispatch trace into energy totals and reliability statistics."""
+    inputs = Profile.from_steps(inputs)
+    if len(trace) != len(inputs):
+        raise ValueError(
+            f"trace length {len(trace)} != inputs length {len(inputs)}")
+    if not len(inputs):
+        raise ValueError("empty horizon")
+    columns = trace.columns
     demand, pv, wind = inputs.demand_kw, inputs.pv_kw, inputs.wind_kw
     unserved = columns[:, UNSERVED]
     totals = EnergyTotals(
@@ -135,28 +131,6 @@ def _accumulate(columns: np.ndarray, inputs: Profile,
         uptime_fraction=float(np.count_nonzero(unserved == 0.0)) / len(inputs),
     )
     return totals, reliability
-
-
-def accumulate(trace: ObjectTrace, inputs: Sequence[StepInput],
-               dt_h: float) -> tuple[EnergyTotals, ReliabilityStats]:
-    """Sum a dispatch trace into energy totals and reliability statistics."""
-    inputs = Profile.from_steps(inputs)
-    if len(trace) != len(inputs):
-        raise ValueError(
-            f"trace length {len(trace)} != inputs length {len(inputs)}")
-    if not len(inputs):
-        raise ValueError("empty horizon")
-    return _accumulate(_trace_matrix(trace), inputs, dt_h)
-
-
-def accumulate_arrays(trace: HorizonArrays, inputs: Sequence[StepInput],
-                      dt_h: float) -> tuple[EnergyTotals, ReliabilityStats]:
-    """accumulate() for an array trace; identical sums."""
-    inputs = Profile.from_steps(inputs)
-    if len(trace) != len(inputs):
-        raise ValueError(
-            f"trace length {len(trace)} != inputs length {len(inputs)}")
-    return _accumulate(trace.columns, inputs, dt_h)
 
 
 def _variable_cost_terms(columns: np.ndarray, inputs: Profile,
@@ -181,8 +155,7 @@ def fixed_annual_om(config: MicrogridConfig) -> float:
             + config.battery.capacity_kwh * config.battery.om_cost)
 
 
-def operating_cost(totals: EnergyTotals, trace: ObjectTrace,
-                   inputs: Sequence[StepInput],
+def operating_cost(trace: HorizonArrays, inputs: Sequence[StepInput],
                    config: MicrogridConfig) -> float:
     """Operating cost of a trace treated as one year of operation.
 
@@ -190,9 +163,8 @@ def operating_cost(totals: EnergyTotals, trace: ObjectTrace,
     produced energy, diesel running O&M, and the annual fixed O&M of PV,
     wind, and battery. Negative results (export-dominated) are permitted.
     """
-    del totals  # energy sums are recomputed from the trace itself
-    return (_variable_cost_terms(_trace_matrix(trace),
-                                 Profile.from_steps(inputs), config)
+    return (_variable_cost_terms(trace.columns, Profile.from_steps(inputs),
+                                 config)
             + fixed_annual_om(config))
 
 
@@ -328,7 +300,7 @@ def build_report(trace: HorizonArrays, inputs: Sequence[StepInput],
     O&M and lifetime cash flows are applied.
     """
     inputs = Profile.from_steps(inputs)
-    totals, reliability = accumulate_arrays(trace, inputs, config.step_hours)
+    totals, reliability = accumulate(trace, inputs, config.step_hours)
     factor = HOURS_PER_YEAR / (len(inputs) * config.step_hours)
     annual_cost = (_variable_cost_terms(trace.columns, inputs, config) * factor
                    + fixed_annual_om(config))

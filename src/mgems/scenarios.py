@@ -10,6 +10,7 @@ columns are new arrays, unchanged columns are shared with the base run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
@@ -76,7 +77,11 @@ def _resolve_outage(outage: OutageSpec, inputs: Profile,
     if outage.duration_steps is not None:
         steps = outage.duration_steps
     elif outage.duration_hours is not None:
-        steps = round(outage.duration_hours / config.step_hours)
+        steps = outage.duration_hours / config.step_hours
+        if not math.isfinite(steps):
+            raise ValueError(f"outage duration_hours {outage.duration_hours} "
+                             "is not a finite number of steps")
+        steps = round(steps)
     else:
         raise ValueError("outage needs duration_steps or duration_hours")
     if steps < 1:
@@ -108,8 +113,9 @@ def apply_scenario(inputs: Sequence[StepInput], config: MicrogridConfig,
     for name in ("demand_multiplier", "pv_multiplier", "wind_multiplier",
                  "fuel_price_multiplier"):
         value = getattr(scenario, name)
-        if not value > 0:
-            raise ValueError(f"scenario {scenario.id}: {name} must be > 0, got {value}")
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"scenario {scenario.id}: {name} must be finite "
+                             f"and > 0, got {value}")
     grid_available = inputs.grid_available
     if scenario.outage is not None:
         start, steps = _resolve_outage(scenario.outage, inputs, config)
@@ -159,7 +165,7 @@ def _deltas(base: SimulationReport, new: SimulationReport) -> dict[str, float | 
 
 def _run_one(inputs: Profile, config: MicrogridConfig):
     trace = run_arrays(inputs, initial_state(config.battery), config)
-    check_balance(trace, inputs)
+    check_balance(trace, inputs, config)
     return trace, build_report(trace, inputs, config)
 
 

@@ -2,8 +2,8 @@
 
 step_scalar is the per-step allocation rule exactly as mgems first shipped
 it, and run_reference folds it over a horizon. Both are kept unchanged so
-that tests (and benchmarks/bench_dispatch.py) can require the kernels in
-src/ to reproduce them bit for bit, signed zeros included. Do not edit
+that tests can require the kernel in src/ to reproduce them bit for bit,
+signed zeros included. Do not edit
 them to make a kernel change pass: a change here is a change of the step
 rule, and so of the program's output and the golden files.
 """

@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 from mgems.cli import main, report_json_bytes
-from mgems.dispatch import (BatteryState, balance_residuals, initial_state,
-                            run_arrays)
-from mgems.metrics import (EnergyTotals, accumulate_arrays, build_report,
+from mgems.dispatch import (BatteryState, balance_residuals, check_balance,
+                            initial_state, run_arrays)
+from mgems.metrics import (EnergyTotals, accumulate, build_report,
                            emissions, lcoe, npc, percent_change,
                            renewable_fraction)
 from mgems.model import EmissionFactors, EmsConfig
@@ -97,6 +97,7 @@ def test_c1_balance_invariant_suite():
         soc = cols[:, SOC]
         assert np.all(soc >= config.battery.soc_min - 1e-9)
         assert np.all(soc <= config.battery.soc_max + 1e-9)
+        check_balance(trace, inputs, config)
     elapsed = time.monotonic() - started
     assert elapsed < 30.0, f"balance suite took {elapsed:.1f}s"
     report_pass(f"balance invariants: 10,000 horizons in {elapsed:.1f}s")
@@ -444,10 +445,10 @@ def test_c7_scenario_matrix():
                              wind_kw=float(rng.uniform(0, 120)))
                    for i in range(n)]
         scaled, s2_config = apply_scenario(fixture, relaxed, s2)
-        base_totals, _ = accumulate_arrays(
+        base_totals, _ = accumulate(
             run_arrays(fixture, initial_state(relaxed.battery), relaxed),
             fixture, relaxed.step_hours)
-        s2_totals, _ = accumulate_arrays(
+        s2_totals, _ = accumulate(
             run_arrays(scaled, initial_state(s2_config.battery), s2_config),
             scaled, s2_config.step_hours)
         assert renewable_fraction(s2_totals) <= \

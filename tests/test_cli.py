@@ -270,3 +270,48 @@ def test_simulate_accepts_a_huge_finite_demand(fixture_args):
                        "0,1e308,12.0,1,0,0\n")
     assert run_cli("simulate", "--config", config, "--profile", profile,
                    "--out", out / "run") == 0
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("key", ["outage_steps", "outage_start"])
+@pytest.mark.parametrize("command", ["validate", "scenarios"])
+def test_non_finite_scenario_integer_exits_2(fixture_args, capsys, command,
+                                             key, value):
+    config, profile, out = fixture_args
+    custom = out / "custom.ini"
+    keys = {"outage_steps": "2", key: value}
+    custom.write_text(Path(config).read_text() + "\n[scenario:X]\n"
+                      + "".join(f"{k} = {v}\n" for k, v in keys.items()))
+    args = ["--config", custom, "--profile", profile]
+    if command == "scenarios":
+        args += ["--out", out / "runs", "--scenarios", "X"]
+    assert run_cli(command, *args) == 2
+    assert f"[scenario:X] {key}: must be an integer, got {value}" in \
+        capsys.readouterr().err
+    assert not (out / "runs").exists()
+
+
+@pytest.mark.parametrize("hours", ["inf", "nan"])
+def test_simulate_rejects_a_non_finite_outage_duration(fixture_args, capsys,
+                                                      hours):
+    config, profile, out = fixture_args
+    assert run_cli("simulate", "--config", config, "--profile", profile,
+                   "--out", out / "run", "--outage-start", 16,
+                   "--outage-hours", hours) == 2
+    assert "outage duration_hours" in capsys.readouterr().err
+    assert not (out / "run").exists()
+
+
+def test_infinite_scenario_multiplier_is_reported_as_bad_input(fixture_args):
+    config, profile, out = fixture_args
+    custom = out / "custom.ini"
+    custom.write_text(Path(config).read_text() + "\n[scenario:X]\n"
+                      "demand_multiplier = inf\n")
+    assert run_cli("scenarios", "--config", custom, "--profile", profile,
+                   "--out", out / "runs", "--scenarios", "S1,X") == 0
+    import csv
+    with open(out / "runs" / "matrix.csv", newline="") as fh:
+        rows = {row[0]: row for row in csv.reader(fh)}
+    assert rows["X"][1] == \
+        "scenario X: demand_multiplier must be finite and > 0, got inf"
+    assert (out / "runs" / "S1" / "report.json").is_file()

@@ -9,14 +9,13 @@ from hypothesis import given, strategies as st
 
 from mgems.dispatch import (BatteryState, Gate, HorizonArrays, Intent,
                             balance_residuals, check_balance, dispatch_step,
-                            initial_state,
-                            price_threshold, run_arrays, run_horizon,
+                            initial_state, price_threshold, run_arrays,
                             shaving_intent, soc_gate, step_battery, surplus)
 from mgems.errors import BalanceError
 from mgems.model import EmsConfig
 from mgems.profiles import StepInput
-from mgems._kernel import (CHARGE, DG, DISCHARGE, EXPORT, IMPORT, N_COLUMNS,
-                           PV_USED, SOC, UNSERVED)
+from mgems._kernel import (CHARGE, DG, DISCHARGE, ENERGY, EXPORT, IMPORT,
+                           N_COLUMNS, PV_USED, SOC, UNSERVED)
 
 from conftest import DAY_PRICES_CENTS, make_config
 
@@ -270,11 +269,16 @@ def test_dispatch_load_threshold_mode_compares_demand():
 
 # --- horizons ---------------------------------------------------------------
 
-def test_run_horizon_zero_step():
+def rows(trace):
+    """The trace as (decision, post-step battery state) row views."""
+    return [(trace.decision(i), trace.state(i)) for i in range(len(trace))]
+
+
+def test_run_arrays_zero_step():
     config = make_config(ems=EmsConfig(threshold_mode="fixed-price",
                                        fixed_threshold=0.25))
     initial = initial_state(config.battery)
-    ((decision, state),) = run_horizon([step()], initial, config)
+    ((decision, state),) = rows(run_arrays([step()], initial, config))
     for name in ("pv_used_kw", "wind_used_kw", "curtailed_kw",
                  "battery_charge_kw", "battery_discharge_kw", "dg_kw",
                  "grid_import_kw", "grid_export_kw", "unserved_kw"):
@@ -282,20 +286,20 @@ def test_run_horizon_zero_step():
     assert state.energy_kwh == initial.energy_kwh
 
 
-def test_run_horizon_rejects_empty_inputs():
+def test_run_arrays_rejects_empty_inputs():
     config = make_config()
     with pytest.raises(ValueError, match="empty"):
-        run_horizon([], initial_state(config.battery), config)
+        run_arrays([], initial_state(config.battery), config)
 
 
-def test_run_horizon_is_deterministic(example_config, example_inputs):
+def test_run_arrays_is_deterministic(example_config, example_inputs):
     config = example_config.config
-    first = run_horizon(example_inputs, initial_state(config.battery), config)
-    second = run_horizon(example_inputs, initial_state(config.battery), config)
-    assert first == second
+    first = run_arrays(example_inputs, initial_state(config.battery), config)
+    second = run_arrays(example_inputs, initial_state(config.battery), config)
+    assert rows(first) == rows(second)
 
 
-def test_run_horizon_matches_scalar_fold(example_config, example_inputs):
+def test_run_arrays_matches_scalar_fold(example_config, example_inputs):
     config = example_config.config
     threshold = price_threshold([s.price for s in example_inputs], config.ems)
     state = initial_state(config.battery)
@@ -303,8 +307,8 @@ def test_run_horizon_matches_scalar_fold(example_config, example_inputs):
     for s in example_inputs:
         decision, state = dispatch_step(state, s, threshold, config)
         folded.append((decision, state))
-    assert run_horizon(example_inputs, initial_state(config.battery),
-                       config) == folded
+    assert rows(run_arrays(example_inputs, initial_state(config.battery),
+                           config)) == folded
 
 
 # --- randomized invariants --------------------------------------------------
@@ -336,6 +340,7 @@ def assert_step_invariants(trace, inputs, config):
     assert np.all(soc <= config.battery.soc_max + 1e-9)
     residuals = balance_residuals(trace, inputs)
     assert float(np.max(np.abs(residuals))) <= 1e-6
+    check_balance(trace, inputs, config)
 
 
 def test_random_horizon_invariants():
@@ -404,7 +409,7 @@ def test_check_balance_rejects_a_nan_residual():
     inputs = [step(demand=50.0), step(index=1, demand=float("nan"))]
     trace = run_arrays(inputs, initial_state(config.battery), config)
     with pytest.raises(BalanceError, match="at step 1"):
-        check_balance(trace, inputs)
+        check_balance(trace, inputs, config)
 
 
 def test_check_balance_scales_its_tolerance_with_huge_flows():
@@ -413,17 +418,17 @@ def test_check_balance_scales_its_tolerance_with_huge_flows():
     inputs = [step(demand=1e308)]
     trace = run_arrays(inputs, initial_state(config.battery), config)
     assert balance_residuals(trace, inputs)[0] == 250.0
-    check_balance(trace, inputs)
+    check_balance(trace, inputs, config)
 
 
 def test_check_balance_still_catches_a_small_residual_at_normal_scale(
         example_config, example_inputs):
     config = example_config.config
     trace = run_arrays(example_inputs, initial_state(config.battery), config)
-    check_balance(trace, example_inputs)
+    check_balance(trace, example_inputs, config)
     trace.columns[3, IMPORT] += 1e-5
     with pytest.raises(BalanceError, match="residual .* at step 3"):
-        check_balance(trace, example_inputs)
+        check_balance(trace, example_inputs, config)
 
 
 # each row: the invariant's message, the planted flows at step 2, whether
@@ -439,28 +444,71 @@ PLANTED_BREACHES = [
 
 
 def planted_trace(flows, grid, demand):
+    """A four-step trace with the battery idle at its SOC floor."""
+    config = make_config()
+    battery = config.battery
+    energy = battery.soc_min * battery.capacity_kwh
     columns = np.zeros((4, N_COLUMNS))
+    columns[:, SOC] = battery.soc_min
+    columns[:, ENERGY] = energy
     for column, value in flows.items():
         columns[2, column] = value
     grid_available = np.array([1, 1, grid, 1], dtype=np.uint8)
     inputs = [step(index=i, demand=demand if i == 2 else 0.0,
                    grid=bool(grid_available[i])) for i in range(4)]
     trace = HorizonArrays(columns=columns, grid_available=grid_available,
-                          threshold=0.25, final_energy_kwh=0.0)
-    return trace, inputs
+                          threshold=0.25, initial_energy_kwh=energy,
+                          final_energy_kwh=energy)
+    return trace, inputs, config
 
 
 @pytest.mark.parametrize("name, flows, grid, demand", PLANTED_BREACHES,
                          ids=[row[0] for row in PLANTED_BREACHES])
 def test_check_balance_names_a_planted_breach(name, flows, grid, demand):
-    trace, inputs = planted_trace(flows, grid, demand)
+    trace, inputs, config = planted_trace(flows, grid, demand)
     assert not balance_residuals(trace, inputs).any()
     with pytest.raises(BalanceError, match=f"^{name} at step 2$"):
-        check_balance(trace, inputs)
+        check_balance(trace, inputs, config)
 
 
 def test_check_balance_allows_negative_zero_flows():
     # the kernel reports -0.0 discharge when pv + wind == demand exactly
-    trace, inputs = planted_trace({}, False, 0.0)
+    trace, inputs, config = planted_trace({}, False, 0.0)
     trace.columns[:, :UNSERVED + 1] = -0.0
-    check_balance(trace, inputs)
+    check_balance(trace, inputs, config)
+
+
+def test_check_balance_passes_a_dispatched_day_with_the_battery_checks(
+        example_config, example_inputs):
+    config = example_config.config
+    trace = run_arrays(example_inputs, initial_state(config.battery), config)
+    assert trace.column(CHARGE).any() and trace.column(DISCHARGE).any()
+    check_balance(trace, example_inputs, config)
+
+
+def test_check_balance_names_a_planted_soc_outside_its_band():
+    trace, inputs, config = planted_trace({}, True, 0.0)
+    trace.columns[2, SOC] = config.battery.soc_max + 1e-6
+    with pytest.raises(BalanceError, match="^SOC outside its band at step 2$"):
+        check_balance(trace, inputs, config)
+
+
+def test_check_balance_names_a_planted_energy_continuity_break():
+    trace, inputs, config = planted_trace({}, True, 0.0)
+    trace.columns[2, ENERGY] += 1.0
+    with pytest.raises(BalanceError,
+                       match="^stored energy breaks continuity at step 2$"):
+        check_balance(trace, inputs, config)
+
+
+def test_check_balance_recomputes_continuity_in_the_kernel_order():
+    # one ulp off the kernel's update is a breach: the check is exact
+    config = make_config()
+    inputs = [step(demand=10.0, pv=80.0, price=0.01),
+              step(index=1, demand=120.0, price=0.9)]
+    trace = run_arrays(inputs, initial_state(config.battery), config, 0.25)
+    assert trace.columns[0, CHARGE] > 0.0 and trace.columns[1, DISCHARGE] > 0.0
+    check_balance(trace, inputs, config)
+    trace.columns[1, ENERGY] = np.nextafter(trace.columns[1, ENERGY], np.inf)
+    with pytest.raises(BalanceError, match="continuity at step 1$"):
+        check_balance(trace, inputs, config)

@@ -2,10 +2,14 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mgems.dispatch import BatteryState, DispatchDecision
+from mgems._kernel import (CHARGE, CURTAILED, DG, DISCHARGE, ENERGY, EXPORT,
+                           IMPORT, N_COLUMNS, PV_USED, SOC, UNSERVED,
+                           WIND_USED)
+from mgems.dispatch import HorizonArrays
 from mgems.metrics import (EnergyTotals, accumulate, capital_cost,
                            capital_recovery_factor, emissions, fixed_annual_om,
                            lcoe, npc, operating_cost, percent_change,
@@ -15,22 +19,32 @@ from mgems.profiles import StepInput
 
 from conftest import make_config
 
+COLUMN = dict(pv_used_kw=PV_USED, wind_used_kw=WIND_USED,
+              curtailed_kw=CURTAILED, battery_charge_kw=CHARGE,
+              battery_discharge_kw=DISCHARGE, dg_kw=DG, grid_import_kw=IMPORT,
+              grid_export_kw=EXPORT, unserved_kw=UNSERVED)
 
-def decision(**kw):
-    fields = dict(pv_used_kw=0.0, wind_used_kw=0.0, curtailed_kw=0.0,
-                  battery_charge_kw=0.0, battery_discharge_kw=0.0, dg_kw=0.0,
-                  grid_import_kw=0.0, grid_export_kw=0.0, unserved_kw=0.0,
-                  mode="grid-connected")
-    fields.update(kw)
-    return DispatchDecision(**fields)
+
+def trace(rows):
+    """An (n, 11) array trace, one row per dict of nonzero flows (kW).
+
+    The battery rests at SOC 0.5 holding 100 kWh throughout.
+    """
+    columns = np.zeros((len(rows), N_COLUMNS))
+    for i, flows in enumerate(rows):
+        for name, value in flows.items():
+            columns[i, COLUMN[name]] = value
+    columns[:, SOC] = 0.5
+    columns[:, ENERGY] = 100.0
+    return HorizonArrays(columns=columns,
+                         grid_available=np.ones(len(rows), dtype=np.uint8),
+                         threshold=0.0, initial_energy_kwh=100.0,
+                         final_energy_kwh=100.0)
 
 
 def inp(i=0, demand=0.0, price=0.0, grid=True, pv=0.0, wind=0.0):
     return StepInput(index=i, demand_kw=demand, price=price,
                      grid_available=grid, pv_kw=pv, wind_kw=wind)
-
-
-STATE = BatteryState(soc=0.5, energy_kwh=100.0)
 
 
 def totals(**kw):
@@ -45,9 +59,8 @@ def totals(**kw):
 # --- accumulate ---------------------------------------------------------------
 
 def test_accumulate_all_zero_trace():
-    trace = [(decision(), STATE)] * 24
     inputs = [inp(i) for i in range(24)]
-    energy, reliability = accumulate(trace, inputs, 1.0)
+    energy, reliability = accumulate(trace([{}] * 24), inputs, 1.0)
     assert energy == totals()
     assert reliability.outage_count == 0
     assert reliability.outage_hours == 0.0
@@ -57,8 +70,7 @@ def test_accumulate_all_zero_trace():
 def test_accumulate_counts_outage_runs():
     pattern = [True, False, False, True, False]
     inputs = [inp(i, grid=g) for i, g in enumerate(pattern)]
-    trace = [(decision(), STATE)] * len(inputs)
-    _, reliability = accumulate(trace, inputs, 0.5)
+    _, reliability = accumulate(trace([{}] * len(inputs)), inputs, 0.5)
     assert reliability.outage_count == 2       # runs: {1,2} and {4}
     assert reliability.outage_hours == 3 * 0.5
 
@@ -66,14 +78,14 @@ def test_accumulate_counts_outage_runs():
 def test_accumulate_sums_each_column():
     inputs = [inp(0, demand=100.0, pv=40.0, wind=10.0),
               inp(1, demand=50.0, pv=20.0, wind=5.0)]
-    trace = [
-        (decision(pv_used_kw=40.0, wind_used_kw=10.0, grid_import_kw=30.0,
-                  battery_discharge_kw=20.0, unserved_kw=0.0), STATE),
-        (decision(pv_used_kw=15.0, wind_used_kw=5.0, curtailed_kw=5.0,
-                  battery_charge_kw=10.0, grid_export_kw=2.0,
-                  grid_import_kw=42.0, unserved_kw=0.0), STATE),
-    ]
-    energy, reliability = accumulate(trace, inputs, 2.0)
+    flows = trace([
+        dict(pv_used_kw=40.0, wind_used_kw=10.0, grid_import_kw=30.0,
+             battery_discharge_kw=20.0, unserved_kw=0.0),
+        dict(pv_used_kw=15.0, wind_used_kw=5.0, curtailed_kw=5.0,
+             battery_charge_kw=10.0, grid_export_kw=2.0,
+             grid_import_kw=42.0, unserved_kw=0.0),
+    ])
+    energy, reliability = accumulate(flows, inputs, 2.0)
     assert energy.imported_kwh == pytest.approx(144.0)
     assert energy.exported_kwh == pytest.approx(4.0)
     assert energy.pv_kwh == pytest.approx(120.0)
@@ -88,30 +100,32 @@ def test_accumulate_sums_each_column():
 
 def test_accumulate_uptime_counts_unserved_steps():
     inputs = [inp(i) for i in range(4)]
-    trace = [(decision(unserved_kw=0.0), STATE),
-             (decision(unserved_kw=1.5), STATE),
-             (decision(unserved_kw=0.0), STATE),
-             (decision(unserved_kw=0.25), STATE)]
-    _, reliability = accumulate(trace, inputs, 1.0)
+    flows = trace([dict(unserved_kw=0.0), dict(unserved_kw=1.5),
+                   dict(unserved_kw=0.0), dict(unserved_kw=0.25)])
+    _, reliability = accumulate(flows, inputs, 1.0)
     assert reliability.uptime_fraction == 0.5
 
 
 def test_accumulate_rejects_length_mismatch():
     with pytest.raises(ValueError, match="length"):
-        accumulate([(decision(), STATE)], [inp(0), inp(1)], 1.0)
+        accumulate(trace([{}]), [inp(0), inp(1)], 1.0)
+
+
+def test_accumulate_rejects_an_empty_horizon():
+    with pytest.raises(ValueError, match="empty horizon"):
+        accumulate(trace([]), [], 1.0)
 
 
 def test_accumulate_is_additive_over_concatenation():
-    import numpy as np
     rng = np.random.default_rng(11)
     inputs = [inp(i, demand=float(rng.uniform(0, 100)),
                   pv=float(rng.uniform(0, 50))) for i in range(10)]
-    trace = [(decision(grid_import_kw=float(rng.uniform(0, 80)),
-                       unserved_kw=float(rng.choice([0.0, 2.0]))), STATE)
-             for _ in range(10)]
-    whole, _ = accumulate(trace, inputs, 1.0)
-    first, _ = accumulate(trace[:4], inputs[:4], 1.0)
-    second, _ = accumulate(trace[4:], inputs[4:], 1.0)
+    rows = [dict(grid_import_kw=float(rng.uniform(0, 80)),
+                 unserved_kw=float(rng.choice([0.0, 2.0])))
+            for _ in range(10)]
+    whole, _ = accumulate(trace(rows), inputs, 1.0)
+    first, _ = accumulate(trace(rows[:4]), inputs[:4], 1.0)
+    second, _ = accumulate(trace(rows[4:]), inputs[4:], 1.0)
     for name in vars(whole):
         assert getattr(whole, name) == pytest.approx(
             getattr(first, name) + getattr(second, name), rel=1e-12, abs=1e-12)
@@ -133,22 +147,19 @@ def zero_om_config():
 
 def test_operating_cost_zero_case():
     config = zero_om_config()
-    trace = [(decision(), STATE)]
-    assert operating_cost(totals(), trace, [inp(0, price=0.2)], config) == 0.0
+    assert operating_cost(trace([{}]), [inp(0, price=0.2)], config) == 0.0
 
 
 def test_operating_cost_import_only():
     config = zero_om_config()
-    trace = [(decision(grid_import_kw=10.0), STATE)]
-    cost = operating_cost(totals(imported_kwh=10.0), trace,
+    cost = operating_cost(trace([dict(grid_import_kw=10.0)]),
                           [inp(0, price=0.20)], config)
     assert cost == pytest.approx(2.0)
 
 
 def test_operating_cost_export_only_is_negative():
     config = zero_om_config()
-    trace = [(decision(grid_export_kw=10.0), STATE)]
-    cost = operating_cost(totals(exported_kwh=10.0), trace,
+    cost = operating_cost(trace([dict(grid_export_kw=10.0)]),
                           [inp(0, price=0.20)], config)
     assert cost == pytest.approx(-2.0)
 
@@ -157,8 +168,8 @@ def test_operating_cost_sell_ratio_scales_export_revenue():
     config = zero_om_config()
     config = dataclasses.replace(
         config, grid=dataclasses.replace(config.grid, sell_price_ratio=0.5))
-    trace = [(decision(grid_export_kw=10.0), STATE)]
-    cost = operating_cost(totals(), trace, [inp(0, price=0.20)], config)
+    cost = operating_cost(trace([dict(grid_export_kw=10.0)]),
+                          [inp(0, price=0.20)], config)
     assert cost == pytest.approx(-1.0)
 
 
@@ -167,11 +178,10 @@ def test_operating_cost_dg_fuel_and_running_om():
     config = dataclasses.replace(
         config, diesel=dataclasses.replace(config.diesel, om_cost=0.03,
                                            fuel_cost_per_kwh=1.0))
-    trace = [(decision(dg_kw=60.0), STATE), (decision(dg_kw=30.0), STATE),
-             (decision(), STATE)]
+    flows = trace([dict(dg_kw=60.0), dict(dg_kw=30.0), {}])
     inputs = [inp(i) for i in range(3)]
     # fuel: 90 kWh * 1.0; running O&M: 2 h * 60 kW capacity * 0.03
-    cost = operating_cost(totals(dg_kwh=90.0), trace, inputs, config)
+    cost = operating_cost(flows, inputs, config)
     assert cost == pytest.approx(90.0 + 3.6)
 
 
@@ -179,8 +189,7 @@ def test_operating_cost_includes_fixed_annual_om():
     config = make_config()
     expected = (250.0 * 10.0 + 120.0 * 207.0 + 660.0 * 10.0)
     assert fixed_annual_om(config) == pytest.approx(expected)
-    trace = [(decision(), STATE)]
-    assert operating_cost(totals(), trace, [inp(0)], config) == \
+    assert operating_cost(trace([{}]), [inp(0)], config) == \
         pytest.approx(expected)
 
 

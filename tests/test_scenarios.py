@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mgems.dispatch import initial_state, run_arrays
-from mgems.metrics import accumulate_arrays, renewable_fraction
+from mgems.metrics import accumulate, renewable_fraction
 from mgems.model import EmsConfig
 from mgems.profiles import Profile, StepInput
 from mgems.scenarios import (BASE_KEY, IDENTITY_SCENARIO, OutageSpec, Scenario,
@@ -133,6 +133,23 @@ def test_nonpositive_multiplier_is_rejected():
         apply_scenario(day(), config, Scenario(id="x", demand_multiplier=0.0))
 
 
+@pytest.mark.parametrize("name", ["demand_multiplier", "pv_multiplier",
+                                  "wind_multiplier", "fuel_price_multiplier"])
+def test_infinite_multiplier_is_rejected(name):
+    config = make_config()
+    scenario = dataclasses.replace(IDENTITY_SCENARIO, **{name: float("inf")})
+    with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
+        apply_scenario(day(), config, scenario)
+
+
+@pytest.mark.parametrize("hours", [float("inf"), float("nan")])
+def test_non_finite_outage_duration_is_rejected_by_name(hours):
+    config = make_config()
+    outage = OutageSpec(start_step=0, duration_hours=hours)
+    with pytest.raises(ValueError, match="outage duration_hours"):
+        apply_scenario(day(), config, Scenario(id="x", outage=outage))
+
+
 def test_s1_total_demand_scales_exactly(example_config, example_inputs):
     config = example_config.config
     scaled, _ = apply_scenario(example_inputs, config, builtin_scenario("S1"))
@@ -141,8 +158,8 @@ def test_s1_total_demand_scales_exactly(example_config, example_inputs):
         base_total * 1.05, rel=1e-12)
     base = run_arrays(example_inputs, initial_state(config.battery), config)
     run = run_arrays(scaled, initial_state(config.battery), config)
-    base_totals, _ = accumulate_arrays(base, example_inputs, 1.0)
-    new_totals, _ = accumulate_arrays(run, scaled, 1.0)
+    base_totals, _ = accumulate(base, example_inputs, 1.0)
+    new_totals, _ = accumulate(run, scaled, 1.0)
     assert new_totals.served_kwh + new_totals.unserved_kwh == pytest.approx(
         (base_totals.served_kwh + base_totals.unserved_kwh) * 1.05, rel=1e-9)
 
@@ -198,8 +215,8 @@ def test_s2_never_increases_renewable_fraction():
         base_trace = run_arrays(inputs, initial_state(config.battery), config)
         s2_trace = run_arrays(scaled, initial_state(s2_config.battery),
                               s2_config)
-        base_totals, _ = accumulate_arrays(base_trace, inputs, 1.0)
-        s2_totals, _ = accumulate_arrays(s2_trace, scaled, 1.0)
+        base_totals, _ = accumulate(base_trace, inputs, 1.0)
+        s2_totals, _ = accumulate(s2_trace, scaled, 1.0)
         assert renewable_fraction(s2_totals) <= \
             renewable_fraction(base_totals) + 1e-9
 
