@@ -23,7 +23,7 @@ from .profiles import (Profile, ResourceProfile, ResourceRow, StepInput,
                        load_profile, parse_profile, pv_power,
                        resource_to_inputs, serialize_profile, wind_power)
 from .scenarios import (Scenario, ScenarioOutcome, apply_scenario,
-                        builtin_scenario, run_matrix)
+                        builtin_scenario, run_matrix, validate_scenario)
 
 __all__ = [
     "BACKEND", "BatterySpec", "BatteryState", "DieselSpec", "DispatchDecision",
@@ -38,5 +38,5 @@ __all__ = [
     "parse_profile", "percent_change", "price_threshold", "pv_power",
     "renewable_fraction", "resource_to_inputs", "run_arrays", "run_matrix",
     "serialize_profile", "shaving_intent", "soc_gate", "step_battery",
-    "surplus", "validate_config", "wind_power",
+    "surplus", "validate_config", "validate_scenario", "wind_power",
 ]

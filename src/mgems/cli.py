@@ -19,7 +19,7 @@ from typing import Sequence
 
 from . import __version__
 from ._kernel import SOC
-from .configio import LoadedConfig, load_config
+from .configio import SCENARIO_PREFIX, LoadedConfig, load_config
 from .dispatch import (GRID_CONNECTED, ISLANDED, HorizonArrays, check_balance,
                        initial_state, price_threshold, run_arrays)
 from .errors import BalanceError, ConfigFileError, MgemsError, ProfileFormatError
@@ -28,7 +28,8 @@ from .model import MicrogridConfig, validate_config
 from .profiles import (GENERATION_MODE, PRICE_CENTS, RESOURCE_MODE, Profile,
                        StepInput, load_profile)
 from .scenarios import (BASE_KEY, BUILTIN_IDS, DELTA_METRICS, OutageSpec,
-                        Scenario, builtin_scenario, run_matrix)
+                        Scenario, builtin_scenario, run_matrix,
+                        validate_scenario)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -122,25 +123,43 @@ def _outage_override(args) -> OutageSpec | None:
                       duration_hours=args.outage_hours)
 
 
+# rows formatted and encoded per chunk, so that no list of every row's
+# string and no whole-trace str is ever built; 1,024 rows format as fast
+# as 4,096 and hold a quarter of the temporaries (about 1 MB)
+_TRACE_CHUNK_ROWS = 1024
+
+_FLAG_CELLS = ("0", "1")
+
+
 def trace_csv_bytes(inputs: Sequence[StepInput], trace: HorizonArrays) -> bytes:
     """Per-step trace rows: inputs, allocation, SOC, threshold, and mode.
 
     The index is the step position; floats use the shortest round-trip repr.
+    Each chunk of rows is formatted column by column and encoded straight
+    into the output buffer.
     """
     inputs = Profile.from_steps(inputs)
-    modes = (ISLANDED, GRID_CONNECTED)
     threshold = repr(float(trace.threshold))
-    lines = [",".join(TRACE_HEADER)]
-    # kernel columns PV_USED..SOC are the trace's allocation columns, in
-    # order; converted row by row to keep long horizons' memory down
-    for i, d, p, g, pv, w, row in zip(
-            range(len(inputs)), inputs.demand_kw.tolist(), inputs.price.tolist(),
-            (inputs.grid_available != 0).tolist(), inputs.pv_kw.tolist(),
-            inputs.wind_kw.tolist(), trace.columns[:, :SOC + 1]):
-        lines.append(f"{i},{d!r},{p!r},{g:d},{pv!r},{w!r},"
-                     f"{','.join(map(repr, row.tolist()))},{threshold},{modes[g]}")
-    lines.append("")  # trailing newline
-    return "\n".join(lines).encode("utf-8")
+    tails = (f"{threshold},{ISLANDED}", f"{threshold},{GRID_CONNECTED}")
+    out = io.BytesIO()
+    out.write((",".join(TRACE_HEADER) + "\n").encode("utf-8"))
+    for start in range(0, len(inputs), _TRACE_CHUNK_ROWS):
+        rows = slice(start, start + _TRACE_CHUNK_ROWS)
+        grid = (inputs.grid_available[rows] != 0).tolist()
+        # kernel columns PV_USED..SOC are the trace's allocation columns, in order
+        allocation = trace.columns[rows, :SOC + 1].T.tolist()
+        cells = (map(str, range(start, start + len(grid))),
+                 map(repr, inputs.demand_kw[rows].tolist()),
+                 map(repr, inputs.price[rows].tolist()),
+                 map(_FLAG_CELLS.__getitem__, grid),
+                 map(repr, inputs.pv_kw[rows].tolist()),
+                 map(repr, inputs.wind_kw[rows].tolist()),
+                 *(map(repr, column) for column in allocation),
+                 map(tails.__getitem__, grid))
+        out.write("\n".join(map(",".join, zip(*cells))).encode("utf-8"))
+        out.write(b"\n")
+    # getvalue() hands over the buffer without a copy once writing is done
+    return out.getvalue()
 
 
 def report_json_bytes(report) -> bytes:
@@ -295,8 +314,13 @@ def cmd_validate(args) -> int:
         for violation in report.violations:
             print(violation, file=sys.stderr)
         return EXIT_VALIDATION
-
     config = loaded.config
+    for name, scenario in loaded.scenarios.items():
+        try:
+            validate_scenario(scenario, config.step_hours)
+        except ValueError as exc:
+            raise _CommandError(EXIT_VALIDATION, f"[{SCENARIO_PREFIX}{name}] {exc}")
+
     print("config: OK")
     print(f"pv: {config.pv.capacity_kw} kW | wind: {config.wind.capacity_kw} kW | "
           f"diesel: {config.diesel.capacity_kw} kW | "

@@ -18,6 +18,7 @@ import io
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
+from itertools import repeat
 from pathlib import Path
 from typing import ClassVar, Iterable
 
@@ -163,6 +164,13 @@ class ResourceProfile(_Columns):
     ROW: ClassVar[type] = ResourceRow
 
 
+# body lines the bulk parser converts at a time: a chunk's cell strings and
+# values stay a small share of the parse's peak memory
+_PARSE_CHUNK_LINES = 1024
+
+_FLAGS = frozenset(("0", "1"))
+
+
 def _parse_float(text: str, line_no: int, column: str) -> float:
     try:
         return float(text)
@@ -180,23 +188,23 @@ def _parse_flag(text: str, line_no: int) -> bool:
         f"line {line_no}, column grid_available: expected 1 or 0, got {text!r}")
 
 
-def _require_finite_nonneg(value: float, line_no: int, column: str) -> float:
+def _require_finite(value: float, line_no: int, column: str) -> float:
     if not math.isfinite(value):
         raise ProfileFormatError(
             f"line {line_no}, column {column}: must be finite, got {value}")
+    return value
+
+
+def _require_finite_nonneg(value: float, line_no: int, column: str) -> float:
+    _require_finite(value, line_no, column)
     if value < 0:
         raise ProfileFormatError(
             f"line {line_no}, column {column}: must be >= 0, got {value}")
     return value
 
 
-def parse_profile(data: bytes, mode: str) -> Profile | ResourceProfile:
-    """Parse a profile file into columns.
-
-    Steps keep file order and are indexed 0..n-1 by position. Raises
-    ProfileFormatError naming the 1-based line number and column for any
-    malformed, negative or non-finite field.
-    """
+def _split_lines(data: bytes, mode: str) -> tuple[tuple[str, ...], type, list[str]]:
+    """Decode a profile and check its header: (header, profile class, lines)."""
     if mode == GENERATION_MODE:
         header, kind = GENERATION_HEADER, Profile
     elif mode == RESOURCE_MODE:
@@ -204,15 +212,22 @@ def parse_profile(data: bytes, mode: str) -> Profile | ResourceProfile:
     else:
         raise ValueError(f"unknown profile mode: {mode!r}")
 
-    text = data.decode("utf-8")
-    lines = text.splitlines()
+    lines = data.decode("utf-8").splitlines()
     if not lines:
         raise ProfileFormatError("empty file: expected a header row")
     got = tuple(name.strip() for name in lines[0].split(","))
     if got != header:
         raise ProfileFormatError(
             f"line 1: expected header {','.join(header)!r}, got {lines[0]!r}")
+    return header, kind, lines
 
+
+def _parse_rows(lines: list[str], header: tuple[str, ...]) -> list:
+    """The body's five data columns, parsed and checked one line at a time.
+
+    The reference parse: it raises ProfileFormatError naming the 1-based
+    line and the column of the first bad field.
+    """
     records: list[tuple] = []
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -221,7 +236,8 @@ def parse_profile(data: bytes, mode: str) -> Profile | ResourceProfile:
         if len(fields) != len(header):
             raise ProfileFormatError(
                 f"line {line_no}: expected {len(header)} fields, got {len(fields)}")
-        _parse_float(fields[0], line_no, "index")  # must be numeric; file order wins
+        # must be a finite number of any sign; file order wins over its value
+        _require_finite(_parse_float(fields[0], line_no, "index"), line_no, "index")
         demand = _require_finite_nonneg(
             _parse_float(fields[1], line_no, "demand_kw"), line_no, "demand_kw")
         price = _require_finite_nonneg(
@@ -232,7 +248,57 @@ def parse_profile(data: bytes, mode: str) -> Profile | ResourceProfile:
         b = _require_finite_nonneg(_parse_float(fields[5], line_no, header[5]),
                                    line_no, header[5])
         records.append((demand, price, grid_available, a, b))
-    return kind(*(zip(*records) if records else [()] * 5))
+    return list(zip(*records)) if records else [()] * 5
+
+
+def _parse_bulk(lines: list[str]) -> np.ndarray | None:
+    """The body as a read-only (6, n) float64 block, one row per field.
+
+    Converts chunks of lines with one float() call per cell and checks the
+    whole block with numpy. Returns None where _parse_rows must judge the
+    body: a line without exactly five commas, a grid_available cell other
+    than "0" or "1", a cell float() rejects, a non-finite value, or a
+    negative value outside the index column. Both headers have six fields
+    with grid_available fourth.
+    """
+    block = np.empty((6, max(len(lines) - 1, 0)), dtype=np.float64)
+    n = 0
+    for start in range(1, len(lines), _PARSE_CHUNK_LINES):
+        chunk = list(filter(str.strip, lines[start:start + _PARSE_CHUNK_LINES]))
+        if not chunk:
+            continue
+        if set(map(str.count, chunk, repeat(","))) != {5}:
+            return None
+        cells = ",".join(chunk).split(",")
+        if not _FLAGS.issuperset(cells[3::6]):
+            return None
+        try:
+            values = np.fromiter(map(float, cells), np.float64, len(cells))
+        except ValueError:
+            return None
+        block[:, n:n + len(chunk)] = values.reshape(len(chunk), 6).T
+        n += len(chunk)
+    block = block[:, :n]
+    if not (np.isfinite(block).all() and (block[1:] >= 0).all()):
+        return None
+    block.setflags(write=False)
+    return block
+
+
+def parse_profile(data: bytes, mode: str) -> Profile | ResourceProfile:
+    """Parse a profile file into columns.
+
+    Steps keep file order and are indexed 0..n-1 by position. Raises
+    ProfileFormatError naming the 1-based line number and column for any
+    malformed, negative or non-finite field.
+    """
+    header, kind, lines = _split_lines(data, mode)
+    block = _parse_bulk(lines)
+    if block is None:
+        return kind(*_parse_rows(lines, header))
+    grid_available = block[3].astype(np.uint8)
+    grid_available.setflags(write=False)
+    return kind(block[1], block[2], grid_available, block[4], block[5])
 
 
 def serialize_profile(records: Sequence[StepInput] | Sequence[ResourceRow]) -> bytes:

@@ -72,12 +72,15 @@ def builtin_scenario(scenario_id: str) -> Scenario:
     raise ValueError(f"unknown builtin scenario: {scenario_id!r}")
 
 
-def _resolve_outage(outage: OutageSpec, inputs: Profile,
-                    config: MicrogridConfig) -> tuple[int, int]:
+_MULTIPLIERS = ("demand_multiplier", "pv_multiplier", "wind_multiplier",
+                "fuel_price_multiplier")
+
+
+def _outage_steps(outage: OutageSpec, step_hours: float) -> int:
     if outage.duration_steps is not None:
         steps = outage.duration_steps
     elif outage.duration_hours is not None:
-        steps = outage.duration_hours / config.step_hours
+        steps = outage.duration_hours / step_hours
         if not math.isfinite(steps):
             raise ValueError(f"outage duration_hours {outage.duration_hours} "
                              "is not a finite number of steps")
@@ -86,6 +89,28 @@ def _resolve_outage(outage: OutageSpec, inputs: Profile,
         raise ValueError("outage needs duration_steps or duration_hours")
     if steps < 1:
         raise ValueError(f"outage duration must cover at least one step, got {steps}")
+    return steps
+
+
+def validate_scenario(scenario: Scenario, step_hours: float) -> None:
+    """Raise ValueError, naming the field, for a value no profile can make valid.
+
+    Each multiplier must be finite and > 0, and an outage must last at least
+    one whole step of ``step_hours``. The outage window's fit, and its
+    default start, depend on the profile and are checked when the scenario
+    is applied.
+    """
+    for name in _MULTIPLIERS:
+        value = getattr(scenario, name)
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
+    if scenario.outage is not None:
+        _outage_steps(scenario.outage, step_hours)
+
+
+def _resolve_outage(outage: OutageSpec, inputs: Profile,
+                    config: MicrogridConfig) -> tuple[int, int]:
+    steps = _outage_steps(outage, config.step_hours)
     start = outage.start_step
     if start is None:
         threshold = price_threshold(inputs.price, config.ems)
@@ -107,15 +132,14 @@ def apply_scenario(inputs: Sequence[StepInput], config: MicrogridConfig,
 
     Demand/PV/wind columns scale pointwise, the outage window (step
     positions) forces grid unavailability, and the fuel price scales;
-    everything else passes through unchanged.
+    everything else passes through unchanged. A value validate_scenario
+    rejects raises ValueError prefixed with the scenario id.
     """
     inputs = Profile.from_steps(inputs)
-    for name in ("demand_multiplier", "pv_multiplier", "wind_multiplier",
-                 "fuel_price_multiplier"):
-        value = getattr(scenario, name)
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"scenario {scenario.id}: {name} must be finite "
-                             f"and > 0, got {value}")
+    try:
+        validate_scenario(scenario, config.step_hours)
+    except ValueError as exc:
+        raise ValueError(f"scenario {scenario.id}: {exc}") from None
     grid_available = inputs.grid_available
     if scenario.outage is not None:
         start, steps = _resolve_outage(scenario.outage, inputs, config)

@@ -315,3 +315,39 @@ def test_infinite_scenario_multiplier_is_reported_as_bad_input(fixture_args):
     assert rows["X"][1] == \
         "scenario X: demand_multiplier must be finite and > 0, got inf"
     assert (out / "runs" / "S1" / "report.json").is_file()
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("demand_multiplier", "inf", "demand_multiplier must be finite and > 0, got inf"),
+    ("demand_multiplier", "0", "demand_multiplier must be finite and > 0, got 0.0"),
+    ("demand_multiplier", "nan", "demand_multiplier must be finite and > 0, got nan"),
+    ("fuel_price_multiplier", "-1",
+     "fuel_price_multiplier must be finite and > 0, got -1.0"),
+    ("outage_hours", "inf",
+     "outage duration_hours inf is not a finite number of steps"),
+    ("outage_hours", "0.2", "outage duration must cover at least one step, got 0"),
+    ("outage_steps", "0", "outage duration must cover at least one step, got 0"),
+])
+def test_validate_rejects_a_bad_scenario_value(fixture_args, capsys, key, value,
+                                               message):
+    config, profile, out = fixture_args
+    custom = out / "custom.ini"
+    custom.write_text(Path(config).read_text()
+                      + f"\n[scenario:OK]\n\n[scenario:X]\n{key} = {value}\n")
+    assert run_cli("validate", "--config", custom) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: [scenario:X] {message}\n"
+    assert "config: OK" not in captured.out
+
+
+def test_simulate_rejects_a_non_finite_profile_index(fixture_args, capsys,
+                                                     tmp_path):
+    config, profile, out = fixture_args
+    lines = Path(profile).read_text().splitlines()
+    lines[3] = "nan," + lines[3].split(",", 1)[1]
+    bad = tmp_path / "nan_index.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    assert run_cli("simulate", "--config", config, "--profile", bad,
+                   "--out", out / "run") == 2
+    assert "line 4, column index: must be finite, got nan" in capsys.readouterr().err
+    assert not (out / "run").exists()

@@ -1,9 +1,12 @@
 """Profile parsing and renewable conversion tests."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from mgems import profiles
 from mgems.errors import ProfileFormatError
 from mgems.model import PvSpec, WindSpec
 from mgems.profiles import (Profile, ResourceRow, StepInput, convert_prices,
@@ -277,3 +280,155 @@ def test_cents_conversion_equals_python_division(prices):
     records = [StepInput(i, 1.0, p, True, 0.0, 0.0) for i, p in enumerate(prices)]
     converted = convert_prices(records, "cents_per_kwh")
     assert _bits(converted.price) == _bits([s.price / 100.0 for s in records])
+
+
+# --- bulk parse against the row loop -----------------------------------------
+
+CHUNK = profiles._PARSE_CHUNK_LINES
+
+
+def both_paths(data: bytes, mode: str):
+    """(bulk block or None, row-loop columns, parse_profile result)."""
+    header, _, lines = profiles._split_lines(data, mode)
+    return (profiles._parse_bulk(lines), profiles._parse_rows(lines, header),
+            parse_profile(data, mode))
+
+
+def assert_paths_agree(bulk, rows, parsed):
+    """The bulk block, the row loop and parse_profile hold the same bits."""
+    demand, price, grid, a, b = rows
+    for k, column in zip((1, 2, 4, 5), (demand, price, a, b)):
+        assert _bits(bulk[k]) == _bits(column)
+    assert np.array_equal(bulk[3].astype(np.uint8), np.asarray(grid, np.uint8))
+    for got, want in zip(parsed._arrays(), rows):
+        if got.dtype == np.uint8:
+            assert np.array_equal(got, np.asarray(want, np.uint8))
+        else:
+            assert _bits(got) == _bits(want)
+        assert not got.flags.writeable and got.flags.c_contiguous
+
+
+def _number_texts(value: float) -> list[str]:
+    return [repr(value), f"{value:e}", f"{value:.3E}", f"  {value!r} ",
+            f"\t{value!r}"]
+
+
+nonneg_cell = st.one_of(
+    st.floats(min_value=0, max_value=1e12).flatmap(
+        lambda v: st.sampled_from(_number_texts(v))),
+    st.sampled_from(["0", "-0.0", "-0", "1_0", "1_000.25", "+3", ".5", "5.",
+                     "1e3", "1E-3", "00", "\uff11\uff10", " 7 "]))
+index_cell = st.one_of(
+    nonneg_cell,
+    st.floats(min_value=-1e12, max_value=0).map(repr),
+    st.sampled_from(["-7", "-1e3", "-0.0", "1_0"]))
+flag_cell = st.sampled_from(["0", "1"])
+padded_flag_cell = st.sampled_from([" 1", "0 ", " 0 "])
+body_line = st.tuples(index_cell, nonneg_cell, nonneg_cell, flag_cell,
+                      nonneg_cell, nonneg_cell).map(",".join)
+blank_line = st.sampled_from(["", "   ", "\t"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines=st.lists(st.one_of(body_line, body_line, body_line, blank_line),
+                      max_size=25),
+       padded_flag=st.one_of(st.none(),
+                             st.tuples(st.integers(0, 24), padded_flag_cell)),
+       newline=st.sampled_from(["\n", "\r\n"]),
+       mode=st.sampled_from(["generation", "resource"]),
+       chunk=st.sampled_from([1, 2, 3, 5, CHUNK]))
+def test_bulk_parse_equals_the_row_loop_bitwise(lines, padded_flag, newline,
+                                                mode, chunk):
+    header = GEN_HEADER if mode == "generation" else RES_HEADER
+    padded = False
+    if padded_flag is not None and lines:
+        at, flag = padded_flag
+        at %= len(lines)
+        cells = lines[at].split(",")
+        if len(cells) == 6:
+            cells[3] = flag
+            lines[at] = ",".join(cells)
+            padded = True
+    data = newline.join([header] + lines + [""]).encode()
+    with mock.patch.object(profiles, "_PARSE_CHUNK_LINES", chunk):
+        bulk, rows, parsed = both_paths(data, mode)
+    if padded:
+        # a padded flag is valid but left to the row loop
+        assert bulk is None
+        return
+    assert bulk is not None
+    assert_paths_agree(bulk, rows, parsed)
+
+
+def test_bulk_parse_equals_the_row_loop_across_real_chunks():
+    rng = np.random.default_rng(3)
+    values = rng.uniform(0, 500, size=(3 * CHUNK + 7, 5))
+    lines = [f"{i},{d!r},{p!r},{int(g > 250)},{a:e},{b!r}"
+             for i, (d, p, g, a, b) in enumerate(values.tolist())]
+    lines[CHUNK - 1] = lines[CHUNK] = ""   # blank lines on a chunk boundary
+    lines[2 * CHUNK] = "-5,-0.0,1_0,0, 3 ,4e-3"
+    data = ("\r\n".join([GEN_HEADER] + lines) + "\r\n").encode()
+    bulk, rows, parsed = both_paths(data, "generation")
+    assert bulk is not None and bulk.shape == (6, 3 * CHUNK + 5)
+    assert_paths_agree(bulk, rows, parsed)
+
+
+# each malformed row sits after the first chunk, on file line BAD_LINE
+BAD_LINE = CHUNK + 40
+
+
+@pytest.mark.parametrize("mode,row,message", [
+    ("generation", "0,1,2,1,3", "expected 6 fields, got 5"),
+    ("generation", "0,1,2,1,3,4,5", "expected 6 fields, got 7"),
+    ("generation", "0,1,abc,1,3,4", "column price: not a number: 'abc'"),
+    ("generation", "x,1,2,1,3,4", "column index: not a number: 'x'"),
+    ("generation", "0,1,2,2,3,4", "column grid_available: expected 1 or 0, got '2'"),
+    ("generation", "0,1,2,1.0,3,4",
+     "column grid_available: expected 1 or 0, got '1.0'"),
+    ("generation", "0,1,2,nan,3,4",
+     "column grid_available: expected 1 or 0, got 'nan'"),
+    ("generation", "0,-1,2,1,3,4", "column demand_kw: must be >= 0, got -1.0"),
+    ("generation", "0,1,-2,1,3,4", "column price: must be >= 0, got -2.0"),
+    ("generation", "0,1,2,1,-3,4", "column pv_kw: must be >= 0, got -3.0"),
+    ("generation", "0,1,2,1,3,-4", "column wind_kw: must be >= 0, got -4.0"),
+    ("resource", "0,1,2,1,-3,4", "column irradiance_wm2: must be >= 0, got -3.0"),
+    ("resource", "0,1,2,1,3,-4", "column wind_speed_ms: must be >= 0, got -4.0"),
+    ("generation", "nan,1,2,1,3,4", "column index: must be finite, got nan"),
+    ("generation", "-inf,1,2,1,3,4", "column index: must be finite, got -inf"),
+    ("generation", "0,inf,2,1,3,4", "column demand_kw: must be finite, got inf"),
+    ("generation", "0,1,NaN,1,3,4", "column price: must be finite, got nan"),
+    ("generation", "0,1,2,1,inf,4", "column pv_kw: must be finite, got inf"),
+    ("generation", "0,1,2,1,3,-inf", "column wind_kw: must be finite, got -inf"),
+    ("resource", "0,1,2,1,nan,4", "column irradiance_wm2: must be finite, got nan"),
+    ("resource", "0,1,2,1,3,inf", "column wind_speed_ms: must be finite, got inf"),
+])
+def test_malformed_row_after_the_first_chunk_names_line_and_column(mode, row,
+                                                                   message):
+    header = GEN_HEADER if mode == "generation" else RES_HEADER
+    lines = [f"{i},1.5,0.25,1,2,3" for i in range(BAD_LINE + 20)]
+    lines[BAD_LINE - 2] = row
+    lines[BAD_LINE + 5] = "0,-1,2,1,3,4"   # a later error is not the one named
+    data = ("\n".join([header] + lines) + "\n").encode()
+    with pytest.raises(ProfileFormatError) as exc:
+        parse_profile(data, mode)
+    line = f"line {BAD_LINE}: " if "fields" in message else f"line {BAD_LINE}, "
+    assert str(exc.value) == line + message
+
+
+@pytest.mark.parametrize("index", ["nan", "NaN", "inf", "-inf"])
+def test_non_finite_index_is_rejected_by_both_parse_paths(index):
+    data = (GEN_HEADER + "\n0,1,1,1,0,0\n" + index + ",5,0.12,1,0,0\n").encode()
+    message = f"line 3, column index: must be finite, got {float(index)}"
+    with pytest.raises(ProfileFormatError) as exc:
+        parse_profile(data, "generation")
+    assert str(exc.value) == message
+    header, _, lines = profiles._split_lines(data, "generation")
+    assert profiles._parse_bulk(lines) is None
+    with pytest.raises(ProfileFormatError) as exc:
+        profiles._parse_rows(lines, header)
+    assert str(exc.value) == message
+
+
+def test_negative_index_is_accepted():
+    data = (GEN_HEADER + "\n-3,1,1,1,0,0\n-1e9,2,2,0,0,0\n").encode()
+    assert [r.index for r in parse_profile(data, "generation")] == [0, 1]

@@ -10,8 +10,9 @@ from mgems.dispatch import initial_state, run_arrays
 from mgems.metrics import accumulate, renewable_fraction
 from mgems.model import EmsConfig
 from mgems.profiles import Profile, StepInput
-from mgems.scenarios import (BASE_KEY, IDENTITY_SCENARIO, OutageSpec, Scenario,
-                             apply_scenario, builtin_scenario, run_matrix)
+from mgems.scenarios import (BASE_KEY, BUILTIN_IDS, IDENTITY_SCENARIO,
+                             OutageSpec, Scenario, apply_scenario,
+                             builtin_scenario, run_matrix, validate_scenario)
 
 from conftest import make_config
 
@@ -140,6 +141,35 @@ def test_infinite_multiplier_is_rejected(name):
     scenario = dataclasses.replace(IDENTITY_SCENARIO, **{name: float("inf")})
     with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
         apply_scenario(day(), config, scenario)
+
+
+@pytest.mark.parametrize("scenario,message", [
+    (Scenario(id="x", pv_multiplier=float("nan")),
+     "pv_multiplier must be finite and > 0, got nan"),
+    (Scenario(id="x", wind_multiplier=-0.0),
+     "wind_multiplier must be finite and > 0, got -0.0"),
+    (Scenario(id="x", outage=OutageSpec(duration_hours=float("-inf"))),
+     "outage duration_hours -inf is not a finite number of steps"),
+    (Scenario(id="x", outage=OutageSpec(duration_hours=0.4)),
+     "outage duration must cover at least one step, got 0"),
+    (Scenario(id="x", outage=OutageSpec(start_step=3)),
+     "outage needs duration_steps or duration_hours"),
+])
+def test_validate_scenario_names_the_bad_field(scenario, message):
+    with pytest.raises(ValueError) as exc:
+        validate_scenario(scenario, 1.0)
+    assert str(exc.value) == message
+    with pytest.raises(ValueError) as exc:
+        apply_scenario(day(), make_config(), scenario)
+    assert str(exc.value) == f"scenario x: {message}"
+
+
+def test_validate_scenario_accepts_the_builtins_and_a_late_outage():
+    for scenario_id in BUILTIN_IDS:
+        validate_scenario(builtin_scenario(scenario_id), 1.0)
+    # the window's fit depends on the profile, so it is left to apply_scenario
+    validate_scenario(Scenario(id="x", outage=OutageSpec(start_step=10**9,
+                                                         duration_steps=2)), 0.25)
 
 
 @pytest.mark.parametrize("hours", [float("inf"), float("nan")])
