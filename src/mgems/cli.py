@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import __version__
+from ._halves import write_halves
 from ._kernel import SOC
 from .configio import SCENARIO_PREFIX, LoadedConfig, load_config
 from .dispatch import (GRID_CONNECTED, ISLANDED, HorizonArrays, check_balance,
@@ -136,28 +137,34 @@ def trace_csv_bytes(inputs: Sequence[StepInput], trace: HorizonArrays) -> bytes:
 
     The index is the step position; floats use the shortest round-trip repr.
     Each chunk of rows is formatted column by column and encoded straight
-    into the output buffer.
+    into the output buffer; long traces write their two halves in two
+    processes (see ``write_halves``).
     """
     inputs = Profile.from_steps(inputs)
     threshold = repr(float(trace.threshold))
     tails = (f"{threshold},{ISLANDED}", f"{threshold},{GRID_CONNECTED}")
+
+    def write_rows(lo: int, hi: int, out) -> None:
+        for start in range(lo, hi, _TRACE_CHUNK_ROWS):
+            rows = slice(start, min(start + _TRACE_CHUNK_ROWS, hi))
+            grid = (inputs.grid_available[rows] != 0).tolist()
+            # kernel columns PV_USED..SOC are the trace's allocation columns,
+            # in order
+            allocation = trace.columns[rows, :SOC + 1].T.tolist()
+            cells = (map(str, range(start, start + len(grid))),
+                     map(repr, inputs.demand_kw[rows].tolist()),
+                     map(repr, inputs.price[rows].tolist()),
+                     map(_FLAG_CELLS.__getitem__, grid),
+                     map(repr, inputs.pv_kw[rows].tolist()),
+                     map(repr, inputs.wind_kw[rows].tolist()),
+                     *(map(repr, column) for column in allocation),
+                     map(tails.__getitem__, grid))
+            out.write("\n".join(map(",".join, zip(*cells))).encode("utf-8"))
+            out.write(b"\n")
+
     out = io.BytesIO()
     out.write((",".join(TRACE_HEADER) + "\n").encode("utf-8"))
-    for start in range(0, len(inputs), _TRACE_CHUNK_ROWS):
-        rows = slice(start, start + _TRACE_CHUNK_ROWS)
-        grid = (inputs.grid_available[rows] != 0).tolist()
-        # kernel columns PV_USED..SOC are the trace's allocation columns, in order
-        allocation = trace.columns[rows, :SOC + 1].T.tolist()
-        cells = (map(str, range(start, start + len(grid))),
-                 map(repr, inputs.demand_kw[rows].tolist()),
-                 map(repr, inputs.price[rows].tolist()),
-                 map(_FLAG_CELLS.__getitem__, grid),
-                 map(repr, inputs.pv_kw[rows].tolist()),
-                 map(repr, inputs.wind_kw[rows].tolist()),
-                 *(map(repr, column) for column in allocation),
-                 map(tails.__getitem__, grid))
-        out.write("\n".join(map(",".join, zip(*cells))).encode("utf-8"))
-        out.write(b"\n")
+    write_halves(len(inputs), write_rows, out)
     # getvalue() hands over the buffer without a copy once writing is done
     return out.getvalue()
 

@@ -24,6 +24,7 @@ from typing import ClassVar, Iterable
 
 import numpy as np
 
+from ._halves import write_halves
 from .errors import ProfileFormatError
 from .model import MicrogridConfig, PvSpec, WindSpec
 
@@ -251,37 +252,48 @@ def _parse_rows(lines: list[str], header: tuple[str, ...]) -> list:
     return list(zip(*records)) if records else [()] * 5
 
 
+class _Rejected(Exception):
+    """A body chunk that the bulk parse leaves to _parse_rows."""
+
+
 def _parse_bulk(lines: list[str]) -> np.ndarray | None:
     """The body as a read-only (6, n) float64 block, one row per field.
 
-    Converts chunks of lines with one float() call per cell and checks the
-    whole block with numpy. Returns None where _parse_rows must judge the
-    body: a line without exactly five commas, a grid_available cell other
-    than "0" or "1", a cell float() rejects, a non-finite value, or a
-    negative value outside the index column. Both headers have six fields
-    with grid_available fourth.
+    Converts chunks of lines with one float() call per cell into float64
+    cells in line order, long bodies in two processes (see
+    ``write_halves``), and checks the whole block with numpy. Returns None
+    where _parse_rows must judge the body: a line without exactly five
+    commas, a grid_available cell other than "0" or "1", a cell float()
+    rejects, a non-finite value, or a negative value outside the index
+    column. Both headers have six fields with grid_available fourth.
     """
-    block = np.empty((6, max(len(lines) - 1, 0)), dtype=np.float64)
-    n = 0
-    for start in range(1, len(lines), _PARSE_CHUNK_LINES):
-        chunk = list(filter(str.strip, lines[start:start + _PARSE_CHUNK_LINES]))
-        if not chunk:
-            continue
-        if set(map(str.count, chunk, repeat(","))) != {5}:
-            return None
-        cells = ",".join(chunk).split(",")
-        if not _FLAGS.issuperset(cells[3::6]):
-            return None
-        try:
-            values = np.fromiter(map(float, cells), np.float64, len(cells))
-        except ValueError:
-            return None
-        block[:, n:n + len(chunk)] = values.reshape(len(chunk), 6).T
-        n += len(chunk)
-    block = block[:, :n]
+    def convert(lo: int, hi: int, out) -> None:
+        # body line k is lines[k + 1]; lines[0] is the header
+        for start in range(lo + 1, hi + 1, _PARSE_CHUNK_LINES):
+            stop = min(start + _PARSE_CHUNK_LINES, hi + 1)
+            chunk = list(filter(str.strip, lines[start:stop]))
+            if not chunk:
+                continue
+            if set(map(str.count, chunk, repeat(","))) != {5}:
+                raise _Rejected
+            cells = ",".join(chunk).split(",")
+            if not _FLAGS.issuperset(cells[3::6]):
+                raise _Rejected
+            try:
+                values = np.fromiter(map(float, cells), np.float64, len(cells))
+            except ValueError:
+                raise _Rejected from None
+            out.write(values)
+
+    out = io.BytesIO()
+    try:
+        write_halves(len(lines) - 1, convert, out)
+    except _Rejected:
+        return None
+    # a read-only view of the buffer; Profile copies the columns it keeps
+    block = np.frombuffer(out.getvalue(), np.float64).reshape(-1, 6).T
     if not (np.isfinite(block).all() and (block[1:] >= 0).all()):
         return None
-    block.setflags(write=False)
     return block
 
 

@@ -95,17 +95,21 @@ def _outage_steps(outage: OutageSpec, step_hours: float) -> int:
 def validate_scenario(scenario: Scenario, step_hours: float) -> None:
     """Raise ValueError, naming the field, for a value no profile can make valid.
 
-    Each multiplier must be finite and > 0, and an outage must last at least
-    one whole step of ``step_hours``. The outage window's fit, and its
-    default start, depend on the profile and are checked when the scenario
-    is applied.
+    Each multiplier must be finite and > 0, an outage must last at least
+    one whole step of ``step_hours``, and an explicit outage start must be
+    >= 0. The outage window's fit to the horizon, and its default start,
+    depend on the profile and are checked when the scenario is applied.
     """
     for name in _MULTIPLIERS:
         value = getattr(scenario, name)
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and > 0, got {value}")
     if scenario.outage is not None:
-        _outage_steps(scenario.outage, step_hours)
+        steps = _outage_steps(scenario.outage, step_hours)
+        start = scenario.outage.start_step
+        if start is not None and start < 0:
+            raise ValueError(f"outage window [{start}, {start + steps}) does "
+                             "not fit any horizon: start_step must be >= 0")
 
 
 def _resolve_outage(outage: OutageSpec, inputs: Profile,
@@ -119,7 +123,7 @@ def _resolve_outage(outage: OutageSpec, inputs: Profile,
             raise ValueError("no step above the threshold; "
                              "set the outage start explicitly")
         start = int(above[0])
-    if start < 0 or start + steps > len(inputs):
+    if start + steps > len(inputs):
         raise ValueError(
             f"outage window [{start}, {start + steps}) does not fit the "
             f"{len(inputs)}-step horizon")
@@ -133,18 +137,19 @@ def apply_scenario(inputs: Sequence[StepInput], config: MicrogridConfig,
     Demand/PV/wind columns scale pointwise, the outage window (step
     positions) forces grid unavailability, and the fuel price scales;
     everything else passes through unchanged. A value validate_scenario
-    rejects raises ValueError prefixed with the scenario id.
+    rejects, or an outage window that does not fit the horizon, raises
+    ValueError prefixed with the scenario id.
     """
     inputs = Profile.from_steps(inputs)
+    grid_available = inputs.grid_available
     try:
         validate_scenario(scenario, config.step_hours)
+        if scenario.outage is not None:
+            start, steps = _resolve_outage(scenario.outage, inputs, config)
+            grid_available = grid_available.copy()
+            grid_available[start:start + steps] = 0
     except ValueError as exc:
         raise ValueError(f"scenario {scenario.id}: {exc}") from None
-    grid_available = inputs.grid_available
-    if scenario.outage is not None:
-        start, steps = _resolve_outage(scenario.outage, inputs, config)
-        grid_available = grid_available.copy()
-        grid_available[start:start + steps] = 0
     scaled = replace(
         inputs,
         demand_kw=inputs.demand_kw * scenario.demand_multiplier,

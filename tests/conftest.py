@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
 import importlib.resources
+import os
+from unittest import mock
 
 import pytest
 
+from mgems import _halves
 from mgems.configio import load_config
 from mgems.model import (BatterySpec, DieselSpec, EconomicsConfig,
                          EmissionFactors, EmsConfig, GridSpec,
@@ -27,6 +31,19 @@ DAY_PRICES_CENTS = [
 
 def data_path(name: str):
     return importlib.resources.files("mgems") / "data" / name
+
+
+# the row threshold write_halves ships with, and one that splits every
+# horizon of two or more rows; tests of the two text layers run under both
+SPLIT_THRESHOLDS = pytest.mark.parametrize("min_rows", [_halves.MIN_ROWS, 2])
+
+
+@contextlib.contextmanager
+def split_from(min_rows: int):
+    """write_halves forking from ``min_rows`` rows, as with two CPUs free."""
+    with mock.patch.object(_halves, "MIN_ROWS", min_rows), \
+            mock.patch.object(os, "sched_getaffinity", return_value={0, 1}):
+        yield
 
 
 def make_config(**overrides) -> MicrogridConfig:

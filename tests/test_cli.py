@@ -340,6 +340,38 @@ def test_validate_rejects_a_bad_scenario_value(fixture_args, capsys, key, value,
     assert "config: OK" not in captured.out
 
 
+def test_validate_rejects_a_negative_outage_start(fixture_args, capsys):
+    config, profile, out = fixture_args
+    custom = out / "custom.ini"
+    custom.write_text(Path(config).read_text()
+                      + "\n[scenario:X]\noutage_start = -1\noutage_steps = 2\n")
+    assert run_cli("validate", "--config", custom) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error: [scenario:X] outage window [-1, 1) does not "
+                            "fit any horizon: start_step must be >= 0\n")
+    assert "config: OK" not in captured.out
+
+
+@pytest.mark.parametrize("start,steps,message", [
+    (100, 6, "outage window [100, 106) does not fit the 24-step horizon"),
+    (-1, 2, "outage window [-1, 1) does not fit any horizon: "
+            "start_step must be >= 0"),
+])
+def test_matrix_error_cell_names_the_scenario_of_a_bad_window(
+        fixture_args, start, steps, message):
+    config, profile, out = fixture_args
+    custom = out / "custom.ini"
+    custom.write_text(Path(config).read_text() + "\n[scenario:W]\n"
+                      f"outage_start = {start}\noutage_steps = {steps}\n")
+    assert run_cli("scenarios", "--config", custom, "--profile", profile,
+                   "--out", out / "runs", "--scenarios", "S1,W") == 0
+    import csv
+    with open(out / "runs" / "matrix.csv", newline="") as fh:
+        rows = {row[0]: row for row in csv.reader(fh)}
+    assert rows["W"][1] == f"scenario W: {message}"
+    assert rows["S1"][1] == ""
+
+
 def test_simulate_rejects_a_non_finite_profile_index(fixture_args, capsys,
                                                      tmp_path):
     config, profile, out = fixture_args

@@ -1,5 +1,7 @@
 """Profile parsing and renewable conversion tests."""
 
+import os
+import sys
 from unittest import mock
 
 import numpy as np
@@ -13,7 +15,7 @@ from mgems.profiles import (Profile, ResourceRow, StepInput, convert_prices,
                             parse_profile, pv_power, resource_to_inputs,
                             serialize_profile, wind_power)
 
-from conftest import make_config
+from conftest import SPLIT_THRESHOLDS, make_config, split_from
 
 GEN_HEADER = "index,demand_kw,price,grid_available,pv_kw,wind_kw"
 RES_HEADER = "index,demand_kw,price,grid_available,irradiance_wm2,wind_speed_ms"
@@ -329,6 +331,7 @@ body_line = st.tuples(index_cell, nonneg_cell, nonneg_cell, flag_cell,
 blank_line = st.sampled_from(["", "   ", "\t"])
 
 
+@SPLIT_THRESHOLDS
 @settings(max_examples=200, deadline=None)
 @given(lines=st.lists(st.one_of(body_line, body_line, body_line, blank_line),
                       max_size=25),
@@ -338,7 +341,7 @@ blank_line = st.sampled_from(["", "   ", "\t"])
        mode=st.sampled_from(["generation", "resource"]),
        chunk=st.sampled_from([1, 2, 3, 5, CHUNK]))
 def test_bulk_parse_equals_the_row_loop_bitwise(lines, padded_flag, newline,
-                                                mode, chunk):
+                                                mode, chunk, min_rows):
     header = GEN_HEADER if mode == "generation" else RES_HEADER
     padded = False
     if padded_flag is not None and lines:
@@ -350,7 +353,8 @@ def test_bulk_parse_equals_the_row_loop_bitwise(lines, padded_flag, newline,
             lines[at] = ",".join(cells)
             padded = True
     data = newline.join([header] + lines + [""]).encode()
-    with mock.patch.object(profiles, "_PARSE_CHUNK_LINES", chunk):
+    with mock.patch.object(profiles, "_PARSE_CHUNK_LINES", chunk), \
+            split_from(min_rows):
         bulk, rows, parsed = both_paths(data, mode)
     if padded:
         # a padded flag is valid but left to the row loop
@@ -360,7 +364,8 @@ def test_bulk_parse_equals_the_row_loop_bitwise(lines, padded_flag, newline,
     assert_paths_agree(bulk, rows, parsed)
 
 
-def test_bulk_parse_equals_the_row_loop_across_real_chunks():
+@SPLIT_THRESHOLDS
+def test_bulk_parse_equals_the_row_loop_across_real_chunks(min_rows):
     rng = np.random.default_rng(3)
     values = rng.uniform(0, 500, size=(3 * CHUNK + 7, 5))
     lines = [f"{i},{d!r},{p!r},{int(g > 250)},{a:e},{b!r}"
@@ -368,7 +373,8 @@ def test_bulk_parse_equals_the_row_loop_across_real_chunks():
     lines[CHUNK - 1] = lines[CHUNK] = ""   # blank lines on a chunk boundary
     lines[2 * CHUNK] = "-5,-0.0,1_0,0, 3 ,4e-3"
     data = ("\r\n".join([GEN_HEADER] + lines) + "\r\n").encode()
-    bulk, rows, parsed = both_paths(data, "generation")
+    with split_from(min_rows):
+        bulk, rows, parsed = both_paths(data, "generation")
     assert bulk is not None and bulk.shape == (6, 3 * CHUNK + 5)
     assert_paths_agree(bulk, rows, parsed)
 
@@ -377,6 +383,7 @@ def test_bulk_parse_equals_the_row_loop_across_real_chunks():
 BAD_LINE = CHUNK + 40
 
 
+@SPLIT_THRESHOLDS
 @pytest.mark.parametrize("mode,row,message", [
     ("generation", "0,1,2,1,3", "expected 6 fields, got 5"),
     ("generation", "0,1,2,1,3,4,5", "expected 6 fields, got 7"),
@@ -403,16 +410,39 @@ BAD_LINE = CHUNK + 40
     ("resource", "0,1,2,1,3,inf", "column wind_speed_ms: must be finite, got inf"),
 ])
 def test_malformed_row_after_the_first_chunk_names_line_and_column(mode, row,
-                                                                   message):
+                                                                   message,
+                                                                   min_rows):
     header = GEN_HEADER if mode == "generation" else RES_HEADER
     lines = [f"{i},1.5,0.25,1,2,3" for i in range(BAD_LINE + 20)]
     lines[BAD_LINE - 2] = row
     lines[BAD_LINE + 5] = "0,-1,2,1,3,4"   # a later error is not the one named
     data = ("\n".join([header] + lines) + "\n").encode()
-    with pytest.raises(ProfileFormatError) as exc:
+    with split_from(min_rows), pytest.raises(ProfileFormatError) as exc:
         parse_profile(data, mode)
     line = f"line {BAD_LINE}: " if "fields" in message else f"line {BAD_LINE}, "
     assert str(exc.value) == line + message
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="splits only on Linux")
+@pytest.mark.parametrize("row,message", [
+    ("0,1,abc,1,3,4", "column price: not a number: 'abc'"),
+    ("0,1,2,1,3", "expected 6 fields, got 5"),
+    ("0,1,2,1,-3,4", "column pv_kw: must be >= 0, got -3.0"),
+])
+@pytest.mark.parametrize("bad_line", [pytest.param(12, id="parent-half"),
+                                      pytest.param(90, id="child-half")])
+def test_a_bad_line_in_either_half_is_named(bad_line, row, message):
+    # 99 body lines split at body line 49, file line 51
+    lines = [f"{i},1.5,0.25,1,2,3" for i in range(99)]
+    lines[bad_line - 2] = row
+    lines[96] = "0,-1,2,1,3,4"   # a later error is not the one named
+    data = ("\n".join([GEN_HEADER] + lines) + "\n").encode()
+    with split_from(2), mock.patch.object(os, "fork", wraps=os.fork) as fork, \
+            pytest.raises(ProfileFormatError) as exc:
+        parse_profile(data, "generation")
+    assert fork.call_count == 1
+    sep = ": " if "fields" in message else ", "
+    assert str(exc.value) == f"line {bad_line}{sep}{message}"
 
 
 @pytest.mark.parametrize("index", ["nan", "NaN", "inf", "-inf"])

@@ -154,6 +154,8 @@ def test_infinite_multiplier_is_rejected(name):
      "outage duration must cover at least one step, got 0"),
     (Scenario(id="x", outage=OutageSpec(start_step=3)),
      "outage needs duration_steps or duration_hours"),
+    (Scenario(id="x", outage=OutageSpec(start_step=-1, duration_steps=2)),
+     "outage window [-1, 1) does not fit any horizon: start_step must be >= 0"),
 ])
 def test_validate_scenario_names_the_bad_field(scenario, message):
     with pytest.raises(ValueError) as exc:
@@ -170,6 +172,20 @@ def test_validate_scenario_accepts_the_builtins_and_a_late_outage():
     # the window's fit depends on the profile, so it is left to apply_scenario
     validate_scenario(Scenario(id="x", outage=OutageSpec(start_step=10**9,
                                                          duration_steps=2)), 0.25)
+
+
+@pytest.mark.parametrize("outage,ems,message", [
+    (OutageSpec(start_step=20, duration_steps=6), None,
+     "outage window [20, 26) does not fit the 24-step horizon"),
+    (OutageSpec(duration_hours=6.0),
+     EmsConfig(threshold_mode="load-threshold", load_threshold_kw=150.0),
+     "no step above the threshold; set the outage start explicitly"),
+])
+def test_a_window_the_profile_rejects_names_the_scenario(outage, ems, message):
+    config = make_config() if ems is None else make_config(ems=ems)
+    with pytest.raises(ValueError) as exc:
+        apply_scenario(day(), config, Scenario(id="x", outage=outage))
+    assert str(exc.value) == f"scenario x: {message}"
 
 
 @pytest.mark.parametrize("hours", [float("inf"), float("nan")])

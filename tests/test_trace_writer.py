@@ -11,7 +11,7 @@ from mgems.cli import _TRACE_CHUNK_ROWS, trace_csv_bytes
 from mgems.dispatch import initial_state, run_arrays
 from mgems.profiles import Profile
 
-from conftest import make_config
+from conftest import SPLIT_THRESHOLDS, make_config, split_from
 from trace_reference import trace_csv_reference
 
 
@@ -37,22 +37,27 @@ def with_negative_zero_discharge(inputs, trace, rows):
     return inputs, dataclasses.replace(trace, columns=columns)
 
 
+@SPLIT_THRESHOLDS
 @pytest.mark.parametrize("n", [1, _TRACE_CHUNK_ROWS - 1, _TRACE_CHUNK_ROWS,
                                _TRACE_CHUNK_ROWS + 1])
-def test_writer_matches_the_reference_at_chunk_edges(n):
+def test_writer_matches_the_reference_at_chunk_edges(n, min_rows):
     inputs, trace = with_negative_zero_discharge(*random_run(n, n), [0, n - 1])
-    data = trace_csv_bytes(inputs, trace)
+    with split_from(min_rows):
+        data = trace_csv_bytes(inputs, trace)
     assert isinstance(data, bytes)
     assert data == trace_csv_reference(inputs, trace)
     assert data.count(b"\n") == n + 1
     assert b",-0.0," in data
 
 
+@SPLIT_THRESHOLDS
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 3 * _TRACE_CHUNK_ROWS))
-def test_writer_matches_the_reference_on_random_horizons(seed, n):
+def test_writer_matches_the_reference_on_random_horizons(min_rows, seed, n):
     inputs, trace = with_negative_zero_discharge(*random_run(seed, n), [seed % n])
-    assert trace_csv_bytes(inputs, trace) == trace_csv_reference(inputs, trace)
+    with split_from(min_rows):
+        data = trace_csv_bytes(inputs, trace)
+    assert data == trace_csv_reference(inputs, trace)
 
 
 def test_writer_accepts_a_list_of_step_inputs():
