@@ -1,13 +1,23 @@
 """Run a row loop in two processes: this one and one forked child.
 
 The profile parser and the trace writer each pass their chunk loop as
-``work(lo, hi, out)``, which writes the bytes of rows ``lo..hi`` to the
-binary buffer ``out``. ``write_halves`` leaves in ``out`` exactly the bytes
-of one ``work(0, n, out)`` call. When a split can be seen to pay, a forked
-child runs the upper half while this process runs the lower one, and the
-child's bytes are then copied after the lower half's. Whatever happens to
-the child, the result does not depend on it: a child that dies, exits
-nonzero or sends a short payload has its half recomputed here.
+``work(lo, hi)``, which appends the result of rows ``lo..hi`` to a sink.
+``split_rows`` leaves in the sink exactly what one ``work(0, n)`` call
+would. When a split can be seen to pay, a forked child runs the upper half
+while this process runs the lower one, and the child's bytes are then read
+straight into room the sink makes after the lower half's result, so no
+copy of them is held on the way. Whatever happens to the child, the result
+does not depend on it: a child that dies, exits nonzero or sends a short
+payload has its half recomputed here.
+
+A sink has four methods:
+
+- ``tell()``: a mark of how much it holds;
+- ``rewind(mark)``: drop everything appended since ``mark``;
+- ``since(mark)``: the bytes-like pieces appended since ``mark``;
+- ``reserve(size)``: append room for ``size`` bytes of another process's
+  ``since`` pieces, in order, and return it as writable byte memoryviews,
+  or None if ``size`` cannot be such a payload.
 """
 
 from __future__ import annotations
@@ -28,8 +38,6 @@ from typing import NoReturn
 MIN_ROWS = 16384
 
 _LENGTH = struct.Struct("<Q")
-# bytes copied from the child's pipe to ``out`` per read
-_PIECE = 1 << 20
 
 
 def _splits(n: int) -> bool:
@@ -46,51 +54,88 @@ def _splits(n: int) -> bool:
             and signal.getsignal(signal.SIGCHLD) != signal.SIG_IGN)
 
 
-def _run_child(work, lo: int, hi: int, fd: int) -> NoReturn:
-    """Send work's bytes for rows lo..hi to ``fd`` after their length; exit.
+class _Appended:
+    """A BytesIO as a sink: its position marks what it holds."""
+
+    def __init__(self, out: io.BytesIO):
+        self.out = out
+
+    def tell(self) -> int:
+        return self.out.tell()
+
+    def rewind(self, mark: int) -> None:
+        self.out.seek(mark)
+        self.out.truncate()
+
+    def since(self, mark: int) -> list:
+        return [self.out.getbuffer()[mark:]]
+
+    def reserve(self, size: int) -> list[memoryview]:
+        start = self.out.tell()
+        if size:
+            # one write past the end grows the buffer to its final size
+            self.out.seek(start + size - 1)
+            self.out.write(b"\0")
+        return [self.out.getbuffer()[start:]]
+
+
+def _run_child(work, sink, lo: int, hi: int, fd: int) -> NoReturn:
+    """Send work's result for rows lo..hi to ``fd`` after its length; exit.
 
     Every path ends in os._exit, so the child runs no atexit handler and
     flushes no stdio buffer it inherited from the parent.
     """
     status = 1
     try:
-        buf = io.BytesIO()
-        work(lo, hi, buf)
+        mark = sink.tell()
+        work(lo, hi)
+        pieces = [memoryview(piece) for piece in sink.since(mark)]
         with open(fd, "wb") as pipe:
-            pipe.write(_LENGTH.pack(buf.tell()))
-            pipe.write(buf.getbuffer())
+            pipe.write(_LENGTH.pack(sum(piece.nbytes for piece in pieces)))
+            for piece in pieces:
+                pipe.write(piece)
         status = 0
     finally:
         os._exit(status)
 
 
-def _receive(pipe, out) -> bool:
-    """Copy one length-prefixed payload from ``pipe`` to ``out``.
+def _receive(pipe, sink) -> bool:
+    """Read one length-prefixed payload from ``pipe`` into ``sink.reserve``.
 
-    Returns False if the pipe ends before the length or the payload does.
+    Returns False if the pipe ends before the length or the payload does,
+    or if the sink cannot take a payload of that length.
     """
     head = pipe.read(_LENGTH.size)
     if len(head) != _LENGTH.size:
         return False
-    (left,) = _LENGTH.unpack(head)
-    while left:
-        piece = pipe.read(min(left, _PIECE))
-        if not piece:
-            return False
-        out.write(piece)
-        left -= len(piece)
+    (size,) = _LENGTH.unpack(head)
+    room = sink.reserve(size)
+    if room is None:
+        return False
+    try:
+        for view in room:
+            filled = 0
+            while filled < len(view):
+                got = pipe.readinto(view[filled:])
+                if not got:
+                    return False
+                filled += got
+    finally:
+        # a BytesIO cannot be resized or handed over while a view is held
+        for view in room:
+            view.release()
     return True
 
 
-def write_halves(n: int, work, out: io.BytesIO) -> None:
-    """Write rows 0..n to ``out`` as ``work(0, n, out)`` would.
+def split_rows(n: int, work, sink) -> None:
+    """Append rows 0..n to ``sink`` as ``work(0, n)`` would.
 
     Splits the rows at n // 2 between this process and a forked child when
     ``_splits(n)``. An exception from this process's half, the interrupt
     included, kills and reaps the child before it propagates.
     """
     if not _splits(n):
-        work(0, n, out)
+        work(0, n)
         return
     mid = n // 2
     read_fd, write_fd = os.pipe()
@@ -99,23 +144,31 @@ def write_halves(n: int, work, out: io.BytesIO) -> None:
     except OSError:
         os.close(read_fd)
         os.close(write_fd)
-        work(0, n, out)
+        work(0, n)
         return
     if pid == 0:
         os.close(read_fd)
-        _run_child(work, mid, n, write_fd)
+        _run_child(work, sink, mid, n, write_fd)
     os.close(write_fd)
     try:
         with open(read_fd, "rb") as pipe:
-            work(0, mid, out)
-            mark = out.tell()
-            received = _receive(pipe, out)
+            work(0, mid)
+            mark = sink.tell()
+            received = _receive(pipe, sink)
     except BaseException:
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
         raise
     _, status = os.waitpid(pid, 0)
     if not (received and os.waitstatus_to_exitcode(status) == 0):
-        out.seek(mark)
-        out.truncate()
-        work(mid, n, out)
+        sink.rewind(mark)
+        work(mid, n)
+
+
+def write_halves(n: int, work, out: io.BytesIO) -> None:
+    """Write rows 0..n to ``out`` as ``work(0, n, out)`` would.
+
+    ``work(lo, hi, out)`` writes the bytes of rows lo..hi to ``out``; long
+    runs split as in ``split_rows``.
+    """
+    split_rows(n, lambda lo, hi: work(lo, hi, out), _Appended(out))

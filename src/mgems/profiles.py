@@ -24,7 +24,7 @@ from typing import ClassVar, Iterable
 
 import numpy as np
 
-from ._halves import write_halves
+from ._halves import split_rows
 from .errors import ProfileFormatError
 from .model import MicrogridConfig, PvSpec, WindSpec
 
@@ -171,6 +171,31 @@ _PARSE_CHUNK_LINES = 1024
 
 _FLAGS = frozenset(("0", "1"))
 
+# bytes of a profile decoded at a time: the file is never held whole as text
+_DECODE_BLOCK_BYTES = 1 << 20
+
+
+def _decode_lines(data: bytes) -> list[str]:
+    """``data.decode("utf-8").splitlines()``, one block of whole lines at a time.
+
+    A block ends just after a b"\n", which always ends a line and never
+    falls inside a multi-byte character. Undecodable data is decoded whole
+    once more, so the error names its position in the file.
+    """
+    view = memoryview(data)
+    lines: list[str] = []
+    start = 0
+    try:
+        while start < len(data):
+            stop = data.find(b"\n", start + _DECODE_BLOCK_BYTES)
+            stop = len(data) if stop < 0 else stop + 1
+            lines += str(view[start:stop], "utf-8").splitlines()
+            start = stop
+    except UnicodeDecodeError:
+        data.decode("utf-8")
+        raise
+    return lines
+
 
 def _parse_float(text: str, line_no: int, column: str) -> float:
     try:
@@ -213,7 +238,7 @@ def _split_lines(data: bytes, mode: str) -> tuple[tuple[str, ...], type, list[st
     else:
         raise ValueError(f"unknown profile mode: {mode!r}")
 
-    lines = data.decode("utf-8").splitlines()
+    lines = _decode_lines(data)
     if not lines:
         raise ProfileFormatError("empty file: expected a header row")
     got = tuple(name.strip() for name in lines[0].split(","))
@@ -256,18 +281,57 @@ class _Rejected(Exception):
     """A body chunk that the bulk parse leaves to _parse_rows."""
 
 
+class _Cells:
+    """Body cells in a (6, width) float64 block, one row per field.
+
+    Filled from the left a chunk of lines at a time; a ``split_rows`` sink
+    whose marks count filled columns, so a child's columns are read
+    straight into the block.
+    """
+
+    def __init__(self, width: int):
+        self.block = np.empty((6, width), dtype=np.float64)
+        self.filled = 0
+
+    def append(self, values: np.ndarray) -> None:
+        """Add the cells of whole lines, given in line order."""
+        k = len(values) // 6
+        self.block[:, self.filled:self.filled + k] = values.reshape(k, 6).T
+        self.filled += k
+
+    def tell(self) -> int:
+        return self.filled
+
+    def rewind(self, mark: int) -> None:
+        self.filled = mark
+
+    def since(self, mark: int) -> list[np.ndarray]:
+        return list(self.block[:, mark:self.filled])
+
+    def reserve(self, size: int) -> list[memoryview] | None:
+        k, extra = divmod(size, 6 * self.block.itemsize)
+        if extra or self.filled + k > self.block.shape[1]:
+            return None
+        start = self.filled
+        self.filled += k
+        return [memoryview(row).cast("B")
+                for row in self.block[:, start:self.filled]]
+
+
 def _parse_bulk(lines: list[str]) -> np.ndarray | None:
     """The body as a read-only (6, n) float64 block, one row per field.
 
-    Converts chunks of lines with one float() call per cell into float64
-    cells in line order, long bodies in two processes (see
-    ``write_halves``), and checks the whole block with numpy. Returns None
-    where _parse_rows must judge the body: a line without exactly five
-    commas, a grid_available cell other than "0" or "1", a cell float()
-    rejects, a non-finite value, or a negative value outside the index
-    column. Both headers have six fields with grid_available fourth.
+    Converts chunks of lines with one float() call per cell, long bodies in
+    two processes (see ``split_rows``), and checks the whole block with
+    numpy. Returns None where _parse_rows must judge the body: a line
+    without exactly five commas, a grid_available cell other than "0" or
+    "1", a cell float() rejects, a non-finite value, or a negative value
+    outside the index column. Both headers have six fields with
+    grid_available fourth.
     """
-    def convert(lo: int, hi: int, out) -> None:
+    parsed = _Cells(max(len(lines) - 1, 0))
+
+    def convert(lo: int, hi: int) -> None:
         # body line k is lines[k + 1]; lines[0] is the header
         for start in range(lo + 1, hi + 1, _PARSE_CHUNK_LINES):
             stop = min(start + _PARSE_CHUNK_LINES, hi + 1)
@@ -283,17 +347,17 @@ def _parse_bulk(lines: list[str]) -> np.ndarray | None:
                 values = np.fromiter(map(float, cells), np.float64, len(cells))
             except ValueError:
                 raise _Rejected from None
-            out.write(values)
+            parsed.append(values)
 
-    out = io.BytesIO()
     try:
-        write_halves(len(lines) - 1, convert, out)
+        split_rows(len(lines) - 1, convert, parsed)
     except _Rejected:
         return None
-    # a read-only view of the buffer; Profile copies the columns it keeps
-    block = np.frombuffer(out.getvalue(), np.float64).reshape(-1, 6).T
+    block = parsed.block[:, :parsed.filled]
     if not (np.isfinite(block).all() and (block[1:] >= 0).all()):
         return None
+    # Profile keeps the rows as they are: each is contiguous and read-only
+    block.setflags(write=False)
     return block
 
 

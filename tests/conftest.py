@@ -33,14 +33,14 @@ def data_path(name: str):
     return importlib.resources.files("mgems") / "data" / name
 
 
-# the row threshold write_halves ships with, and one that splits every
+# the row threshold split_rows ships with, and one that splits every
 # horizon of two or more rows; tests of the two text layers run under both
 SPLIT_THRESHOLDS = pytest.mark.parametrize("min_rows", [_halves.MIN_ROWS, 2])
 
 
 @contextlib.contextmanager
 def split_from(min_rows: int):
-    """write_halves forking from ``min_rows`` rows, as with two CPUs free."""
+    """split_rows forking from ``min_rows`` rows, as with two CPUs free."""
     with mock.patch.object(_halves, "MIN_ROWS", min_rows), \
             mock.patch.object(os, "sched_getaffinity", return_value={0, 1}):
         yield

@@ -85,6 +85,17 @@ def test_the_childs_payload_is_used_only_after_a_clean_exit(exit_code,
     assert_no_child_left()
 
 
+def test_out_stays_writable_after_the_childs_bytes_are_read_in():
+    out = io.BytesIO()
+    out.write(b"header\n")
+    with split_from(2):
+        write_halves(N, rows, out)
+    # a view left on the buffer would make this write raise BufferError
+    out.write(b"tail\n")
+    assert out.getvalue() == b"header\n" + REFERENCE + b"tail\n"
+    assert_no_child_left()
+
+
 def _raise():
     raise RuntimeError("the child's half failed")
 

@@ -445,6 +445,60 @@ def test_a_bad_line_in_either_half_is_named(bad_line, row, message):
     assert str(exc.value) == f"line {bad_line}{sep}{message}"
 
 
+line_text = st.lists(st.sampled_from(
+    ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", " ", "1,2",
+     "\u00e9", "\uff11"]), max_size=40).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=line_text, block=st.sampled_from([1, 2, 3, 7]))
+def test_blockwise_decode_splits_lines_as_the_whole_text_does(text, block):
+    with mock.patch.object(profiles, "_DECODE_BLOCK_BYTES", block):
+        assert profiles._decode_lines(text.encode()) == text.splitlines()
+
+
+@pytest.mark.parametrize("block", [1, 4, 1 << 20])
+def test_undecodable_profile_names_the_position_in_the_whole_file(block):
+    data = b"a,b\n" * 10 + b"\xff\n" + b"c\n"
+    with pytest.raises(UnicodeDecodeError) as whole:
+        data.decode("utf-8")
+    with mock.patch.object(profiles, "_DECODE_BLOCK_BYTES", block), \
+            pytest.raises(UnicodeDecodeError) as blockwise:
+        profiles._decode_lines(data)
+    assert str(blockwise.value) == str(whole.value)
+
+
+def long_body(n: int) -> bytes:
+    lines = [f"{i},{i * 0.5!r},0.25,{i % 2},{i / 7!r},3" for i in range(n)]
+    return ("\n".join([GEN_HEADER] + lines) + "\n").encode()
+
+
+@SPLIT_THRESHOLDS
+def test_parsed_columns_are_rows_of_one_block(min_rows):
+    # the block the cells are parsed into is kept, not copied column by column
+    with split_from(min_rows):
+        parsed = parse_profile(long_body(3 * CHUNK + 7), "generation")
+    block = parsed.demand_kw.base
+    assert block is not None and block.shape == (6, 3 * CHUNK + 7)
+    for column in (parsed.price, parsed.pv_kw, parsed.wind_kw):
+        assert column.base is block
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="splits only on Linux")
+def test_a_payload_of_no_whole_lines_is_redone_in_the_parent():
+    data = long_body(99)
+    want = parse_profile(data, "generation")
+    # only the child calls since(); five bytes are no whole line of cells
+    with split_from(2), mock.patch.object(os, "fork", wraps=os.fork) as fork, \
+            mock.patch.object(profiles._Cells, "since",
+                              lambda self, mark: [b"\0" * 5]):
+        got = parse_profile(data, "generation")
+    assert fork.call_count == 1
+    assert got == want
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.parametrize("index", ["nan", "NaN", "inf", "-inf"])
 def test_non_finite_index_is_rejected_by_both_parse_paths(index):
     data = (GEN_HEADER + "\n0,1,1,1,0,0\n" + index + ",5,0.12,1,0,0\n").encode()
