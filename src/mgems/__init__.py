@@ -8,10 +8,8 @@ and emission metrics.
 
 __version__ = "0.1.0"
 
-from .dispatch import (BACKEND, BatteryState, DispatchDecision, Gate, Intent,
-                       SurplusResult, dispatch_step, initial_state,
-                       price_threshold, run_arrays, shaving_intent, soc_gate,
-                       step_battery, surplus)
+from .dispatch import (BACKEND, BatteryState, DispatchDecision, dispatch_step,
+                       initial_state, price_threshold, run_arrays)
 from .metrics import (EconomicSummary, EmissionSummary, EnergyTotals,
                       ReliabilityStats, SimulationReport, accumulate,
                       build_report, emissions, lcoe, npc, operating_cost,
@@ -20,23 +18,20 @@ from .model import (BatterySpec, DieselSpec, EconomicsConfig, EmissionFactors,
                     EmsConfig, GridSpec, MicrogridConfig, PvSpec,
                     ValidationReport, WindSpec, validate_config)
 from .profiles import (Profile, ResourceProfile, ResourceRow, StepInput,
-                       load_profile, parse_profile, pv_power,
-                       resource_to_inputs, serialize_profile, wind_power)
+                       load_profile, parse_profile, resource_to_inputs)
 from .scenarios import (Scenario, ScenarioOutcome, apply_scenario,
                         builtin_scenario, run_matrix, validate_scenario)
 
 __all__ = [
     "BACKEND", "BatterySpec", "BatteryState", "DieselSpec", "DispatchDecision",
     "EconomicSummary", "EconomicsConfig", "EmissionFactors", "EmissionSummary",
-    "EmsConfig", "EnergyTotals", "Gate", "GridSpec", "Intent",
-    "MicrogridConfig", "Profile", "PvSpec", "ReliabilityStats",
-    "ResourceProfile", "ResourceRow", "Scenario",
-    "ScenarioOutcome", "SimulationReport", "StepInput", "SurplusResult",
-    "ValidationReport", "WindSpec", "accumulate", "apply_scenario",
-    "build_report", "builtin_scenario", "dispatch_step", "emissions",
-    "initial_state", "lcoe", "load_profile", "npc", "operating_cost",
-    "parse_profile", "percent_change", "price_threshold", "pv_power",
-    "renewable_fraction", "resource_to_inputs", "run_arrays", "run_matrix",
-    "serialize_profile", "shaving_intent", "soc_gate", "step_battery",
-    "surplus", "validate_config", "validate_scenario", "wind_power",
+    "EmsConfig", "EnergyTotals", "GridSpec", "MicrogridConfig", "Profile",
+    "PvSpec", "ReliabilityStats", "ResourceProfile", "ResourceRow", "Scenario",
+    "ScenarioOutcome", "SimulationReport", "StepInput", "ValidationReport",
+    "WindSpec", "accumulate", "apply_scenario", "build_report",
+    "builtin_scenario", "dispatch_step", "emissions", "initial_state", "lcoe",
+    "load_profile", "npc", "operating_cost", "parse_profile",
+    "percent_change", "price_threshold", "renewable_fraction",
+    "resource_to_inputs", "run_arrays", "run_matrix", "validate_config",
+    "validate_scenario",
 ]

@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -37,6 +37,9 @@ EXIT_VALIDATION = 2
 EXIT_IO = 3
 EXIT_INVARIANT = 4
 
+# what simulate's outage errors name: the flags that forced the outage
+OUTAGE_FLAGS = "--outage-start/--outage-hours"
+
 TRACE_HEADER = ("index", "demand_kw", "price", "grid_available", "pv_kw",
                 "wind_kw", "pv_used_kw", "wind_used_kw", "curtailed_kw",
                 "battery_charge_kw", "battery_discharge_kw", "dg_kw",
@@ -55,17 +58,6 @@ class RunManifest:
     scenario_selection: tuple[str, ...]
     random_free: bool
     tool_version: str
-
-    def to_dict(self) -> dict:
-        return {
-            "config_path": self.config_path,
-            "profile_path": self.profile_path,
-            "profile_mode": self.profile_mode,
-            "output_dir": self.output_dir,
-            "scenario_selection": list(self.scenario_selection),
-            "random_free": self.random_free,
-            "tool_version": self.tool_version,
-        }
 
 
 class _CommandError(Exception):
@@ -185,8 +177,8 @@ def _write_outputs(out_dir: Path, files: dict[str, bytes]) -> None:
         raise _CommandError(EXIT_IO, f"cannot write outputs: {exc}")
 
 
-def _manifest(args, selection: tuple[str, ...] = ()) -> RunManifest:
-    return RunManifest(
+def _manifest_json_bytes(args, selection: tuple[str, ...] = ()) -> bytes:
+    manifest = RunManifest(
         config_path=str(args.config),
         profile_path=str(args.profile),
         profile_mode=args.mode,
@@ -195,14 +187,21 @@ def _manifest(args, selection: tuple[str, ...] = ()) -> RunManifest:
         random_free=True,
         tool_version=__version__,
     )
+    # json writes the selection tuple as a list
+    return (json.dumps(asdict(manifest), indent=2) + "\n").encode("utf-8")
 
 
 def _simulate_trace(inputs: Profile, config: MicrogridConfig,
                     outage: OutageSpec | None):
     if outage is not None:
         from .scenarios import apply_scenario
-        inputs, config = apply_scenario(
-            inputs, config, Scenario(id="outage-override", outage=outage))
+        try:
+            inputs, config = apply_scenario(
+                inputs, config, Scenario(id=OUTAGE_FLAGS, outage=outage))
+        except ValueError as exc:
+            # the flags, not a scenario, are what the user wrote
+            raise _CommandError(EXIT_VALIDATION,
+                                f"{OUTAGE_FLAGS}: {exc.__cause__}") from None
     trace = run_arrays(inputs, initial_state(config.battery), config)
     check_balance(trace, inputs, config)
     return inputs, config, trace
@@ -219,12 +218,10 @@ def cmd_simulate(args) -> int:
     except ValueError as exc:
         raise _CommandError(EXIT_VALIDATION, str(exc))
     report = build_report(trace, inputs, config)
-    manifest = _manifest(args)
     _write_outputs(Path(args.out), {
         "trace.csv": trace_csv_bytes(inputs, trace),
         "report.json": report_json_bytes(report),
-        "manifest.json": (json.dumps(manifest.to_dict(), indent=2) + "\n")
-        .encode("utf-8"),
+        "manifest.json": _manifest_json_bytes(args),
     })
     print(f"simulated {len(inputs)} steps -> {args.out}")
     return EXIT_OK
@@ -253,13 +250,7 @@ def _select_scenarios(selection: str, loaded: LoadedConfig,
                 EXIT_VALIDATION,
                 f"unknown scenario {name!r} (builtins: {', '.join(BUILTIN_IDS)})")
         if outage is not None and scenario.outage is not None:
-            scenario = Scenario(
-                id=scenario.id,
-                demand_multiplier=scenario.demand_multiplier,
-                pv_multiplier=scenario.pv_multiplier,
-                wind_multiplier=scenario.wind_multiplier,
-                fuel_price_multiplier=scenario.fuel_price_multiplier,
-                outage=outage)
+            scenario = replace(scenario, outage=outage)
         result.append(scenario)
     return result
 
@@ -300,9 +291,7 @@ def cmd_scenarios(args) -> int:
             continue
         files[f"{name}/trace.csv"] = trace_csv_bytes(outcome.inputs, outcome.trace)
         files[f"{name}/report.json"] = report_json_bytes(outcome.report)
-    manifest = _manifest(args, tuple(order))
-    files["manifest.json"] = (json.dumps(manifest.to_dict(), indent=2) + "\n") \
-        .encode("utf-8")
+    files["manifest.json"] = _manifest_json_bytes(args, tuple(order))
     _write_outputs(Path(args.out), files)
     print(f"ran base + {len(order)} scenario(s) -> {args.out}")
     return EXIT_OK

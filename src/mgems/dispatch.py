@@ -1,6 +1,7 @@
-"""EMS core: threshold rules, battery state stepping, and horizon dispatch.
+"""EMS core: threshold resolution, horizon dispatch and its invariant check.
 
-The per-step allocation rule lives in one kernel, mgems._kernel.run_kernel.
+The per-step allocation rule lives in one kernel, mgems._kernel.run_kernel;
+dispatch_step is a one-step horizon of it, not a second description.
 run_arrays calls it through the module global _kernel_run, which the
 benchmark's span tracer (perfbench/spans.py) wraps; BACKEND names the
 kernel in the benchmark's meta line.
@@ -8,7 +9,6 @@ kernel in the benchmark's meta line.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -33,16 +33,6 @@ ISLANDED = "islanded"
 
 _kernel_run = _kernel.run_kernel
 BACKEND = "python"
-
-
-class Intent(enum.Enum):
-    CHARGE = "charge"
-    DISCHARGE = "discharge"
-
-
-class Gate(enum.Enum):
-    PERMIT = "permit"
-    DECLINE = "decline"
 
 
 @dataclass(frozen=True)
@@ -83,14 +73,6 @@ class DispatchDecision:
     mode: str
 
 
-@dataclass(frozen=True)
-class SurplusResult:
-    """Signed instantaneous surplus and the energy it amounts to over a step."""
-
-    surplus_kw: float
-    surplus_kwh: float
-
-
 def price_threshold(prices: Sequence[float], ems: EmsConfig) -> float:
     """Resolve the charge/discharge threshold for a horizon.
 
@@ -111,50 +93,6 @@ def price_threshold(prices: Sequence[float], ems: EmsConfig) -> float:
         index = math.floor(ems.percentile * (len(ordered) - 1))
         return float(ordered[index])
     raise ValueError(f"unknown threshold mode: {ems.threshold_mode!r}")
-
-
-def shaving_intent(price: float, threshold: float) -> Intent:
-    """Discharge above the threshold, charge at or below it."""
-    return Intent.DISCHARGE if price > threshold else Intent.CHARGE
-
-
-def soc_gate(state: BatteryState, intent: Intent, spec: BatterySpec) -> Gate:
-    """Decline charging at the upper SOC bound and discharging at the lower."""
-    if intent is Intent.CHARGE and state.soc >= spec.soc_max:
-        return Gate.DECLINE
-    if intent is Intent.DISCHARGE and state.soc <= spec.soc_min:
-        return Gate.DECLINE
-    return Gate.PERMIT
-
-
-def surplus(inp: StepInput, battery_available_discharge_kw: float,
-            dt_h: float) -> SurplusResult:
-    """Aggregate PV+wind+battery output minus demand, as kW and kWh."""
-    if dt_h <= 0:
-        raise ValueError(f"dt_h must be > 0, got {dt_h}")
-    kw = inp.pv_kw + inp.wind_kw + battery_available_discharge_kw - inp.demand_kw
-    return SurplusResult(surplus_kw=kw, surplus_kwh=kw * dt_h)
-
-
-def step_battery(state: BatteryState, charge_kw: float, discharge_kw: float,
-                 dt_h: float, spec: BatterySpec) -> BatteryState:
-    """Advance the battery by one step of terminal charging or discharging.
-
-    Callers must pre-clamp powers to the SOC headroom; a resulting SOC
-    outside the configured band (beyond 1e-9) is a caller bug and raises.
-    """
-    sqrt_eta = math.sqrt(spec.roundtrip_efficiency)
-    energy = state.energy_kwh + charge_kw * sqrt_eta * dt_h \
-        - (discharge_kw / sqrt_eta) * dt_h
-    if spec.capacity_kwh > 0.0:
-        soc = energy / spec.capacity_kwh
-    else:
-        soc = state.soc
-    if soc < spec.soc_min - SOC_TOLERANCE or soc > spec.soc_max + SOC_TOLERANCE:
-        raise ValueError(
-            f"battery step left SOC at {soc}, outside "
-            f"[{spec.soc_min}, {spec.soc_max}]: powers were not pre-clamped")
-    return BatteryState(soc=soc, energy_kwh=energy)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ want rows.
 
 from __future__ import annotations
 
-import io
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
@@ -377,57 +376,12 @@ def parse_profile(data: bytes, mode: str) -> Profile | ResourceProfile:
     return kind(block[1], block[2], grid_available, block[4], block[5])
 
 
-def serialize_profile(records: Sequence[StepInput] | Sequence[ResourceRow]) -> bytes:
-    """Write records back to the CSV wire format (inverse of parse_profile)."""
-    out = io.StringIO()
-    if records and isinstance(records[0], ResourceRow):
-        header = RESOURCE_HEADER
-        fields = ("irradiance_wm2", "wind_speed_ms")
-    else:
-        header = GENERATION_HEADER
-        fields = ("pv_kw", "wind_kw")
-    out.write(",".join(header) + "\n")
-    for rec in records:
-        out.write(f"{rec.index},{rec.demand_kw!r},{rec.price!r},"
-                  f"{1 if rec.grid_available else 0},"
-                  f"{getattr(rec, fields[0])!r},{getattr(rec, fields[1])!r}\n")
-    return out.getvalue().encode("utf-8")
-
-
-def pv_power(irradiance_wm2: float, spec: PvSpec) -> float:
-    """PV output for a global horizontal irradiance, in kW.
-
-    Rated output scaled by the derating factor and normalized irradiance,
-    clamped at the reference irradiance.
-    """
-    if irradiance_wm2 < 0:
-        raise ValueError(f"irradiance must be >= 0, got {irradiance_wm2}")
-    ratio = irradiance_wm2 / STANDARD_IRRADIANCE_WM2
-    if ratio > 1.0:
-        ratio = 1.0
-    return spec.capacity_kw * spec.derating_factor * ratio
-
-
-def wind_power(speed_ms: float, spec: WindSpec) -> float:
-    """Wind fleet output for a measured speed, in kW.
-
-    The measured speed is shear-corrected to hub height, then mapped through
-    a piecewise curve: zero below cut-in and at/above cut-out, rated between
-    the rated speed and cut-out, cubic interpolation in between.
-    """
-    if speed_ms < 0:
-        raise ValueError(f"wind speed must be >= 0, got {speed_ms}")
-    v = speed_ms * (spec.hub_height_m / spec.anemometer_height_m) ** spec.shear_exponent
-    if v < spec.cut_in_ms or v >= spec.cut_out_ms:
-        return 0.0
-    if v >= spec.rated_speed_ms:
-        return spec.capacity_kw
-    ci3 = spec.cut_in_ms ** 3
-    return spec.capacity_kw * (v ** 3 - ci3) / (spec.rated_speed_ms ** 3 - ci3)
-
-
 def _pv_power_column(irradiance_wm2: np.ndarray, spec: PvSpec) -> np.ndarray:
-    """pv_power over a column, with the same operations in the same order."""
+    """PV output (kW) for an irradiance column, clamped at the reference.
+
+    Bit-identical to the scalar pv_power in tests/resource_reference.py:
+    the same operations in the same order.
+    """
     if np.any(irradiance_wm2 < 0):
         raise ValueError("irradiance must be >= 0, got "
                          f"{irradiance_wm2[irradiance_wm2 < 0][0]}")
@@ -436,7 +390,12 @@ def _pv_power_column(irradiance_wm2: np.ndarray, spec: PvSpec) -> np.ndarray:
 
 
 def _wind_power_column(speed_ms: np.ndarray, spec: WindSpec) -> np.ndarray:
-    """wind_power over a column, with the same operations in the same order."""
+    """Wind fleet output (kW) for a measured-speed column.
+
+    Shear-corrects to hub height, then maps through the piecewise curve.
+    Bit-identical to the scalar wind_power in tests/resource_reference.py:
+    the same operations in the same order.
+    """
     if np.any(speed_ms < 0):
         raise ValueError(f"wind speed must be >= 0, got {speed_ms[speed_ms < 0][0]}")
     v = speed_ms * (spec.hub_height_m / spec.anemometer_height_m) ** spec.shear_exponent
@@ -446,8 +405,8 @@ def _wind_power_column(speed_ms: np.ndarray, spec: WindSpec) -> np.ndarray:
     power = np.zeros(len(v), dtype=np.float64)
     power[running & at_rated] = spec.capacity_kw
     ci3 = spec.cut_in_ms ** 3
-    # Python's float power, as in wind_power: numpy's vectorised pow may
-    # round differently from the C library on some CPUs
+    # Python's float power, as in the scalar reference: numpy's vectorised
+    # pow may round differently from the C library on some CPUs
     cubes = np.array([x ** 3 for x in v[ramp].tolist()], dtype=np.float64)
     power[ramp] = spec.capacity_kw * (cubes - ci3) / (spec.rated_speed_ms ** 3 - ci3)
     return power
@@ -457,8 +416,9 @@ def resource_to_inputs(rows: Sequence[ResourceRow],
                        config: MicrogridConfig) -> Profile:
     """Convert resource measurements to dispatch inputs via the component models.
 
-    Bit-identical to applying pv_power and wind_power step by step; demand,
-    price and availability columns pass through shared.
+    Bit-identical to applying the scalar pv_power and wind_power of
+    tests/resource_reference.py step by step; demand, price and availability
+    columns pass through shared.
     """
     rows = ResourceProfile.from_steps(rows)
     return Profile(demand_kw=rows.demand_kw, price=rows.price,

@@ -138,7 +138,8 @@ def apply_scenario(inputs: Sequence[StepInput], config: MicrogridConfig,
     positions) forces grid unavailability, and the fuel price scales;
     everything else passes through unchanged. A value validate_scenario
     rejects, or an outage window that does not fit the horizon, raises
-    ValueError prefixed with the scenario id.
+    ValueError prefixed with the scenario id; its __cause__ is the error
+    without the prefix.
     """
     inputs = Profile.from_steps(inputs)
     grid_available = inputs.grid_available
@@ -149,7 +150,7 @@ def apply_scenario(inputs: Sequence[StepInput], config: MicrogridConfig,
             grid_available = grid_available.copy()
             grid_available[start:start + steps] = 0
     except ValueError as exc:
-        raise ValueError(f"scenario {scenario.id}: {exc}") from None
+        raise ValueError(f"scenario {scenario.id}: {exc}") from exc
     scaled = replace(
         inputs,
         demand_kw=inputs.demand_kw * scenario.demand_multiplier,

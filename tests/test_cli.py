@@ -302,6 +302,37 @@ def test_simulate_rejects_a_non_finite_outage_duration(fixture_args, capsys,
     assert not (out / "run").exists()
 
 
+@pytest.mark.parametrize("start,hours,message", [
+    (100, 6, "outage window [100, 106) does not fit the 24-step horizon"),
+    (16, 0, "outage duration must cover at least one step, got 0"),
+])
+def test_simulate_outage_errors_name_the_flags(fixture_args, capsys, start,
+                                               hours, message):
+    config, profile, out = fixture_args
+    assert run_cli("simulate", "--config", config, "--profile", profile,
+                   "--out", out / "run", "--outage-start", start,
+                   "--outage-hours", hours) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --outage-start/--outage-hours: {message}\n"
+    assert not (out / "run").exists()
+
+
+def test_simulate_manifest_records_the_invocation(fixture_args):
+    config, profile, out = fixture_args
+    assert run_cli("simulate", "--config", config, "--profile", profile,
+                   "--out", out / "run") == 0
+    assert (out / "run" / "manifest.json").read_text() == (
+        "{\n"
+        f'  "config_path": {json.dumps(config)},\n'
+        f'  "profile_path": {json.dumps(profile)},\n'
+        '  "profile_mode": "generation",\n'
+        f'  "output_dir": {json.dumps(str(out / "run"))},\n'
+        '  "scenario_selection": [],\n'
+        '  "random_free": true,\n'
+        '  "tool_version": "0.1.0"\n'
+        "}\n")
+
+
 def test_infinite_scenario_multiplier_is_reported_as_bad_input(fixture_args):
     config, profile, out = fixture_args
     custom = out / "custom.ini"

@@ -1,4 +1,4 @@
-"""EMS dispatch rule tests: threshold, gating, battery stepping, allocation."""
+"""EMS dispatch rule tests: threshold, battery band and efficiency, allocation."""
 
 import dataclasses
 import math
@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mgems.dispatch import (BatteryState, Gate, HorizonArrays, Intent,
-                            balance_residuals, check_balance, dispatch_step,
-                            initial_state, price_threshold, run_arrays,
-                            shaving_intent, soc_gate, step_battery, surplus)
+from mgems.dispatch import (BatteryState, HorizonArrays, balance_residuals,
+                            check_balance, dispatch_step, initial_state,
+                            price_threshold, run_arrays)
 from mgems.errors import BalanceError
 from mgems.model import EmsConfig
 from mgems.profiles import StepInput
@@ -57,101 +56,126 @@ def test_load_threshold_mode_returns_the_load_level():
     assert price_threshold([0.1], ems) == 180.0
 
 
-# --- charge/discharge intent and SOC gate -----------------------------------
+# --- charge/discharge regime and SOC band -----------------------------------
 
-def test_shaving_intent():
-    assert shaving_intent(0.2808, 0.25) is Intent.DISCHARGE
-    assert shaving_intent(0.08496, 0.25) is Intent.CHARGE
-    assert shaving_intent(0.25, 0.25) is Intent.CHARGE  # equality charges
+def test_price_at_the_threshold_charges_from_surplus():
+    config = make_config()
+    state = BatteryState.from_soc(0.5, config.battery)
 
+    def charge(price):
+        decision, _ = dispatch_step(
+            state, step(demand=50.0, price=price, pv=80.0), 0.25, config)
+        return decision.battery_charge_kw
 
-def test_soc_gate():
-    spec = make_config().battery
-    full = BatteryState.from_soc(spec.soc_max, spec)
-    empty = BatteryState.from_soc(spec.soc_min, spec)
-    inside = BatteryState.from_soc(0.5, spec)
-    assert soc_gate(full, Intent.CHARGE, spec) is Gate.DECLINE
-    assert soc_gate(empty, Intent.DISCHARGE, spec) is Gate.DECLINE
-    assert soc_gate(full, Intent.DISCHARGE, spec) is Gate.PERMIT
-    assert soc_gate(empty, Intent.CHARGE, spec) is Gate.PERMIT
-    assert soc_gate(inside, Intent.CHARGE, spec) is Gate.PERMIT
-    assert soc_gate(inside, Intent.DISCHARGE, spec) is Gate.PERMIT
+    assert charge(0.2808) == 0.0  # discharge regime: surplus never charges
+    assert charge(0.08496) == 30.0
+    assert charge(0.25) == 30.0  # equality charges
 
 
-# --- surplus ----------------------------------------------------------------
+def test_full_battery_takes_no_charge_and_the_surplus_is_exported():
+    config = make_config()
+    full = BatteryState.from_soc(config.battery.soc_max, config.battery)
+    surplus = step(demand=50.0, price=0.1, pv=80.0)
+    decision, after = dispatch_step(full, surplus, 0.25, config)
+    assert decision.battery_charge_kw == 0.0
+    assert decision.grid_export_kw == 30.0
+    assert after.energy_kwh == full.energy_kwh
+    # the band stops the battery only toward its edge
+    decision, _ = dispatch_step(full, step(demand=80.0, price=0.3, pv=50.0),
+                                0.25, config)
+    assert decision.battery_discharge_kw == 30.0
+    inside = BatteryState.from_soc(0.5, config.battery)
+    assert dispatch_step(inside, surplus, 0.25, config)[0] \
+        .battery_charge_kw == 30.0
 
-def test_surplus_balanced_step_is_zero():
-    result = surplus(step(demand=50.0, pv=30.0, wind=20.0), 0.0, 1.0)
-    assert result.surplus_kw == 0.0
-    assert result.surplus_kwh == 0.0
+
+def test_empty_battery_delivers_nothing_and_the_grid_imports():
+    config = make_config()
+    empty = BatteryState.from_soc(config.battery.soc_min, config.battery)
+    deficit = step(demand=80.0, price=0.3, pv=50.0)
+    decision, after = dispatch_step(empty, deficit, 0.25, config)
+    assert decision.battery_discharge_kw == 0.0
+    assert decision.grid_import_kw == 30.0
+    assert after.energy_kwh == empty.energy_kwh
+    # the band stops the battery only toward its edge
+    decision, _ = dispatch_step(empty, step(demand=50.0, price=0.1, pv=80.0),
+                                0.25, config)
+    assert decision.battery_charge_kw == 30.0
+    inside = BatteryState.from_soc(0.5, config.battery)
+    assert dispatch_step(inside, deficit, 0.25, config)[0] \
+        .battery_discharge_kw == 30.0
 
 
-def test_surplus_example_day_hour_4():
-    result = surplus(step(demand=69.972, pv=0.0, wind=5.18), 0.0, 1.0)
-    assert result.surplus_kw == pytest.approx(-64.792)
-    assert result.surplus_kwh == pytest.approx(-64.792)
+# --- surplus and the grid ---------------------------------------------------
+
+def test_balanced_step_leaves_the_state_unchanged():
+    config = make_config()
+    state = BatteryState.from_soc(0.37, config.battery)
+    decision, after = dispatch_step(
+        state, step(demand=50.0, pv=30.0, wind=20.0), 0.25, config)
+    assert after == state
+    for name in ("battery_charge_kw", "battery_discharge_kw",
+                 "grid_import_kw", "grid_export_kw", "curtailed_kw",
+                 "unserved_kw"):
+        assert getattr(decision, name) == 0.0
 
 
-def test_surplus_sums_over_steps():
+def test_deficit_of_example_day_hour_4_is_imported():
+    config = make_config()
+    decision, _ = dispatch_step(
+        initial_state(config.battery),
+        step(demand=69.972, price=0.0936, pv=0.0, wind=5.18), 0.25, config)
+    assert decision.battery_discharge_kw == 0.0
+    assert decision.grid_import_kw == pytest.approx(64.792)
+
+
+def test_net_exchange_sums_the_surplus_over_steps():
+    # an empty battery above the threshold neither charges nor delivers,
+    # so the grid takes each step's surplus and covers its deficit
+    config = make_config()
     gens = [100.0, 50.0, 0.0]
-    total = sum(surplus(step(demand=60.0, pv=g), 0.0, 1.0).surplus_kwh
-                for g in gens)
-    assert total == pytest.approx(-30.0)
+    trace = run_arrays([step(demand=60.0, price=0.3, pv=g) for g in gens],
+                       initial_state(config.battery), config, 0.25)
+    net = (trace.column(EXPORT) - trace.column(IMPORT)) * config.step_hours
+    assert net.tolist() == [40.0, -10.0, -60.0]
+    assert net.sum() == pytest.approx(-30.0)
 
 
-def test_surplus_includes_battery_and_scales_with_dt():
-    result = surplus(step(demand=10.0, pv=5.0), 8.0, 0.5)
-    assert result.surplus_kw == pytest.approx(3.0)
-    assert result.surplus_kwh == pytest.approx(1.5)
+# --- battery efficiency -----------------------------------------------------
+
+def _whole_band_config():
+    config = make_config()
+    battery = dataclasses.replace(config.battery, capacity_kwh=200.0,
+                                  soc_min=0.0, soc_max=1.0,
+                                  depth_of_discharge=1.0)
+    return dataclasses.replace(config, battery=battery)
 
 
-def test_surplus_rejects_nonpositive_dt():
-    with pytest.raises(ValueError):
-        surplus(step(), 0.0, 0.0)
-
-
-# --- battery stepping -------------------------------------------------------
-
-def test_step_battery_idle_is_identity():
-    spec = make_config().battery
-    state = BatteryState.from_soc(0.37, spec)
-    assert step_battery(state, 0.0, 0.0, 1.0, spec) == state
-
-
-def test_step_battery_charge_example():
-    spec = dataclasses.replace(make_config().battery, capacity_kwh=200.0,
-                               soc_min=0.0, soc_max=1.0,
-                               depth_of_discharge=1.0)
-    state = BatteryState.from_soc(0.5, spec)
-    after = step_battery(state, 20.0, 0.0, 1.0, spec)
+def test_charge_of_20_kw_for_an_hour_stores_20_sqrt_eta_kwh():
+    config = _whole_band_config()
+    state = BatteryState.from_soc(0.5, config.battery)
+    decision, after = dispatch_step(state, step(demand=0.0, pv=20.0), 0.25,
+                                    config)
+    assert decision.battery_charge_kw == 20.0
     gain = 20.0 * math.sqrt(0.9)
     assert after.energy_kwh == pytest.approx(100.0 + gain, rel=1e-12)
     assert after.soc == pytest.approx(0.5 + gain / 200.0, rel=1e-12)
     assert gain == pytest.approx(18.9737, abs=1e-4)
 
 
-def test_step_battery_roundtrip_efficiency():
-    spec = dataclasses.replace(make_config().battery, capacity_kwh=200.0,
-                               soc_min=0.0, soc_max=1.0,
-                               depth_of_discharge=1.0)
-    state = BatteryState.from_soc(0.5, spec)
+def test_charge_then_discharge_returns_90_percent():
+    config = _whole_band_config()
+    state = BatteryState.from_soc(0.5, config.battery)
     absorbed = 20.0
-    charged = step_battery(state, absorbed, 0.0, 1.0, spec)
+    _, charged = dispatch_step(state, step(demand=0.0, pv=absorbed), 0.25,
+                               config)
     stored = charged.energy_kwh - state.energy_kwh
     delivered = stored * math.sqrt(0.9)
-    discharged = step_battery(charged, 0.0, delivered, 1.0, spec)
+    decision, discharged = dispatch_step(
+        charged, step(demand=delivered, price=0.3), 0.25, config)
+    assert decision.battery_discharge_kw == delivered
     assert discharged.energy_kwh == pytest.approx(state.energy_kwh, rel=1e-12)
     assert delivered / absorbed == pytest.approx(0.9, rel=1e-12)
-
-
-def test_step_battery_rejects_band_escape():
-    spec = make_config().battery
-    state = BatteryState.from_soc(spec.soc_max, spec)
-    with pytest.raises(ValueError, match="SOC"):
-        step_battery(state, 50.0, 0.0, 1.0, spec)
-    state = BatteryState.from_soc(spec.soc_min, spec)
-    with pytest.raises(ValueError, match="SOC"):
-        step_battery(state, 0.0, 50.0, 1.0, spec)
 
 
 # --- single-step dispatch ---------------------------------------------------

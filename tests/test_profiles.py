@@ -12,10 +12,10 @@ from mgems import profiles
 from mgems.errors import ProfileFormatError
 from mgems.model import PvSpec, WindSpec
 from mgems.profiles import (Profile, ResourceRow, StepInput, convert_prices,
-                            parse_profile, pv_power, resource_to_inputs,
-                            serialize_profile, wind_power)
+                            parse_profile, resource_to_inputs)
 
 from conftest import SPLIT_THRESHOLDS, make_config, split_from
+from resource_reference import pv_power, serialize_profile, wind_power
 
 GEN_HEADER = "index,demand_kw,price,grid_available,pv_kw,wind_kw"
 RES_HEADER = "index,demand_kw,price,grid_available,irradiance_wm2,wind_speed_ms"
