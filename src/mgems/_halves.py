@@ -1,7 +1,8 @@
 """Run a row loop in two processes: this one and one forked child.
 
 The profile parser and the trace writer each pass their chunk loop as
-``work(lo, hi)``, which appends the result of rows ``lo..hi`` to a sink.
+``work(lo, hi)``, which appends the result of rows ``lo..hi`` to a sink;
+the scenario matrix passes its kernel loop, whose rows are whole runs.
 ``split_rows`` leaves in the sink exactly what one ``work(0, n)`` call
 would. When a split can be seen to pay, a forked child runs the upper half
 while this process runs the lower one, and the child's bytes are then read
@@ -30,25 +31,33 @@ import sys
 import threading
 from typing import NoReturn
 
-# Row count from which a split is faster than one process for both callers.
-# In an 87 MB process (2 vCPU, Python 3.11) a fork, its copy-on-write
-# faults and the child's exit cost 4-7 ms: the trace writer gains from
-# about 2,000 rows, the parser from about 12,000 lines. So the year's 8,760
-# rows run in one process and the decade's 87,600 in two.
+# Row count from which a split is faster than one process for both text
+# layers. In an 87 MB process (2 vCPU, Python 3.11) a fork, its
+# copy-on-write faults and the child's exit cost 4-7 ms: the trace writer
+# gains from about 2,000 rows, the parser from about 12,000 lines. So the
+# year's 8,760 rows run in one process and the decade's 87,600 in two.
 MIN_ROWS = 16384
+# The scenario matrix, the third caller, counts its work in kernel steps,
+# runs times horizon steps. A step costs well under a row, and the child's
+# traces cross the pipe at 88 bytes a step. In the same process, runs of
+# 8,760 steps split lost up to 61,000 steps, won or lost by a few percent
+# from 65,000 to 88,000, and won in every measurement from 96,000. So the
+# example day's 6 x 24 and a year's base run plus up to 13 scenarios stay
+# in one process, and the 51 x 8,760 of a 50-scenario year split.
+MIN_KERNEL_STEPS = 131072
 
 _LENGTH = struct.Struct("<Q")
 
 
-def _splits(n: int) -> bool:
-    """Whether to fork: n rows, Linux, two usable CPUs, one thread, SIGCHLD.
+def _splits(rows: int, minimum: int) -> bool:
+    """Whether to fork: ``minimum`` rows, Linux, two CPUs, one thread, SIGCHLD.
 
     A forked child holds only the forking thread, so a lock another thread
     held at the fork would stay held in the child forever. With SIGCHLD
     ignored the kernel reaps the child itself, so its exit status is lost
     and its pid may be reused before this process could kill it.
     """
-    return (n >= MIN_ROWS and sys.platform == "linux"
+    return (rows >= minimum and sys.platform == "linux"
             and len(os.sched_getaffinity(0)) >= 2
             and threading.active_count() == 1
             and signal.getsignal(signal.SIGCHLD) != signal.SIG_IGN)
@@ -127,14 +136,20 @@ def _receive(pipe, sink) -> bool:
     return True
 
 
-def split_rows(n: int, work, sink) -> None:
-    """Append rows 0..n to ``sink`` as ``work(0, n)`` would.
+def split_rows(n: int, work, sink, weight: int = 1,
+               minimum: int | None = None) -> None:
+    """Append items 0..n to ``sink`` as ``work(0, n)`` would.
 
-    Splits the rows at n // 2 between this process and a forked child when
-    ``_splits(n)``. An exception from this process's half, the interrupt
-    included, kills and reaps the child before it propagates.
+    Each item is ``weight`` rows of work: a line or a trace row weighs 1,
+    a matrix run the steps of its horizon. Splits the items at n // 2
+    between this process and a forked child when there are two or more and
+    ``_splits(n * weight, minimum)``, where ``minimum`` is MIN_ROWS unless
+    given. An exception from this process's half, the interrupt included,
+    kills and reaps the child before it propagates.
     """
-    if not _splits(n):
+    if minimum is None:
+        minimum = MIN_ROWS
+    if n < 2 or not _splits(n * weight, minimum):
         work(0, n)
         return
     mid = n // 2

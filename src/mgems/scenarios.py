@@ -16,6 +16,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import _halves
+from ._kernel import ENERGY, N_COLUMNS
 from .dispatch import (HorizonArrays, check_balance, compare_values,
                        initial_state, price_threshold, run_arrays)
 from .metrics import SimulationReport, build_report, percent_change
@@ -193,36 +195,126 @@ def _deltas(base: SimulationReport, new: SimulationReport) -> dict[str, float | 
     return out
 
 
-def _run_one(inputs: Profile, config: MicrogridConfig):
-    trace = run_arrays(inputs, initial_state(config.battery), config)
-    check_balance(trace, inputs, config)
-    return trace, build_report(trace, inputs, config)
+def _failed(scenario_id: str, exc: Exception) -> ScenarioOutcome:
+    return ScenarioOutcome(
+        scenario_id=scenario_id, report=None, trace=None, inputs=None,
+        deltas={name: None for name in DELTA_METRICS}, error=str(exc))
+
+
+class _Runs:
+    """The kernel's traces of equal-length runs, filled in run order.
+
+    A ``split_rows`` sink whose marks count filled runs, as
+    ``profiles._Cells`` counts columns: a child's runs arrive as their
+    (n, 11) column blocks, read straight into arrays allocated here, so
+    each run still owns its trace array and no second copy is held. A run
+    whose kernel raised holds the exception instead. A child cannot send
+    one, so its half is redone in this process, which records the same
+    exception.
+    """
+
+    def __init__(self, runs: list[tuple[Profile, MicrogridConfig]],
+                 threshold: float | None):
+        self.runs = runs
+        self.threshold = threshold
+        # a trace, a received column block, or the exception a run raised
+        self.filled: list = []
+
+    def dispatch(self, lo: int, hi: int) -> None:
+        for inputs, config in self.runs[lo:hi]:
+            try:
+                result = run_arrays(inputs, initial_state(config.battery),
+                                    config, self.threshold)
+            except Exception as exc:  # noqa: BLE001 - kept for its run
+                result = exc
+            self.filled.append(result)
+
+    def tell(self) -> int:
+        return len(self.filled)
+
+    def rewind(self, mark: int) -> None:
+        del self.filled[mark:]
+
+    def since(self, mark: int) -> list[np.ndarray]:
+        sent = self.filled[mark:]
+        if not all(isinstance(trace, HorizonArrays) for trace in sent):
+            raise RuntimeError("a run that raised cannot be sent")
+        return [trace.columns for trace in sent]
+
+    def reserve(self, size: int) -> list[memoryview] | None:
+        # a child's half runs to the last run, so its payload must fill them
+        steps = len(self.runs[0][0])
+        k, extra = divmod(size, steps * N_COLUMNS * 8)
+        if extra or len(self.filled) + k != len(self.runs):
+            return None
+        blocks = [np.empty((steps, N_COLUMNS)) for _ in range(k)]
+        self.filled.extend(blocks)
+        return [memoryview(block).cast("B") for block in blocks]
+
+    def checked(self, i: int) -> tuple[HorizonArrays, SimulationReport]:
+        """Run i's checked trace and its report; raises what its kernel did."""
+        inputs, config = self.runs[i]
+        trace = self.filled[i]
+        if isinstance(trace, Exception):
+            raise trace
+        if isinstance(trace, np.ndarray):
+            # as run_arrays returns it: run_kernel's result is the last
+            # step's stored energy
+            trace = HorizonArrays(
+                columns=trace, grid_available=inputs.grid_available,
+                threshold=float(self.threshold),
+                initial_energy_kwh=float(
+                    initial_state(config.battery).energy_kwh),
+                final_energy_kwh=float(trace[-1, ENERGY]))
+        check_balance(trace, inputs, config)
+        return trace, build_report(trace, inputs, config)
 
 
 def run_matrix(inputs: Sequence[StepInput], config: MicrogridConfig,
                scenarios: Iterable[Scenario]) -> dict[str, ScenarioOutcome]:
     """Run the base case plus every scenario, returning outcomes by id.
 
-    Scenarios run one after another in the given order. Each outcome holds
-    its own Profile, which shares unchanged columns with the base inputs. A
-    failing scenario is reported in its outcome without aborting siblings.
+    Every scenario is applied first. Then the base run and each applied
+    scenario's run are dispatched at the base's threshold, resolved once:
+    a scenario changes neither the prices nor the EMS config. A long
+    matrix, counted in kernel steps, splits its runs between this process
+    and a forked child (see ``_halves.split_rows``). Last, this process
+    checks and reports every run in the given order. Each outcome holds
+    its own Profile, which shares unchanged columns with the base inputs,
+    and its own trace. A failing scenario is reported in its outcome
+    without aborting siblings; a failing base run raises.
     """
     base_inputs = Profile.from_steps(inputs)
-    base_trace, base_report = _run_one(base_inputs, config)
+    runs = [(base_inputs, config)]
+    applied = []   # per scenario: its position in runs, or what apply raised
+    for scenario in scenarios:
+        try:
+            runs.append(apply_scenario(base_inputs, config, scenario))
+            applied.append((scenario, len(runs) - 1))
+        except Exception as exc:  # noqa: BLE001 - isolate failing scenarios
+            applied.append((scenario, exc))
+    # an empty horizon has no percentile; run_arrays rejects it by name
+    threshold = (price_threshold(base_inputs.price, config.ems)
+                 if len(base_inputs) else None)
+    traces = _Runs(runs, threshold)
+    _halves.split_rows(len(runs), traces.dispatch, traces,
+                       weight=len(base_inputs),
+                       minimum=_halves.MIN_KERNEL_STEPS)
+
+    base_trace, base_report = traces.checked(0)
     outcomes = {BASE_KEY: ScenarioOutcome(
         scenario_id=BASE_KEY, report=base_report, trace=base_trace,
         inputs=base_inputs, deltas={name: 0.0 for name in DELTA_METRICS})}
-
-    for scenario in scenarios:
+    for scenario, run in applied:
+        if isinstance(run, Exception):
+            outcomes[scenario.id] = _failed(scenario.id, run)
+            continue
         try:
-            s_inputs, s_config = apply_scenario(base_inputs, config, scenario)
-            trace, report = _run_one(s_inputs, s_config)
+            trace, report = traces.checked(run)
             outcome = ScenarioOutcome(
                 scenario_id=scenario.id, report=report, trace=trace,
-                inputs=s_inputs, deltas=_deltas(base_report, report))
+                inputs=runs[run][0], deltas=_deltas(base_report, report))
         except Exception as exc:  # noqa: BLE001 - isolate failing scenarios
-            outcome = ScenarioOutcome(
-                scenario_id=scenario.id, report=None, trace=None, inputs=None,
-                deltas={name: None for name in DELTA_METRICS}, error=str(exc))
+            outcome = _failed(scenario.id, exc)
         outcomes[scenario.id] = outcome
     return outcomes

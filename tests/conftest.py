@@ -40,8 +40,10 @@ SPLIT_THRESHOLDS = pytest.mark.parametrize("min_rows", [_halves.MIN_ROWS, 2])
 
 @contextlib.contextmanager
 def split_from(min_rows: int):
-    """split_rows forking from ``min_rows`` rows, as with two CPUs free."""
+    """split_rows forking from ``min_rows`` rows or kernel steps, as with
+    two CPUs free."""
     with mock.patch.object(_halves, "MIN_ROWS", min_rows), \
+            mock.patch.object(_halves, "MIN_KERNEL_STEPS", min_rows), \
             mock.patch.object(os, "sched_getaffinity", return_value={0, 1}):
         yield
 

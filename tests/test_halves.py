@@ -153,6 +153,15 @@ def test_a_failed_fork_leaves_both_halves_to_this_process():
     assert out.getvalue() == REFERENCE
 
 
+def test_a_single_item_is_never_split_however_heavy():
+    out = io.BytesIO()
+    with split_from(2), mock.patch.object(
+            os, "fork", side_effect=AssertionError("forked for one item")):
+        _halves.split_rows(1, lambda lo, hi: rows(lo, hi, out),
+                           _halves._Appended(out), weight=10**9)
+    assert out.getvalue() == b"row 0\n"
+
+
 def test_no_fork_while_sigchld_is_ignored():
     previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
     try:

@@ -1,12 +1,21 @@
 """Scenario construction, application, and matrix orchestration tests."""
 
+import contextlib
 import dataclasses
+import os
+import signal
+import struct
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mgems.dispatch import initial_state, run_arrays
+from mgems import _halves, dispatch, scenarios
+from mgems._kernel import ENERGY, IMPORT, N_COLUMNS
+from mgems.cli import main, matrix_csv_bytes, report_json_bytes
+from mgems.dispatch import initial_state, price_threshold, run_arrays
+from mgems.errors import BalanceError
 from mgems.metrics import accumulate, renewable_fraction
 from mgems.model import EmsConfig
 from mgems.profiles import Profile, StepInput
@@ -14,7 +23,7 @@ from mgems.scenarios import (BASE_KEY, BUILTIN_IDS, IDENTITY_SCENARIO,
                              OutageSpec, Scenario, apply_scenario,
                              builtin_scenario, run_matrix, validate_scenario)
 
-from conftest import make_config
+from conftest import data_path, make_config, split_from
 
 
 def day(n=24, demand=100.0, price=0.2, pv=50.0, wind=10.0):
@@ -313,3 +322,291 @@ def test_apply_scenario_outage_leaves_the_base_profile_unchanged():
     scaled, _ = apply_scenario(inputs, config, scenario)
     assert list(scaled.grid_available[:6]) == [1, 1, 0, 0, 0, 1]
     assert inputs.grid_available.all()
+
+
+# A matrix over the example day that mixes multiplier scenarios, an
+# explicit outage, a default-start outage (S3) and one window the day
+# rejects: base plus six runs, so a split leaves three runs here and sends
+# four from the child.
+MIXED = [builtin_scenario("S1"), builtin_scenario("S2"),
+         Scenario(id="window", outage=OutageSpec(start_step=5,
+                                                 duration_steps=4)),
+         Scenario(id="late", outage=OutageSpec(start_step=20,
+                                               duration_steps=6)),
+         builtin_scenario("S3"), builtin_scenario("S4"),
+         Scenario(id="mixed", demand_multiplier=1.1, pv_multiplier=0.9,
+                  wind_multiplier=1.2, fuel_price_multiplier=1.5)]
+
+
+def bits(value) -> bytes:
+    return struct.pack("<d", value)
+
+
+def assert_same_outcomes(got, want):
+    """Bit for bit: order, traces, their scalars, profiles and reports."""
+    assert list(got) == list(want)
+    order = list(want)
+    assert matrix_csv_bytes(got, order) == matrix_csv_bytes(want, order)
+    for key, expected in want.items():
+        outcome = got[key]
+        assert outcome.error == expected.error
+        if expected.trace is None:
+            assert outcome.trace is outcome.report is outcome.inputs is None
+            continue
+        trace, reference = outcome.trace, expected.trace
+        assert trace.columns.shape == reference.columns.shape
+        assert trace.columns.tobytes() == reference.columns.tobytes()
+        assert trace.grid_available.tobytes() == \
+            reference.grid_available.tobytes()
+        for field in ("threshold", "initial_energy_kwh", "final_energy_kwh"):
+            assert bits(getattr(trace, field)) == \
+                bits(getattr(reference, field))
+        assert trace.final_energy_kwh == reference.columns[-1, ENERGY]
+        for column in ("demand_kw", "price", "grid_available", "pv_kw",
+                       "wind_kw"):
+            assert getattr(outcome.inputs, column).tobytes() == \
+                getattr(expected.inputs, column).tobytes()
+        assert report_json_bytes(outcome.report) == \
+            report_json_bytes(expected.report)
+
+
+def in_one_process(inputs, config, matrix):
+    with mock.patch.object(os, "fork",
+                           side_effect=AssertionError("forked")):
+        return run_matrix(inputs, config, matrix)
+
+
+def split_once(inputs, config, matrix):
+    with split_from(2), mock.patch.object(os, "fork", wraps=os.fork) as fork:
+        outcomes = run_matrix(inputs, config, matrix)
+    assert fork.call_count == 1
+    return outcomes
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_split_matrix_equals_the_one_process_matrix(example_config,
+                                                      example_inputs):
+    config = example_config.config
+    one = in_one_process(example_inputs, config, MIXED)
+    assert [key for key, o in one.items() if o.error] == ["late"]
+    assert_same_outcomes(split_once(example_inputs, config, MIXED), one)
+    assert_no_child_left()
+
+
+def _child_does(action):
+    """Patch the matrix's run_arrays to call ``action`` in the child only."""
+    parent = os.getpid()
+    real = scenarios.run_arrays
+
+    def run(*args, **kwargs):
+        if os.getpid() != parent:
+            action()
+        return real(*args, **kwargs)
+    return mock.patch.object(scenarios, "run_arrays", run)
+
+
+def _raise():
+    raise RuntimeError("the child's run failed")
+
+
+@contextlib.contextmanager
+def _child_sends_a_run_less(steps, claimed):
+    """The child sends all its runs but the last, then exits 0; its length
+    header claims them all or only what it sends."""
+    real_since, length = scenarios._Runs.since, _halves._LENGTH
+    missing = steps * N_COLUMNS * 8 if claimed else 0
+
+    class Header:
+        size, unpack = length.size, length.unpack
+
+        @staticmethod
+        def pack(size):
+            return length.pack(size + missing)
+
+    with mock.patch.object(scenarios._Runs, "since",
+                           lambda self, mark: real_since(self, mark)[:-1]), \
+            mock.patch.object(_halves, "_LENGTH", Header):
+        yield
+
+
+@pytest.mark.parametrize("failure", ["sigkill", "exit-3", "raises",
+                                     "short-payload", "a-run-less"])
+def test_a_failed_child_leaves_the_same_outcomes(example_config,
+                                                 example_inputs, failure):
+    config = example_config.config
+    one = in_one_process(example_inputs, config, MIXED)
+    if failure in ("short-payload", "a-run-less"):
+        patch = _child_sends_a_run_less(len(example_inputs),
+                                        claimed=failure == "short-payload")
+    else:
+        patch = _child_does({
+            "sigkill": lambda: os.kill(os.getpid(), signal.SIGKILL),
+            "exit-3": lambda: os._exit(3),
+            "raises": _raise}[failure])
+    with patch:
+        assert_same_outcomes(split_once(example_inputs, config, MIXED), one)
+    assert_no_child_left()
+
+
+def _kernel_failing_for(demand0, error):
+    """A _kernel_run that raises ``error`` for the run whose first demand
+    is ``demand0`` and runs the kernel for every other."""
+    real = dispatch._kernel_run
+
+    def kernel(demand, *args):
+        if demand[0] == demand0:
+            raise error
+        return real(demand, *args)
+    return mock.patch.object(dispatch, "_kernel_run", kernel)
+
+
+# first: run 1, in this process's half; last: run 7, in the child's
+@pytest.mark.parametrize("position", ["first", "last"])
+def test_a_scenario_whose_kernel_raises_fails_alone(example_config,
+                                                    example_inputs, position):
+    config = example_config.config
+    boom = Scenario(id="boom", demand_multiplier=1.07)
+    matrix = [boom] + MIXED if position == "first" else MIXED + [boom]
+    demand0 = example_inputs.demand_kw[0] * 1.07
+    clean = in_one_process(example_inputs, config, MIXED)
+    with _kernel_failing_for(demand0, RuntimeError("kernel failed here")):
+        one = in_one_process(example_inputs, config, matrix)
+        two = split_once(example_inputs, config, matrix)
+    assert_same_outcomes(two, one)
+    assert one["boom"].error == "kernel failed here"
+    assert one["boom"].report is None and one["boom"].trace is None
+    del one["boom"]
+    assert_same_outcomes(one, clean)
+    assert_no_child_left()
+
+
+def _base_fault(fault):
+    """A _kernel_run whose first call in this process, the base run, fails."""
+    parent = os.getpid()
+    real = dispatch._kernel_run
+    calls = []
+
+    def kernel(*args):
+        final = real(*args)
+        if os.getpid() == parent and not calls:
+            calls.append(1)
+            if fault == "raises":
+                raise ValueError("the base run's kernel failed")
+            args[-1][0, IMPORT] += 1.0   # breaks the power balance
+        return final
+    return mock.patch.object(dispatch, "_kernel_run", kernel)
+
+
+@pytest.mark.parametrize("split", [False, True])
+@pytest.mark.parametrize("fault,error,message,exit_code", [
+    ("unbalanced", BalanceError, "power balance residual", 4),
+    ("raises", ValueError, "the base run's kernel failed", 2),
+])
+def test_a_failing_base_run_propagates(example_config, example_inputs,
+                                       tmp_path, capsys, split, fault, error,
+                                       message, exit_code):
+    config = example_config.config
+    with _base_fault(fault), pytest.raises(error, match=message):
+        if split:
+            split_once(example_inputs, config, MIXED)
+        else:
+            in_one_process(example_inputs, config, MIXED)
+    assert_no_child_left()
+    with _base_fault(fault), (split_from(2) if split
+                              else contextlib.nullcontext()):
+        code = main(["scenarios", "--config",
+                     str(data_path("example_config.ini")), "--profile",
+                     str(data_path("example_day.csv")), "--out",
+                     str(tmp_path / "out"), "--scenarios", "all"])
+    assert code == exit_code
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert_no_child_left()
+
+
+def _varied_day():
+    rng = np.random.default_rng(23)
+    return Profile(demand_kw=rng.uniform(50, 250, 48),
+                   price=rng.uniform(0.05, 0.4, 48),
+                   grid_available=np.ones(48, np.uint8),
+                   pv_kw=rng.uniform(0, 200, 48),
+                   wind_kw=rng.uniform(0, 80, 48))
+
+
+@pytest.mark.parametrize("split", [False, True])
+@pytest.mark.parametrize("ems", [
+    EmsConfig(threshold_mode="fixed-price", fixed_threshold=0.25),
+    EmsConfig(threshold_mode="price-percentile", percentile=0.75),
+    EmsConfig(threshold_mode="load-threshold", load_threshold_kw=150.0),
+], ids=lambda ems: ems.threshold_mode)
+def test_the_threshold_is_resolved_once_per_matrix(ems, split):
+    config = make_config(ems=ems)
+    inputs = _varied_day()
+    matrix = [builtin_scenario("S1"), builtin_scenario("S2"),
+              builtin_scenario("S4"),
+              Scenario(id="window", outage=OutageSpec(start_step=3,
+                                                      duration_steps=5))]
+    with mock.patch.object(scenarios, "price_threshold",
+                           wraps=price_threshold) as resolve, \
+            mock.patch.object(dispatch, "price_threshold",
+                              side_effect=AssertionError("resolved per run")):
+        if split:
+            outcomes = split_once(inputs, config, matrix)
+        else:
+            outcomes = in_one_process(inputs, config, matrix)
+    assert resolve.call_count == 1
+    threshold = price_threshold(inputs.price, config.ems)
+    assert [o.error for o in outcomes.values()] == [None] * 5
+    for outcome in outcomes.values():
+        assert bits(outcome.trace.threshold) == bits(threshold)
+        alone = run_arrays(outcome.inputs, initial_state(config.battery),
+                           config)
+        assert outcome.trace.columns.tobytes() == alone.columns.tobytes()
+        assert bits(outcome.trace.final_energy_kwh) == \
+            bits(alone.final_energy_kwh)
+    # the last step moves the battery, so a final energy read off any
+    # other step would differ
+    assert all(o.trace.columns[-1, ENERGY] != o.trace.columns[-2, ENERGY]
+               for o in outcomes.values())
+
+
+def test_a_default_start_outage_resolves_its_own_threshold():
+    config = make_config()
+    matrix = [builtin_scenario("S1"), builtin_scenario("S3"),
+              Scenario(id="S3-again", outage=OutageSpec(duration_steps=2))]
+    with mock.patch.object(scenarios, "price_threshold",
+                           wraps=price_threshold) as resolve:
+        run_matrix(_varied_day(), config, matrix)
+    assert resolve.call_count == 3
+
+
+@pytest.mark.parametrize("runs,splits", [(3, False), (4, True)])
+def test_the_matrix_splits_from_its_kernel_step_minimum(runs, splits):
+    steps = _halves.MIN_KERNEL_STEPS // 4
+    rng = np.random.default_rng(29)
+    inputs = Profile(demand_kw=rng.uniform(50, 250, steps),
+                     price=rng.uniform(0.05, 0.4, steps),
+                     grid_available=np.ones(steps, np.uint8),
+                     pv_kw=rng.uniform(0, 200, steps),
+                     wind_kw=rng.uniform(0, 80, steps))
+    matrix = [Scenario(id=f"D{k}", demand_multiplier=1 + k / 10)
+              for k in range(1, runs)]
+    with mock.patch.object(os, "sched_getaffinity", return_value={0, 1}), \
+            mock.patch.object(os, "fork", wraps=os.fork) as fork:
+        outcomes = run_matrix(inputs, make_config(), matrix)
+    assert fork.call_count == int(splits)
+    assert [o.error for o in outcomes.values()] == [None] * runs
+    assert_no_child_left()
+
+
+def test_the_example_days_matrix_stays_in_one_process(example_config,
+                                                      example_inputs):
+    with mock.patch.object(os, "sched_getaffinity", return_value={0, 1}):
+        outcomes = in_one_process(example_inputs, example_config.config,
+                                  [builtin_scenario(s) for s in BUILTIN_IDS]
+                                  + MIXED[2:4] + MIXED[-1:])
+    assert len(outcomes) == 8
