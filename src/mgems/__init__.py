@@ -17,8 +17,8 @@ from .metrics import (EconomicSummary, EmissionSummary, EnergyTotals,
 from .model import (BatterySpec, DieselSpec, EconomicsConfig, EmissionFactors,
                     EmsConfig, GridSpec, MicrogridConfig, PvSpec,
                     ValidationReport, WindSpec, validate_config)
-from .profiles import (Profile, ResourceProfile, ResourceRow, StepInput,
-                       load_profile, parse_profile, resource_to_inputs)
+from .profiles import (Profile, ResourceProfile, load_profile, parse_profile,
+                       resource_to_inputs)
 from .scenarios import (Scenario, ScenarioOutcome, apply_scenario,
                         builtin_scenario, run_matrix, validate_scenario)
 
@@ -26,8 +26,8 @@ __all__ = [
     "BACKEND", "BatterySpec", "BatteryState", "DieselSpec", "DispatchDecision",
     "EconomicSummary", "EconomicsConfig", "EmissionFactors", "EmissionSummary",
     "EmsConfig", "EnergyTotals", "GridSpec", "MicrogridConfig", "Profile",
-    "PvSpec", "ReliabilityStats", "ResourceProfile", "ResourceRow", "Scenario",
-    "ScenarioOutcome", "SimulationReport", "StepInput", "ValidationReport",
+    "PvSpec", "ReliabilityStats", "ResourceProfile", "Scenario",
+    "ScenarioOutcome", "SimulationReport", "ValidationReport",
     "WindSpec", "accumulate", "apply_scenario", "build_report",
     "builtin_scenario", "dispatch_step", "emissions", "initial_state", "lcoe",
     "load_profile", "npc", "operating_cost", "parse_profile",

@@ -27,7 +27,7 @@ from .errors import BalanceError, ConfigFileError, MgemsError, ProfileFormatErro
 from .metrics import build_report
 from .model import MicrogridConfig, validate_config
 from .profiles import (GENERATION_MODE, PRICE_CENTS, RESOURCE_MODE, Profile,
-                       StepInput, load_profile)
+                       load_profile)
 from .scenarios import (BASE_KEY, BUILTIN_IDS, DELTA_METRICS, OutageSpec,
                         Scenario, builtin_scenario, run_matrix,
                         validate_scenario)
@@ -124,7 +124,7 @@ _TRACE_CHUNK_ROWS = 1024
 _FLAG_CELLS = ("0", "1")
 
 
-def trace_csv_bytes(inputs: Sequence[StepInput], trace: HorizonArrays) -> bytes:
+def trace_csv_bytes(inputs: Profile, trace: HorizonArrays) -> bytes:
     """Per-step trace rows: inputs, allocation, SOC, threshold, and mode.
 
     The index is the step position; floats use the shortest round-trip repr.
@@ -132,7 +132,6 @@ def trace_csv_bytes(inputs: Sequence[StepInput], trace: HorizonArrays) -> bytes:
     into the output buffer; long traces write their two halves in two
     processes (see ``write_halves``).
     """
-    inputs = Profile.from_steps(inputs)
     threshold = repr(float(trace.threshold))
     tails = (f"{threshold},{ISLANDED}", f"{threshold},{GRID_CONNECTED}")
 
@@ -194,6 +193,8 @@ def _manifest_json_bytes(args, selection: tuple[str, ...] = ()) -> bytes:
 def _simulate_trace(inputs: Profile, config: MicrogridConfig,
                     outage: OutageSpec | None):
     if outage is not None:
+        # imported here, so each call finds the name the module holds now:
+        # a span tracer that wraps scenarios.apply_scenario sees this call
         from .scenarios import apply_scenario
         try:
             inputs, config = apply_scenario(
@@ -213,11 +214,11 @@ def cmd_simulate(args) -> int:
     try:
         inputs, config, trace = _simulate_trace(inputs, loaded.config,
                                                 _outage_override(args))
+        report = build_report(trace, inputs, config)
     except BalanceError as exc:
         raise _CommandError(EXIT_INVARIANT, f"internal invariant breach: {exc}")
     except ValueError as exc:
         raise _CommandError(EXIT_VALIDATION, str(exc))
-    report = build_report(trace, inputs, config)
     _write_outputs(Path(args.out), {
         "trace.csv": trace_csv_bytes(inputs, trace),
         "report.json": report_json_bytes(report),
@@ -231,13 +232,18 @@ def _select_scenarios(selection: str, loaded: LoadedConfig,
                       outage: OutageSpec | None) -> list[Scenario]:
     names: list[str]
     if selection.strip().lower() == "all":
-        names = list(BUILTIN_IDS) + sorted(loaded.scenarios)
+        # a custom section of a builtin's id runs in the builtin's place
+        names = list(BUILTIN_IDS) + sorted(set(loaded.scenarios)
+                                           - set(BUILTIN_IDS))
     else:
         names = [n.strip() for n in selection.split(",") if n.strip()]
         if not names:
             raise _CommandError(EXIT_VALIDATION, "empty scenario selection")
     result = []
-    for name in names:
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise _CommandError(EXIT_VALIDATION,
+                                f"scenario {name!r} is selected twice")
         if name == BASE_KEY:
             raise _CommandError(EXIT_VALIDATION,
                                 f"scenario name {BASE_KEY!r} is reserved")

@@ -2,6 +2,8 @@
 
 Keys match the model field names (lower_snake_case). Scenario overrides
 live in [scenario:NAME] sections; the built-ins S1-S4 need no definition.
+NAME, stripped, names the scenario's output directory, so it must be a
+plain directory name other than the base run's.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from .model import (BatterySpec, DieselSpec, EconomicsConfig, EmissionFactors,
                     EmsConfig, GridSpec, MicrogridConfig, POLLUTANTS, PvSpec,
                     WindSpec)
 from .profiles import PRICE_CENTS, PRICE_CURRENCY
-from .scenarios import OutageSpec, Scenario
+from .scenarios import BASE_KEY, OutageSpec, Scenario
 
 SCENARIO_PREFIX = "scenario:"
 
@@ -139,8 +141,24 @@ def _load_emissions(section: _Section) -> EmissionFactors:
         export_offset_enabled=section.flag("export_offset_enabled", False))
 
 
-def _load_scenario(parser: configparser.ConfigParser, name: str) -> Scenario:
-    section = _Section(parser, SCENARIO_PREFIX + name)
+def _scenario_name(section: str, taken: dict[str, Scenario]) -> str:
+    """The scenario id of a [scenario:NAME] section; ConfigFileError if it
+    cannot name its own directory under the output directory."""
+    name = section[len(SCENARIO_PREFIX):].strip()
+    if name in ("", ".", "..") or "/" in name or "\\" in name:
+        problem = "is not a plain directory name"
+    elif name == BASE_KEY:
+        problem = "is reserved for the base run"
+    elif name in taken:
+        problem = "is defined twice"
+    else:
+        return name
+    raise ConfigFileError(f"[{section}] scenario name {name!r} {problem}")
+
+
+def _load_scenario(parser: configparser.ConfigParser, section_name: str,
+                   name: str) -> Scenario:
+    section = _Section(parser, section_name)
     outage_start = section.opt_integer("outage_start")
     outage_steps = section.opt_integer("outage_steps")
     outage_hours = section.opt_number("outage_hours")
@@ -257,8 +275,9 @@ def load_config(path: str | Path) -> LoadedConfig:
         if name in known:
             continue
         if name.startswith(SCENARIO_PREFIX):
-            scenario_name = name[len(SCENARIO_PREFIX):].strip()
-            scenarios[scenario_name] = _load_scenario(parser, scenario_name)
+            scenario_name = _scenario_name(name, scenarios)
+            scenarios[scenario_name] = _load_scenario(parser, name,
+                                                      scenario_name)
         else:
             raise ConfigFileError(f"unknown section [{name}]")
 

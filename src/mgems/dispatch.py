@@ -1,7 +1,8 @@
 """EMS core: threshold resolution, horizon dispatch and its invariant check.
 
-The per-step allocation rule lives in one kernel, mgems._kernel.run_kernel;
-dispatch_step is a one-step horizon of it, not a second description.
+Every function here takes its horizon as a Profile. The per-step
+allocation rule lives in one kernel, mgems._kernel.run_kernel;
+dispatch_step runs it on a one-step Profile, not a second description.
 run_arrays calls it through the module global _kernel_run, which the
 benchmark's span tracer (perfbench/spans.py) wraps; BACKEND names the
 kernel in the benchmark's meta line.
@@ -21,7 +22,7 @@ from ._kernel import (CHARGE, CURTAILED, DG, DISCHARGE, ENERGY, EXPORT,
 from .errors import BalanceError
 from .model import (THRESHOLD_FIXED, THRESHOLD_LOAD, THRESHOLD_PERCENTILE,
                     BatterySpec, EmsConfig, MicrogridConfig)
-from .profiles import Profile, StepInput
+from .profiles import Profile
 
 BALANCE_TOLERANCE_KW = 1e-6
 BALANCE_RELATIVE = 8 * float(np.finfo(np.float64).eps)
@@ -144,14 +145,13 @@ def compare_values(inputs: Profile, ems: EmsConfig) -> np.ndarray:
     return inputs.price
 
 
-def run_arrays(inputs: Sequence[StepInput], initial: BatteryState,
+def run_arrays(inputs: Profile, initial: BatteryState,
                config: MicrogridConfig,
                threshold: float | None = None) -> HorizonArrays:
     """Dispatch a horizon and return the trace as arrays.
 
     The threshold is resolved from the full price sequence unless given.
     """
-    inputs = Profile.from_steps(inputs)
     if not len(inputs):
         raise ValueError("empty horizon")
     if threshold is None:
@@ -173,18 +173,17 @@ def run_arrays(inputs: Sequence[StepInput], initial: BatteryState,
                          final_energy_kwh=float(final_energy))
 
 
-def balance_residuals(trace: HorizonArrays,
-                      inputs: Sequence[StepInput]) -> np.ndarray:
+def balance_residuals(trace: HorizonArrays, inputs: Profile) -> np.ndarray:
     """Per-step power-balance residual, generation side minus load side."""
     cols = trace.columns
-    demand = Profile.from_steps(inputs).demand_kw
+    demand = inputs.demand_kw
     supply = (cols[:, PV_USED] + cols[:, WIND_USED] + cols[:, DISCHARGE]
               + cols[:, DG] + cols[:, IMPORT])
     load = (demand - cols[:, UNSERVED]) + cols[:, CHARGE] + cols[:, EXPORT]
     return supply - load
 
 
-def check_balance(trace: HorizonArrays, inputs: Sequence[StepInput],
+def check_balance(trace: HorizonArrays, inputs: Profile,
                   config: MicrogridConfig) -> None:
     """Raise BalanceError at the first step that breaks a dispatch invariant.
 
@@ -206,7 +205,7 @@ def check_balance(trace: HorizonArrays, inputs: Sequence[StepInput],
     # the tolerance is never below its absolute part: scale only the rest
     suspect = np.flatnonzero(~(residuals <= BALANCE_TOLERANCE_KW))
     if len(suspect):
-        demand = np.abs(Profile.from_steps(inputs).demand_kw[suspect])
+        demand = np.abs(inputs.demand_kw[suspect])
         largest = np.maximum(np.abs(flows[suspect]).max(axis=1), demand)
         tolerance = BALANCE_TOLERANCE_KW + BALANCE_RELATIVE * largest
         unbalanced = ~(residuals[suspect] <= tolerance)
@@ -240,8 +239,15 @@ def check_balance(trace: HorizonArrays, inputs: Sequence[StepInput],
             raise BalanceError(f"{name} at step {int(step)}")
 
 
-def dispatch_step(state: BatteryState, inp: StepInput, threshold: float,
+def dispatch_step(state: BatteryState, step: Profile, threshold: float,
                   config: MicrogridConfig) -> tuple[DispatchDecision, BatteryState]:
-    """Allocate one step and advance the battery state (a one-step horizon)."""
-    trace = run_arrays([inp], state, config, threshold)
+    """Allocate one step and advance the battery state.
+
+    ``step`` is a one-step horizon, such as ``profile[i:i + 1]``; any other
+    length raises ValueError.
+    """
+    if len(step) != 1:
+        raise ValueError(f"dispatch_step needs a one-step profile, "
+                         f"got {len(step)} steps")
+    trace = run_arrays(step, state, config, threshold)
     return trace.decision(0), trace.state(0)

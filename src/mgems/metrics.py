@@ -10,8 +10,8 @@ single-day fixture therefore counts 365 times.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from ._kernel import (CHARGE, CURTAILED, DG, DISCHARGE, EXPORT, IMPORT,
                       UNSERVED)
 from .dispatch import HorizonArrays
 from .model import POLLUTANTS, EmissionFactors, MicrogridConfig
-from .profiles import Profile, StepInput
+from .profiles import Profile
 
 HOURS_PER_YEAR = 8760.0
 
@@ -100,10 +100,9 @@ def _outage_runs(grid_available: np.ndarray) -> tuple[int, int]:
     return starts, steps
 
 
-def accumulate(trace: HorizonArrays, inputs: Sequence[StepInput],
+def accumulate(trace: HorizonArrays, inputs: Profile,
                dt_h: float) -> tuple[EnergyTotals, ReliabilityStats]:
     """Sum a dispatch trace into energy totals and reliability statistics."""
-    inputs = Profile.from_steps(inputs)
     if len(trace) != len(inputs):
         raise ValueError(
             f"trace length {len(trace)} != inputs length {len(inputs)}")
@@ -155,7 +154,7 @@ def fixed_annual_om(config: MicrogridConfig) -> float:
             + config.battery.capacity_kwh * config.battery.om_cost)
 
 
-def operating_cost(trace: HorizonArrays, inputs: Sequence[StepInput],
+def operating_cost(trace: HorizonArrays, inputs: Profile,
                    config: MicrogridConfig) -> float:
     """Operating cost of a trace treated as one year of operation.
 
@@ -163,9 +162,8 @@ def operating_cost(trace: HorizonArrays, inputs: Sequence[StepInput],
     produced energy, diesel running O&M, and the annual fixed O&M of PV,
     wind, and battery. Negative results (export-dominated) are permitted.
     """
-    return (_variable_cost_terms(trace.columns, Profile.from_steps(inputs),
-                                 config)
-            + fixed_annual_om(config))
+    return _variable_cost_terms(trace.columns, inputs, config) \
+        + fixed_annual_om(config)
 
 
 def npc(annual_cost: float, capex: float, discount_rate: float,
@@ -291,15 +289,16 @@ def project_npc(annual_operating_cost: float, config: MicrogridConfig) -> float:
     return base
 
 
-def build_report(trace: HorizonArrays, inputs: Sequence[StepInput],
+def build_report(trace: HorizonArrays, inputs: Profile,
                  config: MicrogridConfig) -> SimulationReport:
     """Aggregate a dispatch trace into the full simulation report.
 
     Economic and emission figures are per year: the trace's variable costs
     and energy flows scale by 8760 / horizon-hours before the annual fixed
-    O&M and lifetime cash flows are applied.
+    O&M and lifetime cash flows are applied. Raises ValueError naming the
+    first field that is not finite (lcoe and renewable_fraction may be
+    None), since report.json holds only finite numbers.
     """
-    inputs = Profile.from_steps(inputs)
     totals, reliability = accumulate(trace, inputs, config.step_hours)
     factor = HOURS_PER_YEAR / (len(inputs) * config.step_hours)
     annual_cost = (_variable_cost_terms(trace.columns, inputs, config) * factor
@@ -318,7 +317,7 @@ def build_report(trace: HorizonArrays, inputs: Sequence[StepInput],
     )
     annual_totals = EnergyTotals(
         **{name: value * factor for name, value in vars(totals).items()})
-    return SimulationReport(
+    report = SimulationReport(
         steps=len(inputs),
         step_hours=config.step_hours,
         threshold=trace.threshold,
@@ -328,3 +327,9 @@ def build_report(trace: HorizonArrays, inputs: Sequence[StepInput],
         economics=summary,
         emissions=emissions(annual_totals, config.emissions),
     )
+    for section, values in report.to_dict().items():
+        for name, value in (values.items() if isinstance(values, dict) else ()):
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"report field {section}.{name} is not "
+                                 f"finite: {value}")
+    return report

@@ -7,19 +7,17 @@ with a mandatory header (see GENERATION_HEADER / RESOURCE_HEADER).
 
 A parsed horizon is held column by column: a Profile (dispatch inputs) or a
 ResourceProfile (raw measurements) keeps one read-only array per field, so
-scenario runs can share the columns they do not change. Both also behave as
-sequences of per-step records (StepInput / ResourceRow) for callers that
-want rows.
+scenario runs can share the columns they do not change. A horizon has a
+length and slices into a shorter horizon that shares its columns; it is
+the only input type the other modules take.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
 from itertools import repeat
 from pathlib import Path
-from typing import ClassVar, Iterable
 
 import numpy as np
 
@@ -40,29 +38,6 @@ PRICE_CENTS = "cents_per_kwh"
 # reference irradiance (W/m^2) at which a PV array delivers rated output
 STANDARD_IRRADIANCE_WM2 = 1000.0
 
-@dataclass(frozen=True)
-class StepInput:
-    """One step's exogenous state: demand, price, and available generation."""
-
-    index: int
-    demand_kw: float
-    price: float          # currency/kWh
-    grid_available: bool
-    pv_kw: float
-    wind_kw: float
-
-
-@dataclass(frozen=True)
-class ResourceRow:
-    """One step's raw resource measurements before power conversion."""
-
-    index: int
-    demand_kw: float
-    price: float
-    grid_available: bool
-    irradiance_wm2: float
-    wind_speed_ms: float
-
 
 def _frozen_column(values, dtype) -> np.ndarray:
     """``values`` as a contiguous read-only 1-D array; writable input is copied."""
@@ -75,15 +50,12 @@ def _frozen_column(values, dtype) -> np.ndarray:
     return array
 
 
-class _Columns(Sequence):
-    """Sequence-of-rows behaviour shared by Profile and ResourceProfile.
+class _Columns:
+    """Column handling shared by Profile and ResourceProfile.
 
-    Subclasses are frozen dataclasses with the five per-step fields of their
-    row type after ``index``, in row order. Rows are built on demand; a row's
-    index is its position. Slices share the parent's columns.
+    Subclasses are frozen dataclasses with five per-step columns, all of
+    one length. Slices share the parent's columns.
     """
-
-    ROW: ClassVar[type]
 
     def __post_init__(self) -> None:
         length = None
@@ -97,71 +69,49 @@ class _Columns(Sequence):
                                  f"expected {length}")
             object.__setattr__(self, field.name, column)
 
-    def _arrays(self) -> tuple[np.ndarray, ...]:
-        return tuple(getattr(self, field.name) for field in fields(self))
-
-    @classmethod
-    def from_steps(cls, steps: Iterable):
-        """Coerce per-step records into columns; an instance passes through."""
-        if isinstance(steps, cls):
-            return steps
-        steps = list(steps)
-        return cls(**{field.name: [getattr(s, field.name) for s in steps]
-                      for field in fields(cls)})
-
     def __len__(self) -> int:
         return len(self.demand_kw)
 
-    def __getitem__(self, key):
-        if isinstance(key, slice):
-            return replace(self, **{field.name: getattr(self, field.name)[key]
-                                    for field in fields(self)})
-        i = range(len(self))[key]
-        d, p, g, a, b = self._arrays()
-        return self.ROW(i, float(d[i]), float(p[i]), bool(g[i]), float(a[i]),
-                        float(b[i]))
-
-    def __iter__(self):
-        d, p, g, a, b = (column.tolist() for column in self._arrays())
-        return map(self.ROW, range(len(d)), d, p, map(bool, g), a, b)
+    def __getitem__(self, key: slice):
+        """The steps in ``key`` as a horizon sharing these columns."""
+        if not isinstance(key, slice):
+            raise TypeError(f"a horizon is sliced, not indexed: got {key!r}")
+        return replace(self, **{field.name: getattr(self, field.name)[key]
+                                for field in fields(self)})
 
     def __eq__(self, other):
-        """Equal to the same type with equal columns, or to a list of its rows."""
-        if isinstance(other, type(self)):
-            return all(np.array_equal(a, b) for a, b in
-                       zip(self._arrays(), other._arrays()))
-        if isinstance(other, (list, tuple)):
-            return list(self) == list(other)
-        return NotImplemented
+        """Equal to the same type with equal columns."""
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, field.name),
+                                  getattr(other, field.name))
+                   for field in fields(self))
 
 
 @dataclass(frozen=True, eq=False)
 class Profile(_Columns):
-    """A horizon of dispatch inputs: one read-only array per StepInput field.
+    """A horizon of dispatch inputs, one read-only array per field.
 
-    Float columns are float64; grid_available is uint8 (1 = available).
+    Float columns are float64; grid_available is uint8 (1 = available);
+    price is in currency/kWh.
     """
 
     demand_kw: np.ndarray
-    price: np.ndarray     # currency/kWh
+    price: np.ndarray
     grid_available: np.ndarray
     pv_kw: np.ndarray
     wind_kw: np.ndarray
 
-    ROW: ClassVar[type] = StepInput
-
 
 @dataclass(frozen=True, eq=False)
 class ResourceProfile(_Columns):
-    """A horizon of raw resource measurements, one array per ResourceRow field."""
+    """A horizon of raw resource measurements, one read-only array per field."""
 
     demand_kw: np.ndarray
     price: np.ndarray
     grid_available: np.ndarray
     irradiance_wm2: np.ndarray
     wind_speed_ms: np.ndarray
-
-    ROW: ClassVar[type] = ResourceRow
 
 
 # body lines the bulk parser converts at a time: a chunk's cell strings and
@@ -412,7 +362,7 @@ def _wind_power_column(speed_ms: np.ndarray, spec: WindSpec) -> np.ndarray:
     return power
 
 
-def resource_to_inputs(rows: Sequence[ResourceRow],
+def resource_to_inputs(resource: ResourceProfile,
                        config: MicrogridConfig) -> Profile:
     """Convert resource measurements to dispatch inputs via the component models.
 
@@ -420,16 +370,14 @@ def resource_to_inputs(rows: Sequence[ResourceRow],
     tests/resource_reference.py step by step; demand, price and availability
     columns pass through shared.
     """
-    rows = ResourceProfile.from_steps(rows)
-    return Profile(demand_kw=rows.demand_kw, price=rows.price,
-                   grid_available=rows.grid_available,
-                   pv_kw=_pv_power_column(rows.irradiance_wm2, config.pv),
-                   wind_kw=_wind_power_column(rows.wind_speed_ms, config.wind))
+    return Profile(demand_kw=resource.demand_kw, price=resource.price,
+                   grid_available=resource.grid_available,
+                   pv_kw=_pv_power_column(resource.irradiance_wm2, config.pv),
+                   wind_kw=_wind_power_column(resource.wind_speed_ms, config.wind))
 
 
-def convert_prices(records: Sequence[StepInput], price_unit: str) -> Profile:
+def convert_prices(profile: Profile, price_unit: str) -> Profile:
     """Normalize the price column to currency/kWh at ingestion."""
-    profile = Profile.from_steps(records)
     if price_unit == PRICE_CURRENCY:
         return profile
     if price_unit == PRICE_CENTS:
@@ -441,9 +389,7 @@ def load_profile(path: str | Path, mode: str, config: MicrogridConfig,
                  price_unit: str = PRICE_CURRENCY) -> Profile:
     """Read a profile file and return normalized dispatch inputs."""
     data = Path(path).read_bytes()
-    records = parse_profile(data, mode)
+    parsed = parse_profile(data, mode)
     if mode == RESOURCE_MODE:
-        inputs = resource_to_inputs(records, config)
-    else:
-        inputs = records
-    return convert_prices(inputs, price_unit)
+        parsed = resource_to_inputs(parsed, config)
+    return convert_prices(parsed, price_unit)

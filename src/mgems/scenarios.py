@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .dispatch import (HorizonArrays, check_balance, compare_values,
                        initial_state, price_threshold, run_arrays)
 from .metrics import SimulationReport, build_report, percent_change
 from .model import MicrogridConfig
-from .profiles import Profile, StepInput
+from .profiles import Profile
 
 BUILTIN_IDS = ("S1", "S2", "S3", "S4")
 
@@ -132,7 +132,7 @@ def _resolve_outage(outage: OutageSpec, inputs: Profile,
     return start, steps
 
 
-def apply_scenario(inputs: Sequence[StepInput], config: MicrogridConfig,
+def apply_scenario(inputs: Profile, config: MicrogridConfig,
                    scenario: Scenario) -> tuple[Profile, MicrogridConfig]:
     """Scale the profile and config per the scenario's condition changes.
 
@@ -143,7 +143,6 @@ def apply_scenario(inputs: Sequence[StepInput], config: MicrogridConfig,
     ValueError prefixed with the scenario id; its __cause__ is the error
     without the prefix.
     """
-    inputs = Profile.from_steps(inputs)
     grid_available = inputs.grid_available
     try:
         validate_scenario(scenario, config.step_hours)
@@ -270,7 +269,7 @@ class _Runs:
         return trace, build_report(trace, inputs, config)
 
 
-def run_matrix(inputs: Sequence[StepInput], config: MicrogridConfig,
+def run_matrix(inputs: Profile, config: MicrogridConfig,
                scenarios: Iterable[Scenario]) -> dict[str, ScenarioOutcome]:
     """Run the base case plus every scenario, returning outcomes by id.
 
@@ -284,27 +283,26 @@ def run_matrix(inputs: Sequence[StepInput], config: MicrogridConfig,
     and its own trace. A failing scenario is reported in its outcome
     without aborting siblings; a failing base run raises.
     """
-    base_inputs = Profile.from_steps(inputs)
-    runs = [(base_inputs, config)]
+    runs = [(inputs, config)]
     applied = []   # per scenario: its position in runs, or what apply raised
     for scenario in scenarios:
         try:
-            runs.append(apply_scenario(base_inputs, config, scenario))
+            runs.append(apply_scenario(inputs, config, scenario))
             applied.append((scenario, len(runs) - 1))
         except Exception as exc:  # noqa: BLE001 - isolate failing scenarios
             applied.append((scenario, exc))
     # an empty horizon has no percentile; run_arrays rejects it by name
-    threshold = (price_threshold(base_inputs.price, config.ems)
-                 if len(base_inputs) else None)
+    threshold = (price_threshold(inputs.price, config.ems)
+                 if len(inputs) else None)
     traces = _Runs(runs, threshold)
     _halves.split_rows(len(runs), traces.dispatch, traces,
-                       weight=len(base_inputs),
+                       weight=len(inputs),
                        minimum=_halves.MIN_KERNEL_STEPS)
 
     base_trace, base_report = traces.checked(0)
     outcomes = {BASE_KEY: ScenarioOutcome(
         scenario_id=BASE_KEY, report=base_report, trace=base_trace,
-        inputs=base_inputs, deltas={name: 0.0 for name in DELTA_METRICS})}
+        inputs=inputs, deltas={name: 0.0 for name in DELTA_METRICS})}
     for scenario, run in applied:
         if isinstance(run, Exception):
             outcomes[scenario.id] = _failed(scenario.id, run)

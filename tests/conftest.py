@@ -7,6 +7,7 @@ import importlib.resources
 import os
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from mgems import _halves
@@ -14,7 +15,7 @@ from mgems.configio import load_config
 from mgems.model import (BatterySpec, DieselSpec, EconomicsConfig,
                          EmissionFactors, EmsConfig, GridSpec,
                          MicrogridConfig, PvSpec, WindSpec)
-from mgems.profiles import load_profile
+from mgems.profiles import Profile, load_profile
 
 # hourly demand (kW) and real-time price (cents/kWh) of the example day
 DAY_DEMAND_KW = [
@@ -46,6 +47,14 @@ def split_from(min_rows: int):
             mock.patch.object(_halves, "MIN_KERNEL_STEPS", min_rows), \
             mock.patch.object(os, "sched_getaffinity", return_value={0, 1}):
         yield
+
+
+def horizon(demand=0.0, price=0.0, grid=True, pv=0.0, wind=0.0) -> Profile:
+    """A Profile of the given columns; a scalar repeats to the columns'
+    length, and all-scalar arguments make one step."""
+    columns = (demand, price, grid, pv, wind)
+    n = max((len(c) for c in columns if np.ndim(c)), default=1)
+    return Profile(*(np.broadcast_to(c, n) for c in columns))
 
 
 def make_config(**overrides) -> MicrogridConfig:

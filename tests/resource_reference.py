@@ -6,30 +6,28 @@ mgems.profiles (resource_to_inputs) to reproduce them bit for bit, so do
 not edit them to make a change there pass: a change here is a change of
 the component models, and so of the program's output.
 
-serialize_profile writes records back to the CSV wire format that
+serialize_profile writes a profile back to the CSV wire format that
 mgems.profiles.parse_profile reads, for round-trip tests.
 """
 
 import io
 
 from mgems.profiles import (GENERATION_HEADER, RESOURCE_HEADER,
-                            STANDARD_IRRADIANCE_WM2, ResourceRow)
+                            STANDARD_IRRADIANCE_WM2, ResourceProfile)
 
 
-def serialize_profile(records):
-    """Write records back to the CSV wire format (inverse of parse_profile)."""
+def serialize_profile(profile):
+    """Write a profile's columns back to the CSV wire format (inverse of
+    parse_profile)."""
     out = io.StringIO()
-    if records and isinstance(records[0], ResourceRow):
+    if isinstance(profile, ResourceProfile):
         header = RESOURCE_HEADER
-        fields = ("irradiance_wm2", "wind_speed_ms")
     else:
         header = GENERATION_HEADER
-        fields = ("pv_kw", "wind_kw")
     out.write(",".join(header) + "\n")
-    for rec in records:
-        out.write(f"{rec.index},{rec.demand_kw!r},{rec.price!r},"
-                  f"{1 if rec.grid_available else 0},"
-                  f"{getattr(rec, fields[0])!r},{getattr(rec, fields[1])!r}\n")
+    columns = (getattr(profile, name).tolist() for name in header[1:])
+    for i, (demand, price, grid, a, b) in enumerate(zip(*columns)):
+        out.write(f"{i},{demand!r},{price!r},{grid},{a!r},{b!r}\n")
     return out.getvalue().encode("utf-8")
 
 

@@ -20,7 +20,7 @@ from mgems.metrics import (EnergyTotals, accumulate, build_report,
                            emissions, lcoe, npc, percent_change,
                            renewable_fraction)
 from mgems.model import EmissionFactors, EmsConfig
-from mgems.profiles import StepInput
+from mgems.profiles import Profile
 from mgems.scenarios import (IDENTITY_SCENARIO, OutageSpec, apply_scenario,
                              builtin_scenario, run_matrix)
 from mgems._kernel import CHARGE, DG, DISCHARGE, EXPORT, IMPORT, SOC
@@ -64,13 +64,10 @@ def random_valid_config(rng):
 
 
 def random_inputs(rng, n):
-    return [StepInput(index=i,
-                      demand_kw=float(rng.uniform(0, 350)),
-                      price=float(rng.uniform(0, 0.6)),
-                      grid_available=bool(rng.random() > 0.25),
-                      pv_kw=float(rng.uniform(0, 280)),
-                      wind_kw=float(rng.uniform(0, 160)))
-            for i in range(n)]
+    # drawn step by step, so each seed gives the same horizon as ever
+    return Profile(*zip(*[(rng.uniform(0, 350), rng.uniform(0, 0.6),
+                           rng.random() > 0.25, rng.uniform(0, 280),
+                           rng.uniform(0, 160)) for _ in range(n)]))
 
 
 def test_c1_balance_invariant_suite():
@@ -115,7 +112,7 @@ def _candidates(upper):
     return values
 
 
-def oracle_allocation(inp, energy, threshold, config):
+def oracle_allocation(step, energy, threshold, config):
     """Exhaustive search over feasible allocations, picked by rule priority.
 
     Independent of the dispatch implementation: enumerates battery/grid/DG
@@ -125,7 +122,11 @@ def oracle_allocation(inp, energy, threshold, config):
     remainder is unserved or curtailed. Note this is an order check, not an
     optimality check: with a diesel minimum-loading floor, serving the
     battery first can strand load a different allocation would have served.
+    ``step`` is a one-step Profile.
     """
+    demand, price, pv, wind = (float(column[0]) for column in (
+        step.demand_kw, step.price, step.pv_kw, step.wind_kw))
+    grid_available = bool(step.grid_available[0])
     b, grid, diesel = config.battery, config.grid, config.diesel
     dt = config.step_hours
     sqrt_eta = math.sqrt(b.roundtrip_efficiency)
@@ -133,9 +134,9 @@ def oracle_allocation(inp, energy, threshold, config):
     e_max = b.soc_max * b.capacity_kwh
     eff_chg = min(b.max_charge_kw, max(0.0, (e_max - energy) / (sqrt_eta * dt)))
     eff_dis = min(b.max_discharge_kw, max(0.0, (energy - e_min) * sqrt_eta / dt))
-    ren = inp.pv_kw + inp.wind_kw
-    sur = ren - inp.demand_kw
-    discharging_regime = inp.price > threshold
+    ren = pv + wind
+    sur = ren - demand
+    discharging_regime = price > threshold
 
     best = None
     best_key = None
@@ -143,10 +144,10 @@ def oracle_allocation(inp, energy, threshold, config):
         # load fully served; surplus splits into charge/export/curtail.
         # charging is allowed only outside the discharge regime (and the
         # battery never discharges into export), so dis = dg = imp = uns = 0.
-        may_charge = (not inp.grid_available) or (not discharging_regime)
+        may_charge = (not grid_available) or (not discharging_regime)
         for chg in _candidates(min(sur, eff_chg) if may_charge else 0.0):
             exp_cap = min(grid.export_limit_kw, sur - chg) \
-                if inp.grid_available else 0.0
+                if grid_available else 0.0
             for exp in _candidates(exp_cap):
                 curt = (sur - chg) - exp
                 if curt < -1e-9:
@@ -161,7 +162,7 @@ def oracle_allocation(inp, energy, threshold, config):
     else:
         deficit = -sur
         for dis in _candidates(min(deficit, eff_dis)):
-            if inp.grid_available:
+            if grid_available:
                 for imp in _candidates(min(grid.import_limit_kw, deficit - dis)):
                     uns = (deficit - dis) - imp
                     if uns < -1e-9:
@@ -184,7 +185,7 @@ def oracle_allocation(inp, energy, threshold, config):
                         best = (dis, 0.0, dg, 0.0, 0.0, max(uns, 0.0), 0.0)
         dis, chg, dg, imp, exp, uns, curt = best
     used = ren - curt
-    pv_used = min(inp.pv_kw, used)
+    pv_used = min(pv, used)
     energy_after = energy + chg * sqrt_eta * dt - (dis / sqrt_eta) * dt
     return {
         "pv_used_kw": pv_used, "wind_used_kw": used - pv_used,
@@ -223,19 +224,17 @@ def test_c2_oracle_equivalence_on_quantized_horizons():
     for _ in range(1_000):
         config = quantized_config(rng)
         n = int(rng.integers(1, 9))
-        inputs = [StepInput(index=i,
-                            demand_kw=float(rng.integers(0, 13)),
-                            price=float(rng.choice([0.1, 0.25, 0.4])),
-                            grid_available=bool(rng.random() > 0.3),
-                            pv_kw=float(rng.integers(0, 7)),
-                            wind_kw=float(rng.integers(0, 7)))
-                  for i in range(n)]
+        inputs = Profile(*zip(*[
+            (rng.integers(0, 13), rng.choice([0.1, 0.25, 0.4]),
+             rng.random() > 0.3, rng.integers(0, 7), rng.integers(0, 7))
+            for _ in range(n)]))
         state = initial_state(config.battery)
         oracle_energy = state.energy_kwh
-        for inp in inputs:
-            decision, state = dispatch_step(state, inp, 0.25, config)
+        for i in range(n):
+            step = inputs[i:i + 1]
+            decision, state = dispatch_step(state, step, 0.25, config)
             expected, oracle_energy = oracle_allocation(
-                inp, oracle_energy, 0.25, config)
+                step, oracle_energy, 0.25, config)
             for field, value in expected.items():
                 if abs(getattr(decision, field) - value) > 1e-9:
                     mismatches += 1
@@ -266,29 +265,31 @@ def peak_shaving_oracle(inputs, config):
     replays the rule set with plain bookkeeping to predict the managed
     import peak. Never calls the dispatch implementation.
     """
-    prices = [s.price for s in inputs]
+    prices = inputs.price.tolist()
     threshold = sorted(prices)[math.floor(0.75 * (len(prices) - 1))]
+    steps = list(zip(range(len(inputs)), inputs.demand_kw.tolist(), prices,
+                     inputs.pv_kw.tolist(), inputs.wind_kw.tolist()))
     b = config.battery
     sqrt_eta = math.sqrt(b.roundtrip_efficiency)
     band = b.soc_max - b.soc_min
     evening = range(17, 21)  # steps for hours 18..21 of the day
     deficit_sum = sum(
-        max(0.0, s.demand_kw - s.pv_kw - s.wind_kw)
-        for s in inputs if s.index in evening and s.price > threshold)
+        max(0.0, demand - pv - wind) for index, demand, price, pv, wind
+        in steps if index in evening and price > threshold)
     capacity = deficit_sum / (band * sqrt_eta)
 
     swing = 0.0                      # stored kWh above the lower bound
     swing_max = band * capacity
     peak_import = 0.0
-    for s in inputs:
-        ren = s.pv_kw + s.wind_kw
-        if ren >= s.demand_kw:
-            sur = ren - s.demand_kw
-            if s.price <= threshold:
+    for _, demand, price, pv, wind in steps:
+        ren = pv + wind
+        if ren >= demand:
+            sur = ren - demand
+            if price <= threshold:
                 room = (swing_max - swing) / sqrt_eta
                 swing += min(sur, b.max_charge_kw, room) * sqrt_eta
         else:
-            deficit = s.demand_kw - ren
+            deficit = demand - ren
             give = min(deficit, b.max_discharge_kw, swing * sqrt_eta)
             swing -= give / sqrt_eta
             peak_import = max(peak_import, deficit - give)
@@ -437,13 +438,11 @@ def test_c7_scenario_matrix():
         ems=EmsConfig(threshold_mode="fixed-price", fixed_threshold=0.25))
     for _ in range(100):
         n = int(rng.integers(4, 26))
-        fixture = [StepInput(index=i,
-                             demand_kw=float(rng.uniform(10, 250)),
-                             price=float(rng.uniform(0, 0.5)),
-                             grid_available=True,
-                             pv_kw=float(rng.uniform(0, 250)),
-                             wind_kw=float(rng.uniform(0, 120)))
-                   for i in range(n)]
+        demand, price, pv, wind = zip(*[
+            (rng.uniform(10, 250), rng.uniform(0, 0.5), rng.uniform(0, 250),
+             rng.uniform(0, 120)) for _ in range(n)])
+        fixture = Profile(demand_kw=demand, price=price,
+                          grid_available=np.ones(n), pv_kw=pv, wind_kw=wind)
         scaled, s2_config = apply_scenario(fixture, relaxed, s2)
         base_totals, _ = accumulate(
             run_arrays(fixture, initial_state(relaxed.battery), relaxed),
@@ -469,10 +468,8 @@ def synthetic_year(rng, n=8760):
     wind = rng.uniform(0, 120, n)
     price = rng.uniform(0.05, 0.45, n)
     grid_ok = rng.random(n) > 0.01
-    return [StepInput(index=i, demand_kw=float(max(0.0, demand[i])),
-                      price=float(price[i]), grid_available=bool(grid_ok[i]),
-                      pv_kw=float(pv[i]), wind_kw=float(wind[i]))
-            for i in range(n)]
+    return Profile(demand_kw=np.maximum(0.0, demand), price=price,
+                   grid_available=grid_ok, pv_kw=pv, wind_kw=wind)
 
 
 def test_c8_performance_year_and_matrix():

@@ -6,8 +6,8 @@ PUBLIC_NAMES = {
     "BACKEND", "BatterySpec", "BatteryState", "DieselSpec", "DispatchDecision",
     "EconomicSummary", "EconomicsConfig", "EmissionFactors", "EmissionSummary",
     "EmsConfig", "EnergyTotals", "GridSpec", "MicrogridConfig", "Profile",
-    "PvSpec", "ReliabilityStats", "ResourceProfile", "ResourceRow", "Scenario",
-    "ScenarioOutcome", "SimulationReport", "StepInput", "ValidationReport",
+    "PvSpec", "ReliabilityStats", "ResourceProfile", "Scenario",
+    "ScenarioOutcome", "SimulationReport", "ValidationReport",
     "WindSpec", "accumulate", "apply_scenario", "build_report",
     "builtin_scenario", "dispatch_step", "emissions", "initial_state", "lcoe",
     "load_profile", "npc", "operating_cost", "parse_profile",

@@ -2,12 +2,15 @@
 
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from mgems.cli import main, report_json_bytes
+from mgems.configio import load_config
 from mgems.dispatch import initial_state, run_arrays
+from mgems.errors import ConfigFileError
 from mgems.metrics import build_report
 
 from conftest import data_path
@@ -414,3 +417,132 @@ def test_simulate_rejects_a_non_finite_profile_index(fixture_args, capsys,
                    "--out", out / "run") == 2
     assert "line 4, column index: must be finite, got nan" in capsys.readouterr().err
     assert not (out / "run").exists()
+
+
+def with_sections(config, out, sections):
+    """A copy of the config file with ``sections`` appended."""
+    custom = out / "custom.ini"
+    custom.write_text(Path(config).read_text() + "\n" + sections)
+    return custom
+
+
+@pytest.mark.parametrize("section,name,problem", [
+    ("scenario:../escaped", "../escaped", "is not a plain directory name"),
+    ("scenario:", "", "is not a plain directory name"),
+    ("scenario:.", ".", "is not a plain directory name"),
+    ("scenario: .. ", "..", "is not a plain directory name"),
+    ("scenario:a\\b", "a\\b", "is not a plain directory name"),
+    ("scenario:base", "base", "is reserved for the base run"),
+])
+def test_validate_rejects_a_scenario_name_that_is_no_output_directory(
+        fixture_args, capsys, section, name, problem):
+    config, _, out = fixture_args
+    custom = with_sections(config, out, f"[{section}]\ndemand_multiplier = 2\n")
+    assert run_cli("validate", "--config", custom) == 2
+    captured = capsys.readouterr()
+    assert captured.err == \
+        f"error: [{section}] scenario name {name!r} {problem}\n"
+    assert "config: OK" not in captured.out
+    with pytest.raises(ConfigFileError, match=re.escape(f"[{section}]")):
+        load_config(custom)
+
+
+@pytest.mark.parametrize("section,name,problem", [
+    ("scenario:../escaped", "../escaped", "is not a plain directory name"),
+    ("scenario:base", "base", "is reserved for the base run"),
+])
+def test_scenarios_rejects_a_scenario_name_outside_its_directory(
+        fixture_args, capsys, section, name, problem):
+    config, profile, out = fixture_args
+    custom = with_sections(config, out, f"[{section}]\ndemand_multiplier = 2\n")
+    assert run_cli("scenarios", "--config", custom, "--profile", profile,
+                   "--out", out / "a" / "b", "--scenarios", "all") == 2
+    assert capsys.readouterr().err == \
+        f"error: [{section}] scenario name {name!r} {problem}\n"
+    assert not (out / "a" / "escaped").exists()
+    assert not (out / "a" / "b").exists()
+
+
+def test_scenario_names_that_match_after_stripping_are_one_name_twice(
+        fixture_args, capsys):
+    config, _, out = fixture_args
+    custom = with_sections(config, out, "[scenario:X]\ndemand_multiplier = 2\n"
+                           "[scenario: X]\ndemand_multiplier = 3\n")
+    assert run_cli("validate", "--config", custom) == 2
+    assert capsys.readouterr().err == \
+        "error: [scenario: X] scenario name 'X' is defined twice\n"
+
+
+def test_a_padded_scenario_section_reads_its_own_keys(fixture_args):
+    config, _, out = fixture_args
+    custom = with_sections(config, out, "[scenario: X ]\ndemand_multiplier = 2\n")
+    assert load_config(custom).scenarios["X"].demand_multiplier == 2.0
+
+
+def test_all_runs_a_custom_builtin_id_once_in_its_place(fixture_args, capsys):
+    config, profile, out = fixture_args
+    custom = with_sections(config, out, "[scenario:S1]\ndemand_multiplier = 2\n"
+                           "[scenario:A]\npv_multiplier = 0.5\n")
+    assert run_cli("scenarios", "--config", custom, "--profile", profile,
+                   "--out", out / "runs", "--scenarios", "all") == 0
+    assert capsys.readouterr().out == \
+        f"ran base + 5 scenario(s) -> {out / 'runs'}\n"
+    matrix = (out / "runs" / "matrix.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in matrix[1:]] == \
+        ["S1", "S2", "S3", "S4", "A"]
+    manifest = json.loads((out / "runs" / "manifest.json").read_text())
+    assert manifest["scenario_selection"] == ["S1", "S2", "S3", "S4", "A"]
+    # the custom S1 doubles demand; the builtin S1 adds 5%
+    base = json.loads((out / "runs" / "base" / "report.json").read_text())
+    s1 = json.loads((out / "runs" / "S1" / "report.json").read_text())
+    assert s1["energy"]["served_kwh"] + s1["energy"]["unserved_kwh"] == \
+        pytest.approx(2 * (base["energy"]["served_kwh"]
+                           + base["energy"]["unserved_kwh"]))
+
+
+def test_a_selection_that_names_an_id_twice_exits_2(fixture_args, capsys):
+    config, profile, out = fixture_args
+    assert run_cli("scenarios", "--config", config, "--profile", profile,
+                   "--out", out / "runs", "--scenarios", "S1,S2, S1") == 2
+    assert capsys.readouterr().err == "error: scenario 'S1' is selected twice\n"
+    assert not (out / "runs").exists()
+
+
+def huge_pv_capital_cost(config, out):
+    custom = out / "huge_capex.ini"
+    custom.write_text(Path(config).read_text().replace(
+        "capital_cost = 1300 ", "capital_cost = 1e308 ", 1))
+    return custom
+
+
+@pytest.mark.parametrize("command", ["simulate", "scenarios"])
+def test_a_report_that_is_not_finite_exits_2(fixture_args, capsys, command):
+    config, profile, out = fixture_args
+    custom = huge_pv_capital_cost(config, out)
+    assert run_cli("validate", "--config", custom) == 0
+    capsys.readouterr()
+    args = ["--config", custom, "--profile", profile, "--out", out / "run"]
+    if command == "scenarios":
+        args += ["--scenarios", "all"]
+    assert run_cli(command, *args) == 2
+    assert capsys.readouterr().err == \
+        "error: report field economics.capex is not finite: inf\n"
+    assert not (out / "run").exists()
+
+
+def test_a_scenario_whose_report_is_not_finite_fails_alone(fixture_args):
+    # islanded steps run the diesel unit, whose fuel then costs 1e308/kWh
+    config, profile, out = fixture_args
+    custom = with_sections(config, out, "[scenario:F]\n"
+                           "fuel_price_multiplier = 1e308\n"
+                           "outage_start = 16\noutage_steps = 6\n")
+    assert run_cli("scenarios", "--config", custom, "--profile", profile,
+                   "--out", out / "runs", "--scenarios", "S1,F") == 0
+    import csv
+    with open(out / "runs" / "matrix.csv", newline="") as fh:
+        rows = {row[0]: row for row in csv.reader(fh)}
+    assert rows["F"][1] == \
+        "report field economics.operating_cost is not finite: inf"
+    assert rows["S1"][1] == ""
+    assert (out / "runs" / "S1" / "report.json").is_file()
+    assert not (out / "runs" / "F").exists()

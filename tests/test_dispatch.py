@@ -12,16 +12,16 @@ from mgems.dispatch import (BatteryState, HorizonArrays, balance_residuals,
                             price_threshold, run_arrays)
 from mgems.errors import BalanceError
 from mgems.model import EmsConfig
-from mgems.profiles import StepInput
+from mgems.profiles import Profile
 from mgems._kernel import (CHARGE, DG, DISCHARGE, ENERGY, EXPORT, IMPORT,
                            N_COLUMNS, PV_USED, SOC, UNSERVED)
 
-from conftest import DAY_PRICES_CENTS, make_config
+from conftest import DAY_PRICES_CENTS, horizon, make_config
 
 
-def step(index=0, demand=0.0, price=0.1, grid=True, pv=0.0, wind=0.0):
-    return StepInput(index=index, demand_kw=demand, price=price,
-                     grid_available=grid, pv_kw=pv, wind_kw=wind)
+def step(demand=0.0, price=0.1, grid=True, pv=0.0, wind=0.0):
+    """A horizon whose price defaults to 0.1; all-scalar columns make one step."""
+    return horizon(demand=demand, price=price, grid=grid, pv=pv, wind=wind)
 
 
 # --- threshold resolution ---------------------------------------------------
@@ -134,7 +134,7 @@ def test_net_exchange_sums_the_surplus_over_steps():
     # so the grid takes each step's surplus and covers its deficit
     config = make_config()
     gens = [100.0, 50.0, 0.0]
-    trace = run_arrays([step(demand=60.0, price=0.3, pv=g) for g in gens],
+    trace = run_arrays(step(demand=60.0, price=0.3, pv=gens),
                        initial_state(config.battery), config, 0.25)
     net = (trace.column(EXPORT) - trace.column(IMPORT)) * config.step_hours
     assert net.tolist() == [40.0, -10.0, -60.0]
@@ -302,7 +302,7 @@ def test_run_arrays_zero_step():
     config = make_config(ems=EmsConfig(threshold_mode="fixed-price",
                                        fixed_threshold=0.25))
     initial = initial_state(config.battery)
-    ((decision, state),) = rows(run_arrays([step()], initial, config))
+    ((decision, state),) = rows(run_arrays(step(), initial, config))
     for name in ("pv_used_kw", "wind_used_kw", "curtailed_kw",
                  "battery_charge_kw", "battery_discharge_kw", "dg_kw",
                  "grid_import_kw", "grid_export_kw", "unserved_kw"):
@@ -310,10 +310,18 @@ def test_run_arrays_zero_step():
     assert state.energy_kwh == initial.energy_kwh
 
 
+@pytest.mark.parametrize("demand", [[], [10.0, 20.0]], ids=["empty", "two"])
+def test_dispatch_step_takes_exactly_one_step(demand):
+    config = make_config()
+    with pytest.raises(ValueError, match=f"one-step profile, got {len(demand)} "):
+        dispatch_step(initial_state(config.battery), step(demand=demand), 0.25,
+                      config)
+
+
 def test_run_arrays_rejects_empty_inputs():
     config = make_config()
     with pytest.raises(ValueError, match="empty"):
-        run_arrays([], initial_state(config.battery), config)
+        run_arrays(step(demand=[]), initial_state(config.battery), config)
 
 
 def test_run_arrays_is_deterministic(example_config, example_inputs):
@@ -325,11 +333,12 @@ def test_run_arrays_is_deterministic(example_config, example_inputs):
 
 def test_run_arrays_matches_scalar_fold(example_config, example_inputs):
     config = example_config.config
-    threshold = price_threshold([s.price for s in example_inputs], config.ems)
+    threshold = price_threshold(example_inputs.price, config.ems)
     state = initial_state(config.battery)
     folded = []
-    for s in example_inputs:
-        decision, state = dispatch_step(state, s, threshold, config)
+    for i in range(len(example_inputs)):
+        decision, state = dispatch_step(state, example_inputs[i:i + 1],
+                                        threshold, config)
         folded.append((decision, state))
     assert rows(run_arrays(example_inputs, initial_state(config.battery),
                            config)) == folded
@@ -339,15 +348,10 @@ def test_run_arrays_matches_scalar_fold(example_config, example_inputs):
 
 def random_horizon(rng, config, n=None):
     n = n or int(rng.integers(1, 49))
-    return [
-        StepInput(index=i,
-                  demand_kw=float(rng.uniform(0, 300)),
-                  price=float(rng.uniform(0, 0.5)),
-                  grid_available=bool(rng.random() > 0.2),
-                  pv_kw=float(rng.uniform(0, 250)),
-                  wind_kw=float(rng.uniform(0, 150)))
-        for i in range(n)
-    ]
+    # drawn step by step, so each seed gives the same horizon as ever
+    steps = [(rng.uniform(0, 300), rng.uniform(0, 0.5), rng.random() > 0.2,
+              rng.uniform(0, 250), rng.uniform(0, 150)) for _ in range(n)]
+    return Profile(*zip(*steps))
 
 
 def assert_step_invariants(trace, inputs, config):
@@ -386,7 +390,7 @@ def test_peak_shaving_never_raises_the_import_peak():
                                           soc_min=0.0, soc_max=0.8))
     for _ in range(50):
         inputs = random_horizon(rng, base, n=48)
-        inputs = [dataclasses.replace(s, grid_available=True) for s in inputs]
+        inputs = dataclasses.replace(inputs, grid_available=np.ones(len(inputs)))
         managed = run_arrays(inputs, initial_state(base.battery), base)
         unmanaged = run_arrays(inputs, initial_state(no_battery.battery),
                                no_battery)
@@ -430,7 +434,7 @@ def test_single_step_balance_property(demand, renewables, price, grid, soc0):
 
 def test_check_balance_rejects_a_nan_residual():
     config = make_config()
-    inputs = [step(demand=50.0), step(index=1, demand=float("nan"))]
+    inputs = step(demand=[50.0, float("nan")])
     trace = run_arrays(inputs, initial_state(config.battery), config)
     with pytest.raises(BalanceError, match="at step 1"):
         check_balance(trace, inputs, config)
@@ -439,7 +443,7 @@ def test_check_balance_rejects_a_nan_residual():
 def test_check_balance_scales_its_tolerance_with_huge_flows():
     # 1e308 - 250 rounds back to 1e308: a 250 kW residual that is rounding
     config = make_config()
-    inputs = [step(demand=1e308)]
+    inputs = step(demand=1e308)
     trace = run_arrays(inputs, initial_state(config.battery), config)
     assert balance_residuals(trace, inputs)[0] == 250.0
     check_balance(trace, inputs, config)
@@ -478,8 +482,7 @@ def planted_trace(flows, grid, demand):
     for column, value in flows.items():
         columns[2, column] = value
     grid_available = np.array([1, 1, grid, 1], dtype=np.uint8)
-    inputs = [step(index=i, demand=demand if i == 2 else 0.0,
-                   grid=bool(grid_available[i])) for i in range(4)]
+    inputs = step(demand=[0.0, 0.0, demand, 0.0], grid=grid_available)
     trace = HorizonArrays(columns=columns, grid_available=grid_available,
                           threshold=0.25, initial_energy_kwh=energy,
                           final_energy_kwh=energy)
@@ -528,8 +531,7 @@ def test_check_balance_names_a_planted_energy_continuity_break():
 def test_check_balance_recomputes_continuity_in_the_kernel_order():
     # one ulp off the kernel's update is a breach: the check is exact
     config = make_config()
-    inputs = [step(demand=10.0, pv=80.0, price=0.01),
-              step(index=1, demand=120.0, price=0.9)]
+    inputs = step(demand=[10.0, 120.0], pv=[80.0, 0.0], price=[0.01, 0.9])
     trace = run_arrays(inputs, initial_state(config.battery), config, 0.25)
     assert trace.columns[0, CHARGE] > 0.0 and trace.columns[1, DISCHARGE] > 0.0
     check_balance(trace, inputs, config)

@@ -10,14 +10,13 @@ from mgems._kernel import (CHARGE, CURTAILED, DG, DISCHARGE, ENERGY, EXPORT,
                            IMPORT, N_COLUMNS, PV_USED, SOC, UNSERVED,
                            WIND_USED)
 from mgems.dispatch import HorizonArrays
-from mgems.metrics import (EnergyTotals, accumulate, capital_cost,
-                           capital_recovery_factor, emissions, fixed_annual_om,
-                           lcoe, npc, operating_cost, percent_change,
-                           project_npc, renewable_fraction)
+from mgems.metrics import (EnergyTotals, accumulate, build_report,
+                           capital_cost, capital_recovery_factor, emissions,
+                           fixed_annual_om, lcoe, npc, operating_cost,
+                           percent_change, project_npc, renewable_fraction)
 from mgems.model import EmissionFactors
-from mgems.profiles import StepInput
 
-from conftest import make_config
+from conftest import horizon, make_config
 
 COLUMN = dict(pv_used_kw=PV_USED, wind_used_kw=WIND_USED,
               curtailed_kw=CURTAILED, battery_charge_kw=CHARGE,
@@ -42,11 +41,6 @@ def trace(rows):
                          final_energy_kwh=100.0)
 
 
-def inp(i=0, demand=0.0, price=0.0, grid=True, pv=0.0, wind=0.0):
-    return StepInput(index=i, demand_kw=demand, price=price,
-                     grid_available=grid, pv_kw=pv, wind_kw=wind)
-
-
 def totals(**kw):
     fields = dict(imported_kwh=0.0, exported_kwh=0.0, dg_kwh=0.0, pv_kwh=0.0,
                   wind_kwh=0.0, battery_charge_kwh=0.0,
@@ -59,7 +53,7 @@ def totals(**kw):
 # --- accumulate ---------------------------------------------------------------
 
 def test_accumulate_all_zero_trace():
-    inputs = [inp(i) for i in range(24)]
+    inputs = horizon(demand=np.zeros(24))
     energy, reliability = accumulate(trace([{}] * 24), inputs, 1.0)
     assert energy == totals()
     assert reliability.outage_count == 0
@@ -69,15 +63,14 @@ def test_accumulate_all_zero_trace():
 
 def test_accumulate_counts_outage_runs():
     pattern = [True, False, False, True, False]
-    inputs = [inp(i, grid=g) for i, g in enumerate(pattern)]
+    inputs = horizon(grid=pattern)
     _, reliability = accumulate(trace([{}] * len(inputs)), inputs, 0.5)
     assert reliability.outage_count == 2       # runs: {1,2} and {4}
     assert reliability.outage_hours == 3 * 0.5
 
 
 def test_accumulate_sums_each_column():
-    inputs = [inp(0, demand=100.0, pv=40.0, wind=10.0),
-              inp(1, demand=50.0, pv=20.0, wind=5.0)]
+    inputs = horizon(demand=[100.0, 50.0], pv=[40.0, 20.0], wind=[10.0, 5.0])
     flows = trace([
         dict(pv_used_kw=40.0, wind_used_kw=10.0, grid_import_kw=30.0,
              battery_discharge_kw=20.0, unserved_kw=0.0),
@@ -99,7 +92,7 @@ def test_accumulate_sums_each_column():
 
 
 def test_accumulate_uptime_counts_unserved_steps():
-    inputs = [inp(i) for i in range(4)]
+    inputs = horizon(demand=np.zeros(4))
     flows = trace([dict(unserved_kw=0.0), dict(unserved_kw=1.5),
                    dict(unserved_kw=0.0), dict(unserved_kw=0.25)])
     _, reliability = accumulate(flows, inputs, 1.0)
@@ -108,18 +101,19 @@ def test_accumulate_uptime_counts_unserved_steps():
 
 def test_accumulate_rejects_length_mismatch():
     with pytest.raises(ValueError, match="length"):
-        accumulate(trace([{}]), [inp(0), inp(1)], 1.0)
+        accumulate(trace([{}]), horizon(demand=[0.0, 0.0]), 1.0)
 
 
 def test_accumulate_rejects_an_empty_horizon():
     with pytest.raises(ValueError, match="empty horizon"):
-        accumulate(trace([]), [], 1.0)
+        accumulate(trace([]), horizon(demand=[]), 1.0)
 
 
 def test_accumulate_is_additive_over_concatenation():
     rng = np.random.default_rng(11)
-    inputs = [inp(i, demand=float(rng.uniform(0, 100)),
-                  pv=float(rng.uniform(0, 50))) for i in range(10)]
+    demand, pv = zip(*[(rng.uniform(0, 100), rng.uniform(0, 50))
+                       for _ in range(10)])
+    inputs = horizon(demand=demand, pv=pv)
     rows = [dict(grid_import_kw=float(rng.uniform(0, 80)),
                  unserved_kw=float(rng.choice([0.0, 2.0])))
             for _ in range(10)]
@@ -147,20 +141,20 @@ def zero_om_config():
 
 def test_operating_cost_zero_case():
     config = zero_om_config()
-    assert operating_cost(trace([{}]), [inp(0, price=0.2)], config) == 0.0
+    assert operating_cost(trace([{}]), horizon(price=0.2), config) == 0.0
 
 
 def test_operating_cost_import_only():
     config = zero_om_config()
     cost = operating_cost(trace([dict(grid_import_kw=10.0)]),
-                          [inp(0, price=0.20)], config)
+                          horizon(price=0.20), config)
     assert cost == pytest.approx(2.0)
 
 
 def test_operating_cost_export_only_is_negative():
     config = zero_om_config()
     cost = operating_cost(trace([dict(grid_export_kw=10.0)]),
-                          [inp(0, price=0.20)], config)
+                          horizon(price=0.20), config)
     assert cost == pytest.approx(-2.0)
 
 
@@ -169,7 +163,7 @@ def test_operating_cost_sell_ratio_scales_export_revenue():
     config = dataclasses.replace(
         config, grid=dataclasses.replace(config.grid, sell_price_ratio=0.5))
     cost = operating_cost(trace([dict(grid_export_kw=10.0)]),
-                          [inp(0, price=0.20)], config)
+                          horizon(price=0.20), config)
     assert cost == pytest.approx(-1.0)
 
 
@@ -179,7 +173,7 @@ def test_operating_cost_dg_fuel_and_running_om():
         config, diesel=dataclasses.replace(config.diesel, om_cost=0.03,
                                            fuel_cost_per_kwh=1.0))
     flows = trace([dict(dg_kw=60.0), dict(dg_kw=30.0), {}])
-    inputs = [inp(i) for i in range(3)]
+    inputs = horizon(demand=np.zeros(3))
     # fuel: 90 kWh * 1.0; running O&M: 2 h * 60 kW capacity * 0.03
     cost = operating_cost(flows, inputs, config)
     assert cost == pytest.approx(90.0 + 3.6)
@@ -189,7 +183,7 @@ def test_operating_cost_includes_fixed_annual_om():
     config = make_config()
     expected = (250.0 * 10.0 + 120.0 * 207.0 + 660.0 * 10.0)
     assert fixed_annual_om(config) == pytest.approx(expected)
-    assert operating_cost(trace([{}]), [inp(0)], config) == \
+    assert operating_cost(trace([{}]), horizon(), config) == \
         pytest.approx(expected)
 
 
@@ -426,3 +420,21 @@ def test_project_npc_discounts_lifecycle_flows():
                 + install / (1 + rate) ** 20
                 - install * 0.5 / (1 + rate) ** 25)
     assert project_npc(0.0, config) == pytest.approx(expected, rel=1e-12)
+
+
+# --- build_report -------------------------------------------------------------
+
+def test_build_report_names_the_first_field_that_is_not_finite():
+    base = make_config()
+    config = dataclasses.replace(
+        base, pv=dataclasses.replace(base.pv, capital_cost=1e308))
+    with pytest.raises(ValueError, match=r"^report field economics\.capex is "
+                                         r"not finite: inf$"):
+        build_report(trace([dict(grid_import_kw=50.0)]),
+                     horizon(demand=50.0, price=0.1), config)
+
+
+def test_build_report_allows_undefined_ratios_when_nothing_is_served():
+    report = build_report(trace([{}]), horizon(), make_config())
+    assert report.economics.lcoe is None
+    assert report.economics.renewable_fraction is None

@@ -1,5 +1,6 @@
 """Profile parsing and renewable conversion tests."""
 
+import dataclasses
 import os
 import sys
 from unittest import mock
@@ -11,10 +12,10 @@ from hypothesis import given, settings, strategies as st
 from mgems import profiles
 from mgems.errors import ProfileFormatError
 from mgems.model import PvSpec, WindSpec
-from mgems.profiles import (Profile, ResourceRow, StepInput, convert_prices,
+from mgems.profiles import (Profile, ResourceProfile, convert_prices,
                             parse_profile, resource_to_inputs)
 
-from conftest import SPLIT_THRESHOLDS, make_config, split_from
+from conftest import SPLIT_THRESHOLDS, horizon, make_config, split_from
 from resource_reference import pv_power, serialize_profile, wind_power
 
 GEN_HEADER = "index,demand_kw,price,grid_available,pv_kw,wind_kw"
@@ -22,29 +23,29 @@ RES_HEADER = "index,demand_kw,price,grid_available,irradiance_wm2,wind_speed_ms"
 
 
 def test_parse_example_day_first_row(example_inputs):
-    first = example_inputs[0]
-    assert first.index == 0
-    assert first.demand_kw == 99.96
-    assert first.price == 0.12168  # cents converted to currency at ingestion
-    assert first.grid_available is True
+    assert example_inputs.demand_kw[0] == 99.96
+    assert example_inputs.price[0] == 0.12168  # cents converted at ingestion
+    assert example_inputs.grid_available[0] == 1
 
 
 def test_parse_single_row():
     data = (GEN_HEADER + "\n1,99.96,0.12168,1,12.5,3.25\n").encode()
-    (record,) = parse_profile(data, "generation")
-    assert record == StepInput(0, 99.96, 0.12168, True, 12.5, 3.25)
+    assert parse_profile(data, "generation") == \
+        horizon(demand=99.96, price=0.12168, pv=12.5, wind=3.25)
 
 
 def test_header_only_gives_empty_sequence():
-    assert parse_profile((GEN_HEADER + "\n").encode(), "generation") == []
-    assert parse_profile(RES_HEADER.encode(), "resource") == []
+    assert parse_profile((GEN_HEADER + "\n").encode(), "generation") == \
+        horizon(demand=[])
+    assert parse_profile(RES_HEADER.encode(), "resource") == \
+        ResourceProfile(*[[]] * 5)
 
 
 def test_indices_are_renumbered_in_file_order():
     data = (GEN_HEADER + "\n7,1,1,1,0,0\n3,2,2,0,0,0\n").encode()
     records = parse_profile(data, "generation")
-    assert [r.index for r in records] == [0, 1]
-    assert [r.grid_available for r in records] == [True, False]
+    assert records.demand_kw.tolist() == [1.0, 2.0]
+    assert records.grid_available.tolist() == [1, 0]
 
 
 def test_crlf_and_blank_lines_are_accepted():
@@ -87,16 +88,15 @@ finite_power = st.floats(min_value=0, max_value=1e6, allow_nan=False)
               finite_power),
     max_size=30))
 def test_parse_serialize_parse_round_trip(rows):
-    records = [StepInput(i, d, p, g, a, b)
-               for i, (d, p, g, a, b) in enumerate(rows)]
+    records = Profile(*(list(zip(*rows)) or [[]] * 5))
     once = parse_profile(serialize_profile(records), "generation")
     assert once == records
     assert parse_profile(serialize_profile(once), "generation") == once
 
 
 def test_price_conversion_from_cents():
-    records = [StepInput(0, 1.0, 12.168, True, 0.0, 0.0)]
-    assert convert_prices(records, "cents_per_kwh")[0].price == 0.12168
+    records = horizon(demand=1.0, price=12.168)
+    assert convert_prices(records, "cents_per_kwh").price[0] == 0.12168
     assert convert_prices(records, "currency_per_kwh") == records
 
 
@@ -172,17 +172,16 @@ def test_wind_power_zero_outside_operating_band(speed):
 
 def test_resource_rows_convert_and_pass_through():
     config = make_config()
-    rows = [
-        ResourceRow(0, 50.0, 0.1, True, 0.0, 0.0),
-        ResourceRow(1, 60.25, 0.2, False, 1000.0, 12.0),
-    ]
+    rows = ResourceProfile(demand_kw=[50.0, 60.25], price=[0.1, 0.2],
+                           grid_available=[1, 0], irradiance_wm2=[0.0, 1000.0],
+                           wind_speed_ms=[0.0, 12.0])
     inputs = resource_to_inputs(rows, config)
-    assert inputs[0].pv_kw == 0.0 and inputs[0].wind_kw == 0.0
-    assert inputs[1].pv_kw == config.pv.capacity_kw * config.pv.derating_factor
-    assert inputs[1].wind_kw == config.wind.capacity_kw
+    assert inputs.pv_kw[0] == 0.0 and inputs.wind_kw[0] == 0.0
+    assert inputs.pv_kw[1] == config.pv.capacity_kw * config.pv.derating_factor
+    assert inputs.wind_kw[1] == config.wind.capacity_kw
     # demand/price/availability pass through bit-identical
-    assert [(r.demand_kw, r.price, r.grid_available) for r in rows] == \
-        [(s.demand_kw, s.price, s.grid_available) for s in inputs]
+    for name in ("demand_kw", "price", "grid_available"):
+        assert getattr(inputs, name).tolist() == getattr(rows, name).tolist()
 
 
 def test_wind_fleet_scales_with_capacity():
@@ -216,7 +215,7 @@ def test_non_finite_resource_value_is_rejected():
         parse_profile(data, "resource")
 
 
-def test_profile_columns_are_read_only_and_rows_are_views():
+def test_profile_columns_are_read_only_and_slices_are_views():
     data = (GEN_HEADER + "\n7,1.5,0.25,0,2,3\n3,2.5,0.5,1,4,5\n").encode()
     profile = parse_profile(data, "generation")
     assert isinstance(profile, Profile)
@@ -224,11 +223,11 @@ def test_profile_columns_are_read_only_and_rows_are_views():
     assert profile.grid_available.dtype == np.uint8
     with pytest.raises(ValueError):
         profile.demand_kw[0] = 9.0
-    assert profile[-1] == StepInput(1, 2.5, 0.5, True, 4.0, 5.0)
-    assert list(profile[1:]) == [StepInput(0, 2.5, 0.5, True, 4.0, 5.0)]
-    assert Profile.from_steps(list(profile)) == profile
-    with pytest.raises(IndexError):
-        profile[2]
+    last = profile[1:]
+    assert last == horizon(demand=2.5, price=0.5, pv=4.0, wind=5.0)
+    assert np.shares_memory(last.demand_kw, profile.demand_kw)
+    with pytest.raises(TypeError, match="sliced, not indexed"):
+        profile[0]
 
 
 def test_profile_does_not_alias_a_writable_source():
@@ -265,8 +264,11 @@ def _bits(values) -> bytes:
        st.sampled_from([WT, SHEARED]))
 def test_resource_conversion_equals_scalar_models_bitwise(rows, wind_spec):
     config = make_config(pv=PV, wind=wind_spec)
-    records = [ResourceRow(i, 10.0, 0.1, True, irr, ws)
-               for i, (irr, ws) in enumerate(rows)]
+    irradiances, speeds = list(zip(*rows)) or ([], [])
+    records = ResourceProfile(demand_kw=np.full(len(rows), 10.0),
+                              price=np.full(len(rows), 0.1),
+                              grid_available=np.ones(len(rows)),
+                              irradiance_wm2=irradiances, wind_speed_ms=speeds)
     profile = resource_to_inputs(records, config)
     assert _bits(profile.pv_kw) == _bits([pv_power(irr, PV) for irr, _ in rows])
     assert _bits(profile.wind_kw) == \
@@ -279,9 +281,9 @@ finite_value = st.floats(min_value=0, max_value=1e9, allow_nan=False,
 
 @given(st.lists(finite_value, max_size=40))
 def test_cents_conversion_equals_python_division(prices):
-    records = [StepInput(i, 1.0, p, True, 0.0, 0.0) for i, p in enumerate(prices)]
+    records = horizon(demand=np.ones(len(prices)), price=prices)
     converted = convert_prices(records, "cents_per_kwh")
-    assert _bits(converted.price) == _bits([s.price / 100.0 for s in records])
+    assert _bits(converted.price) == _bits([p / 100.0 for p in prices])
 
 
 # --- bulk parse against the row loop -----------------------------------------
@@ -302,7 +304,8 @@ def assert_paths_agree(bulk, rows, parsed):
     for k, column in zip((1, 2, 4, 5), (demand, price, a, b)):
         assert _bits(bulk[k]) == _bits(column)
     assert np.array_equal(bulk[3].astype(np.uint8), np.asarray(grid, np.uint8))
-    for got, want in zip(parsed._arrays(), rows):
+    for got, want in zip((getattr(parsed, field.name) for field in
+                          dataclasses.fields(parsed)), rows):
         if got.dtype == np.uint8:
             assert np.array_equal(got, np.asarray(want, np.uint8))
         else:
@@ -515,4 +518,4 @@ def test_non_finite_index_is_rejected_by_both_parse_paths(index):
 
 def test_negative_index_is_accepted():
     data = (GEN_HEADER + "\n-3,1,1,1,0,0\n-1e9,2,2,0,0,0\n").encode()
-    assert [r.index for r in parse_profile(data, "generation")] == [0, 1]
+    assert parse_profile(data, "generation").demand_kw.tolist() == [1.0, 2.0]

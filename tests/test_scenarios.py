@@ -18,18 +18,17 @@ from mgems.dispatch import initial_state, price_threshold, run_arrays
 from mgems.errors import BalanceError
 from mgems.metrics import accumulate, renewable_fraction
 from mgems.model import EmsConfig
-from mgems.profiles import Profile, StepInput
+from mgems.profiles import Profile
 from mgems.scenarios import (BASE_KEY, BUILTIN_IDS, IDENTITY_SCENARIO,
                              OutageSpec, Scenario, apply_scenario,
                              builtin_scenario, run_matrix, validate_scenario)
 
-from conftest import data_path, make_config, split_from
+from conftest import data_path, horizon, make_config, split_from
 
 
 def day(n=24, demand=100.0, price=0.2, pv=50.0, wind=10.0):
-    return [StepInput(index=i, demand_kw=demand, price=price,
-                      grid_available=True, pv_kw=pv, wind_kw=wind)
-            for i in range(n)]
+    return horizon(demand=np.broadcast_to(demand, n), price=price, pv=pv,
+                   wind=wind)
 
 
 def test_builtin_condition_changes_are_exact():
@@ -66,22 +65,21 @@ def test_identity_scenario_is_bit_exact_identity():
 
 def test_s1_scales_demand_pointwise():
     config = make_config()
-    inputs = [StepInput(index=0, demand_kw=235.2, price=0.2808,
-                        grid_available=True, pv_kw=0.0, wind_kw=0.0)]
+    inputs = horizon(demand=235.2, price=0.2808)
     scaled, _ = apply_scenario(inputs, config, builtin_scenario("S1"))
-    assert scaled[0].demand_kw == pytest.approx(246.96, rel=1e-12)
-    assert scaled[0].demand_kw == 235.2 * 1.05
-    assert scaled[0].pv_kw == 0.0
-    assert scaled[0].price == 0.2808
+    assert scaled.demand_kw[0] == pytest.approx(246.96, rel=1e-12)
+    assert scaled.demand_kw[0] == 235.2 * 1.05
+    assert scaled.pv_kw[0] == 0.0
+    assert scaled.price[0] == 0.2808
 
 
 def test_s2_scales_renewables_only():
     config = make_config()
     scaled, _ = apply_scenario(day(n=1, pv=100.0, wind=50.0), config,
                                builtin_scenario("S2"))
-    assert scaled[0].pv_kw == pytest.approx(80.0)
-    assert scaled[0].wind_kw == pytest.approx(30.0)
-    assert scaled[0].demand_kw == 100.0
+    assert scaled.pv_kw[0] == pytest.approx(80.0)
+    assert scaled.wind_kw[0] == pytest.approx(30.0)
+    assert scaled.demand_kw[0] == 100.0
 
 
 def test_s4_scales_fuel_price_only():
@@ -98,7 +96,7 @@ def test_outage_window_forces_grid_unavailable_exactly_there():
     scenario = Scenario(id="x", outage=OutageSpec(start_step=16,
                                                   duration_steps=6))
     scaled, _ = apply_scenario(day(), config, scenario)
-    available = [s.grid_available for s in scaled]
+    available = scaled.grid_available.tolist()
     assert available == [True] * 16 + [False] * 6 + [True] * 2
 
 
@@ -109,19 +107,18 @@ def test_outage_duration_hours_converts_with_step_length():
     scenario = Scenario(id="x", outage=OutageSpec(start_step=0,
                                                   duration_hours=6.0))
     scaled, _ = apply_scenario(day(48), config, scenario)
-    assert sum(1 for s in scaled if not s.grid_available) == 12
+    assert sum(1 for g in scaled.grid_available if not g) == 12
 
 
 def test_default_outage_start_is_first_step_above_threshold():
     config = make_config(ems=EmsConfig(threshold_mode="fixed-price",
                                        fixed_threshold=0.25))
-    inputs = day()
-    inputs[5] = dataclasses.replace(inputs[5], price=0.30)
-    inputs[9] = dataclasses.replace(inputs[9], price=0.40)
-    scaled, _ = apply_scenario(inputs, config,
+    price = np.full(24, 0.2)
+    price[5], price[9] = 0.30, 0.40
+    scaled, _ = apply_scenario(day(price=price), config,
                                Scenario(id="x", outage=OutageSpec(
                                    duration_steps=3)))
-    available = [s.grid_available for s in scaled]
+    available = scaled.grid_available.tolist()
     assert available == [True] * 5 + [False] * 3 + [True] * 16
 
 
@@ -208,8 +205,8 @@ def test_non_finite_outage_duration_is_rejected_by_name(hours):
 def test_s1_total_demand_scales_exactly(example_config, example_inputs):
     config = example_config.config
     scaled, _ = apply_scenario(example_inputs, config, builtin_scenario("S1"))
-    base_total = sum(s.demand_kw for s in example_inputs)
-    assert sum(s.demand_kw for s in scaled) == pytest.approx(
+    base_total = sum(example_inputs.demand_kw.tolist())
+    assert sum(scaled.demand_kw.tolist()) == pytest.approx(
         base_total * 1.05, rel=1e-12)
     base = run_arrays(example_inputs, initial_state(config.battery), config)
     run = run_arrays(scaled, initial_state(config.battery), config)
@@ -259,13 +256,11 @@ def test_s2_never_increases_renewable_fraction():
     s2 = builtin_scenario("S2")
     for _ in range(100):
         n = int(rng.integers(4, 30))
-        inputs = [StepInput(index=i,
-                            demand_kw=float(rng.uniform(10, 250)),
-                            price=float(rng.uniform(0, 0.5)),
-                            grid_available=True,
-                            pv_kw=float(rng.uniform(0, 250)),
-                            wind_kw=float(rng.uniform(0, 120)))
-                  for i in range(n)]
+        # drawn step by step, so each seed gives the same horizons as ever
+        demand, price, pv, wind = zip(*[
+            (rng.uniform(10, 250), rng.uniform(0, 0.5), rng.uniform(0, 250),
+             rng.uniform(0, 120)) for _ in range(n)])
+        inputs = horizon(demand=demand, price=price, pv=pv, wind=wind)
         scaled, s2_config = apply_scenario(inputs, config, s2)
         base_trace = run_arrays(inputs, initial_state(config.battery), config)
         s2_trace = run_arrays(scaled, initial_state(s2_config.battery),
@@ -279,11 +274,11 @@ def test_s2_never_increases_renewable_fraction():
 def test_default_outage_start_in_load_threshold_mode_compares_demand():
     config = make_config(ems=EmsConfig(threshold_mode="load-threshold",
                                        load_threshold_kw=150.0))
-    inputs = day()  # price 0.2 never exceeds a 150 kW threshold
-    inputs[7] = dataclasses.replace(inputs[7], demand_kw=180.0)
-    inputs[12] = dataclasses.replace(inputs[12], demand_kw=200.0)
-    scaled, _ = apply_scenario(inputs, config, builtin_scenario("S3"))
-    available = [s.grid_available for s in scaled]
+    demand = np.full(24, 100.0)  # price 0.2 never exceeds a 150 kW threshold
+    demand[7], demand[12] = 180.0, 200.0
+    scaled, _ = apply_scenario(day(demand=demand), config,
+                               builtin_scenario("S3"))
+    available = scaled.grid_available.tolist()
     assert available == [True] * 7 + [False] * 6 + [True] * 11
 
 
@@ -301,22 +296,21 @@ column = st.lists(st.floats(min_value=0, max_value=1e6), min_size=1,
 
 @given(column, multiplier, multiplier, multiplier)
 def test_apply_scenario_equals_per_row_python_products(values, dm, pm, wm):
-    inputs = Profile.from_steps(
-        [StepInput(i, v, 0.1, True, v / 3.0, v * 0.7)
-         for i, v in enumerate(values)])
+    inputs = horizon(demand=values, price=0.1, pv=[v / 3.0 for v in values],
+                     wind=[v * 0.7 for v in values])
     scenario = Scenario(id="x", demand_multiplier=dm, pv_multiplier=pm,
                         wind_multiplier=wm)
     scaled, _ = apply_scenario(inputs, make_config(), scenario)
-    assert list(scaled) == [
-        dataclasses.replace(s, demand_kw=s.demand_kw * dm, pv_kw=s.pv_kw * pm,
-                            wind_kw=s.wind_kw * wm)
-        for s in inputs]
+    for name, m in (("demand_kw", dm), ("pv_kw", pm), ("wind_kw", wm)):
+        assert getattr(scaled, name).tolist() == \
+            [v * m for v in getattr(inputs, name).tolist()]
+    assert scaled.grid_available.tolist() == inputs.grid_available.tolist()
     assert scaled.price is inputs.price  # unchanged columns are shared
 
 
 def test_apply_scenario_outage_leaves_the_base_profile_unchanged():
     config = make_config()
-    inputs = Profile.from_steps(day())
+    inputs = day()
     scenario = Scenario(id="x", outage=OutageSpec(start_step=2,
                                                   duration_steps=3))
     scaled, _ = apply_scenario(inputs, config, scenario)

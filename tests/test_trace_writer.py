@@ -59,9 +59,3 @@ def test_writer_matches_the_reference_on_random_horizons(min_rows, seed, n):
         data = trace_csv_bytes(inputs, trace)
     assert data == trace_csv_reference(inputs, trace)
 
-
-def test_writer_accepts_a_list_of_step_inputs():
-    inputs, trace = random_run(7, _TRACE_CHUNK_ROWS + 5)
-    rows = list(inputs)
-    assert trace_csv_bytes(rows, trace) == trace_csv_reference(rows, trace)
-    assert trace_csv_bytes(rows, trace) == trace_csv_bytes(inputs, trace)

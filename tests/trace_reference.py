@@ -10,7 +10,6 @@ the trace.csv format, and so of the golden files.
 from mgems._kernel import SOC
 from mgems.cli import TRACE_HEADER
 from mgems.dispatch import GRID_CONNECTED, ISLANDED
-from mgems.profiles import Profile
 
 
 def trace_csv_reference(inputs, trace) -> bytes:
@@ -18,7 +17,6 @@ def trace_csv_reference(inputs, trace) -> bytes:
 
     The index is the step position; floats use the shortest round-trip repr.
     """
-    inputs = Profile.from_steps(inputs)
     modes = (ISLANDED, GRID_CONNECTED)
     threshold = repr(float(trace.threshold))
     lines = [",".join(TRACE_HEADER)]
