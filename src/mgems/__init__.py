@@ -12,8 +12,8 @@ from .dispatch import (BACKEND, BatteryState, DispatchDecision, dispatch_step,
                        initial_state, price_threshold, run_arrays)
 from .metrics import (EconomicSummary, EmissionSummary, EnergyTotals,
                       ReliabilityStats, SimulationReport, accumulate,
-                      build_report, emissions, lcoe, npc, operating_cost,
-                      percent_change, renewable_fraction)
+                      build_report, emissions, lcoe, npc, percent_change,
+                      renewable_fraction)
 from .model import (BatterySpec, DieselSpec, EconomicsConfig, EmissionFactors,
                     EmsConfig, GridSpec, MicrogridConfig, PvSpec,
                     ValidationReport, WindSpec, validate_config)
@@ -30,7 +30,7 @@ __all__ = [
     "ScenarioOutcome", "SimulationReport", "ValidationReport",
     "WindSpec", "accumulate", "apply_scenario", "build_report",
     "builtin_scenario", "dispatch_step", "emissions", "initial_state", "lcoe",
-    "load_profile", "npc", "operating_cost", "parse_profile",
+    "load_profile", "npc", "parse_profile",
     "percent_change", "price_threshold", "renewable_fraction",
     "resource_to_inputs", "run_arrays", "run_matrix", "validate_config",
     "validate_scenario",

@@ -1,29 +1,30 @@
 """Run a row loop in two processes: this one and one forked child.
 
-The profile parser and the trace writer each pass their chunk loop as
-``work(lo, hi)``, which appends the result of rows ``lo..hi`` to a sink;
-the scenario matrix passes its kernel loop, whose rows are whole runs.
-``split_rows`` leaves in the sink exactly what one ``work(0, n)`` call
-would. When a split can be seen to pay, a forked child runs the upper half
-while this process runs the lower one, and the child's bytes are then read
-straight into room the sink makes after the lower half's result, so no
-copy of them is held on the way. Whatever happens to the child, the result
-does not depend on it: a child that dies, exits nonzero or sends a short
-payload has its half recomputed here.
+The profile parser passes its chunk loop as ``work(lo, hi)``, which
+appends the result of lines ``lo..hi`` to a sink; the scenario matrix
+passes its kernel loop, whose rows are whole runs. ``split_rows`` leaves
+in the sink exactly what one ``work(0, n)`` call would. When a split can
+be seen to pay, a forked child runs the upper half while this process runs
+the lower one, and the child's bytes are then read straight into room the
+sink makes after the lower half's result, so no copy of them is held on
+the way. Whatever happens to the child, the result does not depend on it:
+a child that dies, exits nonzero or sends a payload other than the items
+it made has its half recomputed here.
 
 A sink has four methods:
 
-- ``tell()``: a mark of how much it holds;
-- ``rewind(mark)``: drop everything appended since ``mark``;
-- ``since(mark)``: the bytes-like pieces appended since ``mark``;
-- ``reserve(size)``: append room for ``size`` bytes of another process's
-  ``since`` pieces, in order, and return it as writable byte memoryviews,
-  or None if ``size`` cannot be such a payload.
+- ``tell()``: how many items it holds;
+- ``rewind(mark)``: drop the items appended since ``mark``;
+- ``since(mark)``: the bytes-like pieces of the items appended since
+  ``mark``;
+- ``reserve(count, size)``: append room for ``count`` items sent as
+  ``size`` bytes of another process's ``since`` pieces, in order, and
+  return it as writable byte memoryviews, or None if ``size`` bytes cannot
+  be exactly ``count`` such items.
 """
 
 from __future__ import annotations
 
-import io
 import os
 import signal
 import struct
@@ -31,13 +32,13 @@ import sys
 import threading
 from typing import NoReturn
 
-# Row count from which a split is faster than one process for both text
-# layers. In an 87 MB process (2 vCPU, Python 3.11) a fork, its
-# copy-on-write faults and the child's exit cost 4-7 ms: the trace writer
-# gains from about 2,000 rows, the parser from about 12,000 lines. So the
-# year's 8,760 rows run in one process and the decade's 87,600 in two.
+# Line count from which a split of the profile parser is faster than one
+# process. In an 87 MB process (2 vCPU, Python 3.11) a fork, its
+# copy-on-write faults and the child's exit cost 4-7 ms, and the parser
+# gains from about 12,000 lines. So the year's 8,760 lines are parsed in
+# one process and the decade's 87,600 in two.
 MIN_ROWS = 16384
-# The scenario matrix, the third caller, counts its work in kernel steps,
+# The scenario matrix, the second caller, counts its work in kernel steps,
 # runs times horizon steps. A step costs well under a row, and the child's
 # traces cross the pipe at 88 bytes a step. In the same process, runs of
 # 8,760 steps split lost up to 61,000 steps, won or lost by a few percent
@@ -46,7 +47,8 @@ MIN_ROWS = 16384
 # in one process, and the 51 x 8,760 of a 50-scenario year split.
 MIN_KERNEL_STEPS = 131072
 
-_LENGTH = struct.Struct("<Q")
+# what the child sends ahead of its payload: its item count and byte length
+_HEADER = struct.Struct("<QQ")
 
 
 def _splits(rows: int, minimum: int) -> bool:
@@ -63,33 +65,8 @@ def _splits(rows: int, minimum: int) -> bool:
             and signal.getsignal(signal.SIGCHLD) != signal.SIG_IGN)
 
 
-class _Appended:
-    """A BytesIO as a sink: its position marks what it holds."""
-
-    def __init__(self, out: io.BytesIO):
-        self.out = out
-
-    def tell(self) -> int:
-        return self.out.tell()
-
-    def rewind(self, mark: int) -> None:
-        self.out.seek(mark)
-        self.out.truncate()
-
-    def since(self, mark: int) -> list:
-        return [self.out.getbuffer()[mark:]]
-
-    def reserve(self, size: int) -> list[memoryview]:
-        start = self.out.tell()
-        if size:
-            # one write past the end grows the buffer to its final size
-            self.out.seek(start + size - 1)
-            self.out.write(b"\0")
-        return [self.out.getbuffer()[start:]]
-
-
 def _run_child(work, sink, lo: int, hi: int, fd: int) -> NoReturn:
-    """Send work's result for rows lo..hi to ``fd`` after its length; exit.
+    """Send work's result for rows lo..hi to ``fd`` after its header; exit.
 
     Every path ends in os._exit, so the child runs no atexit handler and
     flushes no stdio buffer it inherited from the parent.
@@ -100,7 +77,8 @@ def _run_child(work, sink, lo: int, hi: int, fd: int) -> NoReturn:
         work(lo, hi)
         pieces = [memoryview(piece) for piece in sink.since(mark)]
         with open(fd, "wb") as pipe:
-            pipe.write(_LENGTH.pack(sum(piece.nbytes for piece in pieces)))
+            pipe.write(_HEADER.pack(sink.tell() - mark,
+                                    sum(piece.nbytes for piece in pieces)))
             for piece in pieces:
                 pipe.write(piece)
         status = 0
@@ -109,16 +87,16 @@ def _run_child(work, sink, lo: int, hi: int, fd: int) -> NoReturn:
 
 
 def _receive(pipe, sink) -> bool:
-    """Read one length-prefixed payload from ``pipe`` into ``sink.reserve``.
+    """Read one payload from ``pipe`` into ``sink.reserve``.
 
-    Returns False if the pipe ends before the length or the payload does,
-    or if the sink cannot take a payload of that length.
+    Returns False if the pipe ends before the header or the payload does,
+    or if the sink cannot take the header's count of items in its length.
     """
-    head = pipe.read(_LENGTH.size)
-    if len(head) != _LENGTH.size:
+    head = pipe.read(_HEADER.size)
+    if len(head) != _HEADER.size:
         return False
-    (size,) = _LENGTH.unpack(head)
-    room = sink.reserve(size)
+    count, size = _HEADER.unpack(head)
+    room = sink.reserve(count, size)
     if room is None:
         return False
     try:
@@ -130,7 +108,7 @@ def _receive(pipe, sink) -> bool:
                     return False
                 filled += got
     finally:
-        # a BytesIO cannot be resized or handed over while a view is held
+        # a buffer cannot be resized while a view of it is held
         for view in room:
             view.release()
     return True
@@ -140,7 +118,7 @@ def split_rows(n: int, work, sink, weight: int = 1,
                minimum: int | None = None) -> None:
     """Append items 0..n to ``sink`` as ``work(0, n)`` would.
 
-    Each item is ``weight`` rows of work: a line or a trace row weighs 1,
+    Each item is ``weight`` rows of work: a profile line weighs 1,
     a matrix run the steps of its horizon. Splits the items at n // 2
     between this process and a forked child when there are two or more and
     ``_splits(n * weight, minimum)``, where ``minimum`` is MIN_ROWS unless
@@ -179,11 +157,3 @@ def split_rows(n: int, work, sink, weight: int = 1,
         sink.rewind(mark)
         work(mid, n)
 
-
-def write_halves(n: int, work, out: io.BytesIO) -> None:
-    """Write rows 0..n to ``out`` as ``work(0, n, out)`` would.
-
-    ``work(lo, hi, out)`` writes the bytes of rows lo..hi to ``out``; long
-    runs split as in ``split_rows``.
-    """
-    split_rows(n, lambda lo, hi: work(lo, hi, out), _Appended(out))

@@ -14,11 +14,14 @@ import io
 import json
 import sys
 from dataclasses import asdict, dataclass, replace
+from itertools import repeat
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+import orjson
+
 from . import __version__
-from ._halves import write_halves
 from ._kernel import SOC
 from .configio import SCENARIO_PREFIX, LoadedConfig, load_config
 from .dispatch import (GRID_CONNECTED, ISLANDED, HorizonArrays, check_balance,
@@ -117,45 +120,62 @@ def _outage_override(args) -> OutageSpec | None:
 
 
 # rows formatted and encoded per chunk, so that no list of every row's
-# string and no whole-trace str is ever built; 1,024 rows format as fast
-# as 4,096 and hold a quarter of the temporaries (about 1 MB)
+# string and no whole-trace str is ever built; 8,192-row chunks raise the
+# decade's peak RSS by about 5 MB
 _TRACE_CHUNK_ROWS = 1024
 
-_FLAG_CELLS = ("0", "1")
+# orjson writes the shortest round-trip digits, as repr does, but lays out
+# nonzero magnitudes below 1e-4 and from 1e16 up differently (0.00006 for
+# 6e-05, 1e16 for 1e+16) and writes non-finite values as null
+_ORJSON_MIN = 1e-4
+_ORJSON_MAX = 1e16
+
+
+def _float_rows(block: np.ndarray) -> list[bytes]:
+    """The repr cells of each row of a C-contiguous float64 block, comma-joined.
+
+    orjson formats the block; a row holding a value it lays out unlike repr
+    is formatted by repr.
+    """
+    # trimmed after the split, so the whole output is never copied
+    rows = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY).split(b"],[")
+    rows[0] = rows[0][2:]
+    rows[-1] = rows[-1][:-2]
+    size = np.abs(block)
+    unlike = ~(size < _ORJSON_MAX) | ((size < _ORJSON_MIN) & (size != 0))
+    for i in np.flatnonzero(unlike.any(axis=1)).tolist():
+        rows[i] = ",".join(map(repr, block[i].tolist())).encode("ascii")
+    return rows
 
 
 def trace_csv_bytes(inputs: Profile, trace: HorizonArrays) -> bytes:
     """Per-step trace rows: inputs, allocation, SOC, threshold, and mode.
 
     The index is the step position; floats use the shortest round-trip repr.
-    Each chunk of rows is formatted column by column and encoded straight
-    into the output buffer; long traces write their two halves in two
-    processes (see ``write_halves``).
+    Each chunk of rows is formatted as two float blocks, demand and price,
+    then pv, wind and the allocation, straight into the output buffer.
     """
     threshold = repr(float(trace.threshold))
-    tails = (f"{threshold},{ISLANDED}", f"{threshold},{GRID_CONNECTED}")
-
-    def write_rows(lo: int, hi: int, out) -> None:
-        for start in range(lo, hi, _TRACE_CHUNK_ROWS):
-            rows = slice(start, min(start + _TRACE_CHUNK_ROWS, hi))
-            grid = (inputs.grid_available[rows] != 0).tolist()
-            # kernel columns PV_USED..SOC are the trace's allocation columns,
-            # in order
-            allocation = trace.columns[rows, :SOC + 1].T.tolist()
-            cells = (map(str, range(start, start + len(grid))),
-                     map(repr, inputs.demand_kw[rows].tolist()),
-                     map(repr, inputs.price[rows].tolist()),
-                     map(_FLAG_CELLS.__getitem__, grid),
-                     map(repr, inputs.pv_kw[rows].tolist()),
-                     map(repr, inputs.wind_kw[rows].tolist()),
-                     *(map(repr, column) for column in allocation),
-                     map(tails.__getitem__, grid))
-            out.write("\n".join(map(",".join, zip(*cells))).encode("utf-8"))
-            out.write(b"\n")
-
+    flags = (b",0,", b",1,")
+    tails = [f",{threshold},{m}".encode() for m in (ISLANDED, GRID_CONNECTED)]
     out = io.BytesIO()
     out.write((",".join(TRACE_HEADER) + "\n").encode("utf-8"))
-    write_halves(len(inputs), write_rows, out)
+    for start in range(0, len(inputs), _TRACE_CHUNK_ROWS):
+        rows = slice(start, min(start + _TRACE_CHUNK_ROWS, len(inputs)))
+        grid = (inputs.grid_available[rows] != 0).tolist()
+        index = orjson.dumps(list(range(start, start + len(grid))))[1:-1]
+        # kernel columns PV_USED..SOC are the trace's allocation columns,
+        # in order
+        cells = zip(index.split(b","), repeat(b","),
+                    _float_rows(np.column_stack((inputs.demand_kw[rows],
+                                                 inputs.price[rows]))),
+                    map(flags.__getitem__, grid),
+                    _float_rows(np.column_stack((inputs.pv_kw[rows],
+                                                 inputs.wind_kw[rows],
+                                                 trace.columns[rows, :SOC + 1]))),
+                    map(tails.__getitem__, grid))
+        out.write(b"\n".join(map(b"".join, cells)))
+        out.write(b"\n")
     # getvalue() hands over the buffer without a copy once writing is done
     return out.getvalue()
 
@@ -166,6 +186,18 @@ def report_json_bytes(report) -> bytes:
 
 
 def _write_outputs(out_dir: Path, files: dict[str, bytes]) -> None:
+    """Write ``files`` under ``out_dir``, or nothing if a file would meet a
+    directory: a target that is a directory, or a directory that is not."""
+    targets = [out_dir / name for name in files]
+    directories = {parent for target in targets for parent in target.parents}
+    for target in targets:
+        if target in directories or target.is_dir():
+            raise _CommandError(EXIT_IO,
+                                f"cannot write outputs: {target} is a directory")
+    for directory in directories:
+        if directory.exists() and not directory.is_dir():
+            raise _CommandError(
+                EXIT_IO, f"cannot write outputs: {directory} is not a directory")
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         for name, data in files.items():

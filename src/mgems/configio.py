@@ -3,7 +3,8 @@
 Keys match the model field names (lower_snake_case). Scenario overrides
 live in [scenario:NAME] sections; the built-ins S1-S4 need no definition.
 NAME, stripped, names the scenario's output directory, so it must be a
-plain directory name other than the base run's.
+plain directory name other than the base run's and the top-level output
+files'.
 """
 
 from __future__ import annotations
@@ -21,6 +22,9 @@ from .profiles import PRICE_CENTS, PRICE_CURRENCY
 from .scenarios import BASE_KEY, OutageSpec, Scenario
 
 SCENARIO_PREFIX = "scenario:"
+
+# the files the CLI writes beside the scenarios' output directories
+OUTPUT_FILE_NAMES = ("matrix.csv", "manifest.json", "trace.csv", "report.json")
 
 DEFAULT_SHEAR_EXPONENT = 1.0 / 7.0
 
@@ -149,6 +153,8 @@ def _scenario_name(section: str, taken: dict[str, Scenario]) -> str:
         problem = "is not a plain directory name"
     elif name == BASE_KEY:
         problem = "is reserved for the base run"
+    elif name in OUTPUT_FILE_NAMES:
+        problem = "is the name of an output file"
     elif name in taken:
         problem = "is defined twice"
     else:

@@ -96,7 +96,8 @@ def price_threshold(prices: Sequence[float], ems: EmsConfig) -> float:
     raise ValueError(f"unknown threshold mode: {ems.threshold_mode!r}")
 
 
-@dataclass(frozen=True)
+# compared by identity: == of its arrays would have no truth value
+@dataclass(frozen=True, eq=False)
 class HorizonArrays:
     """Array-valued dispatch trace for a whole horizon.
 

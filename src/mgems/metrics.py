@@ -154,18 +154,6 @@ def fixed_annual_om(config: MicrogridConfig) -> float:
             + config.battery.capacity_kwh * config.battery.om_cost)
 
 
-def operating_cost(trace: HorizonArrays, inputs: Profile,
-                   config: MicrogridConfig) -> float:
-    """Operating cost of a trace treated as one year of operation.
-
-    Grid purchases net of sales at the per-step price, diesel fuel for the
-    produced energy, diesel running O&M, and the annual fixed O&M of PV,
-    wind, and battery. Negative results (export-dominated) are permitted.
-    """
-    return _variable_cost_terms(trace.columns, inputs, config) \
-        + fixed_annual_om(config)
-
-
 def npc(annual_cost: float, capex: float, discount_rate: float,
         lifetime_years: int) -> float:
     """Present cost of an upfront outlay plus a constant annual cost."""

@@ -257,12 +257,12 @@ class _Cells:
     def since(self, mark: int) -> list[np.ndarray]:
         return list(self.block[:, mark:self.filled])
 
-    def reserve(self, size: int) -> list[memoryview] | None:
-        k, extra = divmod(size, 6 * self.block.itemsize)
-        if extra or self.filled + k > self.block.shape[1]:
+    def reserve(self, count: int, size: int) -> list[memoryview] | None:
+        if (size != 6 * self.block.itemsize * count
+                or self.filled + count > self.block.shape[1]):
             return None
         start = self.filled
-        self.filled += k
+        self.filled += count
         return [memoryview(row).cast("B")
                 for row in self.block[:, start:self.filled]]
 

@@ -165,7 +165,8 @@ def apply_scenario(inputs: Profile, config: MicrogridConfig,
     return scaled, new_config
 
 
-@dataclass(frozen=True)
+# compared by identity, as the HorizonArrays and Profile it holds
+@dataclass(frozen=True, eq=False)
 class ScenarioOutcome:
     scenario_id: str
     report: SimulationReport | None
@@ -240,13 +241,13 @@ class _Runs:
             raise RuntimeError("a run that raised cannot be sent")
         return [trace.columns for trace in sent]
 
-    def reserve(self, size: int) -> list[memoryview] | None:
+    def reserve(self, count: int, size: int) -> list[memoryview] | None:
         # a child's half runs to the last run, so its payload must fill them
         steps = len(self.runs[0][0])
-        k, extra = divmod(size, steps * N_COLUMNS * 8)
-        if extra or len(self.filled) + k != len(self.runs):
+        if (size != steps * N_COLUMNS * 8 * count
+                or len(self.filled) + count != len(self.runs)):
             return None
-        blocks = [np.empty((steps, N_COLUMNS)) for _ in range(k)]
+        blocks = [np.empty((steps, N_COLUMNS)) for _ in range(count)]
         self.filled.extend(blocks)
         return [memoryview(block).cast("B") for block in blocks]
 

@@ -35,7 +35,7 @@ def data_path(name: str):
 
 
 # the row threshold split_rows ships with, and one that splits every
-# horizon of two or more rows; tests of the two text layers run under both
+# horizon of two or more rows; tests of the profile parser run under both
 SPLIT_THRESHOLDS = pytest.mark.parametrize("min_rows", [_halves.MIN_ROWS, 2])
 
 

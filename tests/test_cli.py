@@ -433,6 +433,10 @@ def with_sections(config, out, sections):
     ("scenario: .. ", "..", "is not a plain directory name"),
     ("scenario:a\\b", "a\\b", "is not a plain directory name"),
     ("scenario:base", "base", "is reserved for the base run"),
+    ("scenario:matrix.csv", "matrix.csv", "is the name of an output file"),
+    ("scenario:manifest.json", "manifest.json", "is the name of an output file"),
+    ("scenario:trace.csv", "trace.csv", "is the name of an output file"),
+    ("scenario: report.json", "report.json", "is the name of an output file"),
 ])
 def test_validate_rejects_a_scenario_name_that_is_no_output_directory(
         fixture_args, capsys, section, name, problem):
@@ -450,6 +454,7 @@ def test_validate_rejects_a_scenario_name_that_is_no_output_directory(
 @pytest.mark.parametrize("section,name,problem", [
     ("scenario:../escaped", "../escaped", "is not a plain directory name"),
     ("scenario:base", "base", "is reserved for the base run"),
+    ("scenario:matrix.csv", "matrix.csv", "is the name of an output file"),
 ])
 def test_scenarios_rejects_a_scenario_name_outside_its_directory(
         fixture_args, capsys, section, name, problem):
@@ -461,6 +466,45 @@ def test_scenarios_rejects_a_scenario_name_outside_its_directory(
         f"error: [{section}] scenario name {name!r} {problem}\n"
     assert not (out / "a" / "escaped").exists()
     assert not (out / "a" / "b").exists()
+
+
+def files_under(root):
+    return sorted(str(p.relative_to(root)) for p in root.rglob("*"))
+
+
+def test_simulate_writes_nothing_when_a_target_is_a_directory(fixture_args,
+                                                              capsys):
+    config, profile, out = fixture_args
+    (out / "run" / "report.json").mkdir(parents=True)
+    assert run_cli("simulate", "--config", config, "--profile", profile,
+                   "--out", out / "run") == 3
+    assert capsys.readouterr().err == \
+        f"error: cannot write outputs: {out / 'run' / 'report.json'} is a directory\n"
+    assert files_under(out / "run") == ["report.json"]
+
+
+def test_scenarios_writes_nothing_when_a_scenario_directory_is_a_file(
+        fixture_args, capsys):
+    config, profile, out = fixture_args
+    (out / "runs").mkdir()
+    (out / "runs" / "S3").write_text("kept\n")
+    assert run_cli("scenarios", "--config", config, "--profile", profile,
+                   "--out", out / "runs", "--scenarios", "all") == 3
+    assert capsys.readouterr().err == \
+        f"error: cannot write outputs: {out / 'runs' / 'S3'} is not a directory\n"
+    assert files_under(out / "runs") == ["S3"]
+    assert (out / "runs" / "S3").read_text() == "kept\n"
+
+
+def test_simulate_writes_nothing_under_an_out_path_that_is_a_file(
+        fixture_args, capsys):
+    config, profile, out = fixture_args
+    (out / "taken").write_text("kept\n")
+    assert run_cli("simulate", "--config", config, "--profile", profile,
+                   "--out", out / "taken" / "run") == 3
+    assert capsys.readouterr().err == \
+        f"error: cannot write outputs: {out / 'taken'} is not a directory\n"
+    assert (out / "taken").read_text() == "kept\n"
 
 
 def test_scenario_names_that_match_after_stripping_are_one_name_twice(

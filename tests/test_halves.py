@@ -1,12 +1,12 @@
-"""write_halves: the child's failures, the thread guard and stdio buffers.
+"""split_rows: the child's failures, the thread guard and stdio buffers.
 
 Each test forces the split with a small threshold and two CPUs, and
-compares the output with one in-process ``work(0, n, out)`` call.
+compares the sink's items with one in-process ``work(0, n)`` call.
 """
 
-import io
 import os
 import signal
+import struct
 import subprocess
 import sys
 import textwrap
@@ -18,34 +18,56 @@ from unittest import mock
 import pytest
 
 from mgems import _halves
-from mgems._halves import write_halves
-from mgems.cli import trace_csv_bytes
+from mgems._halves import split_rows
 
-from conftest import data_path, split_from
-from test_trace_writer import random_run
-from trace_reference import trace_csv_reference
+from conftest import split_from
 
 pytestmark = pytest.mark.skipif(sys.platform != "linux",
                                 reason="splits only on Linux")
 
 N = 101
+REFERENCE = list(range(N))
+
+_ITEM = struct.Struct("<q")
 
 
-def rows(lo, hi, out):
-    out.write(b"".join(b"row %d\n" % i for i in range(lo, hi)))
+class Numbers:
+    """A sink of row numbers, eight bytes each, held in one bytearray."""
+
+    def __init__(self):
+        self.data = bytearray()
+
+    def add(self, lo, hi):
+        self.data += b"".join(map(_ITEM.pack, range(lo, hi)))
+
+    def tell(self):
+        return len(self.data) // _ITEM.size
+
+    def rewind(self, mark):
+        del self.data[mark * _ITEM.size:]
+
+    def since(self, mark):
+        return [self.data[mark * _ITEM.size:]]
+
+    def reserve(self, count, size):
+        if size != count * _ITEM.size:
+            return None
+        start = len(self.data)
+        self.data += bytes(size)
+        return [memoryview(self.data)[start:]]
+
+    def items(self):
+        return [value for (value,) in _ITEM.iter_unpack(self.data)]
 
 
-REFERENCE = b"".join(b"row %d\n" % i for i in range(N))
-
-
-def in_child(action):
-    """A work function that runs ``action`` in the child, then writes rows."""
+def in_child(action, sink):
+    """A work function that runs ``action`` in the child, then adds rows."""
     parent = os.getpid()
 
-    def work(lo, hi, out):
+    def work(lo, hi):
         if os.getpid() != parent:
             action()
-        rows(lo, hi, out)
+        sink.add(lo, hi)
     return work
 
 
@@ -54,13 +76,11 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def split(work):
-    out = io.BytesIO()
-    out.write(b"header\n")
+def split(work, sink):
     with split_from(2), mock.patch.object(os, "fork", wraps=os.fork) as fork:
-        write_halves(N, work, out)
+        split_rows(N, work, sink)
     assert fork.call_count == 1
-    return out.getvalue()
+    return sink.items()
 
 
 @pytest.mark.parametrize("exit_code,parent_calls", [
@@ -71,28 +91,27 @@ def test_the_childs_payload_is_used_only_after_a_clean_exit(exit_code,
                                                              parent_calls):
     parent = os.getpid()
     calls = []   # filled in this process only
+    sink = Numbers()
 
-    def work(lo, hi, out):
+    def work(lo, hi):
         if os.getpid() == parent:
             calls.append((lo, hi))
-        rows(lo, hi, out)
+        sink.add(lo, hi)
 
     real_exit = os._exit
     # the child sends its whole payload, then exits with exit_code
     with mock.patch.object(os, "_exit", lambda status: real_exit(exit_code)):
-        assert split(work) == b"header\n" + REFERENCE
+        assert split(work, sink) == REFERENCE
     assert calls == parent_calls
     assert_no_child_left()
 
 
-def test_out_stays_writable_after_the_childs_bytes_are_read_in():
-    out = io.BytesIO()
-    out.write(b"header\n")
-    with split_from(2):
-        write_halves(N, rows, out)
-    # a view left on the buffer would make this write raise BufferError
-    out.write(b"tail\n")
-    assert out.getvalue() == b"header\n" + REFERENCE + b"tail\n"
+def test_the_sink_stays_resizable_after_the_childs_bytes_are_read_in():
+    sink = Numbers()
+    split(sink.add, sink)
+    # a view left on the bytearray would make this resize raise BufferError
+    sink.add(N, N + 1)
+    assert sink.items() == REFERENCE + [N]
     assert_no_child_left()
 
 
@@ -106,85 +125,95 @@ def _raise():
     pytest.param(lambda: os._exit(3), id="exit-3"),
     pytest.param(lambda: os._exit(0), id="exit-0-without-payload"),
 ])
-def test_a_failed_child_leaves_the_reference_bytes_and_no_child(action):
-    assert split(in_child(action)) == b"header\n" + REFERENCE
+def test_a_failed_child_leaves_the_reference_items_and_no_child(action):
+    sink = Numbers()
+    assert split(in_child(action, sink), sink) == REFERENCE
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("since", [
+    pytest.param(lambda self, mark: [self.data[mark * 8:-8]], id="one-item-short"),
+    pytest.param(lambda self, mark: [self.data[mark * 8:-3]], id="no-whole-item"),
+    pytest.param(lambda self, mark: [self.data[mark * 8:] + bytes(8)],
+                 id="one-item-long"),
+])
+def test_a_payload_other_than_the_childs_items_is_redone_here(since):
+    # only the child calls since()
+    sink = Numbers()
+    with mock.patch.object(Numbers, "since", since):
+        assert split(sink.add, sink) == REFERENCE
     assert_no_child_left()
 
 
 @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
 def test_an_error_in_the_parent_half_kills_and_reaps_the_child(error):
     parent = os.getpid()
+    sink = Numbers()
 
-    def work(lo, hi, out):
+    def work(lo, hi):
         if os.getpid() != parent:
             time.sleep(20)   # killed, not waited for
         elif lo == 0:
             raise error("the parent's half failed")
-        rows(lo, hi, out)
+        sink.add(lo, hi)
 
     started = time.monotonic()
     with pytest.raises(error, match="the parent's half failed"):
-        split(work)
+        split(work, sink)
     assert time.monotonic() - started < 10
     assert_no_child_left()
 
 
 def test_no_fork_while_a_second_thread_is_alive():
-    inputs, trace = random_run(5, 300)
+    sink = Numbers()
     release = threading.Event()
     thread = threading.Thread(target=release.wait, args=(30,))
     thread.start()
     try:
         with split_from(2), mock.patch.object(
                 os, "fork", side_effect=AssertionError("forked with two threads")):
-            data = trace_csv_bytes(inputs, trace)
+            split_rows(N, sink.add, sink)
     finally:
         release.set()
         thread.join(timeout=30)
     assert not thread.is_alive()
-    assert data == trace_csv_reference(inputs, trace)
+    assert sink.items() == REFERENCE
 
 
 def test_a_failed_fork_leaves_both_halves_to_this_process():
+    sink = Numbers()
     with split_from(2), mock.patch.object(
             os, "fork", side_effect=BlockingIOError("fork: no pids left")):
-        out = io.BytesIO()
-        write_halves(N, rows, out)
-    assert out.getvalue() == REFERENCE
+        split_rows(N, sink.add, sink)
+    assert sink.items() == REFERENCE
 
 
 def test_a_single_item_is_never_split_however_heavy():
-    out = io.BytesIO()
+    sink = Numbers()
     with split_from(2), mock.patch.object(
             os, "fork", side_effect=AssertionError("forked for one item")):
-        _halves.split_rows(1, lambda lo, hi: rows(lo, hi, out),
-                           _halves._Appended(out), weight=10**9)
-    assert out.getvalue() == b"row 0\n"
+        split_rows(1, sink.add, sink, weight=10**9)
+    assert sink.items() == [0]
 
 
 def test_no_fork_while_sigchld_is_ignored():
+    sink = Numbers()
     previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
     try:
         with split_from(2), mock.patch.object(
                 os, "fork", side_effect=AssertionError("forked, SIGCHLD ignored")):
-            out = io.BytesIO()
-            write_halves(N, rows, out)
+            split_rows(N, sink.add, sink)
     finally:
         signal.signal(signal.SIGCHLD, previous)
-    assert out.getvalue() == REFERENCE
+    assert sink.items() == REFERENCE
 
 
 CHILD_SCRIPT = textwrap.dedent("""
     import os
     import sys
 
-    import numpy as np
-
     from mgems import _halves
-    from mgems.cli import trace_csv_bytes
-    from mgems.configio import load_config
-    from mgems.dispatch import initial_state, run_arrays
-    from mgems.profiles import Profile
+    from mgems.profiles import GENERATION_HEADER, parse_profile
 
     os.sched_getaffinity = lambda pid: {0, 1}
     forks = []
@@ -196,17 +225,13 @@ CHILD_SCRIPT = textwrap.dedent("""
 
     os.fork = counting_fork
     assert not sys.stdout.write_through   # the line below stays buffered
-    config = load_config(sys.argv[1]).config
     n = _halves.MIN_ROWS
-    rng = np.random.default_rng(5)
-    inputs = Profile(demand_kw=rng.uniform(0, 400, n),
-                     price=rng.uniform(0, 0.6, n),
-                     grid_available=np.ones(n, np.uint8),
-                     pv_kw=rng.uniform(0, 300, n), wind_kw=rng.uniform(0, 200, n))
-    trace = run_arrays(inputs, initial_state(config.battery), config)
+    lines = [",".join(GENERATION_HEADER)]
+    lines += [f"{i},{i % 400}.5,0.25,{i % 2},{i % 300},3" for i in range(n)]
+    data = ("\\n".join(lines) + "\\n").encode()
     print("written before the fork")
-    data = trace_csv_bytes(inputs, trace)
-    print(data.count(b"\\n") - 1, len(forks), file=sys.stderr)
+    profile = parse_profile(data, "generation")
+    print(len(profile), len(forks), file=sys.stderr)
 """)
 
 
@@ -215,11 +240,11 @@ def test_the_child_does_not_flush_inherited_stdio_buffers(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     # stdout is a pipe, so block-buffered unless the environment says
-    # otherwise: the line is still in the buffer when trace_csv_bytes forks
+    # otherwise: the line is still in the buffer when parse_profile forks
     env.pop("PYTHONUNBUFFERED", None)
-    proc = subprocess.run(
-        [sys.executable, "-c", CHILD_SCRIPT, str(data_path("example_config.ini"))],
-        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", CHILD_SCRIPT],
+                          capture_output=True, text=True, env=env,
+                          cwd=tmp_path, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.split() == [str(_halves.MIN_ROWS), "1"]
     assert proc.stdout == "written before the fork\n"

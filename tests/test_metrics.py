@@ -10,9 +10,9 @@ from mgems._kernel import (CHARGE, CURTAILED, DG, DISCHARGE, ENERGY, EXPORT,
                            IMPORT, N_COLUMNS, PV_USED, SOC, UNSERVED,
                            WIND_USED)
 from mgems.dispatch import HorizonArrays
-from mgems.metrics import (EnergyTotals, accumulate, build_report,
-                           capital_cost, capital_recovery_factor, emissions,
-                           fixed_annual_om, lcoe, npc, operating_cost,
+from mgems.metrics import (EnergyTotals, _variable_cost_terms, accumulate,
+                           build_report, capital_cost, capital_recovery_factor,
+                           emissions, fixed_annual_om, lcoe, npc,
                            percent_change, project_npc, renewable_fraction)
 from mgems.model import EmissionFactors
 
@@ -139,35 +139,39 @@ def zero_om_config():
     )
 
 
-def test_operating_cost_zero_case():
-    config = zero_om_config()
-    assert operating_cost(trace([{}]), horizon(price=0.2), config) == 0.0
+def variable_cost(flows, inputs, config):
+    return _variable_cost_terms(flows.columns, inputs, config)
 
 
-def test_operating_cost_import_only():
+def test_variable_cost_zero_case():
     config = zero_om_config()
-    cost = operating_cost(trace([dict(grid_import_kw=10.0)]),
-                          horizon(price=0.20), config)
+    assert variable_cost(trace([{}]), horizon(price=0.2), config) == 0.0
+
+
+def test_variable_cost_import_only():
+    config = zero_om_config()
+    cost = variable_cost(trace([dict(grid_import_kw=10.0)]),
+                         horizon(price=0.20), config)
     assert cost == pytest.approx(2.0)
 
 
-def test_operating_cost_export_only_is_negative():
+def test_variable_cost_export_only_is_negative():
     config = zero_om_config()
-    cost = operating_cost(trace([dict(grid_export_kw=10.0)]),
-                          horizon(price=0.20), config)
+    cost = variable_cost(trace([dict(grid_export_kw=10.0)]),
+                         horizon(price=0.20), config)
     assert cost == pytest.approx(-2.0)
 
 
-def test_operating_cost_sell_ratio_scales_export_revenue():
+def test_variable_cost_sell_ratio_scales_export_revenue():
     config = zero_om_config()
     config = dataclasses.replace(
         config, grid=dataclasses.replace(config.grid, sell_price_ratio=0.5))
-    cost = operating_cost(trace([dict(grid_export_kw=10.0)]),
-                          horizon(price=0.20), config)
+    cost = variable_cost(trace([dict(grid_export_kw=10.0)]),
+                         horizon(price=0.20), config)
     assert cost == pytest.approx(-1.0)
 
 
-def test_operating_cost_dg_fuel_and_running_om():
+def test_variable_cost_dg_fuel_and_running_om():
     config = zero_om_config()
     config = dataclasses.replace(
         config, diesel=dataclasses.replace(config.diesel, om_cost=0.03,
@@ -175,16 +179,14 @@ def test_operating_cost_dg_fuel_and_running_om():
     flows = trace([dict(dg_kw=60.0), dict(dg_kw=30.0), {}])
     inputs = horizon(demand=np.zeros(3))
     # fuel: 90 kWh * 1.0; running O&M: 2 h * 60 kW capacity * 0.03
-    cost = operating_cost(flows, inputs, config)
+    cost = variable_cost(flows, inputs, config)
     assert cost == pytest.approx(90.0 + 3.6)
 
 
-def test_operating_cost_includes_fixed_annual_om():
+def test_fixed_annual_om_sums_pv_wind_and_battery_om():
     config = make_config()
     expected = (250.0 * 10.0 + 120.0 * 207.0 + 660.0 * 10.0)
     assert fixed_annual_om(config) == pytest.approx(expected)
-    assert operating_cost(trace([{}]), horizon(), config) == \
-        pytest.approx(expected)
 
 
 # --- npc / crf / lcoe ----------------------------------------------------------

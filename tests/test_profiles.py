@@ -502,6 +502,23 @@ def test_a_payload_of_no_whole_lines_is_redone_in_the_parent():
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="splits only on Linux")
+def test_a_child_that_sends_one_line_short_is_redone_in_the_parent():
+    data = long_body(100)
+    want = parse_profile(data, "generation")
+    # only the child calls since(); it drops its last column of cells
+    with split_from(2), mock.patch.object(os, "fork", wraps=os.fork) as fork, \
+            mock.patch.object(profiles._Cells, "since",
+                              lambda self, mark: list(
+                                  self.block[:, mark:self.filled - 1])):
+        got = parse_profile(data, "generation")
+    assert fork.call_count == 1
+    assert len(got) == 100
+    assert got == want
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.parametrize("index", ["nan", "NaN", "inf", "-inf"])
 def test_non_finite_index_is_rejected_by_both_parse_paths(index):
     data = (GEN_HEADER + "\n0,1,1,1,0,0\n" + index + ",5,0.12,1,0,0\n").encode()

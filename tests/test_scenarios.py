@@ -409,21 +409,21 @@ def _raise():
 
 @contextlib.contextmanager
 def _child_sends_a_run_less(steps, claimed):
-    """The child sends all its runs but the last, then exits 0; its length
-    header claims them all or only what it sends."""
-    real_since, length = scenarios._Runs.since, _halves._LENGTH
+    """The child sends all its runs but the last, then exits 0; its header
+    counts them all, and its length claims them all or only what it sends."""
+    real_since, header = scenarios._Runs.since, _halves._HEADER
     missing = steps * N_COLUMNS * 8 if claimed else 0
 
     class Header:
-        size, unpack = length.size, length.unpack
+        size, unpack = header.size, header.unpack
 
         @staticmethod
-        def pack(size):
-            return length.pack(size + missing)
+        def pack(count, size):
+            return header.pack(count, size + missing)
 
     with mock.patch.object(scenarios._Runs, "since",
                            lambda self, mark: real_since(self, mark)[:-1]), \
-            mock.patch.object(_halves, "_LENGTH", Header):
+            mock.patch.object(_halves, "_HEADER", Header):
         yield
 
 
