@@ -1,15 +1,15 @@
-"""Run a row loop in two processes: this one and one forked child.
+"""Run the scenario matrix's kernel runs in two processes: this one and a
+forked child.
 
-The profile parser passes its chunk loop as ``work(lo, hi)``, which
-appends the result of lines ``lo..hi`` to a sink; the scenario matrix
-passes its kernel loop, whose rows are whole runs. ``split_rows`` leaves
-in the sink exactly what one ``work(0, n)`` call would. When a split can
-be seen to pay, a forked child runs the upper half while this process runs
-the lower one, and the child's bytes are then read straight into room the
-sink makes after the lower half's result, so no copy of them is held on
-the way. Whatever happens to the child, the result does not depend on it:
-a child that dies, exits nonzero or sends a payload other than the items
-it made has its half recomputed here.
+The matrix passes its kernel loop as ``work(lo, hi)``, which appends the
+traces of runs ``lo..hi`` to a sink. ``split_rows`` leaves in the sink
+exactly what one ``work(0, n)`` call would. When a split can be seen to
+pay, a forked child runs the upper half while this process runs the lower
+one, and the child's bytes are then read straight into room the sink makes
+after the lower half's result, so no copy of them is held on the way.
+Whatever happens to the child, the result does not depend on it: a child
+that dies, exits nonzero or sends a payload other than the items it made
+has its half recomputed here.
 
 A sink has four methods:
 
@@ -32,19 +32,14 @@ import sys
 import threading
 from typing import NoReturn
 
-# Line count from which a split of the profile parser is faster than one
-# process. In an 87 MB process (2 vCPU, Python 3.11) a fork, its
-# copy-on-write faults and the child's exit cost 4-7 ms, and the parser
-# gains from about 12,000 lines. So the year's 8,760 lines are parsed in
-# one process and the decade's 87,600 in two.
-MIN_ROWS = 16384
-# The scenario matrix, the second caller, counts its work in kernel steps,
-# runs times horizon steps. A step costs well under a row, and the child's
-# traces cross the pipe at 88 bytes a step. In the same process, runs of
-# 8,760 steps split lost up to 61,000 steps, won or lost by a few percent
-# from 65,000 to 88,000, and won in every measurement from 96,000. So the
-# example day's 6 x 24 and a year's base run plus up to 13 scenarios stay
-# in one process, and the 51 x 8,760 of a 50-scenario year split.
+# The scenario matrix counts its work in kernel steps, runs times horizon
+# steps, and the child's traces cross the pipe at 88 bytes a step. In an
+# 87 MB process (2 vCPU, Python 3.11) a fork, its copy-on-write faults and
+# the child's exit cost 4-7 ms; runs of 8,760 steps split lost up to 61,000
+# steps, won or lost by a few percent from 65,000 to 88,000, and won in
+# every measurement from 96,000. So the example day's 6 x 24 and a year's
+# base run plus up to 13 scenarios stay in one process, and the 51 x 8,760
+# of a 50-scenario year split.
 MIN_KERNEL_STEPS = 131072
 
 # what the child sends ahead of its payload: its item count and byte length
@@ -114,19 +109,16 @@ def _receive(pipe, sink) -> bool:
     return True
 
 
-def split_rows(n: int, work, sink, weight: int = 1,
-               minimum: int | None = None) -> None:
+def split_rows(n: int, work, sink, *, minimum: int, weight: int = 1) -> None:
     """Append items 0..n to ``sink`` as ``work(0, n)`` would.
 
-    Each item is ``weight`` rows of work: a profile line weighs 1,
-    a matrix run the steps of its horizon. Splits the items at n // 2
-    between this process and a forked child when there are two or more and
-    ``_splits(n * weight, minimum)``, where ``minimum`` is MIN_ROWS unless
-    given. An exception from this process's half, the interrupt included,
-    kills and reaps the child before it propagates.
+    Each item is ``weight`` rows of work: a matrix run weighs the steps of
+    its horizon. Splits the items at n // 2 between this process and a
+    forked child when there are two or more and
+    ``_splits(n * weight, minimum)``. An exception from this process's
+    half, the interrupt included, kills and reaps the child before it
+    propagates.
     """
-    if minimum is None:
-        minimum = MIN_ROWS
     if n < 2 or not _splits(n * weight, minimum):
         work(0, n)
         return

@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass, replace
 from itertools import repeat
@@ -19,7 +20,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-import orjson
 
 from . import __version__
 from ._kernel import SOC
@@ -137,6 +137,7 @@ def _float_rows(block: np.ndarray) -> list[bytes]:
     orjson formats the block; a row holding a value it lays out unlike repr
     is formatted by repr.
     """
+    import orjson   # see trace_csv_bytes
     # trimmed after the split, so the whole output is never copied
     rows = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY).split(b"],[")
     rows[0] = rows[0][2:]
@@ -155,6 +156,9 @@ def trace_csv_bytes(inputs: Profile, trace: HorizonArrays) -> bytes:
     Each chunk of rows is formatted as two float blocks, demand and price,
     then pv, wind and the allocation, straight into the output buffer.
     """
+    # imported here, not at module top: orjson imports zoneinfo and uuid,
+    # which commands and library callers that write no trace never use
+    import orjson
     threshold = repr(float(trace.threshold))
     flags = (b",0,", b",1,")
     tails = [f",{threshold},{m}".encode() for m in (ISLANDED, GRID_CONNECTED)]
@@ -186,8 +190,14 @@ def report_json_bytes(report) -> bytes:
 
 
 def _write_outputs(out_dir: Path, files: dict[str, bytes]) -> None:
-    """Write ``files`` under ``out_dir``, or nothing if a file would meet a
-    directory: a target that is a directory, or a directory that is not."""
+    """Write ``files`` under ``out_dir``, or none of them.
+
+    Nothing is written if a file would meet a directory: a target that is a
+    directory, or a directory that is not. Each file is first written under
+    a temporary name in its own directory, and all are moved into place
+    only once every one is written, so a write that fails (a full disk, a
+    permission error) leaves no target written and no temporary file.
+    """
     targets = [out_dir / name for name in files]
     directories = {parent for target in targets for parent in target.parents}
     for target in targets:
@@ -198,14 +208,24 @@ def _write_outputs(out_dir: Path, files: dict[str, bytes]) -> None:
         if directory.exists() and not directory.is_dir():
             raise _CommandError(
                 EXIT_IO, f"cannot write outputs: {directory} is not a directory")
+    staged: list[tuple[Path, Path]] = []
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for name, data in files.items():
-            target = out_dir / name
+        for target, data in zip(targets, files.values()):
             target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_bytes(data)
+            temporary = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+            staged.append((temporary, target))
+            temporary.write_bytes(data)
+        for temporary, target in staged:
+            os.replace(temporary, target)
     except OSError as exc:
         raise _CommandError(EXIT_IO, f"cannot write outputs: {exc}")
+    finally:
+        # a no-op for each temporary already moved into place
+        for temporary, _ in staged:
+            try:
+                temporary.unlink(missing_ok=True)
+            except OSError:
+                pass
 
 
 def _manifest_json_bytes(args, selection: tuple[str, ...] = ()) -> bytes:

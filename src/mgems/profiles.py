@@ -5,6 +5,11 @@ wind power columns; resource mode carries irradiance and wind speed, which
 are converted through the configured component models. Files are plain CSV
 with a mandatory header (see GENERATION_HEADER / RESOURCE_HEADER).
 
+A file is parsed in one process by numpy's C reader, np.loadtxt, and its
+cells are checked with numpy. A file that reader cannot take as it is, or
+that fails a check, is parsed again line by line, which accepts the same
+files and names the line and column of the first bad field.
+
 A parsed horizon is held column by column: a Profile (dispatch inputs) or a
 ResourceProfile (raw measurements) keeps one read-only array per field, so
 scenario runs can share the columns they do not change. A horizon has a
@@ -14,14 +19,13 @@ the only input type the other modules take.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass, fields, replace
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
-from ._halves import split_rows
 from .errors import ProfileFormatError
 from .model import MicrogridConfig, PvSpec, WindSpec
 
@@ -114,14 +118,20 @@ class ResourceProfile(_Columns):
     wind_speed_ms: np.ndarray
 
 
-# body lines the bulk parser converts at a time: a chunk's cell strings and
-# values stay a small share of the parse's peak memory
-_PARSE_CHUNK_LINES = 1024
-
-_FLAGS = frozenset(("0", "1"))
-
 # bytes of a profile decoded at a time: the file is never held whole as text
 _DECODE_BLOCK_BYTES = 1 << 20
+
+# bytes at which str.splitlines breaks a line but np.loadtxt does not
+_UNSPLIT_BREAKS = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
+
+
+def _layout(mode: str) -> tuple[tuple[str, ...], type]:
+    """The header and the horizon class of a profile mode."""
+    if mode == GENERATION_MODE:
+        return GENERATION_HEADER, Profile
+    if mode == RESOURCE_MODE:
+        return RESOURCE_HEADER, ResourceProfile
+    raise ValueError(f"unknown profile mode: {mode!r}")
 
 
 def _decode_lines(data: bytes) -> list[str]:
@@ -178,15 +188,8 @@ def _require_finite_nonneg(value: float, line_no: int, column: str) -> float:
     return value
 
 
-def _split_lines(data: bytes, mode: str) -> tuple[tuple[str, ...], type, list[str]]:
-    """Decode a profile and check its header: (header, profile class, lines)."""
-    if mode == GENERATION_MODE:
-        header, kind = GENERATION_HEADER, Profile
-    elif mode == RESOURCE_MODE:
-        header, kind = RESOURCE_HEADER, ResourceProfile
-    else:
-        raise ValueError(f"unknown profile mode: {mode!r}")
-
+def _split_lines(data: bytes, header: tuple[str, ...]) -> list[str]:
+    """Decode a profile into lines and check its first line is ``header``."""
     lines = _decode_lines(data)
     if not lines:
         raise ProfileFormatError("empty file: expected a header row")
@@ -194,7 +197,7 @@ def _split_lines(data: bytes, mode: str) -> tuple[tuple[str, ...], type, list[st
     if got != header:
         raise ProfileFormatError(
             f"line 1: expected header {','.join(header)!r}, got {lines[0]!r}")
-    return header, kind, lines
+    return lines
 
 
 def _parse_rows(lines: list[str], header: tuple[str, ...]) -> list:
@@ -226,87 +229,55 @@ def _parse_rows(lines: list[str], header: tuple[str, ...]) -> list:
     return list(zip(*records)) if records else [()] * 5
 
 
-class _Rejected(Exception):
-    """A body chunk that the bulk parse leaves to _parse_rows."""
+def _parse_fast(data: bytes, header: tuple[str, ...]) -> np.ndarray | None:
+    """The body as a (6, n) float64 view, one row per field.
 
-
-class _Cells:
-    """Body cells in a (6, width) float64 block, one row per field.
-
-    Filled from the left a chunk of lines at a time; a ``split_rows`` sink
-    whose marks count filled columns, so a child's columns are read
-    straight into the block.
+    One np.loadtxt call parses the body in C. It converts a cell with
+    CPython's PyOS_string_to_double, the routine behind float(), after
+    stripping the whitespace str.strip() strips, so the values are
+    _parse_rows' bits. Returns None where _parse_rows must judge the
+    profile: a non-ASCII byte, a line break loadtxt does not take as
+    str.splitlines does, a first line other than ``header``, no body line,
+    a grid_available cell other than "0" or "1", a line without exactly six
+    fields, a cell loadtxt rejects (float() may not: "1_0"), a non-finite
+    value, or a negative value outside the index column. Both headers have
+    six fields with grid_available fourth.
     """
-
-    def __init__(self, width: int):
-        self.block = np.empty((6, width), dtype=np.float64)
-        self.filled = 0
-
-    def append(self, values: np.ndarray) -> None:
-        """Add the cells of whole lines, given in line order."""
-        k = len(values) // 6
-        self.block[:, self.filled:self.filled + k] = values.reshape(k, 6).T
-        self.filled += k
-
-    def tell(self) -> int:
-        return self.filled
-
-    def rewind(self, mark: int) -> None:
-        self.filled = mark
-
-    def since(self, mark: int) -> list[np.ndarray]:
-        return list(self.block[:, mark:self.filled])
-
-    def reserve(self, count: int, size: int) -> list[memoryview] | None:
-        if (size != 6 * self.block.itemsize * count
-                or self.filled + count > self.block.shape[1]):
-            return None
-        start = self.filled
-        self.filled += count
-        return [memoryview(row).cast("B")
-                for row in self.block[:, start:self.filled]]
-
-
-def _parse_bulk(lines: list[str]) -> np.ndarray | None:
-    """The body as a read-only (6, n) float64 block, one row per field.
-
-    Converts chunks of lines with one float() call per cell, long bodies in
-    two processes (see ``split_rows``), and checks the whole block with
-    numpy. Returns None where _parse_rows must judge the body: a line
-    without exactly five commas, a grid_available cell other than "0" or
-    "1", a cell float() rejects, a non-finite value, or a negative value
-    outside the index column. Both headers have six fields with
-    grid_available fourth.
-    """
-    parsed = _Cells(max(len(lines) - 1, 0))
-
-    def convert(lo: int, hi: int) -> None:
-        # body line k is lines[k + 1]; lines[0] is the header
-        for start in range(lo + 1, hi + 1, _PARSE_CHUNK_LINES):
-            stop = min(start + _PARSE_CHUNK_LINES, hi + 1)
-            chunk = list(filter(str.strip, lines[start:stop]))
-            if not chunk:
-                continue
-            if set(map(str.count, chunk, repeat(","))) != {5}:
-                raise _Rejected
-            cells = ",".join(chunk).split(",")
-            if not _FLAGS.issuperset(cells[3::6]):
-                raise _Rejected
-            try:
-                values = np.fromiter(map(float, cells), np.float64, len(cells))
-            except ValueError:
-                raise _Rejected from None
-            parsed.append(values)
-
-    try:
-        split_rows(len(lines) - 1, convert, parsed)
-    except _Rejected:
+    # loadtxt would join the lines str.splitlines splits at these; it
+    # rejects a line holding a lone "\r" itself
+    if not data.isascii() or any(map(data.__contains__, _UNSPLIT_BREAKS)):
         return None
-    block = parsed.block[:, :parsed.filled]
+    end = data.find(b"\n")
+    if end < 0 or tuple(name.strip() for name in
+                        data[:end].decode("ascii").split(",")) != header:
+        return None
+    raw = np.frombuffer(data, dtype=np.uint8)
+    commas = np.flatnonzero(raw == ord(","))
+    # five past the header's five for each body line; a blank line has none.
+    # With no body line loadtxt would warn of an empty input.
+    if len(commas) == 5 or len(commas) % 5:
+        return None
+    commas = commas[5:].reshape(-1, 5)
+    # grid_available is one byte, "0" or "1", between a line's third and
+    # fourth comma: loadtxt would also take " 1", "+1", "01" and "1.0"
+    if not ((commas[:, 3] - commas[:, 2] == 2).all()
+            and np.isin(raw[commas[:, 2] + 1], tuple(b"01")).all()):
+        return None
+    try:
+        # a bytes stream: loadtxt decodes it a line at a time, where a str
+        # stream would hold the whole text. With comments="#", the default,
+        # it would take "5#x" as 5.
+        loaded = np.loadtxt(io.BytesIO(data), dtype=np.float64, delimiter=",",
+                            comments=None, skiprows=1, ndmin=2,
+                            encoding="utf-8")
+    except ValueError:
+        return None
+    # the lines loadtxt read are the lines whose commas were checked
+    if loaded.shape != (len(commas), 6):
+        return None
+    block = loaded.T
     if not (np.isfinite(block).all() and (block[1:] >= 0).all()):
         return None
-    # Profile keeps the rows as they are: each is contiguous and read-only
-    block.setflags(write=False)
     return block
 
 
@@ -315,15 +286,15 @@ def parse_profile(data: bytes, mode: str) -> Profile | ResourceProfile:
 
     Steps keep file order and are indexed 0..n-1 by position. Raises
     ProfileFormatError naming the 1-based line number and column for any
-    malformed, negative or non-finite field.
+    malformed, negative or non-finite field. A profile the C reader cannot
+    take whole (see ``_parse_fast``) is parsed and judged line by line.
     """
-    header, kind, lines = _split_lines(data, mode)
-    block = _parse_bulk(lines)
+    header, kind = _layout(mode)
+    block = _parse_fast(data, header)
     if block is None:
-        return kind(*_parse_rows(lines, header))
-    grid_available = block[3].astype(np.uint8)
-    grid_available.setflags(write=False)
-    return kind(block[1], block[2], grid_available, block[4], block[5])
+        return kind(*_parse_rows(_split_lines(data, header), header))
+    # the horizon copies each strided row into a contiguous column
+    return kind(*block[1:])
 
 
 def _pv_power_column(irradiance_wm2: np.ndarray, spec: PvSpec) -> np.ndarray:

@@ -204,13 +204,12 @@ def _failed(scenario_id: str, exc: Exception) -> ScenarioOutcome:
 class _Runs:
     """The kernel's traces of equal-length runs, filled in run order.
 
-    A ``split_rows`` sink whose marks count filled runs, as
-    ``profiles._Cells`` counts columns: a child's runs arrive as their
-    (n, 11) column blocks, read straight into arrays allocated here, so
-    each run still owns its trace array and no second copy is held. A run
-    whose kernel raised holds the exception instead. A child cannot send
-    one, so its half is redone in this process, which records the same
-    exception.
+    A ``split_rows`` sink whose marks count filled runs: a child's runs
+    arrive as their (n, 11) column blocks, read straight into arrays
+    allocated here, so each run still owns its trace array and no second
+    copy is held. A run whose kernel raised holds the exception instead. A
+    child cannot send one, so its half is redone in this process, which
+    records the same exception.
     """
 
     def __init__(self, runs: list[tuple[Profile, MicrogridConfig]],

@@ -34,17 +34,11 @@ def data_path(name: str):
     return importlib.resources.files("mgems") / "data" / name
 
 
-# the row threshold split_rows ships with, and one that splits every
-# horizon of two or more rows; tests of the profile parser run under both
-SPLIT_THRESHOLDS = pytest.mark.parametrize("min_rows", [_halves.MIN_ROWS, 2])
-
-
 @contextlib.contextmanager
-def split_from(min_rows: int):
-    """split_rows forking from ``min_rows`` rows or kernel steps, as with
+def split_from(min_steps: int):
+    """The scenario matrix forking from ``min_steps`` kernel steps, as with
     two CPUs free."""
-    with mock.patch.object(_halves, "MIN_ROWS", min_rows), \
-            mock.patch.object(_halves, "MIN_KERNEL_STEPS", min_rows), \
+    with mock.patch.object(_halves, "MIN_KERNEL_STEPS", min_steps), \
             mock.patch.object(os, "sched_getaffinity", return_value={0, 1}):
         yield
 

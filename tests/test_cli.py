@@ -1,9 +1,11 @@
 """CLI behaviour: outputs, exit codes, golden files, determinism."""
 
 import dataclasses
+import errno
 import json
 import re
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -505,6 +507,31 @@ def test_simulate_writes_nothing_under_an_out_path_that_is_a_file(
     assert capsys.readouterr().err == \
         f"error: cannot write outputs: {out / 'taken'} is not a directory\n"
     assert (out / "taken").read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate"], ["scenarios", "--scenarios", "all"]])
+def test_a_write_that_fails_midway_leaves_no_output_file(fixture_args, capsys,
+                                                          command):
+    config, profile, out = fixture_args
+    real_write_bytes = Path.write_bytes
+    written = []
+
+    def write_bytes(path, data):
+        written.append(path)
+        if len(written) == 2:
+            # half the file reaches the disk, then the disk is full
+            real_write_bytes(path, data[:len(data) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return real_write_bytes(path, data)
+
+    with mock.patch.object(Path, "write_bytes", write_bytes):
+        assert run_cli(*command, "--config", config, "--profile", profile,
+                       "--out", out / "run") == 3
+    assert capsys.readouterr().err == \
+        "error: cannot write outputs: [Errno 28] No space left on device\n"
+    assert len(written) == 2
+    assert [p for p in (out / "run").rglob("*") if not p.is_dir()] == []
 
 
 def test_scenario_names_that_match_after_stripping_are_one_name_twice(

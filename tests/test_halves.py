@@ -1,6 +1,6 @@
 """split_rows: the child's failures, the thread guard and stdio buffers.
 
-Each test forces the split with a small threshold and two CPUs, and
+Each test forces the split with a threshold of two items and two CPUs, and
 compares the sink's items with one in-process ``work(0, n)`` call.
 """
 
@@ -17,7 +17,6 @@ from unittest import mock
 
 import pytest
 
-from mgems import _halves
 from mgems._halves import split_rows
 
 from conftest import split_from
@@ -78,7 +77,7 @@ def assert_no_child_left():
 
 def split(work, sink):
     with split_from(2), mock.patch.object(os, "fork", wraps=os.fork) as fork:
-        split_rows(N, work, sink)
+        split_rows(N, work, sink, minimum=2)
     assert fork.call_count == 1
     return sink.items()
 
@@ -172,7 +171,7 @@ def test_no_fork_while_a_second_thread_is_alive():
     try:
         with split_from(2), mock.patch.object(
                 os, "fork", side_effect=AssertionError("forked with two threads")):
-            split_rows(N, sink.add, sink)
+            split_rows(N, sink.add, sink, minimum=2)
     finally:
         release.set()
         thread.join(timeout=30)
@@ -184,7 +183,7 @@ def test_a_failed_fork_leaves_both_halves_to_this_process():
     sink = Numbers()
     with split_from(2), mock.patch.object(
             os, "fork", side_effect=BlockingIOError("fork: no pids left")):
-        split_rows(N, sink.add, sink)
+        split_rows(N, sink.add, sink, minimum=2)
     assert sink.items() == REFERENCE
 
 
@@ -192,7 +191,7 @@ def test_a_single_item_is_never_split_however_heavy():
     sink = Numbers()
     with split_from(2), mock.patch.object(
             os, "fork", side_effect=AssertionError("forked for one item")):
-        split_rows(1, sink.add, sink, weight=10**9)
+        split_rows(1, sink.add, sink, minimum=2, weight=10**9)
     assert sink.items() == [0]
 
 
@@ -202,7 +201,7 @@ def test_no_fork_while_sigchld_is_ignored():
     try:
         with split_from(2), mock.patch.object(
                 os, "fork", side_effect=AssertionError("forked, SIGCHLD ignored")):
-            split_rows(N, sink.add, sink)
+            split_rows(N, sink.add, sink, minimum=2)
     finally:
         signal.signal(signal.SIGCHLD, previous)
     assert sink.items() == REFERENCE
@@ -212,8 +211,7 @@ CHILD_SCRIPT = textwrap.dedent("""
     import os
     import sys
 
-    from mgems import _halves
-    from mgems.profiles import GENERATION_HEADER, parse_profile
+    from mgems._halves import split_rows
 
     os.sched_getaffinity = lambda pid: {0, 1}
     forks = []
@@ -224,14 +222,37 @@ CHILD_SCRIPT = textwrap.dedent("""
         return real_fork()
 
     os.fork = counting_fork
+
+
+    class Bytes:
+        # a sink of row numbers below 256, one byte each
+        def __init__(self):
+            self.data = bytearray()
+
+        def add(self, lo, hi):
+            self.data += bytes(range(lo, hi))
+
+        def tell(self):
+            return len(self.data)
+
+        def rewind(self, mark):
+            del self.data[mark:]
+
+        def since(self, mark):
+            return [self.data[mark:]]
+
+        def reserve(self, count, size):
+            if size != count:
+                return None
+            self.data += bytes(size)
+            return [memoryview(self.data)[-size:]]
+
+
     assert not sys.stdout.write_through   # the line below stays buffered
-    n = _halves.MIN_ROWS
-    lines = [",".join(GENERATION_HEADER)]
-    lines += [f"{i},{i % 400}.5,0.25,{i % 2},{i % 300},3" for i in range(n)]
-    data = ("\\n".join(lines) + "\\n").encode()
+    sink = Bytes()
     print("written before the fork")
-    profile = parse_profile(data, "generation")
-    print(len(profile), len(forks), file=sys.stderr)
+    split_rows(200, sink.add, sink, minimum=2)
+    print(list(sink.data) == list(range(200)), len(forks), file=sys.stderr)
 """)
 
 
@@ -240,11 +261,11 @@ def test_the_child_does_not_flush_inherited_stdio_buffers(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     # stdout is a pipe, so block-buffered unless the environment says
-    # otherwise: the line is still in the buffer when parse_profile forks
+    # otherwise: the line is still in the buffer when split_rows forks
     env.pop("PYTHONUNBUFFERED", None)
     proc = subprocess.run([sys.executable, "-c", CHILD_SCRIPT],
                           capture_output=True, text=True, env=env,
                           cwd=tmp_path, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.split() == [str(_halves.MIN_ROWS), "1"]
+    assert proc.stderr.split() == ["True", "1"]
     assert proc.stdout == "written before the fork\n"

@@ -2,7 +2,6 @@
 
 import dataclasses
 import os
-import sys
 from unittest import mock
 
 import numpy as np
@@ -15,7 +14,7 @@ from mgems.model import PvSpec, WindSpec
 from mgems.profiles import (Profile, ResourceProfile, convert_prices,
                             parse_profile, resource_to_inputs)
 
-from conftest import SPLIT_THRESHOLDS, horizon, make_config, split_from
+from conftest import horizon, make_config
 from resource_reference import pv_power, serialize_profile, wind_power
 
 GEN_HEADER = "index,demand_kw,price,grid_available,pv_kw,wind_kw"
@@ -286,31 +285,48 @@ def test_cents_conversion_equals_python_division(prices):
     assert _bits(converted.price) == _bits([p / 100.0 for p in prices])
 
 
-# --- bulk parse against the row loop -----------------------------------------
+# --- the C reader against the row loop --------------------------------------
 
-CHUNK = profiles._PARSE_CHUNK_LINES
-
-
-def both_paths(data: bytes, mode: str):
-    """(bulk block or None, row-loop columns, parse_profile result)."""
-    header, _, lines = profiles._split_lines(data, mode)
-    return (profiles._parse_bulk(lines), profiles._parse_rows(lines, header),
-            parse_profile(data, mode))
+# a body of a few thousand lines
+LONG = 3 * 1024 + 7
 
 
-def assert_paths_agree(bulk, rows, parsed):
-    """The bulk block, the row loop and parse_profile hold the same bits."""
-    demand, price, grid, a, b = rows
-    for k, column in zip((1, 2, 4, 5), (demand, price, a, b)):
-        assert _bits(bulk[k]) == _bits(column)
-    assert np.array_equal(bulk[3].astype(np.uint8), np.asarray(grid, np.uint8))
-    for got, want in zip((getattr(parsed, field.name) for field in
-                          dataclasses.fields(parsed)), rows):
-        if got.dtype == np.uint8:
-            assert np.array_equal(got, np.asarray(want, np.uint8))
-        else:
-            assert _bits(got) == _bits(want)
-        assert not got.flags.writeable and got.flags.c_contiguous
+def row_loop(data: bytes, mode: str):
+    """_parse_rows' horizon of ``data``, or the message it raises."""
+    header, kind = profiles._layout(mode)
+    try:
+        return kind(*profiles._parse_rows(profiles._split_lines(data, header),
+                                          header))
+    except ProfileFormatError as exc:
+        return str(exc)
+
+
+def assert_same_columns(got, want):
+    """Equal fields, bit for bit and dtype for dtype."""
+    assert type(got) is type(want)
+    for field in dataclasses.fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field.name
+        assert not a.flags.writeable and a.flags.c_contiguous
+
+
+def assert_parses_as_the_row_loop(data: bytes, mode: str):
+    """parse_profile gives the row loop's columns or raises its message, and
+    the C reader gives its columns or leaves the file to it; returns the C
+    reader's block or None."""
+    want = row_loop(data, mode)
+    header, kind = profiles._layout(mode)
+    fast = profiles._parse_fast(data, header)
+    if fast is not None:
+        assert not isinstance(want, str), want
+        assert_same_columns(kind(*fast[1:]), want)
+    if isinstance(want, str):
+        with pytest.raises(ProfileFormatError) as exc:
+            parse_profile(data, mode)
+        assert str(exc.value) == want
+    else:
+        assert_same_columns(parse_profile(data, mode), want)
+    return fast
 
 
 def _number_texts(value: float) -> list[str]:
@@ -318,75 +334,124 @@ def _number_texts(value: float) -> list[str]:
             f"\t{value!r}"]
 
 
-nonneg_cell = st.one_of(
+# odd cells: padded, signed or exponent-form numbers, subnormals, magnitudes
+# near 1e308, -0.0, nan, inf and 1e400
+number_cell = st.one_of(
     st.floats(min_value=0, max_value=1e12).flatmap(
         lambda v: st.sampled_from(_number_texts(v))),
-    st.sampled_from(["0", "-0.0", "-0", "1_0", "1_000.25", "+3", ".5", "5.",
-                     "1e3", "1E-3", "00", "\uff11\uff10", " 7 "]))
-index_cell = st.one_of(
-    nonneg_cell,
-    st.floats(min_value=-1e12, max_value=0).map(repr),
-    st.sampled_from(["-7", "-1e3", "-0.0", "1_0"]))
-flag_cell = st.sampled_from(["0", "1"])
-padded_flag_cell = st.sampled_from([" 1", "0 ", " 0 "])
-body_line = st.tuples(index_cell, nonneg_cell, nonneg_cell, flag_cell,
-                      nonneg_cell, nonneg_cell).map(",".join)
-blank_line = st.sampled_from(["", "   ", "\t"])
+    st.floats().map(repr),
+    st.sampled_from(["0", "-0.0", "-0", "+3", ".5", "5.", "1e3", "1E-3", "00",
+                     " 7 ", "5e-324", "1.7976931348623157e308", "1e400",
+                     "-1e400", "nan", "inf", "Infinity", "-7",
+                     # float() takes these, the C reader does not
+                     "1_0", "1_000.25", "\uff11\uff10", "\u0663",
+                     # neither takes these
+                     "", "abc", "0x10", "1d3", "1 2", "5\x00"]))
+finite_nonneg = st.floats(min_value=0, allow_infinity=False).map(repr)
+# str.splitlines breaks a line at each of these; the C reader only at
+# "\n" and "\r\n"
+line_break = st.sampled_from(["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d",
+                              "\x1e", "\x85", "\u2028", "\u2029"])
+odd_cell = st.one_of(
+    number_cell,
+    st.sampled_from(["+1", "01", "1.0", " 1 ", "0 ", "\t1", "2", "-0", ""]),
+    # a line break inside a line, where the C reader would strip it
+    st.tuples(finite_nonneg, line_break).map("".join))
+clean_row = st.tuples(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                      finite_nonneg, finite_nonneg, st.sampled_from(["0", "1"]),
+                      finite_nonneg, finite_nonneg).map(list)
+blank_line = st.sampled_from(["", "   ", "\t", "\x0c", "\x1f"])
+line_edit = st.one_of(blank_line.map(lambda text: ("blank", text)),
+                      line_break.map(lambda text: ("break", text)))
 
 
-@SPLIT_THRESHOLDS
-@settings(max_examples=200, deadline=None)
-@given(lines=st.lists(st.one_of(body_line, body_line, body_line, blank_line),
-                      max_size=25),
-       padded_flag=st.one_of(st.none(),
-                             st.tuples(st.integers(0, 24), padded_flag_cell)),
-       newline=st.sampled_from(["\n", "\r\n"]),
-       mode=st.sampled_from(["generation", "resource"]),
-       chunk=st.sampled_from([1, 2, 3, 5, CHUNK]))
-def test_bulk_parse_equals_the_row_loop_bitwise(lines, padded_flag, newline,
-                                                mode, chunk, min_rows):
+@settings(max_examples=500, deadline=None)
+@given(rows=st.lists(clean_row, max_size=10),
+       newline=st.sampled_from(["\n", "\n", "\r\n", "\r"]),
+       cell_edits=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 7),
+                                     odd_cell), max_size=2),
+       line_edits=st.lists(st.tuples(st.integers(0, 10), line_edit), max_size=2),
+       padded_header=st.booleans(),
+       ending=st.sampled_from(["", "\n", "\r\n", "\n\n", "\n  \n"]),
+       mode=st.sampled_from(["generation", "resource"]))
+def test_fast_parse_equals_the_row_loop(rows, newline, cell_edits, line_edits,
+                                        padded_header, ending, mode):
+    # a valid body, then up to two odd cells (column 6 adds a seventh field,
+    # column 7 drops the sixth) and up to two blank lines or odd breaks
+    for row, column, text in cell_edits:
+        if row < len(rows):
+            if column == 7:
+                rows[row].pop()
+            elif column == 6:
+                rows[row].append(text)
+            else:
+                rows[row][column] = text
+    lines = [[newline, ",".join(cells)] for cells in rows]
+    for at, (kind, text) in line_edits:
+        if kind == "blank":
+            lines.insert(at % (len(lines) + 1), [newline, text])
+        elif lines:
+            lines[at % len(lines)][0] = text
     header = GEN_HEADER if mode == "generation" else RES_HEADER
-    padded = False
-    if padded_flag is not None and lines:
-        at, flag = padded_flag
-        at %= len(lines)
-        cells = lines[at].split(",")
-        if len(cells) == 6:
-            cells[3] = flag
-            lines[at] = ",".join(cells)
-            padded = True
-    data = newline.join([header] + lines + [""]).encode()
-    with mock.patch.object(profiles, "_PARSE_CHUNK_LINES", chunk), \
-            split_from(min_rows):
-        bulk, rows, parsed = both_paths(data, mode)
-    if padded:
-        # a padded flag is valid but left to the row loop
-        assert bulk is None
-        return
-    assert bulk is not None
-    assert_paths_agree(bulk, rows, parsed)
+    if padded_header:
+        header = " , ".join(header.split(","))
+    text = header + "".join(map("".join, lines)) + ending
+    assert_parses_as_the_row_loop(text.encode(), mode)
 
 
-@SPLIT_THRESHOLDS
-def test_bulk_parse_equals_the_row_loop_across_real_chunks(min_rows):
+@pytest.mark.parametrize("body,message", [
+    pytest.param("0,1_0,2,1,3,4\n", None, id="underscore"),
+    pytest.param("0,\uff11,2,1,3,4\n", None, id="non-ascii-digit"),
+    pytest.param("0,1,2, 1 ,3,4\n", None, id="padded-flag"),
+    pytest.param("0,1,2,1,3,4\n   \n1,1,2,0,3,4\n", None, id="whitespace-line"),
+    pytest.param("0,1,2,1,3,4\r1,1,2,0,3,4\r", None, id="cr-breaks"),
+    pytest.param("0,1,2\x0c,1,3,4\n", "line 2: expected 6 fields, got 3",
+                 id="form-feed-in-a-line"),
+    pytest.param("0,1,2\r,1,3,4\n", "line 2: expected 6 fields, got 3",
+                 id="carriage-return-in-a-line"),
+    pytest.param("0,1,2,+1,3,4\n",
+                 "line 2, column grid_available: expected 1 or 0, got '+1'",
+                 id="plus-flag"),
+    pytest.param("0,1,2,01,3,4\n",
+                 "line 2, column grid_available: expected 1 or 0, got '01'",
+                 id="zero-padded-flag"),
+    pytest.param("0,1,2,1.0,3,4\n",
+                 "line 2, column grid_available: expected 1 or 0, got '1.0'",
+                 id="float-flag"),
+    pytest.param("0,1,2,1,3,4#x\n",
+                 "line 2, column wind_kw: not a number: '4#x'", id="hash"),
+    pytest.param("0,1e400,2,1,3,4\n",
+                 "line 2, column demand_kw: must be finite, got inf",
+                 id="overflow"),
+    # ten commas a line pass the grid_available check twice over
+    pytest.param("1,1,1,1,1,1,1,1,1,1,1\n", "line 2: expected 6 fields, got 11",
+                 id="eleven-fields"),
+    pytest.param("\n\n", None, id="blank-lines-only"),
+])
+def test_the_c_reader_leaves_these_to_the_row_loop(body, message):
+    data = (GEN_HEADER + "\n" + body).encode()
+    assert profiles._parse_fast(data, profiles.GENERATION_HEADER) is None
+    assert_parses_as_the_row_loop(data, "generation")
+    if message is not None:
+        assert row_loop(data, "generation") == message
+
+
+def test_fast_parse_equals_the_row_loop_on_a_long_body():
     rng = np.random.default_rng(3)
-    values = rng.uniform(0, 500, size=(3 * CHUNK + 7, 5))
+    values = rng.uniform(0, 500, size=(LONG, 5))
     lines = [f"{i},{d!r},{p!r},{int(g > 250)},{a:e},{b!r}"
              for i, (d, p, g, a, b) in enumerate(values.tolist())]
-    lines[CHUNK - 1] = lines[CHUNK] = ""   # blank lines on a chunk boundary
-    lines[2 * CHUNK] = "-5,-0.0,1_0,0, 3 ,4e-3"
+    lines[1023] = lines[1024] = ""   # blank lines
+    lines[2048] = "-5,-0.0,1e1,0, 3 ,4e-3"
     data = ("\r\n".join([GEN_HEADER] + lines) + "\r\n").encode()
-    with split_from(min_rows):
-        bulk, rows, parsed = both_paths(data, "generation")
-    assert bulk is not None and bulk.shape == (6, 3 * CHUNK + 5)
-    assert_paths_agree(bulk, rows, parsed)
+    fast = assert_parses_as_the_row_loop(data, "generation")
+    assert fast is not None and fast.shape == (6, LONG - 2)
 
 
-# each malformed row sits after the first chunk, on file line BAD_LINE
-BAD_LINE = CHUNK + 40
+# each malformed row sits deep in the body, on file line BAD_LINE
+BAD_LINE = 1064
 
 
-@SPLIT_THRESHOLDS
 @pytest.mark.parametrize("mode,row,message", [
     ("generation", "0,1,2,1,3", "expected 6 fields, got 5"),
     ("generation", "0,1,2,1,3,4,5", "expected 6 fields, got 7"),
@@ -412,38 +477,33 @@ BAD_LINE = CHUNK + 40
     ("resource", "0,1,2,1,nan,4", "column irradiance_wm2: must be finite, got nan"),
     ("resource", "0,1,2,1,3,inf", "column wind_speed_ms: must be finite, got inf"),
 ])
-def test_malformed_row_after_the_first_chunk_names_line_and_column(mode, row,
-                                                                   message,
-                                                                   min_rows):
+def test_malformed_row_deep_in_the_body_names_line_and_column(mode, row,
+                                                              message):
     header = GEN_HEADER if mode == "generation" else RES_HEADER
     lines = [f"{i},1.5,0.25,1,2,3" for i in range(BAD_LINE + 20)]
     lines[BAD_LINE - 2] = row
     lines[BAD_LINE + 5] = "0,-1,2,1,3,4"   # a later error is not the one named
     data = ("\n".join([header] + lines) + "\n").encode()
-    with split_from(min_rows), pytest.raises(ProfileFormatError) as exc:
+    with pytest.raises(ProfileFormatError) as exc:
         parse_profile(data, mode)
     line = f"line {BAD_LINE}: " if "fields" in message else f"line {BAD_LINE}, "
     assert str(exc.value) == line + message
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="splits only on Linux")
 @pytest.mark.parametrize("row,message", [
     ("0,1,abc,1,3,4", "column price: not a number: 'abc'"),
     ("0,1,2,1,3", "expected 6 fields, got 5"),
     ("0,1,2,1,-3,4", "column pv_kw: must be >= 0, got -3.0"),
 ])
-@pytest.mark.parametrize("bad_line", [pytest.param(12, id="parent-half"),
-                                      pytest.param(90, id="child-half")])
+@pytest.mark.parametrize("bad_line", [pytest.param(12, id="first-half"),
+                                      pytest.param(90, id="second-half")])
 def test_a_bad_line_in_either_half_is_named(bad_line, row, message):
-    # 99 body lines split at body line 49, file line 51
     lines = [f"{i},1.5,0.25,1,2,3" for i in range(99)]
     lines[bad_line - 2] = row
     lines[96] = "0,-1,2,1,3,4"   # a later error is not the one named
     data = ("\n".join([GEN_HEADER] + lines) + "\n").encode()
-    with split_from(2), mock.patch.object(os, "fork", wraps=os.fork) as fork, \
-            pytest.raises(ProfileFormatError) as exc:
+    with pytest.raises(ProfileFormatError) as exc:
         parse_profile(data, "generation")
-    assert fork.call_count == 1
     sep = ": " if "fields" in message else ", "
     assert str(exc.value) == f"line {bad_line}{sep}{message}"
 
@@ -476,60 +536,24 @@ def long_body(n: int) -> bytes:
     return ("\n".join([GEN_HEADER] + lines) + "\n").encode()
 
 
-@SPLIT_THRESHOLDS
-def test_parsed_columns_are_rows_of_one_block(min_rows):
-    # the block the cells are parsed into is kept, not copied column by column
-    with split_from(min_rows):
-        parsed = parse_profile(long_body(3 * CHUNK + 7), "generation")
-    block = parsed.demand_kw.base
-    assert block is not None and block.shape == (6, 3 * CHUNK + 7)
-    for column in (parsed.price, parsed.pv_kw, parsed.wind_kw):
-        assert column.base is block
-
-
-@pytest.mark.skipif(sys.platform != "linux", reason="splits only on Linux")
-def test_a_payload_of_no_whole_lines_is_redone_in_the_parent():
-    data = long_body(99)
-    want = parse_profile(data, "generation")
-    # only the child calls since(); five bytes are no whole line of cells
-    with split_from(2), mock.patch.object(os, "fork", wraps=os.fork) as fork, \
-            mock.patch.object(profiles._Cells, "since",
-                              lambda self, mark: [b"\0" * 5]):
-        got = parse_profile(data, "generation")
-    assert fork.call_count == 1
-    assert got == want
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.mark.skipif(sys.platform != "linux", reason="splits only on Linux")
-def test_a_child_that_sends_one_line_short_is_redone_in_the_parent():
-    data = long_body(100)
-    want = parse_profile(data, "generation")
-    # only the child calls since(); it drops its last column of cells
-    with split_from(2), mock.patch.object(os, "fork", wraps=os.fork) as fork, \
-            mock.patch.object(profiles._Cells, "since",
-                              lambda self, mark: list(
-                                  self.block[:, mark:self.filled - 1])):
-        got = parse_profile(data, "generation")
-    assert fork.call_count == 1
-    assert len(got) == 100
-    assert got == want
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+def test_a_long_profile_is_parsed_in_this_process():
+    data = long_body(100_000)
+    with mock.patch.object(os, "sched_getaffinity", return_value={0, 1}), \
+            mock.patch.object(os, "fork",
+                              side_effect=AssertionError("the parser forked")):
+        parsed = parse_profile(data, "generation")
+    assert len(parsed) == 100_000
+    assert parsed.pv_kw[-1] == 99_999 / 7
 
 
 @pytest.mark.parametrize("index", ["nan", "NaN", "inf", "-inf"])
 def test_non_finite_index_is_rejected_by_both_parse_paths(index):
     data = (GEN_HEADER + "\n0,1,1,1,0,0\n" + index + ",5,0.12,1,0,0\n").encode()
     message = f"line 3, column index: must be finite, got {float(index)}"
+    assert profiles._parse_fast(data, profiles.GENERATION_HEADER) is None
+    assert row_loop(data, "generation") == message
     with pytest.raises(ProfileFormatError) as exc:
         parse_profile(data, "generation")
-    assert str(exc.value) == message
-    header, _, lines = profiles._split_lines(data, "generation")
-    assert profiles._parse_bulk(lines) is None
-    with pytest.raises(ProfileFormatError) as exc:
-        profiles._parse_rows(lines, header)
     assert str(exc.value) == message
 
 
