@@ -477,13 +477,15 @@ BAD_LINE = 1064
     ("resource", "0,1,2,1,nan,4", "column irradiance_wm2: must be finite, got nan"),
     ("resource", "0,1,2,1,3,inf", "column wind_speed_ms: must be finite, got inf"),
 ])
+@pytest.mark.parametrize("newline", [pytest.param("\n", id="lf"),
+                                     pytest.param("\r\n", id="crlf")])
 def test_malformed_row_deep_in_the_body_names_line_and_column(mode, row,
-                                                              message):
+                                                              message, newline):
     header = GEN_HEADER if mode == "generation" else RES_HEADER
     lines = [f"{i},1.5,0.25,1,2,3" for i in range(BAD_LINE + 20)]
     lines[BAD_LINE - 2] = row
     lines[BAD_LINE + 5] = "0,-1,2,1,3,4"   # a later error is not the one named
-    data = ("\n".join([header] + lines) + "\n").encode()
+    data = (newline.join([header] + lines) + newline).encode()
     with pytest.raises(ProfileFormatError) as exc:
         parse_profile(data, mode)
     line = f"line {BAD_LINE}: " if "fields" in message else f"line {BAD_LINE}, "
@@ -534,6 +536,22 @@ def test_undecodable_profile_names_the_position_in_the_whole_file(block):
 def long_body(n: int) -> bytes:
     lines = [f"{i},{i * 0.5!r},0.25,{i % 2},{i / 7!r},3" for i in range(n)]
     return ("\n".join([GEN_HEADER] + lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("mode", ["generation", "resource"])
+def test_parsed_columns_do_not_keep_the_reader_block(mode):
+    # each column is copied out of the C reader's (n, 6) block, so the block
+    # is freed once the horizon is built
+    data = long_body(LONG)
+    if mode == "resource":
+        data = data.replace(GEN_HEADER.encode(), RES_HEADER.encode(), 1)
+    assert profiles._parse_fast(data, profiles._layout(mode)[0]) is not None
+    parsed = parse_profile(data, mode)
+    for field in dataclasses.fields(parsed):
+        column = getattr(parsed, field.name)
+        assert column.base is None, field.name
+        assert column.flags.c_contiguous and not column.flags.writeable
+    assert_same_columns(parsed, row_loop(data, mode))
 
 
 def test_a_long_profile_is_parsed_in_this_process():
