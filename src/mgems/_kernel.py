@@ -24,7 +24,20 @@ run_kernel works in three phases:
      array('d') buffers;
   3. a numpy post-pass allocates the rest (export, curtailment, import,
      diesel with its minimum-loading cutoff, unserved energy) and does the
-     PV-first attribution and the SOC column.
+     PV-first attribution and the SOC column, writing each column of the
+     output matrix, which run_arrays allocates column-major.
+
+The loop skips the stretches a pinned battery cannot change. When a charge
+or discharge step has no headroom (its limit is not > 0) and leaves the
+stored energy bitwise unchanged (equal and nonzero, so 0.0 and -0.0 are
+never conflated), and an idle step would keep it too, every later step up
+to the next step of the other sign repeats that step exactly: a charge
+clamps a surplus > 0 to the same limit, a discharge clamps a deficit that
+is >= -0.0 or NaN to it, and the stored energy stays. The loop jumps to
+that step, and the skipped steps copy the last computed step's flow and
+stored energy in one numpy gather. A battery held at its SOC floor or
+ceiling for hours, as in a year of scenario runs, then costs one list scan
+in C per stretch instead of one pass of the loop per step.
 
 The reference for this rule is the frozen one-step-at-a-time version in
 tests/kernel_reference.py; tests require run_kernel to reproduce it bit
@@ -41,6 +54,7 @@ for bit, signed zeros included. Two rules keep that true:
 from __future__ import annotations
 
 from array import array
+from itertools import islice
 
 import numpy as np
 
@@ -56,6 +70,22 @@ _CHARGE, _IDLE, _DISCHARGE = 1, 0, -1
 def _min(a, b):
     """Elementwise `a if a < b else b` (see the module docstring)."""
     return np.where(a < b, a, b)
+
+
+def _fill_skipped(skipped, *columns):
+    """Give each skipped step of the columns, in place, the value of the last
+    step the loop computed; ``skipped`` holds each stretch's first step and
+    its stop, which may lie past the last step."""
+    n = len(columns[0])
+    bounds = np.zeros(n + 2, dtype=np.int8)
+    first, stop = np.frombuffer(skipped, dtype=np.int64).reshape(-1, 2).T
+    bounds[first] = 1
+    bounds[stop] = -1
+    last = np.arange(n)
+    last[np.cumsum(bounds[:n], dtype=np.int8) > 0] = 0
+    np.maximum.accumulate(last, out=last)
+    for column in columns:
+        column[:] = column[last]
 
 
 def run_kernel(demand, pv, wind, grid_ok, compare, threshold,
@@ -89,29 +119,48 @@ def run_kernel(demand, pv, wind, grid_ok, compare, threshold,
     no_dis = (0.0 / sqrt_eta) * dt
     flow = array("d", [0.0]) * n
     stored = array("d", [0.0]) * n
+    # with one sentinel of each sign, index() always finds the other sign
+    kinds = kind.tolist() + [_CHARGE, _DISCHARGE]
+    steps = zip(range(n), kinds, want.tolist())
+    skipped = array("q")    # first and stop of each stretch jumped over
     energy = energy0
-    for i, k, x in zip(range(n), kind.tolist(), want.tolist()):
+    for i, k, x in steps:
         if k > 0:
             head = (e_max - energy) / charge_den
             if head < 0.0:
                 head = 0.0
             eff = max_chg if max_chg < head else head
             x = x if x < eff else eff
-            energy = energy + x * sqrt_eta * dt - no_dis
-            flow[i] = x
+            new = energy + x * sqrt_eta * dt - no_dis
         elif k:
             head = (energy - e_min) * sqrt_eta / dt
             if head < 0.0:
                 head = 0.0
             eff = max_dis if max_dis < head else head
             x = x if x < eff else eff
-            energy = energy + no_chg - (x / sqrt_eta) * dt
-            flow[i] = x
+            new = energy + no_chg - (x / sqrt_eta) * dt
         else:
             energy = energy + no_chg - no_dis
+            stored[i] = energy
+            continue
+        flow[i] = x
+        # a pinned battery: no headroom, and neither this step nor an idle
+        # one moves the stored energy (nonzero, so equal means same bits)
+        if (not eff > 0.0 and new == energy and new != 0.0
+                and energy + no_chg - no_dis == new):
+            stop = kinds.index(-k, i + 1)
+            if stop > i + 1:
+                skipped.extend((i + 1, stop))
+                next(islice(steps, stop - i - 1, stop - i - 1), None)
+        energy = new
         stored[i] = energy
+    # the zip holds the loop's lists, about 3 MB a decade: free them before
+    # the post-pass
+    del steps, kinds
     flow = np.frombuffer(flow, dtype=np.float64)
     stored = np.frombuffer(stored, dtype=np.float64)
+    if skipped:
+        _fill_skipped(skipped, flow, stored)
 
     # 3. post-pass: allocate what the battery left
     chg = np.where(kind == _CHARGE, flow, 0.0)

@@ -9,6 +9,7 @@ the designated output directory.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -125,8 +126,10 @@ def _outage_override(args) -> OutageSpec | None:
 _TRACE_CHUNK_ROWS = 1024
 
 # orjson writes the shortest round-trip digits, as repr does, but lays out
-# nonzero magnitudes below 1e-4 and from 1e16 up differently (0.00006 for
-# 6e-05, 1e16 for 1e+16) and writes non-finite values as null
+# magnitudes from 1e-9 up to 1e-4 and from 1e16 up differently (0.00006 for
+# 6e-05, 1e16 for 1e+16) and writes non-finite values as null; below 1e-9
+# both write the exponent form alike (1e-10)
+_ORJSON_UNLIKE_MIN = 1e-9
 _ORJSON_MIN = 1e-4
 _ORJSON_MAX = 1e16
 
@@ -143,10 +146,19 @@ def _float_rows(block: np.ndarray) -> list[bytes]:
     rows[0] = rows[0][2:]
     rows[-1] = rows[-1][:-2]
     size = np.abs(block)
-    unlike = ~(size < _ORJSON_MAX) | ((size < _ORJSON_MIN) & (size != 0))
+    unlike = ~(size < _ORJSON_MAX) | ((size < _ORJSON_MIN)
+                                      & (size >= _ORJSON_UNLIKE_MIN))
     for i in np.flatnonzero(unlike.any(axis=1)).tolist():
         rows[i] = ",".join(map(repr, block[i].tolist())).encode("ascii")
     return rows
+
+
+def _row_block(*columns: np.ndarray) -> np.ndarray:
+    """1-D columns and 2-D blocks of columns, of any memory order, side by
+    side in one C-contiguous float64 block, copied once."""
+    parts = [column.reshape(len(column), -1) for column in columns]
+    block = np.empty((len(parts[0]), sum(part.shape[1] for part in parts)))
+    return np.concatenate(parts, axis=1, out=block)
 
 
 def trace_csv_bytes(inputs: Profile, trace: HorizonArrays) -> bytes:
@@ -171,12 +183,12 @@ def trace_csv_bytes(inputs: Profile, trace: HorizonArrays) -> bytes:
         # kernel columns PV_USED..SOC are the trace's allocation columns,
         # in order
         cells = zip(index.split(b","), repeat(b","),
-                    _float_rows(np.column_stack((inputs.demand_kw[rows],
-                                                 inputs.price[rows]))),
+                    _float_rows(_row_block(inputs.demand_kw[rows],
+                                           inputs.price[rows])),
                     map(flags.__getitem__, grid),
-                    _float_rows(np.column_stack((inputs.pv_kw[rows],
-                                                 inputs.wind_kw[rows],
-                                                 trace.columns[rows, :SOC + 1]))),
+                    _float_rows(_row_block(inputs.pv_kw[rows],
+                                           inputs.wind_kw[rows],
+                                           trace.columns[rows, :SOC + 1])),
                     map(tails.__getitem__, grid))
         out.write(b"\n".join(map(b"".join, cells)))
         out.write(b"\n")
@@ -196,7 +208,8 @@ def _write_outputs(out_dir: Path, files: dict[str, bytes]) -> None:
     directory, or a directory that is not. Each file is first written under
     a temporary name in its own directory, and all are moved into place
     only once every one is written, so a write that fails (a full disk, a
-    permission error) leaves no target written and no temporary file.
+    permission error) leaves no target written, no temporary file and none
+    of the directories this call made.
     """
     targets = [out_dir / name for name in files]
     directories = {parent for target in targets for parent in target.parents}
@@ -204,11 +217,17 @@ def _write_outputs(out_dir: Path, files: dict[str, bytes]) -> None:
         if target in directories or target.is_dir():
             raise _CommandError(EXIT_IO,
                                 f"cannot write outputs: {target} is a directory")
+    made: list[Path] = []   # the directories this call makes
     for directory in directories:
-        if directory.exists() and not directory.is_dir():
+        if not directory.exists():
+            made.append(directory)
+        elif not directory.is_dir():
             raise _CommandError(
                 EXIT_IO, f"cannot write outputs: {directory} is not a directory")
+    # deepest first, so that a failed write can remove them again
+    made.sort(key=lambda directory: len(directory.parts), reverse=True)
     staged: list[tuple[Path, Path]] = []
+    written = False
     try:
         for target, data in zip(targets, files.values()):
             target.parent.mkdir(parents=True, exist_ok=True)
@@ -217,15 +236,19 @@ def _write_outputs(out_dir: Path, files: dict[str, bytes]) -> None:
             temporary.write_bytes(data)
         for temporary, target in staged:
             os.replace(temporary, target)
+        written = True
     except OSError as exc:
         raise _CommandError(EXIT_IO, f"cannot write outputs: {exc}")
     finally:
         # a no-op for each temporary already moved into place
         for temporary, _ in staged:
-            try:
+            with contextlib.suppress(OSError):
                 temporary.unlink(missing_ok=True)
-            except OSError:
-                pass
+        # rmdir removes only an empty directory: one holding a file moved
+        # into place, or put there by another process, stays
+        for directory in made if not written else ():
+            with contextlib.suppress(OSError):
+                directory.rmdir()
 
 
 def _manifest_json_bytes(args, selection: tuple[str, ...] = ()) -> bytes:

@@ -101,10 +101,10 @@ def price_threshold(prices: Sequence[float], ems: EmsConfig) -> float:
 class HorizonArrays:
     """Array-valued dispatch trace for a whole horizon.
 
-    columns is the (n, 11) kernel output matrix (see mgems._kernel for the
-    column order); threshold is the resolved comparison threshold, and
-    initial_energy_kwh / final_energy_kwh are the stored energy before the
-    first step and after the last.
+    columns is the (n, 11) kernel output matrix, stored column-major (see
+    mgems._kernel for the column order); threshold is the resolved
+    comparison threshold, and initial_energy_kwh / final_energy_kwh are the
+    stored energy before the first step and after the last.
     """
 
     columns: np.ndarray
@@ -158,7 +158,9 @@ def run_arrays(inputs: Profile, initial: BatteryState,
     if threshold is None:
         threshold = price_threshold(inputs.price, config.ems)
     b = config.battery
-    out = np.empty((len(inputs), N_COLUMNS), dtype=np.float64)
+    # column-major: the kernel, the check and the report each work a column
+    # at a time
+    out = np.empty((len(inputs), N_COLUMNS), dtype=np.float64, order="F")
     final_energy = _kernel_run(
         inputs.demand_kw, inputs.pv_kw, inputs.wind_kw, inputs.grid_available,
         compare_values(inputs, config.ems), float(threshold),

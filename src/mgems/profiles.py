@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import io
 import math
+import re
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -123,6 +124,10 @@ _DECODE_BLOCK_BYTES = 1 << 20
 
 # bytes at which str.splitlines breaks a line but np.loadtxt does not
 _UNSPLIT_BREAKS = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
+
+# a line of only the whitespace str.strip() strips, in a file without the
+# bytes above: spaces, tabs, "\x1f", and a CRLF line's "\r"
+_WHITESPACE_LINE = re.compile(rb"\n[ \t\x1f]+(?=\r?\n|\r?\Z)")
 
 
 def _layout(mode: str) -> tuple[tuple[str, ...], type]:
@@ -229,19 +234,33 @@ def _parse_rows(lines: list[str], header: tuple[str, ...]) -> list:
     return list(zip(*records)) if records else [()] * 5
 
 
+def _loadtxt(data: bytes) -> np.ndarray | None:
+    """The body as an (n, 6) float64 array, or None where loadtxt rejects it."""
+    try:
+        # a bytes stream: loadtxt decodes it a line at a time, where a str
+        # stream would hold the whole text. With comments="#", the default,
+        # it would take "5#x" as 5.
+        return np.loadtxt(io.BytesIO(data), dtype=np.float64, delimiter=",",
+                          comments=None, skiprows=1, ndmin=2, encoding="utf-8")
+    except ValueError:
+        return None
+
+
 def _parse_fast(data: bytes, header: tuple[str, ...]) -> np.ndarray | None:
     """The body as a (6, n) float64 view, one row per field.
 
     One np.loadtxt call parses the body in C. It converts a cell with
     CPython's PyOS_string_to_double, the routine behind float(), after
     stripping the whitespace str.strip() strips, so the values are
-    _parse_rows' bits. Returns None where _parse_rows must judge the
-    profile: a non-ASCII byte, a line break loadtxt does not take as
-    str.splitlines does, a first line other than ``header``, no body line,
-    a grid_available cell other than "0" or "1", a line without exactly six
-    fields, a cell loadtxt rejects (float() may not: "1_0"), a non-finite
-    value, or a negative value outside the index column. Both headers have
-    six fields with grid_available fourth.
+    _parse_rows' bits. A body that holds a line of only whitespace, which
+    _parse_rows skips, is read once more with each such line blanked.
+    Returns None where _parse_rows must judge the profile: a non-ASCII
+    byte, a line break loadtxt does not take as str.splitlines does, a
+    first line other than ``header``, no body line, a grid_available cell
+    other than "0" or "1", a line without exactly six fields, a cell
+    loadtxt rejects (float() may not: "1_0"), a non-finite value, or a
+    negative value outside the index column. Both headers have six fields
+    with grid_available fourth.
     """
     # loadtxt would join the lines str.splitlines splits at these; it
     # rejects a line holding a lone "\r" itself
@@ -263,17 +282,14 @@ def _parse_fast(data: bytes, header: tuple[str, ...]) -> np.ndarray | None:
     if not ((commas[:, 3] - commas[:, 2] == 2).all()
             and np.isin(raw[commas[:, 2] + 1], tuple(b"01")).all()):
         return None
-    try:
-        # a bytes stream: loadtxt decodes it a line at a time, where a str
-        # stream would hold the whole text. With comments="#", the default,
-        # it would take "5#x" as 5.
-        loaded = np.loadtxt(io.BytesIO(data), dtype=np.float64, delimiter=",",
-                            comments=None, skiprows=1, ndmin=2,
-                            encoding="utf-8")
-    except ValueError:
-        return None
+    loaded = _loadtxt(data)
+    if loaded is None:
+        # loadtxt cannot convert a line of only whitespace, which the row
+        # loop skips as blank: blank each such line and read once more
+        data, blanked = _WHITESPACE_LINE.subn(b"\n", data)
+        loaded = _loadtxt(data) if blanked else None
     # the lines loadtxt read are the lines whose commas were checked
-    if loaded.shape != (len(commas), 6):
+    if loaded is None or loaded.shape != (len(commas), 6):
         return None
     block = loaded.T
     if not (np.isfinite(block).all() and (block[1:] >= 0).all()):

@@ -205,7 +205,7 @@ class _Runs:
     """The kernel's traces of equal-length runs, filled in run order.
 
     A ``split_rows`` sink whose marks count filled runs: a child's runs
-    arrive as their (n, 11) column blocks, read straight into arrays
+    arrive as their column-major (n, 11) blocks, read straight into arrays
     allocated here, so each run still owns its trace array and no second
     copy is held. A run whose kernel raised holds the exception instead. A
     child cannot send one, so its half is redone in this process, which
@@ -238,7 +238,8 @@ class _Runs:
         sent = self.filled[mark:]
         if not all(isinstance(trace, HorizonArrays) for trace in sent):
             raise RuntimeError("a run that raised cannot be sent")
-        return [trace.columns for trace in sent]
+        # a column-major trace's transpose is its bytes in order
+        return [trace.columns.T for trace in sent]
 
     def reserve(self, count: int, size: int) -> list[memoryview] | None:
         # a child's half runs to the last run, so its payload must fill them
@@ -246,9 +247,9 @@ class _Runs:
         if (size != steps * N_COLUMNS * 8 * count
                 or len(self.filled) + count != len(self.runs)):
             return None
-        blocks = [np.empty((steps, N_COLUMNS)) for _ in range(count)]
+        blocks = [np.empty((steps, N_COLUMNS), order="F") for _ in range(count)]
         self.filled.extend(blocks)
-        return [memoryview(block).cast("B") for block in blocks]
+        return [memoryview(block.T).cast("B") for block in blocks]
 
     def checked(self, i: int) -> tuple[HorizonArrays, SimulationReport]:
         """Run i's checked trace and its report; raises what its kernel did."""

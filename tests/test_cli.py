@@ -525,13 +525,17 @@ def test_a_write_that_fails_midway_leaves_no_output_file(fixture_args, capsys,
             raise OSError(errno.ENOSPC, "No space left on device")
         return real_write_bytes(path, data)
 
+    # out/run exists; out/run/new and, for scenarios, its subdirectories
+    # are made by the write
+    (out / "run").mkdir()
     with mock.patch.object(Path, "write_bytes", write_bytes):
         assert run_cli(*command, "--config", config, "--profile", profile,
-                       "--out", out / "run") == 3
+                       "--out", out / "run" / "new") == 3
     assert capsys.readouterr().err == \
         "error: cannot write outputs: [Errno 28] No space left on device\n"
     assert len(written) == 2
-    assert [p for p in (out / "run").rglob("*") if not p.is_dir()] == []
+    # no file and no directory the write made is left
+    assert (out / "run").is_dir() and list((out / "run").iterdir()) == []
 
 
 def test_scenario_names_that_match_after_stripping_are_one_name_twice(

@@ -331,6 +331,16 @@ def test_run_arrays_is_deterministic(example_config, example_inputs):
     assert rows(first) == rows(second)
 
 
+def test_run_arrays_stores_the_trace_column_major(example_config,
+                                                  example_inputs):
+    trace = run_arrays(example_inputs,
+                       initial_state(example_config.config.battery),
+                       example_config.config)
+    assert trace.columns.shape == (len(example_inputs), N_COLUMNS)
+    assert trace.columns.flags.f_contiguous
+    assert not trace.columns.flags.c_contiguous
+
+
 def test_run_arrays_matches_scalar_fold(example_config, example_inputs):
     config = example_config.config
     threshold = price_threshold(example_inputs.price, config.ems)

@@ -6,8 +6,11 @@ sit in the same places; their payload bits are not compared.
 """
 
 import math
+from itertools import islice
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import mgems._kernel as pykernel
@@ -150,3 +153,64 @@ def test_python_kernel_on_an_empty_horizon():
     out = assert_matches_reference(pykernel.run_kernel, case)
     assert out.shape == (0, pykernel.N_COLUMNS)
     assert run_backend(pykernel.run_kernel, case)[0] == case[-1]["energy0"]
+
+
+# --- stretches a pinned battery cannot change ---------------------------------
+
+def pinned_case(kinds, energy0, nan_at=(), **overrides):
+    """A hand-built horizon: "d" a deficit step, "c" a surplus step below the
+    threshold, "i" an idle one (surplus above it), "x" an islanded deficit;
+    params follow random_case's order."""
+    rows = {"d": (150.0, 50.0, 1, 0.1), "c": (60.0, 200.0, 1, 0.1),
+            "i": (60.0, 200.0, 1, 0.5), "x": (150.0, 50.0, 0, 0.5)}
+    demand, pv, grid, price = (np.array(column, dtype=np.float64)
+                               for column in zip(*map(rows.__getitem__, kinds)))
+    demand[list(nan_at)] = math.nan
+    params = dict(threshold=0.3, dt=1.0, cap=400.0, energy0=energy0,
+                  e_min=80.0, e_max=320.0, sqrt_eta=math.sqrt(0.9),
+                  max_chg=100.0, max_dis=150.0, imp_lim=250.0, exp_lim=200.0,
+                  dg_cap=60.0, dg_min_frac=0.3, soc_fallback=0.2)
+    params.update(overrides)
+    return demand, pv, np.full(len(kinds), 10.0), grid.astype(np.uint8), \
+        price, params
+
+
+PINNED = {
+    # at the floor: deficits with idle and islanded steps among them, then
+    # a charge that frees the battery and a deficit that drains it again
+    "deficit-at-floor": (pinned_case("d" * 40 + "didxdiid" * 20 + "c" + "d" * 30,
+                                     80.0), True),
+    # at the ceiling: surpluses with idle steps among them, then deficits
+    "surplus-at-ceiling": (pinned_case("c" * 50 + "ciic" * 30 + "d" * 5,
+                                       320.0), True),
+    # no rate at all: every step of either sign leaves the energy alone
+    "no-rates": (pinned_case("dcdiccddx" * 30, 200.0, max_chg=0.0,
+                             max_dis=0.0), True),
+    "no-charge-rate": (pinned_case("c" * 40 + "d" * 3 + "c" * 40, 200.0,
+                                   max_chg=0.0), True),
+    # a stretch that runs to the horizon's last step, of each sign
+    "deficit-to-the-end": (pinned_case("cd" + "d" * 100, 80.0), True),
+    "surplus-to-the-end": (pinned_case("d" + "c" * 100, 320.0), True),
+    # NaN demands inside a stretch at the floor
+    "nan-demand": (pinned_case("d" * 20 + "dxd" * 10 + "c" + "d" * 20, 80.0,
+                               nan_at=(5, 6, 25, 60)), True),
+    # an empty battery: its energy is a zero, whose sign a step may change,
+    # so no stretch is skipped
+    "empty-floor": (pinned_case("d" * 60 + "i" * 5 + "d" * 60, 0.0,
+                                e_min=0.0), False),
+    "empty-floor-negative-zero": (pinned_case("d" * 60 + "i" * 5 + "d" * 60,
+                                              -0.0, e_min=0.0), False),
+    "empty-no-capacity": (pinned_case("dcdi" * 30, 0.0, cap=0.0, e_min=0.0,
+                                      e_max=0.0), False),
+}
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_skipped_stretches_match_the_reference(name):
+    case, skips = PINNED[name]
+    with mock.patch.object(pykernel, "islice", wraps=islice) as jump:
+        out = assert_matches_reference(pykernel.run_kernel, case)
+    assert jump.called == skips
+    if skips:
+        # the stored energy holds still over the skipped stretch
+        assert (np.diff(out[:, pykernel.ENERGY]) == 0.0).mean() > 0.5

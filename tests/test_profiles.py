@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mgems import profiles
 from mgems.errors import ProfileFormatError
@@ -374,11 +374,15 @@ line_edit = st.one_of(blank_line.map(lambda text: ("blank", text)),
        padded_header=st.booleans(),
        ending=st.sampled_from(["", "\n", "\r\n", "\n\n", "\n  \n"]),
        mode=st.sampled_from(["generation", "resource"]))
+@example(rows=[["0.0"] * 6 for _ in range(10)], newline="\n",
+         cell_edits=[(0, 7, "0.0"), (0, 5, "0.0")], line_edits=[],
+         padded_header=False, ending="", mode="generation")
 def test_fast_parse_equals_the_row_loop(rows, newline, cell_edits, line_edits,
                                         padded_header, ending, mode):
     # a valid body, then up to two odd cells (column 6 adds a seventh field,
-    # column 7 drops the sixth) and up to two blank lines or odd breaks
-    for row, column, text in cell_edits:
+    # column 7 drops the last, after every other edit, so that no edit
+    # indexes a dropped cell) and up to two blank lines or odd breaks
+    for row, column, text in sorted(cell_edits, key=lambda edit: edit[1] == 7):
         if row < len(rows):
             if column == 7:
                 rows[row].pop()
@@ -403,7 +407,6 @@ def test_fast_parse_equals_the_row_loop(rows, newline, cell_edits, line_edits,
     pytest.param("0,1_0,2,1,3,4\n", None, id="underscore"),
     pytest.param("0,\uff11,2,1,3,4\n", None, id="non-ascii-digit"),
     pytest.param("0,1,2, 1 ,3,4\n", None, id="padded-flag"),
-    pytest.param("0,1,2,1,3,4\n   \n1,1,2,0,3,4\n", None, id="whitespace-line"),
     pytest.param("0,1,2,1,3,4\r1,1,2,0,3,4\r", None, id="cr-breaks"),
     pytest.param("0,1,2\x0c,1,3,4\n", "line 2: expected 6 fields, got 3",
                  id="form-feed-in-a-line"),
@@ -434,6 +437,21 @@ def test_the_c_reader_leaves_these_to_the_row_loop(body, message):
     assert_parses_as_the_row_loop(data, "generation")
     if message is not None:
         assert row_loop(data, "generation") == message
+
+
+@pytest.mark.parametrize("body", [
+    pytest.param("0,1,2,1,3,4\n   \n1,1,2,0,3,4\n", id="spaces"),
+    pytest.param("0,1,2,1,3,4\n\t\n \x1f \n1,1,2,0,3,4", id="tab-and-unit-sep"),
+    pytest.param("0,1,2,1,3,4\r\n  \r\n1,1,2,0,3,4\r\n \t\r\n", id="crlf"),
+    pytest.param("  \n0,1,2,1,3,4\n1,1,2,0,3,4\n  ", id="first-and-last"),
+])
+def test_the_c_reader_keeps_a_body_with_whitespace_only_lines(body):
+    data = (GEN_HEADER + "\n" + body).encode()
+    want = row_loop(data, "generation")
+    with mock.patch.object(profiles, "_parse_rows",
+                           side_effect=AssertionError("row loop")):
+        assert_same_columns(parse_profile(data, "generation"), want)
+    assert len(want) == 2
 
 
 def test_fast_parse_equals_the_row_loop_on_a_long_body():

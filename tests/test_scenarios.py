@@ -349,6 +349,8 @@ def assert_same_outcomes(got, want):
             continue
         trace, reference = outcome.trace, expected.trace
         assert trace.columns.shape == reference.columns.shape
+        # a trace received from the child is column-major too
+        assert trace.columns.flags.f_contiguous
         assert trace.columns.tobytes() == reference.columns.tobytes()
         assert trace.grid_available.tobytes() == \
             reference.grid_available.tobytes()

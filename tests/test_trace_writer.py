@@ -92,14 +92,18 @@ def test_writer_matches_the_reference_on_raw_bit_patterns(bits, seed,
     assert trace_csv_bytes(inputs, trace) == trace_csv_reference(inputs, trace)
 
 
-# each side of both edges where orjson and repr lay floats out differently,
-# the extremes of float64, a signed zero and the non-finite values
-EDGE_VALUES = [1e-05, 9.999999999999999e-05, 1e-4, 5e-324, 2.2250738585072014e-308,
-               9999999999999998.0, 1e16, 1.5e16, 1.7976931348623157e308,
-               -0.0, 0.0, float("nan"), float("inf"), float("-inf")]
+# each side of the three edges where orjson and repr start or stop laying
+# floats out differently, a value far below the lowest, the extremes of
+# float64, a signed zero and the non-finite values
+EDGE_MAGNITUDES = [1e-10, 9.999999999999999e-10, 1e-9, 1e-05,
+                   9.999999999999999e-05, 1e-4, 1.2746614836466278e-14,
+                   5e-324, 2.2250738585072014e-308, 9999999999999998.0, 1e16,
+                   1.5e16, 1.7976931348623157e308]
+EDGE_VALUES = EDGE_MAGNITUDES + [-0.0, 0.0, float("nan"), float("inf"),
+                                 float("-inf")]
 
 
-@pytest.mark.parametrize("value", EDGE_VALUES + [-v for v in EDGE_VALUES[:9]],
+@pytest.mark.parametrize("value", EDGE_VALUES + [-v for v in EDGE_MAGNITUDES],
                          ids=repr)
 @pytest.mark.parametrize("column", [0, 1, 3, 4, FLOAT_CELLS - 1],
                          ids=["demand", "price", "wind", "pv_used", "soc"])
