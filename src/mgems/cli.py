@@ -95,14 +95,18 @@ def _load_inputs(args, loaded: LoadedConfig) -> Profile:
     return inputs
 
 
-def _load_validated(args) -> LoadedConfig:
+def _read_config(args) -> LoadedConfig:
     path = Path(args.config)
     if not path.is_file():
         raise _CommandError(EXIT_IO, f"config file not found: {path}")
     try:
-        loaded = load_config(path)
+        return load_config(path)
     except ConfigFileError as exc:
         raise _CommandError(EXIT_VALIDATION, str(exc))
+
+
+def _load_validated(args) -> LoadedConfig:
+    loaded = _read_config(args)
     report = validate_config(loaded.config)
     if not report.ok:
         raise _CommandError(EXIT_VALIDATION,
@@ -305,6 +309,12 @@ def cmd_simulate(args) -> int:
 
 def _select_scenarios(selection: str, loaded: LoadedConfig,
                       outage: OutageSpec | None) -> list[Scenario]:
+    if outage is not None:
+        try:
+            validate_scenario(Scenario(id=OUTAGE_FLAGS, outage=outage),
+                              loaded.config.step_hours)
+        except ValueError as exc:
+            raise _CommandError(EXIT_VALIDATION, f"{OUTAGE_FLAGS}: {exc}")
     names: list[str]
     if selection.strip().lower() == "all":
         # a custom section of a builtin's id runs in the builtin's place
@@ -333,6 +343,9 @@ def _select_scenarios(selection: str, loaded: LoadedConfig,
         if outage is not None and scenario.outage is not None:
             scenario = replace(scenario, outage=outage)
         result.append(scenario)
+    if outage is not None and all(s.outage is None for s in result):
+        raise _CommandError(EXIT_VALIDATION, f"{OUTAGE_FLAGS}: no selected "
+                            "scenario has an outage window to replace")
     return result
 
 
@@ -379,13 +392,7 @@ def cmd_scenarios(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    path = Path(args.config)
-    if not path.is_file():
-        raise _CommandError(EXIT_IO, f"config file not found: {path}")
-    try:
-        loaded = load_config(path)
-    except ConfigFileError as exc:
-        raise _CommandError(EXIT_VALIDATION, str(exc))
+    loaded = _read_config(args)
     report = validate_config(loaded.config)
     if not report.ok:
         for violation in report.violations:

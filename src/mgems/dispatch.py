@@ -113,6 +113,15 @@ class HorizonArrays:
     initial_energy_kwh: float
     final_energy_kwh: float
 
+    @classmethod
+    def from_columns(cls, columns: np.ndarray, inputs: Profile,
+                     initial: BatteryState, threshold: float) -> "HorizonArrays":
+        """The trace of ``inputs`` whose kernel output is ``columns``."""
+        return cls(columns=columns, grid_available=inputs.grid_available,
+                   threshold=float(threshold),
+                   initial_energy_kwh=float(initial.energy_kwh),
+                   final_energy_kwh=float(columns[-1, ENERGY]))
+
     def column(self, index: int) -> np.ndarray:
         return self.columns[:, index]
 
@@ -161,7 +170,7 @@ def run_arrays(inputs: Profile, initial: BatteryState,
     # column-major: the kernel, the check and the report each work a column
     # at a time
     out = np.empty((len(inputs), N_COLUMNS), dtype=np.float64, order="F")
-    final_energy = _kernel_run(
+    _kernel_run(
         inputs.demand_kw, inputs.pv_kw, inputs.wind_kw, inputs.grid_available,
         compare_values(inputs, config.ems), float(threshold),
         config.step_hours, b.capacity_kwh, initial.energy_kwh,
@@ -170,10 +179,7 @@ def run_arrays(inputs: Profile, initial: BatteryState,
         config.grid.import_limit_kw, config.grid.export_limit_kw,
         config.diesel.capacity_kw, config.diesel.min_loading_fraction,
         b.soc_min, out)
-    return HorizonArrays(columns=out, grid_available=inputs.grid_available,
-                         threshold=float(threshold),
-                         initial_energy_kwh=float(initial.energy_kwh),
-                         final_energy_kwh=float(final_energy))
+    return HorizonArrays.from_columns(out, inputs, initial, threshold)
 
 
 def balance_residuals(trace: HorizonArrays, inputs: Profile) -> np.ndarray:

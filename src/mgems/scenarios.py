@@ -11,13 +11,16 @@ columns are new arrays, unchanged columns are shared with the base run.
 from __future__ import annotations
 
 import math
+import os
+import signal
+import sys
+import threading
 from dataclasses import dataclass, replace
-from typing import Iterable
+from typing import Iterable, NoReturn
 
 import numpy as np
 
-from . import _halves
-from ._kernel import ENERGY, N_COLUMNS
+from ._kernel import N_COLUMNS
 from .dispatch import (HorizonArrays, check_balance, compare_values,
                        initial_state, price_threshold, run_arrays)
 from .metrics import SimulationReport, build_report, percent_change
@@ -201,73 +204,119 @@ def _failed(scenario_id: str, exc: Exception) -> ScenarioOutcome:
         deltas={name: None for name in DELTA_METRICS}, error=str(exc))
 
 
-class _Runs:
-    """The kernel's traces of equal-length runs, filled in run order.
+# The matrix forks from this many kernel steps, runs times horizon steps: a
+# fork, its copy-on-write faults and the child's exit cost a few ms, and the
+# child's traces cross the pipe at 88 bytes a step (see the README for where
+# a split pays). The example day's 6 x 24 and a year's base run plus up to
+# 13 scenarios stay in one process; the 51 x 8,760 of a 50-scenario year
+# split.
+MIN_KERNEL_STEPS = 131072
 
-    A ``split_rows`` sink whose marks count filled runs: a child's runs
-    arrive as their column-major (n, 11) blocks, read straight into arrays
-    allocated here, so each run still owns its trace array and no second
-    copy is held. A run whose kernel raised holds the exception instead. A
-    child cannot send one, so its half is redone in this process, which
-    records the same exception.
+
+def _splits(steps: int) -> bool:
+    """Whether to fork: MIN_KERNEL_STEPS, Linux, two CPUs, one thread, SIGCHLD.
+
+    A forked child holds only the forking thread, so a lock another thread
+    held at the fork would stay held in the child forever. With SIGCHLD
+    ignored the kernel reaps the child itself, so its exit status is lost
+    and its pid may be reused before this process could kill it.
     """
+    return (steps >= MIN_KERNEL_STEPS and sys.platform == "linux"
+            and len(os.sched_getaffinity(0)) >= 2
+            and threading.active_count() == 1
+            and signal.getsignal(signal.SIGCHLD) != signal.SIG_IGN)
 
-    def __init__(self, runs: list[tuple[Profile, MicrogridConfig]],
-                 threshold: float | None):
-        self.runs = runs
-        self.threshold = threshold
-        # a trace, a received column block, or the exception a run raised
-        self.filled: list = []
 
-    def dispatch(self, lo: int, hi: int) -> None:
-        for inputs, config in self.runs[lo:hi]:
-            try:
-                result = run_arrays(inputs, initial_state(config.battery),
-                                    config, self.threshold)
-            except Exception as exc:  # noqa: BLE001 - kept for its run
-                result = exc
-            self.filled.append(result)
+def _dispatch(runs: list[tuple[Profile, MicrogridConfig]],
+              threshold: float | None) -> list:
+    """Each run's trace at ``threshold``, or the exception its kernel raised."""
+    traces: list = []
+    for inputs, config in runs:
+        try:
+            traces.append(run_arrays(inputs, initial_state(config.battery),
+                                     config, threshold))
+        except Exception as exc:  # noqa: BLE001 - kept for its run
+            traces.append(exc)
+    return traces
 
-    def tell(self) -> int:
-        return len(self.filled)
 
-    def rewind(self, mark: int) -> None:
-        del self.filled[mark:]
+def _send(runs: list[tuple[Profile, MicrogridConfig]], threshold: float,
+          fd: int) -> NoReturn:
+    """In the child: write each run's trace to ``fd`` and exit 0, or write
+    nothing and exit 1 if a run raised. Every path ends in os._exit, so the
+    child runs no atexit handler and flushes no stdio buffer it inherited.
+    """
+    status = 1
+    try:
+        traces = _dispatch(runs, threshold)
+        if all(isinstance(trace, HorizonArrays) for trace in traces):
+            with open(fd, "wb") as pipe:
+                for trace in traces:
+                    # a column-major trace's transpose is its bytes in order
+                    pipe.write(trace.columns.T)
+            status = 0
+    finally:
+        os._exit(status)
 
-    def since(self, mark: int) -> list[np.ndarray]:
-        sent = self.filled[mark:]
-        if not all(isinstance(trace, HorizonArrays) for trace in sent):
-            raise RuntimeError("a run that raised cannot be sent")
-        # a column-major trace's transpose is its bytes in order
-        return [trace.columns.T for trace in sent]
 
-    def reserve(self, count: int, size: int) -> list[memoryview] | None:
-        # a child's half runs to the last run, so its payload must fill them
-        steps = len(self.runs[0][0])
-        if (size != steps * N_COLUMNS * 8 * count
-                or len(self.filled) + count != len(self.runs)):
+def _receive(pipe, runs: list[tuple[Profile, MicrogridConfig]],
+             threshold: float) -> list[HorizonArrays] | None:
+    """The traces ``_send`` wrote of ``runs``, each read into an array of
+    its own, or None if the pipe ends before their bytes or holds more."""
+    traces = []
+    for inputs, config in runs:
+        columns = np.empty((len(inputs), N_COLUMNS), order="F")
+        # a buffered reader fills the view unless the pipe ends first
+        view = memoryview(columns.T).cast("B")
+        if pipe.readinto(view) != view.nbytes:
             return None
-        blocks = [np.empty((steps, N_COLUMNS), order="F") for _ in range(count)]
-        self.filled.extend(blocks)
-        return [memoryview(block.T).cast("B") for block in blocks]
+        traces.append(HorizonArrays.from_columns(
+            columns, inputs, initial_state(config.battery), threshold))
+    return None if pipe.read(1) else traces
 
-    def checked(self, i: int) -> tuple[HorizonArrays, SimulationReport]:
-        """Run i's checked trace and its report; raises what its kernel did."""
-        inputs, config = self.runs[i]
-        trace = self.filled[i]
-        if isinstance(trace, Exception):
-            raise trace
-        if isinstance(trace, np.ndarray):
-            # as run_arrays returns it: run_kernel's result is the last
-            # step's stored energy
-            trace = HorizonArrays(
-                columns=trace, grid_available=inputs.grid_available,
-                threshold=float(self.threshold),
-                initial_energy_kwh=float(
-                    initial_state(config.battery).energy_kwh),
-                final_energy_kwh=float(trace[-1, ENERGY]))
-        check_balance(trace, inputs, config)
-        return trace, build_report(trace, inputs, config)
+
+def _dispatch_split(runs: list[tuple[Profile, MicrogridConfig]],
+                    threshold: float | None) -> list:
+    """``_dispatch(runs, threshold)``, with the upper half of the runs in a
+    forked child if ``_splits``. A child that fails, dies or sends other
+    than its runs' bytes has its half redone here; an exception from this
+    process's half, the interrupt included, kills and reaps the child.
+    """
+    if len(runs) < 2 or not _splits(len(runs) * len(runs[0][0])):
+        return _dispatch(runs, threshold)
+    lower, upper = runs[:len(runs) // 2], runs[len(runs) // 2:]
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return _dispatch(runs, threshold)
+    if pid == 0:
+        os.close(read_fd)
+        _send(upper, threshold, write_fd)
+    os.close(write_fd)
+    try:
+        with open(read_fd, "rb") as pipe:
+            traces = _dispatch(lower, threshold)
+            received = _receive(pipe, upper, threshold)
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        raise
+    _, status = os.waitpid(pid, 0)
+    if received is None or os.waitstatus_to_exitcode(status) != 0:
+        received = _dispatch(upper, threshold)
+    return traces + received
+
+
+def _checked(trace, inputs: Profile, config: MicrogridConfig
+             ) -> tuple[HorizonArrays, SimulationReport]:
+    """The checked trace and its report; raises what the run's kernel did."""
+    if isinstance(trace, Exception):
+        raise trace
+    check_balance(trace, inputs, config)
+    return trace, build_report(trace, inputs, config)
 
 
 def run_matrix(inputs: Profile, config: MicrogridConfig,
@@ -276,10 +325,12 @@ def run_matrix(inputs: Profile, config: MicrogridConfig,
 
     Every scenario is applied first. Then the base run and each applied
     scenario's run are dispatched at the base's threshold, resolved once:
-    a scenario changes neither the prices nor the EMS config. A long
-    matrix, counted in kernel steps, splits its runs between this process
-    and a forked child (see ``_halves.split_rows``). Last, this process
-    checks and reports every run in the given order. Each outcome holds
+    a scenario changes neither the prices nor the EMS config. From
+    MIN_KERNEL_STEPS kernel steps, runs times horizon steps, a forked child
+    dispatches the upper half of the runs and sends back each trace's
+    bytes, whose total both processes know; a child that fails has its
+    half redone here (see ``_dispatch_split``). Last, this process checks
+    and reports every run in the given order. Each outcome holds
     its own Profile, which shares unchanged columns with the base inputs,
     and its own trace. A failing scenario is reported in its outcome
     without aborting siblings; a failing base run raises.
@@ -295,12 +346,9 @@ def run_matrix(inputs: Profile, config: MicrogridConfig,
     # an empty horizon has no percentile; run_arrays rejects it by name
     threshold = (price_threshold(inputs.price, config.ems)
                  if len(inputs) else None)
-    traces = _Runs(runs, threshold)
-    _halves.split_rows(len(runs), traces.dispatch, traces,
-                       weight=len(inputs),
-                       minimum=_halves.MIN_KERNEL_STEPS)
+    traces = _dispatch_split(runs, threshold)
 
-    base_trace, base_report = traces.checked(0)
+    base_trace, base_report = _checked(traces[0], inputs, config)
     outcomes = {BASE_KEY: ScenarioOutcome(
         scenario_id=BASE_KEY, report=base_report, trace=base_trace,
         inputs=inputs, deltas={name: 0.0 for name in DELTA_METRICS})}
@@ -309,7 +357,7 @@ def run_matrix(inputs: Profile, config: MicrogridConfig,
             outcomes[scenario.id] = _failed(scenario.id, run)
             continue
         try:
-            trace, report = traces.checked(run)
+            trace, report = _checked(traces[run], *runs[run])
             outcome = ScenarioOutcome(
                 scenario_id=scenario.id, report=report, trace=trace,
                 inputs=runs[run][0], deltas=_deltas(base_report, report))

@@ -10,7 +10,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from mgems import _halves
+from mgems import scenarios
 from mgems.configio import load_config
 from mgems.model import (BatterySpec, DieselSpec, EconomicsConfig,
                          EmissionFactors, EmsConfig, GridSpec,
@@ -38,7 +38,7 @@ def data_path(name: str):
 def split_from(min_steps: int):
     """The scenario matrix forking from ``min_steps`` kernel steps, as with
     two CPUs free."""
-    with mock.patch.object(_halves, "MIN_KERNEL_STEPS", min_steps), \
+    with mock.patch.object(scenarios, "MIN_KERNEL_STEPS", min_steps), \
             mock.patch.object(os, "sched_getaffinity", return_value={0, 1}):
         yield
 

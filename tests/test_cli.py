@@ -322,6 +322,53 @@ def test_simulate_outage_errors_name_the_flags(fixture_args, capsys, start,
     assert not (out / "run").exists()
 
 
+@pytest.mark.parametrize("selection,flags,message", [
+    ("S1", ["--outage-start", 16, "--outage-hours", 6],
+     "no selected scenario has an outage window to replace"),
+    ("S3", ["--outage-hours", -3],
+     "outage duration must cover at least one step, got -3"),
+    ("S3", ["--outage-start", -1, "--outage-hours", 6],
+     "outage window [-1, 5) does not fit any horizon: start_step must be >= 0"),
+])
+def test_scenarios_outage_flag_errors_name_the_flags(fixture_args, capsys,
+                                                     selection, flags,
+                                                     message):
+    config, profile, out = fixture_args
+    assert run_cli("scenarios", "--config", config, "--profile", profile,
+                   "--out", out / "runs", "--scenarios", selection,
+                   *flags) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --outage-start/--outage-hours: {message}\n"
+    assert not (out / "runs").exists()
+
+
+def test_scenarios_outage_flags_replace_the_window_of_s3(fixture_args):
+    config, profile, out = fixture_args
+    assert run_cli("scenarios", "--config", config, "--profile", profile,
+                   "--out", out / "runs", "--scenarios", "S1,S3",
+                   "--outage-start", 16, "--outage-hours", 6) == 0
+    # the window simulate forces with the same flags
+    assert (out / "runs" / "S3" / "trace.csv").read_bytes() == \
+        (GOLDEN / "outage" / "trace.csv").read_bytes()
+    assert (out / "runs" / "S1" / "trace.csv").exists()
+
+
+def test_scenarios_outage_flags_that_do_not_fit_fail_their_scenario_alone(
+        fixture_args, capsys):
+    config, profile, out = fixture_args
+    assert run_cli("scenarios", "--config", config, "--profile", profile,
+                   "--out", out / "runs", "--scenarios", "S1,S3",
+                   "--outage-start", 100, "--outage-hours", 6) == 0
+    message = ("scenario S3: outage window [100, 106) does not fit the "
+               "24-step horizon")
+    assert f"scenario S3 failed: {message}\n" in capsys.readouterr().err
+    rows = (out / "runs" / "matrix.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows[1:]] == ["S1", "S3"]
+    assert rows[2].startswith(f'S3,"{message}",')
+    assert (out / "runs" / "S1" / "trace.csv").exists()
+    assert not (out / "runs" / "S3").exists()
+
+
 def test_simulate_manifest_records_the_invocation(fixture_args):
     config, profile, out = fixture_args
     assert run_cli("simulate", "--config", config, "--profile", profile,

@@ -5,14 +5,20 @@ import dataclasses
 import os
 import signal
 import struct
+import subprocess
+import sys
+import textwrap
+import threading
+import time
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from mgems import _halves, dispatch, scenarios
-from mgems._kernel import ENERGY, IMPORT, N_COLUMNS
+from mgems import dispatch, scenarios
+from mgems._kernel import ENERGY, IMPORT
 from mgems.cli import main, matrix_csv_bytes, report_json_bytes
 from mgems.dispatch import initial_state, price_threshold, run_arrays
 from mgems.errors import BalanceError
@@ -389,7 +395,11 @@ def test_a_split_matrix_equals_the_one_process_matrix(example_config,
     config = example_config.config
     one = in_one_process(example_inputs, config, MIXED)
     assert [key for key, o in one.items() if o.error] == ["late"]
-    assert_same_outcomes(split_once(example_inputs, config, MIXED), one)
+    with mock.patch.object(scenarios, "run_arrays",
+                           wraps=scenarios.run_arrays) as runs:
+        assert_same_outcomes(split_once(example_inputs, config, MIXED), one)
+    # this process ran its three runs and took the child's four as sent
+    assert runs.call_count == 3
     assert_no_child_left()
 
 
@@ -409,42 +419,243 @@ def _raise():
     raise RuntimeError("the child's run failed")
 
 
-@contextlib.contextmanager
-def _child_sends_a_run_less(steps, claimed):
-    """The child sends all its runs but the last, then exits 0; its header
-    counts them all, and its length claims them all or only what it sends."""
-    real_since, header = scenarios._Runs.since, _halves._HEADER
-    missing = steps * N_COLUMNS * 8 if claimed else 0
-
-    class Header:
-        size, unpack = header.size, header.unpack
-
-        @staticmethod
-        def pack(count, size):
-            return header.pack(count, size + missing)
-
-    with mock.patch.object(scenarios._Runs, "since",
-                           lambda self, mark: real_since(self, mark)[:-1]), \
-            mock.patch.object(_halves, "_HEADER", Header):
-        yield
+def _child_exits(code):
+    """Patch os._exit to exit with ``code``: the child sends its whole
+    payload first."""
+    real_exit = os._exit
+    return mock.patch.object(os, "_exit", lambda status: real_exit(code))
 
 
-@pytest.mark.parametrize("failure", ["sigkill", "exit-3", "raises",
-                                     "short-payload", "a-run-less"])
+class _Edited:
+    """The child's pipe, which sends ``edit(bytes)`` in place of the bytes
+    of its last run."""
+
+    def __init__(self, pipe, edit):
+        self.pipe, self.edit, self.last = pipe, edit, None
+
+    def __enter__(self):
+        return self
+
+    def write(self, data):
+        if self.last is not None:
+            self.pipe.write(self.last)
+        self.last = bytes(data)
+
+    def __exit__(self, *exc):
+        with self.pipe:
+            self.pipe.write(self.edit(self.last))
+
+
+def _child_sends(edit):
+    """Patch the child's pipe, the one the matrix opens for writing, to edit
+    its last run's bytes."""
+    def edited_open(fd, mode):
+        pipe = open(fd, mode)
+        return _Edited(pipe, edit) if mode == "wb" else pipe
+    return mock.patch.object(scenarios, "open", edited_open, create=True)
+
+
+# MIXED's seven runs split three here and four in the child
+@pytest.mark.parametrize("failure", [
+    pytest.param(lambda: _child_does(
+        lambda: os.kill(os.getpid(), signal.SIGKILL)), id="sigkill"),
+    pytest.param(lambda: _child_does(lambda: os._exit(3)), id="exit-3"),
+    pytest.param(lambda: _child_does(_raise), id="raises"),
+    pytest.param(lambda: _child_does(lambda: os._exit(0)),
+                 id="exit-0-without-payload"),
+    pytest.param(lambda: _child_exits(7), id="exit-7-after-its-payload"),
+    pytest.param(lambda: _child_sends(lambda last: b""), id="one-run-short"),
+    pytest.param(lambda: _child_sends(lambda last: last[:-3]),
+                 id="no-whole-run"),
+    pytest.param(lambda: _child_sends(lambda last: last + b"\0"),
+                 id="one-byte-long"),
+    pytest.param(lambda: _child_sends(lambda last: last + last),
+                 id="one-run-long"),
+])
 def test_a_failed_child_leaves_the_same_outcomes(example_config,
                                                  example_inputs, failure):
     config = example_config.config
     one = in_one_process(example_inputs, config, MIXED)
-    if failure in ("short-payload", "a-run-less"):
-        patch = _child_sends_a_run_less(len(example_inputs),
-                                        claimed=failure == "short-payload")
-    else:
-        patch = _child_does({
-            "sigkill": lambda: os.kill(os.getpid(), signal.SIGKILL),
-            "exit-3": lambda: os._exit(3),
-            "raises": _raise}[failure])
-    with patch:
+    with failure(), mock.patch.object(scenarios, "run_arrays",
+                                    wraps=scenarios.run_arrays) as runs:
         assert_same_outcomes(split_once(example_inputs, config, MIXED), one)
+    # counted in this process only: its own three runs and the child's four
+    assert runs.call_count == 7
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_an_error_in_this_process_half_kills_and_reaps_the_child(
+        example_config, example_inputs, error):
+    parent = os.getpid()
+    real = scenarios._dispatch
+
+    def dispatch(runs, threshold):
+        if os.getpid() != parent:
+            time.sleep(20)   # killed, not waited for
+        else:
+            raise error("this process's half failed")
+        return real(runs, threshold)
+
+    started = time.monotonic()
+    with mock.patch.object(scenarios, "_dispatch", dispatch), \
+            pytest.raises(error, match="this process's half failed"):
+        split_once(example_inputs, example_config.config, MIXED)
+    assert time.monotonic() - started < 10
+    assert_no_child_left()
+
+
+@contextlib.contextmanager
+def _a_second_thread():
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(30,))
+    thread.start()
+    try:
+        yield
+    finally:
+        release.set()
+        thread.join(timeout=30)
+    assert not thread.is_alive()
+
+
+@contextlib.contextmanager
+def _sigchld_ignored():
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+
+
+@pytest.mark.parametrize("condition", [_a_second_thread, _sigchld_ignored],
+                         ids=["a-second-thread", "sigchld-ignored"])
+def test_no_fork_while(example_config, example_inputs, condition):
+    config = example_config.config
+    one = in_one_process(example_inputs, config, MIXED)
+    with condition(), split_from(2):
+        assert_same_outcomes(in_one_process(example_inputs, config, MIXED),
+                             one)
+
+
+def test_a_single_run_is_never_split_however_long(example_config,
+                                                  example_inputs):
+    unfit = Scenario(id="late", outage=OutageSpec(start_step=24,
+                                                  duration_steps=1))
+    with split_from(2):
+        outcomes = in_one_process(example_inputs, example_config.config,
+                                  [unfit])
+    assert outcomes[BASE_KEY].error is None
+    assert "does not fit" in outcomes["late"].error
+
+
+def test_a_failed_fork_leaves_every_run_to_this_process(example_config,
+                                                        example_inputs):
+    config = example_config.config
+    one = in_one_process(example_inputs, config, MIXED)
+    with split_from(2), mock.patch.object(
+            os, "fork", side_effect=BlockingIOError("fork: no pids left")) \
+            as fork:
+        assert_same_outcomes(run_matrix(example_inputs, config, MIXED), one)
+    assert fork.call_count == 1
+
+
+CHILD_SCRIPT = textwrap.dedent("""
+    import importlib.resources
+    import os
+    import sys
+
+    from mgems import scenarios
+    from mgems.configio import load_config
+    from mgems.profiles import load_profile
+
+    data = importlib.resources.files("mgems") / "data"
+    loaded = load_config(data / "example_config.ini")
+    inputs = load_profile(data / "example_day.csv", "generation",
+                          loaded.config, loaded.price_unit)
+    matrix = [scenarios.builtin_scenario(s) for s in scenarios.BUILTIN_IDS]
+    one = scenarios.run_matrix(inputs, loaded.config, matrix)
+
+    scenarios.MIN_KERNEL_STEPS = 2
+    os.sched_getaffinity = lambda pid: {0, 1}
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return real_fork()
+
+    os.fork = counting_fork
+
+    assert not sys.stdout.write_through   # the line below stays buffered
+    print("written before the fork")
+    two = scenarios.run_matrix(inputs, loaded.config, matrix)
+    same = all(two[key].trace.columns.tobytes()
+               == one[key].trace.columns.tobytes() for key in one)
+    print(same, len(forks), file=sys.stderr)
+""")
+
+
+def test_the_child_does_not_flush_inherited_stdio_buffers(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    # stdout is a pipe, so block-buffered unless the environment says
+    # otherwise: the line is still in the buffer when the matrix forks
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.run([sys.executable, "-c", CHILD_SCRIPT],
+                          capture_output=True, text=True, env=env,
+                          cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.split() == ["True", "1"]
+    assert proc.stdout == "written before the fork\n"
+
+
+THRESHOLD_MODES = [
+    EmsConfig(threshold_mode="fixed-price", fixed_threshold=0.25),
+    EmsConfig(threshold_mode="price-percentile", percentile=0.75),
+    EmsConfig(threshold_mode="load-threshold", load_threshold_kw=150.0),
+]
+
+
+@st.composite
+def matrices(draw):
+    """A random horizon of 1-48 steps, a config in one of the threshold
+    modes, and 1-6 scenarios, of which one may not apply."""
+    n = draw(st.integers(1, 48))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    inputs = Profile(demand_kw=rng.uniform(0, 250, n),
+                     price=rng.uniform(0.05, 0.4, n),
+                     grid_available=(rng.random(n) < 0.8).astype(np.uint8),
+                     pv_kw=rng.uniform(0, 200, n),
+                     wind_kw=rng.uniform(0, 80, n))
+    factor = st.floats(0.5, 2.0, exclude_min=True, exclude_max=True)
+    outage = st.none() | st.builds(
+        OutageSpec, start_step=st.none() | st.integers(0, n - 1),
+        duration_steps=st.integers(1, n))
+    matrix = [Scenario(id=f"X{i}", demand_multiplier=draw(factor),
+                       pv_multiplier=draw(factor),
+                       wind_multiplier=draw(factor),
+                       fuel_price_multiplier=draw(factor),
+                       outage=draw(outage))
+              for i in range(draw(st.integers(1, 6)))]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(matrix) - 1))
+        matrix[i] = Scenario(id=f"X{i}", outage=OutageSpec(start_step=n,
+                                                          duration_steps=1))
+    ems = draw(st.sampled_from(THRESHOLD_MODES))
+    return inputs, make_config(ems=ems), matrix
+
+
+@settings(max_examples=25, deadline=None)
+@given(matrices())
+def test_a_split_equals_one_process_for_any_matrix(drawn):
+    inputs, config, matrix = drawn
+    one = in_one_process(inputs, config, matrix)
+    with split_from(2), mock.patch.object(os, "fork", wraps=os.fork) as fork:
+        assert_same_outcomes(run_matrix(inputs, config, matrix), one)
+    # every run that is not an applied scenario's failure is dispatched
+    runs = sum(outcome.error is None for outcome in one.values())
+    assert fork.call_count == int(runs >= 2)
     assert_no_child_left()
 
 
@@ -582,7 +793,7 @@ def test_a_default_start_outage_resolves_its_own_threshold():
 
 @pytest.mark.parametrize("runs,splits", [(3, False), (4, True)])
 def test_the_matrix_splits_from_its_kernel_step_minimum(runs, splits):
-    steps = _halves.MIN_KERNEL_STEPS // 4
+    steps = scenarios.MIN_KERNEL_STEPS // 4
     rng = np.random.default_rng(29)
     inputs = Profile(demand_kw=rng.uniform(50, 250, steps),
                      price=rng.uniform(0.05, 0.4, steps),
