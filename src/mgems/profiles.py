@@ -5,10 +5,10 @@ wind power columns; resource mode carries irradiance and wind speed, which
 are converted through the configured component models. Files are plain CSV
 with a mandatory header (see GENERATION_HEADER / RESOURCE_HEADER).
 
-A file is parsed in one process by numpy's C reader, np.loadtxt, and its
-cells are checked with numpy. A file that reader cannot take as it is, or
-that fails a check, is parsed again line by line, which accepts the same
-files and names the line and column of the first bad field.
+A file is read a block of lines at a time: orjson reads a block's cells as
+one JSON array and numpy checks them. A block orjson cannot take as it is,
+or that fails a check, is parsed again line by line, which accepts the same
+lines and names the line and column of the first bad field.
 
 A parsed horizon is held column by column: a Profile (dispatch inputs) or a
 ResourceProfile (raw measurements) keeps one read-only array per field, so
@@ -19,7 +19,6 @@ the only input type the other modules take.
 
 from __future__ import annotations
 
-import io
 import math
 import re
 from dataclasses import dataclass, fields, replace
@@ -119,15 +118,23 @@ class ResourceProfile(_Columns):
     wind_speed_ms: np.ndarray
 
 
-# bytes of a profile decoded at a time: the file is never held whole as text
-_DECODE_BLOCK_BYTES = 1 << 20
+# bytes of a profile read at a time, in whole lines: the file is never held
+# whole as text
+_BLOCK_BYTES = 1 << 19
 
-# bytes at which str.splitlines breaks a line but np.loadtxt does not
+# bytes at which str.splitlines breaks a line but a block's lines do not
 _UNSPLIT_BREAKS = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
 
+# the bytes of a block orjson reads: numbers, whitespace and separators.
+# It would read true, null or "1", which numpy stores as 1.0
+_CELL_BYTES = b"0123456789.eE+-, \t\r\n"
+
+# a "-0" cell, which orjson reads as the int 0; float("-0") is -0.0
+_NEGATIVE_ZERO = re.compile(rb"-0(?![0-9.eE])")
+
 # a line of only the whitespace str.strip() strips, in a file without the
-# bytes above: spaces, tabs, "\x1f", and a CRLF line's "\r"
-_WHITESPACE_LINE = re.compile(rb"\n[ \t\x1f]+(?=\r?\n|\r?\Z)")
+# bytes of _UNSPLIT_BREAKS: spaces, tabs, "\x1f", and a CRLF line's "\r"
+_BLANK_LINE = re.compile(rb"^[ \t\x1f]*\r?\n", re.MULTILINE)
 
 
 def _layout(mode: str) -> tuple[tuple[str, ...], type]:
@@ -139,22 +146,28 @@ def _layout(mode: str) -> tuple[tuple[str, ...], type]:
     raise ValueError(f"unknown profile mode: {mode!r}")
 
 
-def _decode_lines(data: bytes) -> list[str]:
-    """``data.decode("utf-8").splitlines()``, one block of whole lines at a time.
+def _blocks(data: bytes, start: int = 0):
+    """(start, stop) of each block of ``data[start:]``: a block ends just after
+    a b"\n", which always ends a line and never falls inside a multi-byte
+    character, or at the end of ``data``."""
+    while start < len(data):
+        stop = data.find(b"\n", start + _BLOCK_BYTES)
+        stop = len(data) if stop < 0 else stop + 1
+        yield start, stop
+        start = stop
 
-    A block ends just after a b"\n", which always ends a line and never
-    falls inside a multi-byte character. Undecodable data is decoded whole
-    once more, so the error names its position in the file.
+
+def _decode_lines(data: bytes) -> list[str]:
+    """``data.decode("utf-8").splitlines()``, one block at a time.
+
+    Undecodable data is decoded whole once more, so the error names its
+    position in the file.
     """
     view = memoryview(data)
     lines: list[str] = []
-    start = 0
     try:
-        while start < len(data):
-            stop = data.find(b"\n", start + _DECODE_BLOCK_BYTES)
-            stop = len(data) if stop < 0 else stop + 1
+        for start, stop in _blocks(data):
             lines += str(view[start:stop], "utf-8").splitlines()
-            start = stop
     except UnicodeDecodeError:
         data.decode("utf-8")
         raise
@@ -194,7 +207,7 @@ def _require_finite_nonneg(value: float, line_no: int, column: str) -> float:
 
 
 def _split_lines(data: bytes, header: tuple[str, ...]) -> list[str]:
-    """Decode a profile into lines and check its first line is ``header``."""
+    """Decode a profile into lines; check the first is ``header``, return the rest."""
     lines = _decode_lines(data)
     if not lines:
         raise ProfileFormatError("empty file: expected a header row")
@@ -202,17 +215,18 @@ def _split_lines(data: bytes, header: tuple[str, ...]) -> list[str]:
     if got != header:
         raise ProfileFormatError(
             f"line 1: expected header {','.join(header)!r}, got {lines[0]!r}")
-    return lines
+    return lines[1:]
 
 
-def _parse_rows(lines: list[str], header: tuple[str, ...]) -> list:
-    """The body's five data columns, parsed and checked one line at a time.
+def _parse_rows(lines: list[str], header: tuple[str, ...], first_line_no: int) -> list:
+    """The five data columns of body ``lines``, parsed and checked one at a time.
 
     The reference parse: it raises ProfileFormatError naming the 1-based
-    line and the column of the first bad field.
+    line (``lines[0]`` is line ``first_line_no``) and the column of the
+    first bad field.
     """
     records: list[tuple] = []
-    for line_no, line in enumerate(lines[1:], start=2):
+    for line_no, line in enumerate(lines, start=first_line_no):
         if not line.strip():
             continue
         fields = [f.strip() for f in line.split(",")]
@@ -234,67 +248,74 @@ def _parse_rows(lines: list[str], header: tuple[str, ...]) -> list:
     return list(zip(*records)) if records else [()] * 5
 
 
-def _loadtxt(data: bytes) -> np.ndarray | None:
-    """The body as an (n, 6) float64 array, or None where loadtxt rejects it."""
-    try:
-        # a bytes stream: loadtxt decodes it a line at a time, where a str
-        # stream would hold the whole text. With comments="#", the default,
-        # it would take "5#x" as 5.
-        return np.loadtxt(io.BytesIO(data), dtype=np.float64, delimiter=",",
-                          comments=None, skiprows=1, ndmin=2, encoding="utf-8")
-    except ValueError:
+def _read_cells(block: bytes, out: np.ndarray) -> int | None:
+    """Read a block of lines ending in b"\n" into ``out``, a line a row; the
+    row count, or None where _parse_rows must judge the block.
+
+    JSON's numbers are spelled as float() takes them and orjson rounds them
+    as float() does (a hypothesis test pins this); each check below stops
+    a block the two could read differently, or _parse_rows would reject.
+    """
+    import orjson   # not at module top: importing mgems.cli stays without it
+
+    if block.translate(None, _CELL_BYTES) or _NEGATIVE_ZERO.search(block):
         return None
+    raw = np.frombuffer(block, dtype=np.uint8)
+    separators = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
+    if raw[separators].tobytes() != b",,,,,\n" * (len(separators) // 6):
+        return None
+    separators = separators.reshape(-1, 6)
+    # grid_available is one byte, "0" or "1", between a line's third and
+    # fourth comma: orjson would also take " 1" or "1.0"
+    if not ((separators[:, 3] - separators[:, 2] == 2).all()
+            and np.isin(raw[separators[:, 2] + 1], tuple(b"01")).all()):
+        return None
+    try:
+        cells = orjson.loads(b"[" + block[:-1].replace(b"\n", b",") + b"]")
+    except orjson.JSONDecodeError:
+        return None
+    rows = out[:len(separators)]
+    if len(cells) != rows.size:
+        return None
+    rows.reshape(-1)[:] = cells
+    if not (np.isfinite(rows).all() and (rows[:, 1:] >= 0).all()):
+        return None
+    return len(rows)
 
 
-def _parse_fast(data: bytes, header: tuple[str, ...]) -> np.ndarray | None:
+def _parse_blocks(data: bytes, header: tuple[str, ...]) -> np.ndarray | None:
     """The body as a (6, n) float64 view, one row per field.
 
-    One np.loadtxt call parses the body in C. It converts a cell with
-    CPython's PyOS_string_to_double, the routine behind float(), after
-    stripping the whitespace str.strip() strips, so the values are
-    _parse_rows' bits. A body that holds a line of only whitespace, which
-    _parse_rows skips, is read once more with each such line blanked.
-    Returns None where _parse_rows must judge the profile: a non-ASCII
-    byte, a line break loadtxt does not take as str.splitlines does, a
-    first line other than ``header``, no body line, a grid_available cell
-    other than "0" or "1", a line without exactly six fields, a cell
-    loadtxt rejects (float() may not: "1_0"), a non-finite value, or a
-    negative value outside the index column. Both headers have six fields
-    with grid_available fourth.
+    A block _read_cells does not take is tried again without its blank
+    lines, then parsed by _parse_rows. Returns None where _parse_rows must
+    judge the whole file: a non-ASCII byte or a line break other than "\n"
+    and "\r\n" (the blocks' line numbers could drift), or a first line
+    other than ``header``.
     """
-    # loadtxt would join the lines str.splitlines splits at these; it
-    # rejects a line holding a lone "\r" itself
-    if not data.isascii() or any(map(data.__contains__, _UNSPLIT_BREAKS)):
+    if (not data.isascii() or any(map(data.__contains__, _UNSPLIT_BREAKS))
+            or b"\r" in data and data.count(b"\r") != data.count(b"\r\n")):
         return None
     end = data.find(b"\n")
     if end < 0 or tuple(name.strip() for name in
                         data[:end].decode("ascii").split(",")) != header:
         return None
-    raw = np.frombuffer(data, dtype=np.uint8)
-    commas = np.flatnonzero(raw == ord(","))
-    # five past the header's five for each body line; a blank line has none.
-    # With no body line loadtxt would warn of an empty input.
-    if len(commas) == 5 or len(commas) % 5:
-        return None
-    commas = commas[5:].reshape(-1, 5)
-    # grid_available is one byte, "0" or "1", between a line's third and
-    # fourth comma: loadtxt would also take " 1", "+1", "01" and "1.0"
-    if not ((commas[:, 3] - commas[:, 2] == 2).all()
-            and np.isin(raw[commas[:, 2] + 1], tuple(b"01")).all()):
-        return None
-    loaded = _loadtxt(data)
-    if loaded is None:
-        # loadtxt cannot convert a line of only whitespace, which the row
-        # loop skips as blank: blank each such line and read once more
-        data, blanked = _WHITESPACE_LINE.subn(b"\n", data)
-        loaded = _loadtxt(data) if blanked else None
-    # the lines loadtxt read are the lines whose commas were checked
-    if loaded is None or loaded.shape != (len(commas), 6):
-        return None
-    block = loaded.T
-    if not (np.isfinite(block).all() and (block[1:] >= 0).all()):
-        return None
-    return block
+    values = np.empty((data.count(b"\n", end + 1) + 1, 6))
+    rows = 0
+    for start, stop in _blocks(data, end + 1):
+        block = data[start:stop]
+        if not block.endswith(b"\n"):
+            block += b"\n"
+        read = _read_cells(block, values[rows:])
+        if read is None:
+            bare, blanks = _BLANK_LINE.subn(b"", block)
+            read = _read_cells(bare, values[rows:]) if blanks else None
+        if read is None:
+            columns = _parse_rows(block.decode("ascii").splitlines(), header,
+                                  data.count(b"\n", 0, start) + 1)
+            read = len(columns[0])
+            values[rows:rows + read, 1:] = np.transpose(columns)
+        rows += read
+    return values[:rows].T
 
 
 def parse_profile(data: bytes, mode: str) -> Profile | ResourceProfile:
@@ -302,13 +323,14 @@ def parse_profile(data: bytes, mode: str) -> Profile | ResourceProfile:
 
     Steps keep file order and are indexed 0..n-1 by position. Raises
     ProfileFormatError naming the 1-based line number and column for any
-    malformed, negative or non-finite field. A profile the C reader cannot
-    take whole (see ``_parse_fast``) is parsed and judged line by line.
+    malformed, negative or non-finite field. orjson reads the profile a
+    block at a time; what it does not take (see ``_parse_blocks``) is
+    parsed and judged line by line.
     """
     header, kind = _layout(mode)
-    block = _parse_fast(data, header)
+    block = _parse_blocks(data, header)
     if block is None:
-        return kind(*_parse_rows(_split_lines(data, header), header))
+        return kind(*_parse_rows(_split_lines(data, header), header, 2))
     # the horizon copies each strided row into a contiguous column
     return kind(*block[1:])
 

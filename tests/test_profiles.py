@@ -1,7 +1,12 @@
 """Profile parsing and renewable conversion tests."""
 
 import dataclasses
+import math
 import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -296,9 +301,23 @@ def row_loop(data: bytes, mode: str):
     header, kind = profiles._layout(mode)
     try:
         return kind(*profiles._parse_rows(profiles._split_lines(data, header),
-                                          header))
+                                          header, 2))
     except ProfileFormatError as exc:
         return str(exc)
+
+
+class LeftToTheRowLoop(Exception):
+    pass
+
+
+def fast_block(data: bytes, header: tuple[str, ...]):
+    """The block reader's (6, n) block of ``data``, or None where it leaves
+    the file, or any line of it, to the row loop."""
+    with mock.patch.object(profiles, "_parse_rows", side_effect=LeftToTheRowLoop):
+        try:
+            return profiles._parse_blocks(data, header)
+        except LeftToTheRowLoop:
+            return None
 
 
 def assert_same_columns(got, want):
@@ -316,7 +335,7 @@ def assert_parses_as_the_row_loop(data: bytes, mode: str):
     reader's block or None."""
     want = row_loop(data, mode)
     header, kind = profiles._layout(mode)
-    fast = profiles._parse_fast(data, header)
+    fast = fast_block(data, header)
     if fast is not None:
         assert not isinstance(want, str), want
         assert_same_columns(kind(*fast[1:]), want)
@@ -355,6 +374,10 @@ line_break = st.sampled_from(["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d",
 odd_cell = st.one_of(
     number_cell,
     st.sampled_from(["+1", "01", "1.0", " 1 ", "0 ", "\t1", "2", "-0", ""]),
+    # JSON values other than numbers, which orjson would read
+    st.sampled_from(["true", "null", '"1"', "[1]", "NaN", "Infinity"]),
+    # a lone "\r" inside a line; eleven fields, then one, in column 5
+    st.sampled_from(["\r3", "1,1,1,1,1,1\n1"]),
     # a line break inside a line, where the C reader would strip it
     st.tuples(finite_nonneg, line_break).map("".join))
 clean_row = st.tuples(st.floats(allow_nan=False, allow_infinity=False).map(repr),
@@ -373,12 +396,14 @@ line_edit = st.one_of(blank_line.map(lambda text: ("blank", text)),
        line_edits=st.lists(st.tuples(st.integers(0, 10), line_edit), max_size=2),
        padded_header=st.booleans(),
        ending=st.sampled_from(["", "\n", "\r\n", "\n\n", "\n  \n"]),
-       mode=st.sampled_from(["generation", "resource"]))
+       mode=st.sampled_from(["generation", "resource"]),
+       block=st.sampled_from([1, 40, profiles._BLOCK_BYTES]))
 @example(rows=[["0.0"] * 6 for _ in range(10)], newline="\n",
          cell_edits=[(0, 7, "0.0"), (0, 5, "0.0")], line_edits=[],
-         padded_header=False, ending="", mode="generation")
+         padded_header=False, ending="", mode="generation",
+         block=profiles._BLOCK_BYTES)
 def test_fast_parse_equals_the_row_loop(rows, newline, cell_edits, line_edits,
-                                        padded_header, ending, mode):
+                                        padded_header, ending, mode, block):
     # a valid body, then up to two odd cells (column 6 adds a seventh field,
     # column 7 drops the last, after every other edit, so that no edit
     # indexes a dropped cell) and up to two blank lines or odd breaks
@@ -400,7 +425,9 @@ def test_fast_parse_equals_the_row_loop(rows, newline, cell_edits, line_edits,
     if padded_header:
         header = " , ".join(header.split(","))
     text = header + "".join(map("".join, lines)) + ending
-    assert_parses_as_the_row_loop(text.encode(), mode)
+    # blocks of a line or a few lines each, or the whole body in one
+    with mock.patch.object(profiles, "_BLOCK_BYTES", block):
+        assert_parses_as_the_row_loop(text.encode(), mode)
 
 
 @pytest.mark.parametrize("body,message", [
@@ -429,11 +456,30 @@ def test_fast_parse_equals_the_row_loop(rows, newline, cell_edits, line_edits,
     # ten commas a line pass the grid_available check twice over
     pytest.param("1,1,1,1,1,1,1,1,1,1,1\n", "line 2: expected 6 fields, got 11",
                  id="eleven-fields"),
-    pytest.param("\n\n", None, id="blank-lines-only"),
+    # ten commas, as many as two six-field lines have
+    pytest.param("1,1,1,1,1,1,1,1,1,1,1\n1\n", "line 2: expected 6 fields, got 11",
+                 id="eleven-fields-then-one"),
+    pytest.param("0,1,2,1,\r3,4\n", "line 2: expected 6 fields, got 5",
+                 id="lone-carriage-return-before-a-cell"),
+    # orjson reads these as JSON values, not as float() does
+    pytest.param("0,true,2,1,3,4\n",
+                 "line 2, column demand_kw: not a number: 'true'", id="true"),
+    pytest.param("0,null,2,1,3,4\n",
+                 "line 2, column demand_kw: not a number: 'null'", id="null"),
+    pytest.param('0,"1",2,1,3,4\n',
+                 "line 2, column demand_kw: not a number: '\"1\"'", id="string"),
+    pytest.param("0,[1],2,1,3,4\n",
+                 "line 2, column demand_kw: not a number: '[1]'", id="array"),
+    pytest.param("0,NaN,2,1,3,4\n",
+                 "line 2, column demand_kw: must be finite, got nan", id="NaN"),
+    pytest.param("0,Infinity,2,1,3,4\n",
+                 "line 2, column demand_kw: must be finite, got inf", id="Infinity"),
+    # orjson reads "-0" as the int 0
+    pytest.param("0,-0,2,1,3,4\n", None, id="negative-zero"),
 ])
 def test_the_c_reader_leaves_these_to_the_row_loop(body, message):
     data = (GEN_HEADER + "\n" + body).encode()
-    assert profiles._parse_fast(data, profiles.GENERATION_HEADER) is None
+    assert fast_block(data, profiles.GENERATION_HEADER) is None
     assert_parses_as_the_row_loop(data, "generation")
     if message is not None:
         assert row_loop(data, "generation") == message
@@ -536,7 +582,7 @@ line_text = st.lists(st.sampled_from(
 @settings(max_examples=300, deadline=None)
 @given(text=line_text, block=st.sampled_from([1, 2, 3, 7]))
 def test_blockwise_decode_splits_lines_as_the_whole_text_does(text, block):
-    with mock.patch.object(profiles, "_DECODE_BLOCK_BYTES", block):
+    with mock.patch.object(profiles, "_BLOCK_BYTES", block):
         assert profiles._decode_lines(text.encode()) == text.splitlines()
 
 
@@ -545,7 +591,7 @@ def test_undecodable_profile_names_the_position_in_the_whole_file(block):
     data = b"a,b\n" * 10 + b"\xff\n" + b"c\n"
     with pytest.raises(UnicodeDecodeError) as whole:
         data.decode("utf-8")
-    with mock.patch.object(profiles, "_DECODE_BLOCK_BYTES", block), \
+    with mock.patch.object(profiles, "_BLOCK_BYTES", block), \
             pytest.raises(UnicodeDecodeError) as blockwise:
         profiles._decode_lines(data)
     assert str(blockwise.value) == str(whole.value)
@@ -563,7 +609,7 @@ def test_parsed_columns_do_not_keep_the_reader_block(mode):
     data = long_body(LONG)
     if mode == "resource":
         data = data.replace(GEN_HEADER.encode(), RES_HEADER.encode(), 1)
-    assert profiles._parse_fast(data, profiles._layout(mode)[0]) is not None
+    assert fast_block(data, profiles._layout(mode)[0]) is not None
     parsed = parse_profile(data, mode)
     for field in dataclasses.fields(parsed):
         column = getattr(parsed, field.name)
@@ -586,7 +632,7 @@ def test_a_long_profile_is_parsed_in_this_process():
 def test_non_finite_index_is_rejected_by_both_parse_paths(index):
     data = (GEN_HEADER + "\n0,1,1,1,0,0\n" + index + ",5,0.12,1,0,0\n").encode()
     message = f"line 3, column index: must be finite, got {float(index)}"
-    assert profiles._parse_fast(data, profiles.GENERATION_HEADER) is None
+    assert fast_block(data, profiles.GENERATION_HEADER) is None
     assert row_loop(data, "generation") == message
     with pytest.raises(ProfileFormatError) as exc:
         parse_profile(data, "generation")
@@ -596,3 +642,102 @@ def test_non_finite_index_is_rejected_by_both_parse_paths(index):
 def test_negative_index_is_accepted():
     data = (GEN_HEADER + "\n-3,1,1,1,0,0\n-1e9,2,2,0,0,0\n").encode()
     assert parse_profile(data, "generation").demand_kw.tolist() == [1.0, 2.0]
+
+
+@pytest.mark.parametrize("cells,read_fast", [
+    pytest.param("-0.0,-0e0,1,-0.0,-0E+3", True, id="float-spellings"),
+    # orjson reads "-0" as the int 0, so the row loop reads these
+    pytest.param("-0,-0,1,-0,-0", False, id="int-spellings"),
+])
+def test_a_negative_zero_cell_keeps_its_sign_bit(cells, read_fast):
+    data = (GEN_HEADER + "\n0," + cells + "\n").encode()
+    assert (fast_block(data, profiles.GENERATION_HEADER) is not None) == read_fast
+    parsed = parse_profile(data, "generation")
+    for column in (parsed.demand_kw, parsed.price, parsed.pv_kw, parsed.wind_kw):
+        assert column.tolist() == [0.0] and np.signbit(column[0])
+
+
+def _spelled(bits: int) -> float:
+    return struct.unpack("<d", bits.to_bytes(8, "little"))[0]
+
+
+# number spellings: the shortest, "%e" and "%.17g" forms of any 64-bit
+# pattern (nan and inf among them), 17-40 digit mantissas, subnormals and
+# integers from 2**53, where float64 stops holding every integer, and from
+# 2**64, which orjson reads as a float, not an int
+number_spelling = st.one_of(
+    st.tuples(st.integers(0, 2**64 - 1).map(_spelled),
+              st.sampled_from(["{!r}", "{:e}", "{:.17g}"])).map(
+        lambda pair: pair[1].format(pair[0])),
+    st.tuples(st.integers(10**16, 10**40 - 1), st.integers(-360, 330),
+              st.booleans()).map(
+        lambda drawn: f"{'-' if drawn[2] else ''}{str(drawn[0])[0]}."
+                      f"{str(drawn[0])[1:]}e{drawn[1]}"),
+    st.sampled_from(["5e-324", "2e-324", "3e-324", "2.4703282292062328e-324",
+                     "2.2250738585072011e-308", "4.9406564584124654e-324"]),
+    st.integers(2**53, 2**64 + 2**12).map(str),
+    st.integers(2**64, 2**80).map(str),
+    st.integers(-2**70, -2**53).map(str))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(number_spelling)
+@example("-0")
+@example("1e400")
+def test_the_block_reader_reads_a_number_as_float_does(text):
+    # in the index column, which takes a number of any sign
+    out = np.zeros((1, 6))
+    read = profiles._read_cells(f"{text},0,0,1,0,0\n".encode(), out)
+    want = float(text)
+    if not math.isfinite(want) or text == "-0":
+        assert read is None
+    else:
+        assert read == 1
+        assert out[0, 0].tobytes() == np.float64(want).tobytes(), text
+
+
+def decade_like_body(lines: int) -> list[str]:
+    rng = np.random.default_rng(11)
+    values = rng.uniform(0, 500, size=(lines, 5))
+    return [f"{i},{d!r},{p!r},{int(g > 250)},{a!r},{b!r}"
+            for i, (d, p, g, a, b) in enumerate(values.tolist())]
+
+
+def test_a_decade_like_body_never_reaches_the_row_loop():
+    lines = decade_like_body(30_000)
+    for at in (0, 9_999, 20_000, 29_999):
+        lines[at] = "-7,1e-05,5e-324,0,1.5E+2,0.0"
+    data = ("\n".join([RES_HEADER] + lines) + "\n").encode()
+    assert len(list(profiles._blocks(data))) > 2
+    want = row_loop(data, "resource")
+    with mock.patch.object(profiles, "_parse_rows",
+                           side_effect=AssertionError("row loop")):
+        assert_same_columns(parse_profile(data, "resource"), want)
+
+
+def test_a_plus_sign_sends_one_block_to_the_row_loop():
+    lines = decade_like_body(30_000)
+    bad = 17_000
+    lines[bad] = "17000,+1,0.25,1,2,3"
+    data = ("\n".join([GEN_HEADER] + lines) + "\n").encode()
+    want = row_loop(data, "generation")
+    with mock.patch.object(profiles, "_parse_rows",
+                           wraps=profiles._parse_rows) as row_parse:
+        assert_same_columns(parse_profile(data, "generation"), want)
+    (block_lines, header, first_line_no), = [c.args for c in row_parse.call_args_list]
+    assert header == profiles.GENERATION_HEADER
+    assert len(block_lines) < len(lines) // 2
+    # file line bad + 2 holds body line bad
+    assert block_lines[bad + 2 - first_line_no] == lines[bad]
+
+
+def test_importing_the_cli_does_not_import_orjson():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, mgems.cli; print('orjson' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
