@@ -118,15 +118,13 @@ class ResourceProfile(_Columns):
     wind_speed_ms: np.ndarray
 
 
-# bytes of a profile read at a time, in whole lines: the file is never held
-# whole as text
+# bytes of a profile read at a time, in whole lines, never the whole text
 _BLOCK_BYTES = 1 << 19
 
 # bytes at which str.splitlines breaks a line but a block's lines do not
 _UNSPLIT_BREAKS = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
 
-# the bytes of a block orjson reads: numbers, whitespace and separators.
-# It would read true, null or "1", which numpy stores as 1.0
+# the bytes of a block orjson reads; it would also read true, null or "1"
 _CELL_BYTES = b"0123456789.eE+-, \t\r\n"
 
 # a "-0" cell, which orjson reads as the int 0; float("-0") is -0.0
@@ -250,12 +248,9 @@ def _parse_rows(lines: list[str], header: tuple[str, ...], first_line_no: int) -
 
 def _read_cells(block: bytes, out: np.ndarray) -> int | None:
     """Read a block of lines ending in b"\n" into ``out``, a line a row; the
-    row count, or None where _parse_rows must judge the block.
-
-    JSON's numbers are spelled as float() takes them and orjson rounds them
-    as float() does (a hypothesis test pins this); each check below stops
-    a block the two could read differently, or _parse_rows would reject.
-    """
+    row count, or None where _parse_rows must judge the block. orjson rounds
+    as float() does (a hypothesis test pins this); each check stops a block
+    the two could read differently, or _parse_rows would reject."""
     import orjson   # not at module top: importing mgems.cli stays without it
 
     if block.translate(None, _CELL_BYTES) or _NEGATIVE_ZERO.search(block):
@@ -265,8 +260,7 @@ def _read_cells(block: bytes, out: np.ndarray) -> int | None:
     if raw[separators].tobytes() != b",,,,,\n" * (len(separators) // 6):
         return None
     separators = separators.reshape(-1, 6)
-    # grid_available is one byte, "0" or "1", between a line's third and
-    # fourth comma: orjson would also take " 1" or "1.0"
+    # grid_available is one byte, "0" or "1": orjson would also take "1.0"
     if not ((separators[:, 3] - separators[:, 2] == 2).all()
             and np.isin(raw[separators[:, 2] + 1], tuple(b"01")).all()):
         return None
@@ -274,9 +268,8 @@ def _read_cells(block: bytes, out: np.ndarray) -> int | None:
         cells = orjson.loads(b"[" + block[:-1].replace(b"\n", b",") + b"]")
     except orjson.JSONDecodeError:
         return None
+    # the separator scan shows six cells a line, each one JSON number
     rows = out[:len(separators)]
-    if len(cells) != rows.size:
-        return None
     rows.reshape(-1)[:] = cells
     if not (np.isfinite(rows).all() and (rows[:, 1:] >= 0).all()):
         return None
@@ -287,11 +280,9 @@ def _parse_blocks(data: bytes, header: tuple[str, ...]) -> np.ndarray | None:
     """The body as a (6, n) float64 view, one row per field.
 
     A block _read_cells does not take is tried again without its blank
-    lines, then parsed by _parse_rows. Returns None where _parse_rows must
-    judge the whole file: a non-ASCII byte or a line break other than "\n"
-    and "\r\n" (the blocks' line numbers could drift), or a first line
-    other than ``header``.
-    """
+    lines, then parsed by _parse_rows. None where the blocks' line numbers
+    could drift (a non-ASCII byte, a break other than "\n" or "\r\n") or
+    the first line is not ``header``."""
     if (not data.isascii() or any(map(data.__contains__, _UNSPLIT_BREAKS))
             or b"\r" in data and data.count(b"\r") != data.count(b"\r\n")):
         return None
@@ -306,9 +297,8 @@ def _parse_blocks(data: bytes, header: tuple[str, ...]) -> np.ndarray | None:
         if not block.endswith(b"\n"):
             block += b"\n"
         read = _read_cells(block, values[rows:])
-        if read is None:
-            bare, blanks = _BLANK_LINE.subn(b"", block)
-            read = _read_cells(bare, values[rows:]) if blanks else None
+        if read is None and _BLANK_LINE.search(block):
+            read = _read_cells(_BLANK_LINE.sub(b"", block), values[rows:])
         if read is None:
             columns = _parse_rows(block.decode("ascii").splitlines(), header,
                                   data.count(b"\n", 0, start) + 1)
@@ -323,9 +313,8 @@ def parse_profile(data: bytes, mode: str) -> Profile | ResourceProfile:
 
     Steps keep file order and are indexed 0..n-1 by position. Raises
     ProfileFormatError naming the 1-based line number and column for any
-    malformed, negative or non-finite field. orjson reads the profile a
-    block at a time; what it does not take (see ``_parse_blocks``) is
-    parsed and judged line by line.
+    malformed, negative or non-finite field. What orjson's block reads do
+    not take (see ``_parse_blocks``) is parsed and judged line by line.
     """
     header, kind = _layout(mode)
     block = _parse_blocks(data, header)

@@ -402,6 +402,8 @@ line_edit = st.one_of(blank_line.map(lambda text: ("blank", text)),
          cell_edits=[(0, 7, "0.0"), (0, 5, "0.0")], line_edits=[],
          padded_header=False, ending="", mode="generation",
          block=profiles._BLOCK_BYTES)
+@example(rows=[], newline="\n", cell_edits=[], line_edits=[],
+         padded_header=False, ending="\n  \n", mode="generation", block=1)
 def test_fast_parse_equals_the_row_loop(rows, newline, cell_edits, line_edits,
                                         padded_header, ending, mode, block):
     # a valid body, then up to two odd cells (column 6 adds a seventh field,
@@ -498,6 +500,22 @@ def test_the_c_reader_keeps_a_body_with_whitespace_only_lines(body):
                            side_effect=AssertionError("row loop")):
         assert_same_columns(parse_profile(data, "generation"), want)
     assert len(want) == 2
+
+
+@pytest.mark.parametrize("body", [
+    pytest.param("\n\n", id="blank-lines-only"),
+    pytest.param("\n  \n", id="whitespace-lines-only"),
+    pytest.param("\r\n \t\r\n", id="crlf"),
+])
+@pytest.mark.parametrize("block", [1, profiles._BLOCK_BYTES])
+def test_the_block_reader_reads_a_body_of_blank_lines_as_no_steps(body, block):
+    data = (GEN_HEADER + "\n" + body).encode()
+    want = row_loop(data, "generation")
+    with mock.patch.object(profiles, "_BLOCK_BYTES", block), \
+            mock.patch.object(profiles, "_parse_rows",
+                              side_effect=AssertionError("row loop")):
+        assert_same_columns(parse_profile(data, "generation"), want)
+    assert len(want) == 0
 
 
 def test_fast_parse_equals_the_row_loop_on_a_long_body():
