@@ -15,7 +15,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import replace
 from itertools import repeat
 from pathlib import Path
 from typing import Sequence
@@ -49,19 +49,6 @@ TRACE_HEADER = ("index", "demand_kw", "price", "grid_available", "pv_kw",
                 "battery_charge_kw", "battery_discharge_kw", "dg_kw",
                 "grid_import_kw", "grid_export_kw", "unserved_kw", "soc",
                 "threshold", "mode")
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance record for a CLI invocation."""
-
-    config_path: str
-    profile_path: str
-    profile_mode: str
-    output_dir: str
-    scenario_selection: tuple[str, ...]
-    random_free: bool
-    tool_version: str
 
 
 class _CommandError(Exception):
@@ -256,17 +243,17 @@ def _write_outputs(out_dir: Path, files: dict[str, bytes]) -> None:
 
 
 def _manifest_json_bytes(args, selection: tuple[str, ...] = ()) -> bytes:
-    manifest = RunManifest(
-        config_path=str(args.config),
-        profile_path=str(args.profile),
-        profile_mode=args.mode,
-        output_dir=str(args.out),
-        scenario_selection=selection,
-        random_free=True,
-        tool_version=__version__,
-    )
+    manifest = {
+        "config_path": str(args.config),
+        "profile_path": str(args.profile),
+        "profile_mode": args.mode,
+        "output_dir": str(args.out),
+        "scenario_selection": selection,
+        "random_free": True,
+        "tool_version": __version__,
+    }
     # json writes the selection tuple as a list
-    return (json.dumps(asdict(manifest), indent=2) + "\n").encode("utf-8")
+    return (json.dumps(manifest, indent=2) + "\n").encode("utf-8")
 
 
 def _simulate_trace(inputs: Profile, config: MicrogridConfig,

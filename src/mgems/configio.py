@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigFileError
@@ -28,6 +28,10 @@ OUTPUT_FILE_NAMES = ("matrix.csv", "manifest.json", "trace.csv", "report.json")
 
 DEFAULT_SHEAR_EXPONENT = 1.0 / 7.0
 
+# the sections of the model's parameters, in the order they are read
+_SECTIONS = ("pv", "wind", "diesel", "battery", "grid", "ems", "economics",
+             "emissions", "simulation")
+
 
 @dataclass(frozen=True)
 class LoadedConfig:
@@ -42,15 +46,18 @@ class _Section:
         self.values = dict(parser.items(name)) if parser.has_section(name) else {}
         self.seen: set[str] = set()
 
-    def _fetch(self, key: str):
+    def _fetch(self, key: str, default):
+        """The key's raw text, or None where ``default`` is returned instead;
+        MISSING as ``default`` makes the key required."""
         self.seen.add(key)
-        return self.values.get(key)
+        raw = self.values.get(key)
+        if raw is None and default is MISSING:
+            raise ConfigFileError(f"[{self.name}] missing required key {key!r}")
+        return raw
 
-    def number(self, key: str, default: float | None = None) -> float:
-        raw = self._fetch(key)
+    def number(self, key: str, default=MISSING) -> float | None:
+        raw = self._fetch(key, default)
         if raw is None:
-            if default is None:
-                raise ConfigFileError(f"[{self.name}] missing required key {key!r}")
             return default
         try:
             return float(raw)
@@ -58,39 +65,21 @@ class _Section:
             raise ConfigFileError(
                 f"[{self.name}] {key}: not a number: {raw!r}") from None
 
-    def opt_number(self, key: str) -> float | None:
-        raw = self._fetch(key)
-        if raw is None:
+    def integer(self, key: str, default=MISSING) -> int | None:
+        value = self.number(key, default)
+        if value is None:
             return None
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigFileError(
-                f"[{self.name}] {key}: not a number: {raw!r}") from None
-
-    def _whole(self, key: str, value: float) -> int:
         if not math.isfinite(value) or value != int(value):
             raise ConfigFileError(
                 f"[{self.name}] {key}: must be an integer, got {value}")
         return int(value)
 
-    def integer(self, key: str, default: int | None = None) -> int:
-        return self._whole(key, self.number(key, default))
-
-    def opt_integer(self, key: str) -> int | None:
-        value = self.opt_number(key)
-        return None if value is None else self._whole(key, value)
-
-    def text(self, key: str, default: str | None = None) -> str:
-        raw = self._fetch(key)
-        if raw is None:
-            if default is None:
-                raise ConfigFileError(f"[{self.name}] missing required key {key!r}")
-            return default
-        return raw.strip()
+    def text(self, key: str, default=MISSING) -> str | None:
+        raw = self._fetch(key, default)
+        return default if raw is None else raw.strip()
 
     def flag(self, key: str, default: bool) -> bool:
-        raw = self._fetch(key)
+        raw = self._fetch(key, default)
         if raw is None:
             return default
         lowered = raw.strip().lower()
@@ -114,6 +103,8 @@ def _read_parser(path: Path) -> configparser.ConfigParser:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigFileError(f"cannot read config file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigFileError(f"config file {path} is not UTF-8: {exc}") from exc
     try:
         parser.read_string(text, source=str(path))
     except configparser.Error as exc:
@@ -121,27 +112,26 @@ def _read_parser(path: Path) -> configparser.ConfigParser:
     return parser
 
 
-def _load_ems(section: _Section) -> EmsConfig:
-    return EmsConfig(
-        threshold_mode=section.text("threshold_mode"),
-        fixed_threshold=section.opt_number("fixed_threshold"),
-        percentile=section.opt_number("percentile"),
-        load_threshold_kw=section.opt_number("load_threshold_kw"),
-    )
+def _load_spec(section: _Section, spec: type, **defaults):
+    """``spec`` with each field read from the section's key of its name: a
+    str field as text, an int field as an integer, any other as a number.
+    A key is required unless ``defaults`` or the field gives a default."""
+    # model.py postpones its annotations, so a field's type is its text
+    read = {"str": section.text, "int": section.integer}
+    return spec(**{field.name: read.get(field.type, section.number)(
+        field.name, defaults.get(field.name, field.default))
+        for field in fields(spec)})
 
 
 def _load_emissions(section: _Section) -> EmissionFactors:
-    dg = {}
-    grid = {}
+    factors: dict[str, dict[str, float]] = {"dg": {}, "grid": {}}
     for pollutant in POLLUTANTS:
-        value = section.opt_number(f"dg_{pollutant}")
-        if value is not None:
-            dg[pollutant] = value
-        value = section.opt_number(f"grid_{pollutant}")
-        if value is not None:
-            grid[pollutant] = value
+        for side, side_factors in factors.items():
+            value = section.number(f"{side}_{pollutant}", None)
+            if value is not None:
+                side_factors[pollutant] = value
     return EmissionFactors(
-        dg=dg, grid=grid,
+        **factors,
         export_offset_enabled=section.flag("export_offset_enabled", False))
 
 
@@ -165,9 +155,9 @@ def _scenario_name(section: str, taken: dict[str, Scenario]) -> str:
 def _load_scenario(parser: configparser.ConfigParser, section_name: str,
                    name: str) -> Scenario:
     section = _Section(parser, section_name)
-    outage_start = section.opt_integer("outage_start")
-    outage_steps = section.opt_integer("outage_steps")
-    outage_hours = section.opt_number("outage_hours")
+    outage_start = section.integer("outage_start", None)
+    outage_steps = section.integer("outage_steps", None)
+    outage_hours = section.number("outage_hours", None)
     outage = None
     if outage_steps is not None or outage_hours is not None or outage_start is not None:
         if outage_steps is None and outage_hours is None:
@@ -192,93 +182,32 @@ def load_config(path: str | Path) -> LoadedConfig:
     """Read and assemble a config file (structure only; validate separately)."""
     path = Path(path)
     parser = _read_parser(path)
-
-    pv = _Section(parser, "pv")
-    pv_spec = PvSpec(
-        capacity_kw=pv.number("capacity_kw"),
-        derating_factor=pv.number("derating_factor"),
-        capital_cost=pv.number("capital_cost"),
-        replacement_cost=pv.number("replacement_cost"),
-        om_cost=pv.number("om_cost"),
-        lifetime_years=pv.number("lifetime_years"),
-    )
-
-    wind = _Section(parser, "wind")
-    hub_height = wind.number("hub_height_m")
-    wind_spec = WindSpec(
-        capacity_kw=wind.number("capacity_kw"),
-        unit_rated_kw=wind.number("unit_rated_kw"),
-        cut_in_ms=wind.number("cut_in_ms"),
-        cut_out_ms=wind.number("cut_out_ms"),
-        rated_speed_ms=wind.number("rated_speed_ms"),
-        hub_height_m=hub_height,
-        anemometer_height_m=wind.number("anemometer_height_m", hub_height),
-        shear_exponent=wind.number("shear_exponent", DEFAULT_SHEAR_EXPONENT),
-        capital_cost=wind.number("capital_cost"),
-        om_cost=wind.number("om_cost"),
-        lifetime_years=wind.number("lifetime_years"),
-    )
-
-    diesel = _Section(parser, "diesel")
-    diesel_spec = DieselSpec(
-        capacity_kw=diesel.number("capacity_kw"),
-        capital_cost=diesel.number("capital_cost"),
-        om_cost=diesel.number("om_cost"),
-        fuel_cost_per_kwh=diesel.number("fuel_cost_per_kwh"),
-        min_loading_fraction=diesel.number("min_loading_fraction", 0.0),
-    )
-
-    battery = _Section(parser, "battery")
-    battery_spec = BatterySpec(
-        capacity_kwh=battery.number("capacity_kwh"),
-        roundtrip_efficiency=battery.number("roundtrip_efficiency"),
-        depth_of_discharge=battery.number("depth_of_discharge"),
-        soc_min=battery.number("soc_min"),
-        soc_max=battery.number("soc_max"),
-        max_charge_kw=battery.number("max_charge_kw"),
-        max_discharge_kw=battery.number("max_discharge_kw"),
-        capital_cost=battery.number("capital_cost"),
-        om_cost=battery.number("om_cost"),
-        lifetime_years=battery.number("lifetime_years"),
-    )
-
-    grid = _Section(parser, "grid")
-    grid_spec = GridSpec(
-        import_limit_kw=grid.number("import_limit_kw"),
-        export_limit_kw=grid.number("export_limit_kw"),
-        sell_price_ratio=grid.number("sell_price_ratio", 1.0),
-    )
-
-    ems = _Section(parser, "ems")
-    ems_config = _load_ems(ems)
-
-    economics = _Section(parser, "economics")
-    econ_config = EconomicsConfig(
-        discount_rate=economics.number("discount_rate"),
-        project_lifetime_years=economics.integer("project_lifetime_years"),
-        converter_efficiency=economics.number("converter_efficiency"),
-        converter_capital_cost=economics.number("converter_capital_cost"),
-    )
-
-    emissions = _Section(parser, "emissions")
-    emission_factors = _load_emissions(emissions)
-
-    simulation = _Section(parser, "simulation")
-    step_hours = simulation.number("step_hours", 1.0)
+    sections = {name: _Section(parser, name) for name in _SECTIONS}
+    wind, simulation = sections["wind"], sections["simulation"]
+    config = MicrogridConfig(
+        pv=_load_spec(sections["pv"], PvSpec),
+        # the hub height, read first, is the anemometer's default height
+        wind=_load_spec(wind, WindSpec,
+                        anemometer_height_m=wind.number("hub_height_m"),
+                        shear_exponent=DEFAULT_SHEAR_EXPONENT),
+        diesel=_load_spec(sections["diesel"], DieselSpec),
+        battery=_load_spec(sections["battery"], BatterySpec),
+        grid=_load_spec(sections["grid"], GridSpec),
+        ems=_load_spec(sections["ems"], EmsConfig),
+        economics=_load_spec(sections["economics"], EconomicsConfig),
+        emissions=_load_emissions(sections["emissions"]),
+        step_hours=simulation.number("step_hours", 1.0))
     price_unit = simulation.text("price_unit", PRICE_CURRENCY)
     if price_unit not in (PRICE_CURRENCY, PRICE_CENTS):
         raise ConfigFileError(
             f"[simulation] price_unit: expected {PRICE_CURRENCY} or "
             f"{PRICE_CENTS}, got {price_unit!r}")
 
-    for section in (pv, wind, diesel, battery, grid, ems, economics,
-                    emissions, simulation):
+    for section in sections.values():
         section.reject_unknown()
-    known = {"pv", "wind", "diesel", "battery", "grid", "ems", "economics",
-             "emissions", "simulation"}
     scenarios = {}
     for name in parser.sections():
-        if name in known:
+        if name in sections:
             continue
         if name.startswith(SCENARIO_PREFIX):
             scenario_name = _scenario_name(name, scenarios)
@@ -287,9 +216,5 @@ def load_config(path: str | Path) -> LoadedConfig:
         else:
             raise ConfigFileError(f"unknown section [{name}]")
 
-    config = MicrogridConfig(
-        pv=pv_spec, wind=wind_spec, diesel=diesel_spec, battery=battery_spec,
-        grid=grid_spec, ems=ems_config, economics=econ_config,
-        emissions=emission_factors, step_hours=step_hours)
     return LoadedConfig(config=config, price_unit=price_unit,
                         scenarios=scenarios)

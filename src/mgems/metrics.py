@@ -167,9 +167,9 @@ def npc(annual_cost: float, capex: float, discount_rate: float,
 
 def capital_recovery_factor(discount_rate: float, lifetime_years: int) -> float:
     """Annuity factor converting a present cost into equal annual payments."""
-    if discount_rate == 0:
-        return 1.0 / lifetime_years
     growth = (1.0 + discount_rate) ** lifetime_years
+    if growth == 1.0:   # a zero rate, or one too small to move 1.0
+        return 1.0 / lifetime_years
     return discount_rate * growth / (growth - 1.0)
 
 
@@ -207,10 +207,11 @@ def emissions(totals: EnergyTotals, factors: EmissionFactors) -> EmissionSummary
     """
     net = {}
     for pollutant in POLLUTANTS:
-        mass = (totals.dg_kwh * factors.dg_factor(pollutant)
-                + totals.imported_kwh * factors.grid_factor(pollutant))
+        grid_factor = factors.grid.get(pollutant, 0.0)
+        mass = (totals.dg_kwh * factors.dg.get(pollutant, 0.0)
+                + totals.imported_kwh * grid_factor)
         if factors.export_offset_enabled:
-            mass -= totals.exported_kwh * factors.grid_factor(pollutant)
+            mass -= totals.exported_kwh * grid_factor
         net[pollutant] = mass
     return EmissionSummary(net_kg=net)
 

@@ -18,6 +18,13 @@ THRESHOLD_PERCENTILE = "price-percentile"
 THRESHOLD_LOAD = "load-threshold"
 THRESHOLD_MODES = (THRESHOLD_FIXED, THRESHOLD_PERCENTILE, THRESHOLD_LOAD)
 
+# bounds on the cash-flow loops of the economic metrics: a year's discount
+# factor (1 + rate) ** year stays far from overflow, and each component is
+# replaced at most _MAX_REPLACEMENTS times over the project
+_MAX_DISCOUNT_RATE = 1.0
+_MAX_PROJECT_YEARS = 100
+_MAX_REPLACEMENTS = 100
+
 
 @dataclass(frozen=True)
 class PvSpec:
@@ -135,12 +142,6 @@ class EmissionFactors:
     grid: dict[str, float] = field(default_factory=dict)
     export_offset_enabled: bool = False
 
-    def dg_factor(self, pollutant: str) -> float:
-        return self.dg.get(pollutant, 0.0)
-
-    def grid_factor(self, pollutant: str) -> float:
-        return self.grid.get(pollutant, 0.0)
-
 
 @dataclass(frozen=True)
 class MicrogridConfig:
@@ -180,6 +181,10 @@ class ValidationReport:
         return "\n".join(str(v) for v in self.violations)
 
 
+def _finite(value) -> bool:
+    return isinstance(value, (int, float)) and math.isfinite(value)
+
+
 class _Checker:
     def __init__(self) -> None:
         self.violations: list[Violation] = []
@@ -189,7 +194,7 @@ class _Checker:
             self.violations.append(Violation(path, message))
 
     def finite(self, value: float, path: str) -> bool:
-        if not isinstance(value, (int, float)) or not math.isfinite(value):
+        if not _finite(value):
             self.violations.append(Violation(path, f"must be a finite number, got {value!r}"))
             return False
         return True
@@ -308,13 +313,33 @@ def _check_ems(c: _Checker, e: EmsConfig) -> None:
 
 def _check_economics(c: _Checker, e: EconomicsConfig) -> None:
     c.nonneg(e.discount_rate, "economics.discount_rate")
+    if _finite(e.discount_rate):
+        c.check(e.discount_rate <= _MAX_DISCOUNT_RATE, "economics.discount_rate",
+                f"must be <= {_MAX_DISCOUNT_RATE}, got {e.discount_rate}")
     if c.finite(e.project_lifetime_years, "economics.project_lifetime_years"):
         c.check(e.project_lifetime_years >= 1, "economics.project_lifetime_years",
                 f"must be >= 1, got {e.project_lifetime_years}")
+        c.check(e.project_lifetime_years <= _MAX_PROJECT_YEARS,
+                "economics.project_lifetime_years",
+                f"must be <= {_MAX_PROJECT_YEARS}, got {e.project_lifetime_years}")
     if c.finite(e.converter_efficiency, "economics.converter_efficiency"):
         c.check(0 < e.converter_efficiency <= 1, "economics.converter_efficiency",
                 f"must be in (0, 1], got {e.converter_efficiency}")
     c.nonneg(e.converter_capital_cost, "economics.converter_capital_cost")
+
+
+def _check_replacements(c: _Checker, config: MicrogridConfig) -> None:
+    """Each replaced component lasts at least 1/_MAX_REPLACEMENTS of a
+    valid project lifetime."""
+    years = config.economics.project_lifetime_years
+    if not (_finite(years) and 1 <= years <= _MAX_PROJECT_YEARS):
+        return
+    for name in ("pv", "wind", "battery"):
+        lifetime = getattr(config, name).lifetime_years
+        if _finite(lifetime) and lifetime > 0:
+            c.check(lifetime * _MAX_REPLACEMENTS >= years, f"{name}.lifetime_years",
+                    f"must be >= project_lifetime_years / {_MAX_REPLACEMENTS} "
+                    f"({years / _MAX_REPLACEMENTS}), got {lifetime}")
 
 
 def _check_emissions(c: _Checker, e: EmissionFactors) -> None:
@@ -342,6 +367,7 @@ def validate_config(config: MicrogridConfig) -> ValidationReport:
     _check_grid(c, config.grid)
     _check_ems(c, config.ems)
     _check_economics(c, config.economics)
+    _check_replacements(c, config)
     _check_emissions(c, config.emissions)
     c.positive(config.step_hours, "step_hours")
     return ValidationReport(tuple(c.violations))

@@ -118,7 +118,7 @@ class ResourceProfile(_Columns):
     wind_speed_ms: np.ndarray
 
 
-# bytes of a profile read at a time, in whole lines, never the whole text
+# bytes of a profile orjson reads at a time, in whole lines
 _BLOCK_BYTES = 1 << 19
 
 # bytes at which str.splitlines breaks a line but a block's lines do not
@@ -146,30 +146,12 @@ def _layout(mode: str) -> tuple[tuple[str, ...], type]:
 
 def _blocks(data: bytes, start: int = 0):
     """(start, stop) of each block of ``data[start:]``: a block ends just after
-    a b"\n", which always ends a line and never falls inside a multi-byte
-    character, or at the end of ``data``."""
+    a b"\n" or at the end of ``data``."""
     while start < len(data):
         stop = data.find(b"\n", start + _BLOCK_BYTES)
         stop = len(data) if stop < 0 else stop + 1
         yield start, stop
         start = stop
-
-
-def _decode_lines(data: bytes) -> list[str]:
-    """``data.decode("utf-8").splitlines()``, one block at a time.
-
-    Undecodable data is decoded whole once more, so the error names its
-    position in the file.
-    """
-    view = memoryview(data)
-    lines: list[str] = []
-    try:
-        for start, stop in _blocks(data):
-            lines += str(view[start:stop], "utf-8").splitlines()
-    except UnicodeDecodeError:
-        data.decode("utf-8")
-        raise
-    return lines
 
 
 def _parse_float(text: str, line_no: int, column: str) -> float:
@@ -206,7 +188,7 @@ def _require_finite_nonneg(value: float, line_no: int, column: str) -> float:
 
 def _split_lines(data: bytes, header: tuple[str, ...]) -> list[str]:
     """Decode a profile into lines; check the first is ``header``, return the rest."""
-    lines = _decode_lines(data)
+    lines = data.decode("utf-8").splitlines()
     if not lines:
         raise ProfileFormatError("empty file: expected a header row")
     got = tuple(name.strip() for name in lines[0].split(","))

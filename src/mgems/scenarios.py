@@ -142,9 +142,9 @@ def apply_scenario(inputs: Profile, config: MicrogridConfig,
     Demand/PV/wind columns scale pointwise, the outage window (step
     positions) forces grid unavailability, and the fuel price scales;
     everything else passes through unchanged. A value validate_scenario
-    rejects, or an outage window that does not fit the horizon, raises
-    ValueError prefixed with the scenario id; its __cause__ is the error
-    without the prefix.
+    rejects, an outage window that does not fit the horizon, or a scaled
+    column or fuel price that is not finite raises ValueError prefixed with
+    the scenario id; its __cause__ is the error without the prefix.
     """
     grid_available = inputs.grid_available
     try:
@@ -153,18 +153,28 @@ def apply_scenario(inputs: Profile, config: MicrogridConfig,
             start, steps = _resolve_outage(scenario.outage, inputs, config)
             grid_available = grid_available.copy()
             grid_available[start:start + steps] = 0
+        factors = {"demand_kw": scenario.demand_multiplier,
+                   "pv_kw": scenario.pv_multiplier,
+                   "wind_kw": scenario.wind_multiplier}
+        # an overflow is named below by its first step, not warned about
+        with np.errstate(over="ignore"):
+            columns = {name: getattr(inputs, name) * factor
+                       for name, factor in factors.items()}
+        for name, column in columns.items():
+            finite = np.isfinite(column)
+            if not finite.all():
+                raise ValueError(f"{name} scaled by {factors[name]} is not "
+                                 f"finite at step {int(np.argmin(finite))}")
+        fuel_cost = (config.diesel.fuel_cost_per_kwh
+                     * scenario.fuel_price_multiplier)
+        if not math.isfinite(fuel_cost):
+            raise ValueError("fuel_cost_per_kwh scaled by "
+                             f"{scenario.fuel_price_multiplier} is not finite")
     except ValueError as exc:
         raise ValueError(f"scenario {scenario.id}: {exc}") from exc
-    scaled = replace(
-        inputs,
-        demand_kw=inputs.demand_kw * scenario.demand_multiplier,
-        pv_kw=inputs.pv_kw * scenario.pv_multiplier,
-        wind_kw=inputs.wind_kw * scenario.wind_multiplier,
-        grid_available=grid_available)
-    new_config = replace(config, diesel=replace(
-        config.diesel,
-        fuel_cost_per_kwh=config.diesel.fuel_cost_per_kwh
-        * scenario.fuel_price_multiplier))
+    scaled = replace(inputs, grid_available=grid_available, **columns)
+    new_config = replace(config, diesel=replace(config.diesel,
+                                                fuel_cost_per_kwh=fuel_cost))
     return scaled, new_config
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import importlib.resources
 import os
+import re
 from unittest import mock
 
 import numpy as np
@@ -32,6 +33,23 @@ DAY_PRICES_CENTS = [
 
 def data_path(name: str):
     return importlib.resources.files("mgems") / "data" / name
+
+
+def example_config_text(changes: dict) -> str:
+    """The example config file's text with the key of each (section, key)
+    of ``changes`` set to its value, or left out where the value is None."""
+    lines = []
+    section = None
+    for line in data_path("example_config.ini").read_text().splitlines():
+        match = re.fullmatch(r"\[(.+)\]", line.strip())
+        if match:
+            section = match.group(1)
+            lines.append(line)
+            lines += [f"{key} = {value}" for (name, key), value
+                      in changes.items() if name == section and value is not None]
+        elif (section, line.split("=")[0].strip()) not in changes:
+            lines.append(line)
+    return "\n".join(lines) + "\n"
 
 
 @contextlib.contextmanager

@@ -1,9 +1,11 @@
 """CLI behaviour: outputs, exit codes, golden files, determinism."""
 
+import contextlib
 import dataclasses
 import errno
 import json
 import re
+import signal
 from pathlib import Path
 from unittest import mock
 
@@ -15,7 +17,7 @@ from mgems.dispatch import initial_state, run_arrays
 from mgems.errors import ConfigFileError
 from mgems.metrics import build_report
 
-from conftest import data_path
+from conftest import data_path, example_config_text
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -668,3 +670,78 @@ def test_a_scenario_whose_report_is_not_finite_fails_alone(fixture_args):
     assert rows["S1"][1] == ""
     assert (out / "runs" / "S1" / "report.json").is_file()
     assert not (out / "runs" / "F").exists()
+
+
+@contextlib.contextmanager
+def time_limit(seconds: float):
+    """Raise TimeoutError in the block once it has run ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def command_args(command, config, profile, out):
+    args = [command, "--config", config]
+    if command == "simulate":
+        args += ["--profile", profile, "--out", out / "run"]
+    return args
+
+
+# each case overflowed or hung the economic metrics' loops before they
+# were bounded
+@pytest.mark.parametrize("changes,violation", [
+    ({("economics", "project_lifetime_years"): "1e8"},
+     "economics.project_lifetime_years: must be <= 100, got 100000000"),
+    ({("economics", "discount_rate"): "1e300"},
+     "economics.discount_rate: must be <= 1.0, got 1e+300"),
+    ({("battery", "lifetime_years"): "1e-9"},
+     "battery.lifetime_years: must be >= project_lifetime_years / 100 "
+     "(0.25), got 1e-09"),
+    ({("economics", "discount_rate"): "0",
+      ("economics", "project_lifetime_years"): "1e300"},
+     f"economics.project_lifetime_years: must be <= 100, got {int(1e300)}"),
+], ids=["long-project", "huge-rate", "short-battery", "zero-rate-long-project"])
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+def test_a_config_the_cash_flow_loops_cannot_run_exits_2(
+        fixture_args, capsys, command, changes, violation):
+    config, profile, out = fixture_args
+    custom = out / "custom.ini"
+    custom.write_text(example_config_text(changes))
+    with time_limit(20):
+        assert run_cli(*command_args(command, custom, profile, out)) == 2
+    captured = capsys.readouterr()
+    assert f"{violation}\n" in captured.err
+    assert captured.out == ""
+
+
+def test_a_config_at_the_cash_flow_bounds_runs_to_a_report(fixture_args):
+    config, profile, out = fixture_args
+    custom = out / "custom.ini"
+    custom.write_text(example_config_text({
+        ("economics", "discount_rate"): "1",
+        ("economics", "project_lifetime_years"): "100",
+        ("pv", "lifetime_years"): "1", ("wind", "lifetime_years"): "1",
+        ("battery", "lifetime_years"): "1"}))
+    with time_limit(20):
+        assert run_cli(*command_args("simulate", custom, profile, out)) == 0
+    assert (out / "run" / "report.json").is_file()
+
+
+def test_a_rate_too_small_to_move_one_reports_as_a_zero_rate(fixture_args):
+    config, profile, out = fixture_args
+    reports = []
+    for rate in ("0", "1e-20"):
+        custom = out / "custom.ini"
+        custom.write_text(example_config_text(
+            {("economics", "discount_rate"): rate}))
+        assert run_cli("simulate", "--config", custom, "--profile", profile,
+                       "--out", out / rate) == 0
+        reports.append((out / rate / "report.json").read_bytes())
+    assert reports[0] == reports[1]

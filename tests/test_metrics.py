@@ -227,6 +227,11 @@ def test_crf_zero_rate_is_inverse_lifetime():
     assert capital_recovery_factor(0.0, 25) == pytest.approx(1.0 / 25.0)
 
 
+def test_crf_of_a_rate_too_small_to_move_one_is_inverse_lifetime():
+    # (1 + 1e-20) ** 25 rounds to 1.0, which would divide by zero
+    assert capital_recovery_factor(1e-20, 25) == 1.0 / 25.0
+
+
 def test_crf_matches_annuity_oracle():
     # oracle: CRF is the reciprocal of the annuity present-value factor
     rate, years = 0.08, 25

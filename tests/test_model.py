@@ -104,3 +104,32 @@ def test_validation_is_pure_and_idempotent():
     assert validate_config(config) == validate_config(config)
     clean = make_config()
     assert validate_config(clean) == validate_config(clean)
+
+
+@pytest.mark.parametrize("section,changes,message", [
+    ("economics", {"discount_rate": 1.5},
+     "economics.discount_rate: must be <= 1.0, got 1.5"),
+    ("economics", {"project_lifetime_years": 101},
+     "economics.project_lifetime_years: must be <= 100, got 101"),
+    ("pv", {"lifetime_years": 0.2}, "pv.lifetime_years: must be >= "
+     "project_lifetime_years / 100 (0.25), got 0.2"),
+    ("wind", {"lifetime_years": 1e-9}, "wind.lifetime_years: must be >= "
+     "project_lifetime_years / 100 (0.25), got 1e-09"),
+    ("battery", {"lifetime_years": 0.2}, "battery.lifetime_years: must be >= "
+     "project_lifetime_years / 100 (0.25), got 0.2"),
+], ids=["rate", "project", "pv", "wind", "battery"])
+def test_the_cash_flow_loops_are_bounded(section, changes, message):
+    report = validate_config(replace_spec(make_config(), section, **changes))
+    assert [str(v) for v in report.violations] == [message]
+
+
+def test_the_cash_flow_bounds_are_inclusive():
+    config = make_config()
+    for name in ("pv", "wind", "battery"):
+        config = replace_spec(config, name, lifetime_years=0.25)
+    assert validate_config(config).ok
+    config = replace_spec(config, "economics", discount_rate=1.0,
+                          project_lifetime_years=100)
+    for name in ("pv", "wind", "battery"):
+        config = replace_spec(config, name, lifetime_years=1.0)
+    assert validate_config(config).ok

@@ -592,27 +592,13 @@ def test_a_bad_line_in_either_half_is_named(bad_line, row, message):
     assert str(exc.value) == f"line {bad_line}{sep}{message}"
 
 
-line_text = st.lists(st.sampled_from(
-    ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", " ", "1,2",
-     "\u00e9", "\uff11"]), max_size=40).map("".join)
-
-
-@settings(max_examples=300, deadline=None)
-@given(text=line_text, block=st.sampled_from([1, 2, 3, 7]))
-def test_blockwise_decode_splits_lines_as_the_whole_text_does(text, block):
-    with mock.patch.object(profiles, "_BLOCK_BYTES", block):
-        assert profiles._decode_lines(text.encode()) == text.splitlines()
-
-
-@pytest.mark.parametrize("block", [1, 4, 1 << 20])
-def test_undecodable_profile_names_the_position_in_the_whole_file(block):
-    data = b"a,b\n" * 10 + b"\xff\n" + b"c\n"
+def test_undecodable_profile_names_the_position_in_the_whole_file():
+    data = GEN_HEADER.encode() + b"\n" + b"0,1,1,1,1,1\n" * 10 + b"\xff\n"
     with pytest.raises(UnicodeDecodeError) as whole:
         data.decode("utf-8")
-    with mock.patch.object(profiles, "_BLOCK_BYTES", block), \
-            pytest.raises(UnicodeDecodeError) as blockwise:
-        profiles._decode_lines(data)
-    assert str(blockwise.value) == str(whole.value)
+    with pytest.raises(UnicodeDecodeError) as parsed:
+        parse_profile(data, "generation")
+    assert str(parsed.value) == str(whole.value)
 
 
 def long_body(n: int) -> bytes:

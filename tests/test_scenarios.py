@@ -817,3 +817,49 @@ def test_the_example_days_matrix_stays_in_one_process(example_config,
                                   [builtin_scenario(s) for s in BUILTIN_IDS]
                                   + MIXED[2:4] + MIXED[-1:])
     assert len(outcomes) == 8
+
+
+@pytest.mark.parametrize("multiplier,column", [
+    ("demand_multiplier", "demand_kw"), ("pv_multiplier", "pv_kw"),
+    ("wind_multiplier", "wind_kw")])
+def test_a_scaled_column_that_is_not_finite_is_named(multiplier, column):
+    # step 1 overflows to inf; pytest turns a numpy warning into an error
+    inputs = horizon(demand=[1.0, 2e8, 3e8], price=0.1, pv=[0.0, 2e8, 3e8],
+                     wind=[1.0, 2e8, 0.0])
+    scenario = Scenario(id="X", **{multiplier: 1e301})
+    with pytest.raises(ValueError) as exc:
+        apply_scenario(inputs, make_config(), scenario)
+    cause = f"{column} scaled by 1e+301 is not finite at step 1"
+    assert str(exc.value) == f"scenario X: {cause}"
+    assert str(exc.value.__cause__) == cause
+    outcome = run_matrix(inputs, make_config(), [scenario])["X"]
+    assert outcome.error == f"scenario X: {cause}"
+
+
+def replace_fuel(config, cost):
+    return dataclasses.replace(config, diesel=dataclasses.replace(
+        config.diesel, fuel_cost_per_kwh=cost))
+
+
+def test_a_scaled_fuel_price_that_is_not_finite_is_named():
+    config = make_config()
+    scenario = Scenario(id="F", fuel_price_multiplier=1e308)
+    with pytest.raises(ValueError) as exc:
+        apply_scenario(day(), replace_fuel(config, 2.0), scenario)
+    assert str(exc.value) == \
+        "scenario F: fuel_cost_per_kwh scaled by 1e+308 is not finite"
+    scaled = apply_scenario(day(), replace_fuel(config, 1e300), Scenario(
+        id="G", fuel_price_multiplier=1e8))[1]
+    assert scaled.diesel.fuel_cost_per_kwh == 1e300 * 1e8
+
+
+def test_scenarios_names_a_scaled_demand_that_is_not_finite(tmp_path, capsys):
+    config = tmp_path / "config.ini"
+    config.write_text(data_path("example_config.ini").read_text()
+                      + "\n[scenario:X]\ndemand_multiplier = 1e308\n")
+    assert main(["scenarios", "--config", str(config), "--profile",
+                 str(data_path("example_day.csv")), "--out",
+                 str(tmp_path / "runs"), "--scenarios", "X"]) == 0
+    assert capsys.readouterr().err == (
+        "scenario X failed: scenario X: demand_kw scaled by 1e+308 is not "
+        "finite at step 0\n")
