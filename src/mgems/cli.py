@@ -398,6 +398,9 @@ def cmd_validate(args) -> int:
           f"battery: {config.battery.capacity_kwh} kWh | "
           f"grid: {config.grid.import_limit_kw} kW import / "
           f"{config.grid.export_limit_kw} kW export")
+    print(f"converter_efficiency: {config.economics.converter_efficiency} "
+          "(checked to lie in (0, 1], but no calculation reads it: the "
+          "converter is not modelled)")
     if loaded.price_unit == PRICE_CENTS:
         print("price unit: cents_per_kwh (prices divided by 100 at ingestion)")
     else:

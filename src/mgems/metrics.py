@@ -278,6 +278,8 @@ def project_npc(annual_operating_cost: float, config: MicrogridConfig) -> float:
     return base
 
 
+# an overflow is named by the finiteness check at the end, not warned about
+@np.errstate(over="ignore", invalid="ignore")
 def build_report(trace: HorizonArrays, inputs: Profile,
                  config: MicrogridConfig) -> SimulationReport:
     """Aggregate a dispatch trace into the full simulation report.

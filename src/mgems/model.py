@@ -25,6 +25,12 @@ _MAX_DISCOUNT_RATE = 1.0
 _MAX_PROJECT_YEARS = 100
 _MAX_REPLACEMENTS = 100
 
+# step length from one second to one year: beyond either end the kernel's
+# charge headroom, (e_max - energy) / (sqrt_eta * step), can lose its
+# precision to subnormal numbers or divide by zero
+_MIN_STEP_HOURS = 1.0 / 3600.0
+_MAX_STEP_HOURS = 8760.0
+
 
 @dataclass(frozen=True)
 class PvSpec:
@@ -231,7 +237,9 @@ def _check_wind(c: _Checker, w: WindSpec) -> None:
     c.positive(w.unit_rated_kw, "wind.unit_rated_kw")
     if w.unit_rated_kw > 0 and math.isfinite(w.capacity_kw) and w.capacity_kw >= 0:
         units = w.capacity_kw / w.unit_rated_kw
-        c.check(abs(units - round(units)) < 1e-9, "wind.capacity_kw",
+        # an overflowing quotient counts no whole number of units
+        c.check(math.isfinite(units) and abs(units - round(units)) < 1e-9,
+                "wind.capacity_kw",
                 f"must be a whole multiple of unit_rated_kw ({w.unit_rated_kw}), "
                 f"got {w.capacity_kw}")
     c.positive(w.hub_height_m, "wind.hub_height_m")
@@ -369,5 +377,8 @@ def validate_config(config: MicrogridConfig) -> ValidationReport:
     _check_economics(c, config.economics)
     _check_replacements(c, config)
     _check_emissions(c, config.emissions)
-    c.positive(config.step_hours, "step_hours")
+    if c.finite(config.step_hours, "step_hours"):
+        c.check(_MIN_STEP_HOURS <= config.step_hours <= _MAX_STEP_HOURS,
+                "step_hours", f"must be in [1/3600, {_MAX_STEP_HOURS}] "
+                f"(one second to one year), got {config.step_hours}")
     return ValidationReport(tuple(c.violations))

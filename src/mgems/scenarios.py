@@ -11,12 +11,13 @@ columns are new arrays, unchanged columns are shared with the base run.
 from __future__ import annotations
 
 import math
+import mmap
 import os
 import signal
 import sys
 import threading
 from dataclasses import dataclass, replace
-from typing import Iterable, NoReturn
+from typing import Iterable, Iterator, NoReturn
 
 import numpy as np
 
@@ -215,12 +216,16 @@ def _failed(scenario_id: str, exc: Exception) -> ScenarioOutcome:
 
 
 # The matrix forks from this many kernel steps, runs times horizon steps: a
-# fork, its copy-on-write faults and the child's exit cost a few ms, and the
-# child's traces cross the pipe at 88 bytes a step (see the README for where
-# a split pays). The example day's 6 x 24 and a year's base run plus up to
-# 13 scenarios stay in one process; the 51 x 8,760 of a 50-scenario year
-# split.
+# fork, its copy-on-write faults and the child's exit cost a few ms, and
+# this process faults in the shared pages of each trace the child made, 88
+# bytes a step (see the README for where a split pays). The example day's
+# 6 x 24 and a year's base run plus up to 13 scenarios stay in one process;
+# the 51 x 8,760 of a 50-scenario year split.
 MIN_KERNEL_STEPS = 131072
+
+# A Linux pipe holds at least one 4,096-byte page, so this many 4-byte
+# claims fill it without blocking; a longer matrix claims blocks of runs.
+_MAX_CLAIMS = 1024
 
 
 def _splits(steps: int) -> bool:
@@ -237,87 +242,118 @@ def _splits(steps: int) -> bool:
             and signal.getsignal(signal.SIGCHLD) != signal.SIG_IGN)
 
 
+def _run(inputs: Profile, config: MicrogridConfig, threshold: float | None):
+    """The run's trace at ``threshold``, or the exception its kernel raised."""
+    try:
+        return run_arrays(inputs, initial_state(config.battery), config,
+                          threshold)
+    except Exception as exc:  # noqa: BLE001 - kept for its run
+        return exc
+
+
 def _dispatch(runs: list[tuple[Profile, MicrogridConfig]],
               threshold: float | None) -> list:
     """Each run's trace at ``threshold``, or the exception its kernel raised."""
-    traces: list = []
-    for inputs, config in runs:
-        try:
-            traces.append(run_arrays(inputs, initial_state(config.battery),
-                                     config, threshold))
-        except Exception as exc:  # noqa: BLE001 - kept for its run
-            traces.append(exc)
-    return traces
+    return [_run(inputs, config, threshold) for inputs, config in runs]
+
+
+def _claims(count: int) -> bytes:
+    """Claims on ``count`` runs: the first run of each block of consecutive
+    runs, 4 bytes each, in at most _MAX_CLAIMS blocks."""
+    block = -(-count // _MAX_CLAIMS)
+    return np.arange(0, count, block, dtype=np.uint32).tobytes()
+
+
+def _claimed(fd: int, count: int) -> Iterator[int]:
+    """The runs this process claims from the pipe ``fd``, one block at a
+    time, until the pipe is empty."""
+    block = -(-count // _MAX_CLAIMS)
+    while claim := os.read(fd, 4):
+        first = int.from_bytes(claim, sys.byteorder)
+        yield from range(first, min(first + block, count))
+
+
+def _slots(shared: mmap.mmap, runs: list) -> tuple[np.ndarray, np.ndarray]:
+    """``shared`` as each run's slot, whose transpose is an (n, 11)
+    column-major trace, and each run's done byte after the slots."""
+    count, n = len(runs), len(runs[0][0])
+    slots = np.frombuffer(shared, np.float64, count * N_COLUMNS * n)
+    done = np.frombuffer(shared, np.uint8, count, offset=slots.nbytes)
+    return slots.reshape(count, N_COLUMNS, n), done
 
 
 def _send(runs: list[tuple[Profile, MicrogridConfig]], threshold: float,
-          fd: int) -> NoReturn:
-    """In the child: write each run's trace to ``fd`` and exit 0, or write
-    nothing and exit 1 if a run raised. Every path ends in os._exit, so the
-    child runs no atexit handler and flushes no stdio buffer it inherited.
+          claims: int, shared: mmap.mmap) -> NoReturn:
+    """In the child: copy the trace of each run claimed from ``claims`` into
+    its slot of ``shared``, then set its done byte, and exit 0 once the
+    claims are used up. A run that raised is left unmarked. Every path ends
+    in os._exit, so the child runs no atexit handler and flushes no stdio
+    buffer it inherited.
     """
     status = 1
     try:
-        traces = _dispatch(runs, threshold)
-        if all(isinstance(trace, HorizonArrays) for trace in traces):
-            with open(fd, "wb") as pipe:
-                for trace in traces:
-                    # a column-major trace's transpose is its bytes in order
-                    pipe.write(trace.columns.T)
-            status = 0
+        slots, done = _slots(shared, runs)
+        for i in _claimed(claims, len(runs)):
+            trace = _run(*runs[i], threshold)
+            if isinstance(trace, HorizonArrays):
+                slots[i].T[...] = trace.columns
+                done[i] = 1
+        status = 0
     finally:
         os._exit(status)
 
 
-def _receive(pipe, runs: list[tuple[Profile, MicrogridConfig]],
-             threshold: float) -> list[HorizonArrays] | None:
-    """The traces ``_send`` wrote of ``runs``, each read into an array of
-    its own, or None if the pipe ends before their bytes or holds more."""
-    traces = []
-    for inputs, config in runs:
-        columns = np.empty((len(inputs), N_COLUMNS), order="F")
-        # a buffered reader fills the view unless the pipe ends first
-        view = memoryview(columns.T).cast("B")
-        if pipe.readinto(view) != view.nbytes:
-            return None
-        traces.append(HorizonArrays.from_columns(
-            columns, inputs, initial_state(config.battery), threshold))
-    return None if pipe.read(1) else traces
+def _receive(traces: list, runs: list[tuple[Profile, MicrogridConfig]],
+             threshold: float, shared: mmap.mmap, sent: bool) -> list:
+    """``traces``, where this process's runs are set, with every other run's
+    trace: over its slot of ``shared`` if the child ``sent`` (exited 0)
+    and set its done byte, else dispatched here."""
+    slots, done = _slots(shared, runs)
+    for i, (inputs, config) in enumerate(runs):
+        if traces[i] is None:
+            traces[i] = (HorizonArrays.from_columns(
+                slots[i].T, inputs, initial_state(config.battery), threshold)
+                if sent and done[i] else _run(inputs, config, threshold))
+    return traces
 
 
 def _dispatch_split(runs: list[tuple[Profile, MicrogridConfig]],
                     threshold: float | None) -> list:
-    """``_dispatch(runs, threshold)``, with the upper half of the runs in a
-    forked child if ``_splits``. A child that fails, dies or sends other
-    than its runs' bytes has its half redone here; an exception from this
-    process's half, the interrupt included, kills and reaps the child.
+    """``_dispatch(runs, threshold)``, shared with a forked child if
+    ``_splits``: both processes claim runs one at a time from a pipe filled
+    before the fork, and the child's traces come back through one anonymous
+    shared mapping, made before the fork, of which they stay views: the
+    mapping lives as long as any of them does. A run the child did not mark
+    done, or every run of a child that did not exit 0, is redone here; an
+    exception in this process, the interrupt included, kills and reaps the
+    child.
     """
     if len(runs) < 2 or not _splits(len(runs) * len(runs[0][0])):
         return _dispatch(runs, threshold)
-    lower, upper = runs[:len(runs) // 2], runs[len(runs) // 2:]
-    read_fd, write_fd = os.pipe()
+    shared = mmap.mmap(-1, len(runs) * (len(runs[0][0]) * N_COLUMNS * 8 + 1))
+    claims, fill = os.pipe()
+    os.write(fill, _claims(len(runs)))
+    os.close(fill)
     try:
         pid = os.fork()
     except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
+        os.close(claims)
         return _dispatch(runs, threshold)
     if pid == 0:
-        os.close(read_fd)
-        _send(upper, threshold, write_fd)
-    os.close(write_fd)
+        _send(runs, threshold, claims, shared)
+    traces: list = [None] * len(runs)
     try:
-        with open(read_fd, "rb") as pipe:
-            traces = _dispatch(lower, threshold)
-            received = _receive(pipe, upper, threshold)
+        for i in _claimed(claims, len(runs)):
+            traces[i] = _run(*runs[i], threshold)
     except BaseException:
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
         raise
+    finally:
+        os.close(claims)
     _, status = os.waitpid(pid, 0)
-    if received is None or os.waitstatus_to_exitcode(status) != 0:
-        received = _dispatch(upper, threshold)
-    return traces + received
+    return _receive(traces, runs, threshold, shared,
+                    os.waitstatus_to_exitcode(status) == 0)
 
 
 def _checked(trace, inputs: Profile, config: MicrogridConfig
@@ -336,14 +372,15 @@ def run_matrix(inputs: Profile, config: MicrogridConfig,
     Every scenario is applied first. Then the base run and each applied
     scenario's run are dispatched at the base's threshold, resolved once:
     a scenario changes neither the prices nor the EMS config. From
-    MIN_KERNEL_STEPS kernel steps, runs times horizon steps, a forked child
-    dispatches the upper half of the runs and sends back each trace's
-    bytes, whose total both processes know; a child that fails has its
-    half redone here (see ``_dispatch_split``). Last, this process checks
-    and reports every run in the given order. Each outcome holds
-    its own Profile, which shares unchanged columns with the base inputs,
-    and its own trace. A failing scenario is reported in its outcome
-    without aborting siblings; a failing base run raises.
+    MIN_KERNEL_STEPS kernel steps, runs times horizon steps, this process
+    and a forked child claim the runs one at a time, and the child's traces
+    come back through a shared mapping; a run the child failed to deliver
+    is redone here (see ``_dispatch_split``). Last, this process checks and
+    reports every run in the given order. Each outcome holds its own
+    Profile, which shares unchanged columns with the base inputs, and its
+    own trace; the traces the child made are views of one mapping. A
+    failing scenario is reported in its outcome without aborting siblings;
+    a failing base run raises.
     """
     runs = [(inputs, config)]
     applied = []   # per scenario: its position in runs, or what apply raised

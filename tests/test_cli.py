@@ -6,16 +6,21 @@ import errno
 import json
 import re
 import signal
+import tempfile
+import warnings
+from datetime import timedelta
 from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import assume, given, reject, settings, strategies as st
 
 from mgems.cli import main, report_json_bytes
 from mgems.configio import load_config
 from mgems.dispatch import initial_state, run_arrays
 from mgems.errors import ConfigFileError
 from mgems.metrics import build_report
+from mgems.model import validate_config
 
 from conftest import data_path, example_config_text
 
@@ -121,6 +126,8 @@ def test_validate_prints_summary(fixture_args, capsys):
     assert run_cli("validate", "--config", config, "--profile", profile) == 0
     out = capsys.readouterr().out
     assert "config: OK" in out
+    assert ("converter_efficiency: 0.95 (checked to lie in (0, 1], but no "
+            "calculation reads it: the converter is not modelled)\n") in out
     assert "cents_per_kwh (prices divided by 100" in out
     assert "horizon: 24 steps x 1.0 h" in out
     assert "0.26280000000000003 (price-percentile)" in out
@@ -745,3 +752,79 @@ def test_a_rate_too_small_to_move_one_reports_as_a_zero_rate(fixture_args):
                        "--out", out / rate) == 0
         reports.append((out / rate / "report.json").read_bytes())
     assert reports[0] == reports[1]
+
+
+STEP_RANGE = "step_hours: must be in [1/3600, 8760.0] (one second to one year)"
+
+
+# configs that validate accepted and that then crashed (an OverflowError in
+# validate, a ZeroDivisionError in the kernel), exited 4 with the SOC out of
+# its band, or warned of an overflow, found by the draw below
+@pytest.mark.parametrize("changes,message", [
+    ({("wind", "capacity_kw"): "1e300", ("wind", "unit_rated_kw"): "1e-10"},
+     "wind.capacity_kw: must be a whole multiple of unit_rated_kw (1e-10), "
+     "got 1e+300"),
+    ({("battery", "roundtrip_efficiency"): "7.101793498300747e-104",
+      ("simulation", "step_hours"): "6.612773674320953e-290"},
+     f"{STEP_RANGE}, got 6.612773674320953e-290"),
+    ({("battery", "capacity_kwh"): "4.0358804108661537e-268",
+      ("simulation", "step_hours"): "9.033211655858882e+54"},
+     f"{STEP_RANGE}, got 9.033211655858882e+54"),
+    ({("grid", "sell_price_ratio"): "1e304",
+      ("simulation", "step_hours"): "8760"},
+     "report field economics.operating_cost is not finite: -inf"),
+], ids=["wind-units-overflow", "tiny-step", "huge-step", "revenue-overflow"])
+def test_a_config_the_draw_found_exits_2_without_a_warning(
+        fixture_args, capsys, changes, message):
+    config, profile, out = fixture_args
+    custom = out / "custom.ini"
+    custom.write_text(example_config_text(changes))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("simulate", "--config", custom, "--profile", profile,
+                       "--out", out / "run") == 2
+    assert f"{message}\n" in capsys.readouterr().err
+    assert not (out / "run").exists()
+
+
+def _numeric_keys():
+    """Each (section, key) of the example config whose value is a number."""
+    keys = []
+    section = None
+    for line in data_path("example_config.ini").read_text().splitlines():
+        line = line.split("#")[0].strip()
+        if line.startswith("["):
+            section = line[1:-1]
+        elif "=" in line:
+            key, value = (part.strip() for part in line.split("=", 1))
+            with contextlib.suppress(ValueError):
+                float(value)
+                keys.append((section, key))
+    return keys
+
+
+# from 1e-300 to 1e300 in magnitude, every decade about equally likely
+magnitude = st.builds(lambda mantissa, exponent: mantissa * 10.0 ** exponent,
+                      st.floats(1.0, 10.0, exclude_max=True),
+                      st.integers(-300, 299))
+
+
+@settings(max_examples=150, deadline=timedelta(seconds=10))
+@given(st.dictionaries(st.sampled_from(_numeric_keys()), magnitude,
+                       min_size=1, max_size=3))
+def test_a_config_validate_accepts_simulates_or_exits_2(changes):
+    with tempfile.TemporaryDirectory() as tmp:
+        custom = Path(tmp) / "custom.ini"
+        custom.write_text(example_config_text(
+            {key: repr(value) for key, value in changes.items()}))
+        try:
+            loaded = load_config(custom)
+        except ConfigFileError:
+            reject()
+        assume(validate_config(loaded.config).ok)
+        with time_limit(20), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["simulate", "--config", str(custom), "--profile",
+                         str(data_path("example_day.csv")), "--out",
+                         str(Path(tmp) / "run")])
+    assert code in (0, 2)

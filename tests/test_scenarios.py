@@ -3,6 +3,7 @@
 import contextlib
 import dataclasses
 import os
+import select
 import signal
 import struct
 import subprocess
@@ -326,8 +327,8 @@ def test_apply_scenario_outage_leaves_the_base_profile_unchanged():
 
 # A matrix over the example day that mixes multiplier scenarios, an
 # explicit outage, a default-start outage (S3) and one window the day
-# rejects: base plus six runs, so a split leaves three runs here and sends
-# four from the child.
+# rejects: base plus six runs, which a split shares between this process
+# and the child.
 MIXED = [builtin_scenario("S1"), builtin_scenario("S2"),
          Scenario(id="window", outage=OutageSpec(start_step=5,
                                                  duration_steps=4)),
@@ -390,29 +391,67 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+@contextlib.contextmanager
+def both_take_runs(action=None, at=1):
+    """Patch the matrix's run_arrays so that both processes take runs by a
+    handshake, not by timing: this process's first run waits, up to 10 s,
+    for a byte the child writes as it starts its ``at``-th run, and from
+    that run on the child calls ``action`` before each run. Yields the ids
+    of the inputs each process dispatched, "here" and "child" (filled in
+    when the block ends), and whether the wait saw the byte ("met").
+    """
+    parent = os.getpid()
+    real = scenarios.run_arrays
+    started, start = os.pipe()
+    record, log = os.pipe()
+    calls = []
+    taken = {"here": [], "child": [], "met": False}
+
+    def run(inputs, *args):
+        calls.append(1)
+        if os.getpid() == parent:
+            if len(calls) == 1:
+                taken["met"] = bool(select.select([started], [], [], 10)[0])
+            taken["here"].append(id(inputs))
+        else:
+            os.write(log, struct.pack("<Q", id(inputs)))
+            if len(calls) == at:
+                os.write(start, b"\0")
+            if len(calls) >= at and action is not None:
+                action()
+        return real(inputs, *args)
+    try:
+        with mock.patch.object(scenarios, "run_arrays", run):
+            yield taken
+        os.close(log)
+        with open(record, "rb", closefd=False) as pipe:
+            data = pipe.read()
+        taken["child"] = [value for value, in struct.iter_unpack("<Q", data)]
+    finally:
+        for fd in (started, start, record, log):
+            with contextlib.suppress(OSError):
+                os.close(fd)
+
+
+def dispatched(outcomes):
+    """The ids of the inputs of every run the matrix dispatched."""
+    return sorted(id(o.inputs) for o in outcomes.values()
+                  if o.error is None)
+
+
 def test_a_split_matrix_equals_the_one_process_matrix(example_config,
                                                       example_inputs):
     config = example_config.config
     one = in_one_process(example_inputs, config, MIXED)
     assert [key for key, o in one.items() if o.error] == ["late"]
-    with mock.patch.object(scenarios, "run_arrays",
-                           wraps=scenarios.run_arrays) as runs:
-        assert_same_outcomes(split_once(example_inputs, config, MIXED), one)
-    # this process ran its three runs and took the child's four as sent
-    assert runs.call_count == 3
+    with both_take_runs() as taken:
+        two = split_once(example_inputs, config, MIXED)
+    assert_same_outcomes(two, one)
+    assert taken["met"]
+    # each run was dispatched once, in one process or the other
+    assert sorted(taken["here"] + taken["child"]) == dispatched(two)
+    assert taken["here"] and taken["child"]
     assert_no_child_left()
-
-
-def _child_does(action):
-    """Patch the matrix's run_arrays to call ``action`` in the child only."""
-    parent = os.getpid()
-    real = scenarios.run_arrays
-
-    def run(*args, **kwargs):
-        if os.getpid() != parent:
-            action()
-        return real(*args, **kwargs)
-    return mock.patch.object(scenarios, "run_arrays", run)
 
 
 def _raise():
@@ -420,86 +459,104 @@ def _raise():
 
 
 def _child_exits(code):
-    """Patch os._exit to exit with ``code``: the child sends its whole
-    payload first."""
+    """Patch os._exit to exit with ``code``: the child marks its runs done
+    first."""
     real_exit = os._exit
     return mock.patch.object(os, "_exit", lambda status: real_exit(code))
 
 
-class _Edited:
-    """The child's pipe, which sends ``edit(bytes)`` in place of the bytes
-    of its last run."""
-
-    def __init__(self, pipe, edit):
-        self.pipe, self.edit, self.last = pipe, edit, None
-
-    def __enter__(self):
-        return self
-
-    def write(self, data):
-        if self.last is not None:
-            self.pipe.write(self.last)
-        self.last = bytes(data)
-
-    def __exit__(self, *exc):
-        with self.pipe:
-            self.pipe.write(self.edit(self.last))
-
-
-def _child_sends(edit):
-    """Patch the child's pipe, the one the matrix opens for writing, to edit
-    its last run's bytes."""
-    def edited_open(fd, mode):
-        pipe = open(fd, mode)
-        return _Edited(pipe, edit) if mode == "wb" else pipe
-    return mock.patch.object(scenarios, "open", edited_open, create=True)
-
-
-# MIXED's seven runs split three here and four in the child
-@pytest.mark.parametrize("failure", [
-    pytest.param(lambda: _child_does(
-        lambda: os.kill(os.getpid(), signal.SIGKILL)), id="sigkill"),
-    pytest.param(lambda: _child_does(lambda: os._exit(3)), id="exit-3"),
-    pytest.param(lambda: _child_does(_raise), id="raises"),
-    pytest.param(lambda: _child_does(lambda: os._exit(0)),
-                 id="exit-0-without-payload"),
-    pytest.param(lambda: _child_exits(7), id="exit-7-after-its-payload"),
-    pytest.param(lambda: _child_sends(lambda last: b""), id="one-run-short"),
-    pytest.param(lambda: _child_sends(lambda last: last[:-3]),
-                 id="no-whole-run"),
-    pytest.param(lambda: _child_sends(lambda last: last + b"\0"),
-                 id="one-byte-long"),
-    pytest.param(lambda: _child_sends(lambda last: last + last),
-                 id="one-run-long"),
+# (context, child action, the child's run it starts at)
+@pytest.mark.parametrize("failure,action,at", [
+    pytest.param(contextlib.nullcontext,
+                 lambda: os.kill(os.getpid(), signal.SIGKILL), 1,
+                 id="sigkill"),
+    pytest.param(contextlib.nullcontext, lambda: os._exit(3), 1, id="exit-3"),
+    pytest.param(contextlib.nullcontext, _raise, 1, id="raises"),
+    pytest.param(contextlib.nullcontext, lambda: os._exit(0), 1,
+                 id="exit-0-with-a-claimed-run-unmarked"),
+    pytest.param(lambda: _child_exits(7), None, 1,
+                 id="exit-7-after-marking-its-runs"),
+    pytest.param(contextlib.nullcontext, lambda: os._exit(5), 2,
+                 id="exit-5-in-its-second-run"),
 ])
 def test_a_failed_child_leaves_the_same_outcomes(example_config,
-                                                 example_inputs, failure):
+                                                 example_inputs, failure,
+                                                 action, at):
     config = example_config.config
     one = in_one_process(example_inputs, config, MIXED)
-    with failure(), mock.patch.object(scenarios, "run_arrays",
-                                    wraps=scenarios.run_arrays) as runs:
-        assert_same_outcomes(split_once(example_inputs, config, MIXED), one)
-    # counted in this process only: its own three runs and the child's four
+    with failure(), both_take_runs(action, at) as taken:
+        two = split_once(example_inputs, config, MIXED)
+    assert_same_outcomes(two, one)
+    assert taken["met"] and len(taken["child"]) >= at
+    # the child left no run both marked done and followed by exit status 0,
+    # so this process dispatched every run, each once
+    assert sorted(taken["here"]) == dispatched(two)
+    assert_no_child_left()
+
+
+def test_a_child_that_claims_nothing_leaves_the_same_outcomes(
+        example_config, example_inputs):
+    """The child reads its first claim only after this process has taken
+    every run, so it finds the claims used up."""
+    config = example_config.config
+    one = in_one_process(example_inputs, config, MIXED)
+    taken, take = os.pipe()
+    real_fork, real_waitpid = os.fork, os.waitpid
+
+    def fork():
+        pid = real_fork()
+        if pid == 0:
+            select.select([taken], [], [], 10)
+        return pid
+
+    def waitpid(pid, options):
+        os.write(take, b"\0")   # this process has taken every run
+        return real_waitpid(pid, options)
+    try:
+        with split_from(2), mock.patch.object(os, "fork", fork), \
+                mock.patch.object(os, "waitpid", waitpid), \
+                mock.patch.object(scenarios, "run_arrays",
+                                  wraps=scenarios.run_arrays) as runs:
+            assert_same_outcomes(run_matrix(example_inputs, config, MIXED),
+                                 one)
+    finally:
+        os.close(taken)
+        os.close(take)
     assert runs.call_count == 7
     assert_no_child_left()
+
+
+@pytest.mark.parametrize("count", [1, 2, 1023, 1024, 1025, 4097, 10**6])
+def test_the_claims_fit_one_page_and_cover_each_run_once(count):
+    claims = scenarios._claims(count)
+    assert len(claims) <= 4096
+    read_fd, write_fd = os.pipe()
+    try:
+        os.write(write_fd, claims)
+        os.close(write_fd)
+        assert list(scenarios._claimed(read_fd, count)) == list(range(count))
+    finally:
+        os.close(read_fd)
+        with contextlib.suppress(OSError):
+            os.close(write_fd)
 
 
 @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
 def test_an_error_in_this_process_half_kills_and_reaps_the_child(
         example_config, example_inputs, error):
     parent = os.getpid()
-    real = scenarios._dispatch
+    real = scenarios._run
 
-    def dispatch(runs, threshold):
+    def run(*args):
         if os.getpid() != parent:
             time.sleep(20)   # killed, not waited for
         else:
-            raise error("this process's half failed")
-        return real(runs, threshold)
+            raise error("this process's run failed")
+        return real(*args)
 
     started = time.monotonic()
-    with mock.patch.object(scenarios, "_dispatch", dispatch), \
-            pytest.raises(error, match="this process's half failed"):
+    with mock.patch.object(scenarios, "_run", run), \
+            pytest.raises(error, match="this process's run failed"):
         split_once(example_inputs, example_config.config, MIXED)
     assert time.monotonic() - started < 10
     assert_no_child_left()
@@ -671,7 +728,8 @@ def _kernel_failing_for(demand0, error):
     return mock.patch.object(dispatch, "_kernel_run", kernel)
 
 
-# first: run 1, in this process's half; last: run 7, in the child's
+# first: run 1, which the child usually claims while this process's first
+# run waits for it; last: run 8
 @pytest.mark.parametrize("position", ["first", "last"])
 def test_a_scenario_whose_kernel_raises_fails_alone(example_config,
                                                     example_inputs, position):
@@ -682,8 +740,10 @@ def test_a_scenario_whose_kernel_raises_fails_alone(example_config,
     clean = in_one_process(example_inputs, config, MIXED)
     with _kernel_failing_for(demand0, RuntimeError("kernel failed here")):
         one = in_one_process(example_inputs, config, matrix)
-        two = split_once(example_inputs, config, matrix)
+        with both_take_runs() as taken:
+            two = split_once(example_inputs, config, matrix)
     assert_same_outcomes(two, one)
+    assert taken["met"]
     assert one["boom"].error == "kernel failed here"
     assert one["boom"].report is None and one["boom"].trace is None
     del one["boom"]
@@ -691,21 +751,27 @@ def test_a_scenario_whose_kernel_raises_fails_alone(example_config,
     assert_no_child_left()
 
 
+@contextlib.contextmanager
 def _base_fault(fault):
-    """A _kernel_run whose first call in this process, the base run, fails."""
-    parent = os.getpid()
-    real = dispatch._kernel_run
-    calls = []
+    """A _kernel_run that fails for the base run, in either process: the
+    run whose demand is the column the matrix applies its scenarios to."""
+    real, real_apply = dispatch._kernel_run, scenarios.apply_scenario
+    bases = []
 
-    def kernel(*args):
-        final = real(*args)
-        if os.getpid() == parent and not calls:
-            calls.append(1)
+    def apply(inputs, *args):
+        bases.append(inputs.demand_kw)
+        return real_apply(inputs, *args)
+
+    def kernel(demand, *args):
+        final = real(demand, *args)
+        if any(demand is base for base in bases):
             if fault == "raises":
                 raise ValueError("the base run's kernel failed")
             args[-1][0, IMPORT] += 1.0   # breaks the power balance
         return final
-    return mock.patch.object(dispatch, "_kernel_run", kernel)
+    with mock.patch.object(dispatch, "_kernel_run", kernel), \
+            mock.patch.object(scenarios, "apply_scenario", apply):
+        yield
 
 
 @pytest.mark.parametrize("split", [False, True])
