@@ -4,12 +4,21 @@ All types are frozen dataclasses, immutable after construction and safe to
 share across threads. Validation never raises on bad parameter values; it
 returns a report listing every violated invariant so callers can surface all
 problems at once.
+
+Each numeric field declares its range on itself, with _ranged; the emission
+factors and the EMS threshold parameters, whose checks depend on which values
+are set, are checked by _check_emissions and _check_ems. Violations are listed
+section by section in MicrogridConfig's field order: within a section, its
+field ranges in field order, then its checks that compare fields (the wind
+speed order and whole units, the battery SOC band, the EMS mode, and, after
+[economics], the component lifetimes against the project's); step_hours
+comes last.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 POLLUTANTS = ("co2", "co", "uh", "pm", "so2", "no2")
 
@@ -32,16 +41,27 @@ _MIN_STEP_HOURS = 1.0 / 3600.0
 _MAX_STEP_HOURS = 8760.0
 
 
+def _ranged(*bounds, default=MISSING):
+    """A numeric field that must be finite, an int where annotated int, and
+    pass each (test, wording) bound."""
+    return field(default=default, metadata={"bounds": bounds})
+
+
+_NONNEG = (lambda v: v >= 0, ">= 0")
+_POSITIVE = (lambda v: v > 0, "> 0")
+_FRACTION = (lambda v: 0 < v <= 1, "in (0, 1]")
+
+
 @dataclass(frozen=True)
 class PvSpec:
     """Photovoltaic array rating and economics."""
 
-    capacity_kw: float
-    derating_factor: float
-    capital_cost: float          # currency/kW
-    replacement_cost: float      # currency/kW
-    om_cost: float               # currency/kW/yr
-    lifetime_years: float
+    capacity_kw: float = _ranged(_NONNEG)
+    derating_factor: float = _ranged(_FRACTION)
+    capital_cost: float = _ranged(_NONNEG)          # currency/kW
+    replacement_cost: float = _ranged(_NONNEG)      # currency/kW
+    om_cost: float = _ranged(_NONNEG)               # currency/kW/yr
+    lifetime_years: float = _ranged(_POSITIVE)
 
 
 @dataclass(frozen=True)
@@ -53,28 +73,30 @@ class WindSpec:
     height to hub height with a power-law shear profile.
     """
 
-    capacity_kw: float
-    unit_rated_kw: float
-    cut_in_ms: float
-    cut_out_ms: float
-    rated_speed_ms: float
-    hub_height_m: float
-    anemometer_height_m: float
-    shear_exponent: float
-    capital_cost: float          # currency/kW
-    om_cost: float               # currency/kW/yr
-    lifetime_years: float
+    capacity_kw: float = _ranged(_NONNEG)
+    unit_rated_kw: float = _ranged(_POSITIVE)
+    cut_in_ms: float = _ranged()                # ordered by _check_wind
+    cut_out_ms: float = _ranged()
+    rated_speed_ms: float = _ranged()
+    hub_height_m: float = _ranged(_POSITIVE)
+    # the shear correction needs a usable anemometer height
+    anemometer_height_m: float = _ranged(_POSITIVE)
+    shear_exponent: float = _ranged(_NONNEG)
+    capital_cost: float = _ranged(_NONNEG)          # currency/kW
+    om_cost: float = _ranged(_NONNEG)               # currency/kW/yr
+    lifetime_years: float = _ranged(_POSITIVE)
 
 
 @dataclass(frozen=True)
 class DieselSpec:
     """Backup diesel generator rating and cost model."""
 
-    capacity_kw: float
-    capital_cost: float          # currency/kW
-    om_cost: float               # currency/h/kW while running
-    fuel_cost_per_kwh: float     # currency per kWh of electrical output
-    min_loading_fraction: float = 0.0
+    capacity_kw: float = _ranged(_NONNEG)
+    capital_cost: float = _ranged(_NONNEG)          # currency/kW
+    om_cost: float = _ranged(_NONNEG)               # currency/h/kW while running
+    fuel_cost_per_kwh: float = _ranged(_NONNEG)     # currency per kWh of electrical output
+    min_loading_fraction: float = _ranged((lambda v: 0 <= v <= 1, "in [0, 1]"),
+                                          default=0.0)
 
 
 @dataclass(frozen=True)
@@ -85,25 +107,25 @@ class BatterySpec:
     sqrt(roundtrip_efficiency) at the terminals.
     """
 
-    capacity_kwh: float
-    roundtrip_efficiency: float
-    depth_of_discharge: float
-    soc_min: float
-    soc_max: float
-    max_charge_kw: float
-    max_discharge_kw: float
-    capital_cost: float          # currency/kWh
-    om_cost: float               # currency/kWh/yr
-    lifetime_years: float
+    capacity_kwh: float = _ranged(_NONNEG)
+    roundtrip_efficiency: float = _ranged(_FRACTION)
+    depth_of_discharge: float = _ranged(_FRACTION)
+    soc_min: float = _ranged()                  # a band, checked by _check_battery
+    soc_max: float = _ranged()
+    max_charge_kw: float = _ranged(_NONNEG)
+    max_discharge_kw: float = _ranged(_NONNEG)
+    capital_cost: float = _ranged(_NONNEG)          # currency/kWh
+    om_cost: float = _ranged(_NONNEG)               # currency/kWh/yr
+    lifetime_years: float = _ranged(_POSITIVE)
 
 
 @dataclass(frozen=True)
 class GridSpec:
     """Point-of-connection limits and export pricing."""
 
-    import_limit_kw: float
-    export_limit_kw: float
-    sell_price_ratio: float = 1.0
+    import_limit_kw: float = _ranged(_NONNEG)
+    export_limit_kw: float = _ranged(_NONNEG)
+    sell_price_ratio: float = _ranged(_NONNEG, default=1.0)
 
 
 @dataclass(frozen=True)
@@ -129,10 +151,13 @@ class EconomicsConfig:
     published source values; they must be chosen by the user.
     """
 
-    discount_rate: float
-    project_lifetime_years: int
-    converter_efficiency: float
-    converter_capital_cost: float     # currency/kW
+    discount_rate: float = _ranged(
+        _NONNEG, (lambda v: v <= _MAX_DISCOUNT_RATE, f"<= {_MAX_DISCOUNT_RATE}"))
+    project_lifetime_years: int = _ranged(
+        (lambda v: v >= 1, ">= 1"),
+        (lambda v: v <= _MAX_PROJECT_YEARS, f"<= {_MAX_PROJECT_YEARS}"))
+    converter_efficiency: float = _ranged(_FRACTION)
+    converter_capital_cost: float = _ranged(_NONNEG)     # currency/kW
 
 
 @dataclass(frozen=True)
@@ -161,7 +186,10 @@ class MicrogridConfig:
     ems: EmsConfig
     economics: EconomicsConfig
     emissions: EmissionFactors
-    step_hours: float = 1.0
+    step_hours: float = _ranged(
+        (lambda v: _MIN_STEP_HOURS <= v <= _MAX_STEP_HOURS,
+         f"in [1/3600, {_MAX_STEP_HOURS}] (one second to one year)"),
+        default=1.0)
 
 
 @dataclass(frozen=True)
@@ -199,98 +227,48 @@ class _Checker:
         if not condition:
             self.violations.append(Violation(path, message))
 
-    def finite(self, value: float, path: str) -> bool:
+    def within(self, value: float, path: str, bounds, integer: bool = False) -> None:
+        """Check that ``value`` is finite, an int if ``integer``, and passes
+        each (test, wording) bound."""
         if not _finite(value):
             self.violations.append(Violation(path, f"must be a finite number, got {value!r}"))
-            return False
-        return True
-
-    def nonneg(self, value: float, path: str) -> None:
-        if self.finite(value, path):
-            self.check(value >= 0, path, f"must be >= 0, got {value}")
-
-    def positive(self, value: float, path: str) -> None:
-        if self.finite(value, path):
-            self.check(value > 0, path, f"must be > 0, got {value}")
+        elif integer and not isinstance(value, int):
+            self.violations.append(Violation(path, f"must be an integer, got {value}"))
+        else:
+            for test, wording in bounds:
+                if not test(value):
+                    self.violations.append(Violation(path, f"must be {wording}, got {value}"))
 
 
-def _check_pv(c: _Checker, pv: PvSpec) -> None:
-    c.nonneg(pv.capacity_kw, "pv.capacity_kw")
-    if c.finite(pv.derating_factor, "pv.derating_factor"):
-        c.check(0 < pv.derating_factor <= 1, "pv.derating_factor",
-                f"must be in (0, 1], got {pv.derating_factor}")
-    c.nonneg(pv.capital_cost, "pv.capital_cost")
-    c.nonneg(pv.replacement_cost, "pv.replacement_cost")
-    c.nonneg(pv.om_cost, "pv.om_cost")
-    c.positive(pv.lifetime_years, "pv.lifetime_years")
-
-
-def _check_wind(c: _Checker, w: WindSpec) -> None:
-    ok = True
-    for name in ("cut_in_ms", "rated_speed_ms", "cut_out_ms"):
-        ok = c.finite(getattr(w, name), f"wind.{name}") and ok
-    if ok:
+def _check_wind(c: _Checker, config: MicrogridConfig) -> None:
+    w = config.wind
+    if all(_finite(v) for v in (w.cut_in_ms, w.rated_speed_ms, w.cut_out_ms)):
         c.check(0 < w.cut_in_ms < w.rated_speed_ms < w.cut_out_ms, "wind.speeds",
                 "must satisfy 0 < cut_in < rated_speed < cut_out, got "
                 f"({w.cut_in_ms}, {w.rated_speed_ms}, {w.cut_out_ms})")
-    c.nonneg(w.capacity_kw, "wind.capacity_kw")
-    c.positive(w.unit_rated_kw, "wind.unit_rated_kw")
-    if w.unit_rated_kw > 0 and math.isfinite(w.capacity_kw) and w.capacity_kw >= 0:
+    if _finite(w.unit_rated_kw) and w.unit_rated_kw > 0 and _finite(w.capacity_kw) \
+            and w.capacity_kw >= 0:
         units = w.capacity_kw / w.unit_rated_kw
         # an overflowing quotient counts no whole number of units
         c.check(math.isfinite(units) and abs(units - round(units)) < 1e-9,
                 "wind.capacity_kw",
                 f"must be a whole multiple of unit_rated_kw ({w.unit_rated_kw}), "
                 f"got {w.capacity_kw}")
-    c.positive(w.hub_height_m, "wind.hub_height_m")
-    # the shear correction needs a usable anemometer height
-    c.positive(w.anemometer_height_m, "wind.anemometer_height_m")
-    c.nonneg(w.shear_exponent, "wind.shear_exponent")
-    c.nonneg(w.capital_cost, "wind.capital_cost")
-    c.nonneg(w.om_cost, "wind.om_cost")
-    c.positive(w.lifetime_years, "wind.lifetime_years")
 
 
-def _check_diesel(c: _Checker, d: DieselSpec) -> None:
-    c.nonneg(d.capacity_kw, "diesel.capacity_kw")
-    c.nonneg(d.capital_cost, "diesel.capital_cost")
-    c.nonneg(d.om_cost, "diesel.om_cost")
-    c.nonneg(d.fuel_cost_per_kwh, "diesel.fuel_cost_per_kwh")
-    if c.finite(d.min_loading_fraction, "diesel.min_loading_fraction"):
-        c.check(0 <= d.min_loading_fraction <= 1, "diesel.min_loading_fraction",
-                f"must be in [0, 1], got {d.min_loading_fraction}")
-
-
-def _check_battery(c: _Checker, b: BatterySpec) -> None:
-    c.nonneg(b.capacity_kwh, "battery.capacity_kwh")
-    if c.finite(b.roundtrip_efficiency, "battery.roundtrip_efficiency"):
-        c.check(0 < b.roundtrip_efficiency <= 1, "battery.roundtrip_efficiency",
-                f"must be in (0, 1], got {b.roundtrip_efficiency}")
-    if c.finite(b.depth_of_discharge, "battery.depth_of_discharge"):
-        c.check(0 < b.depth_of_discharge <= 1, "battery.depth_of_discharge",
-                f"must be in (0, 1], got {b.depth_of_discharge}")
-    band_ok = c.finite(b.soc_min, "battery.soc_min") and c.finite(b.soc_max, "battery.soc_max")
-    if band_ok:
+def _check_battery(c: _Checker, config: MicrogridConfig) -> None:
+    b = config.battery
+    if _finite(b.soc_min) and _finite(b.soc_max):
         c.check(0 <= b.soc_min < b.soc_max <= 1, "battery.soc_band",
                 f"must satisfy 0 <= soc_min < soc_max <= 1, got [{b.soc_min}, {b.soc_max}]")
-        if math.isfinite(b.depth_of_discharge):
+        if _finite(b.depth_of_discharge):
             c.check(b.soc_max - b.soc_min <= b.depth_of_discharge + 1e-12, "battery.soc_band",
                     f"band width {b.soc_max - b.soc_min} exceeds depth_of_discharge "
                     f"{b.depth_of_discharge}")
-    c.nonneg(b.max_charge_kw, "battery.max_charge_kw")
-    c.nonneg(b.max_discharge_kw, "battery.max_discharge_kw")
-    c.nonneg(b.capital_cost, "battery.capital_cost")
-    c.nonneg(b.om_cost, "battery.om_cost")
-    c.positive(b.lifetime_years, "battery.lifetime_years")
 
 
-def _check_grid(c: _Checker, g: GridSpec) -> None:
-    c.nonneg(g.import_limit_kw, "grid.import_limit_kw")
-    c.nonneg(g.export_limit_kw, "grid.export_limit_kw")
-    c.nonneg(g.sell_price_ratio, "grid.sell_price_ratio")
-
-
-def _check_ems(c: _Checker, e: EmsConfig) -> None:
+def _check_ems(c: _Checker, config: MicrogridConfig) -> None:
+    e = config.ems
     if e.threshold_mode not in THRESHOLD_MODES:
         c.violations.append(Violation(
             "ems.threshold_mode",
@@ -312,28 +290,9 @@ def _check_ems(c: _Checker, e: EmsConfig) -> None:
             c.violations.append(Violation(
                 f"ems.{name}", f"must be unset in {e.threshold_mode} mode"))
     value = getattr(e, active)
-    if value is not None and c.finite(value, f"ems.{active}"):
-        if active == "percentile":
-            c.check(0 < value < 1, "ems.percentile", f"must be in (0, 1), got {value}")
-        else:
-            c.check(value >= 0, f"ems.{active}", f"must be >= 0, got {value}")
-
-
-def _check_economics(c: _Checker, e: EconomicsConfig) -> None:
-    c.nonneg(e.discount_rate, "economics.discount_rate")
-    if _finite(e.discount_rate):
-        c.check(e.discount_rate <= _MAX_DISCOUNT_RATE, "economics.discount_rate",
-                f"must be <= {_MAX_DISCOUNT_RATE}, got {e.discount_rate}")
-    if c.finite(e.project_lifetime_years, "economics.project_lifetime_years"):
-        c.check(e.project_lifetime_years >= 1, "economics.project_lifetime_years",
-                f"must be >= 1, got {e.project_lifetime_years}")
-        c.check(e.project_lifetime_years <= _MAX_PROJECT_YEARS,
-                "economics.project_lifetime_years",
-                f"must be <= {_MAX_PROJECT_YEARS}, got {e.project_lifetime_years}")
-    if c.finite(e.converter_efficiency, "economics.converter_efficiency"):
-        c.check(0 < e.converter_efficiency <= 1, "economics.converter_efficiency",
-                f"must be in (0, 1], got {e.converter_efficiency}")
-    c.nonneg(e.converter_capital_cost, "economics.converter_capital_cost")
+    if value is not None:
+        c.within(value, f"ems.{active}", [(lambda v: 0 < v < 1, "in (0, 1)")]
+                 if active == "percentile" else [_NONNEG])
 
 
 def _check_replacements(c: _Checker, config: MicrogridConfig) -> None:
@@ -350,7 +309,8 @@ def _check_replacements(c: _Checker, config: MicrogridConfig) -> None:
                     f"({years / _MAX_REPLACEMENTS}), got {lifetime}")
 
 
-def _check_emissions(c: _Checker, e: EmissionFactors) -> None:
+def _check_emissions(c: _Checker, config: MicrogridConfig) -> None:
+    e = config.emissions
     for side, factors in (("dg", e.dg), ("grid", e.grid)):
         for pollutant, value in factors.items():
             if pollutant not in POLLUTANTS:
@@ -358,7 +318,21 @@ def _check_emissions(c: _Checker, e: EmissionFactors) -> None:
                     f"emissions.{side}.{pollutant}",
                     f"unknown pollutant (expected one of {', '.join(POLLUTANTS)})"))
             else:
-                c.nonneg(value, f"emissions.{side}.{pollutant}")
+                c.within(value, f"emissions.{side}.{pollutant}", [_NONNEG])
+
+
+def _check_ranges(c: _Checker, spec, prefix: str) -> None:
+    """Check each field of ``spec`` declared with _ranged, at the path
+    ``prefix`` + its name."""
+    for f in fields(spec):
+        bounds = f.metadata.get("bounds")
+        if bounds is not None:
+            c.within(getattr(spec, f.name), prefix + f.name, bounds, integer=f.type == "int")
+
+
+# the checks that compare fields, each run after its section's field ranges
+_SECTION_CHECKS = {"wind": _check_wind, "battery": _check_battery, "ems": _check_ems,
+                   "economics": _check_replacements, "emissions": _check_emissions}
 
 
 def validate_config(config: MicrogridConfig) -> ValidationReport:
@@ -368,17 +342,11 @@ def validate_config(config: MicrogridConfig) -> ValidationReport:
     operation in this package. Pure: equal configs yield equal reports.
     """
     c = _Checker()
-    _check_pv(c, config.pv)
-    _check_wind(c, config.wind)
-    _check_diesel(c, config.diesel)
-    _check_battery(c, config.battery)
-    _check_grid(c, config.grid)
-    _check_ems(c, config.ems)
-    _check_economics(c, config.economics)
-    _check_replacements(c, config)
-    _check_emissions(c, config.emissions)
-    if c.finite(config.step_hours, "step_hours"):
-        c.check(_MIN_STEP_HOURS <= config.step_hours <= _MAX_STEP_HOURS,
-                "step_hours", f"must be in [1/3600, {_MAX_STEP_HOURS}] "
-                f"(one second to one year), got {config.step_hours}")
+    for section in fields(config):
+        spec = getattr(config, section.name)
+        if is_dataclass(spec):
+            _check_ranges(c, spec, f"{section.name}.")
+        if section.name in _SECTION_CHECKS:
+            _SECTION_CHECKS[section.name](c, config)
+    _check_ranges(c, config, "")
     return ValidationReport(tuple(c.violations))

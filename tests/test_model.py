@@ -1,10 +1,12 @@
 """Config validation tests."""
 
 import dataclasses
+import math
 
 import pytest
 
-from mgems.model import EmsConfig, validate_config
+from mgems import model
+from mgems.model import EmissionFactors, EmsConfig, MicrogridConfig, validate_config
 
 from conftest import make_config
 
@@ -133,3 +135,95 @@ def test_the_cash_flow_bounds_are_inclusive():
     for name in ("pv", "wind", "battery"):
         config = replace_spec(config, name, lifetime_years=1.0)
     assert validate_config(config).ok
+
+
+def numeric_paths():
+    """The path of each numeric field of the config and its component specs;
+    the emission factors are dict values, not fields."""
+    for section in dataclasses.fields(MicrogridConfig):
+        if section.type in ("float", "int"):
+            yield section.name
+        elif section.type != "EmissionFactors":
+            yield from (f"{section.name}.{f.name}"
+                        for f in dataclasses.fields(getattr(model, section.type))
+                        if f.type in ("float", "int", "float | None"))
+
+
+def with_value(config, path, value):
+    if "." not in path:
+        return dataclasses.replace(config, **{path: value})
+    section, name = path.split(".")
+    return replace_spec(config, section, **{name: value})
+
+
+# None leaves an inactive threshold parameter unset, which is valid; the
+# reference config's active parameter is the percentile
+NON_NUMBER_CASES = [
+    (path, value) for path in numeric_paths()
+    for value in (None, "x", math.nan, math.inf, -math.inf)
+    if not (value is None and path in ("ems.fixed_threshold", "ems.load_threshold_kw"))]
+
+
+@pytest.mark.parametrize("path,value", NON_NUMBER_CASES,
+                         ids=[f"{p}={v!r}" for p, v in NON_NUMBER_CASES])
+def test_a_non_number_in_a_numeric_field_is_a_violation_at_its_path(path, value):
+    report = validate_config(with_value(make_config(), path, value))
+    assert path in [v.path for v in report.violations]
+
+
+@pytest.mark.parametrize("years", [25.5, 25.0])
+def test_a_float_project_lifetime_is_not_an_integer(years):
+    config = replace_spec(make_config(), "economics", project_lifetime_years=years)
+    assert [str(v) for v in validate_config(config).violations] == [
+        f"economics.project_lifetime_years: must be an integer, got {years}"]
+
+
+def test_a_non_finite_soc_min_does_not_hide_a_non_finite_soc_max():
+    config = replace_spec(make_config(), "battery", soc_min=math.nan, soc_max=math.inf)
+    assert [str(v) for v in validate_config(config).violations] == [
+        "battery.soc_min: must be a finite number, got nan",
+        "battery.soc_max: must be a finite number, got inf"]
+
+
+# checked by _check_ems and _check_emissions, which know which values are set
+RANGE_EXEMPT = ("EmsConfig", "EmissionFactors")
+
+
+def test_every_numeric_field_declares_its_range():
+    ranged = []
+    for section in dataclasses.fields(MicrogridConfig):
+        if section.type in ("float", "int"):
+            ranged.append(section)
+        elif section.type not in RANGE_EXEMPT:
+            ranged += [f for f in dataclasses.fields(getattr(model, section.type))
+                       if f.type in ("float", "int")]
+    assert len(ranged) == 40
+    assert [f.name for f in ranged if "bounds" not in f.metadata] == []
+
+
+def test_violations_are_listed_by_section_then_field_then_cross_field_check():
+    config = make_config(ems=EmsConfig(threshold_mode="price-percentile", percentile=1.0),
+                         emissions=EmissionFactors(grid={"co2": -0.1}), step_hours=0.0)
+    for section, changes in [
+            ("pv", {"capital_cost": -1.0, "lifetime_years": 0.2}),
+            ("wind", {"cut_in_ms": 30.0, "capacity_kw": 100.0, "om_cost": -1.0}),
+            ("diesel", {"min_loading_fraction": 1.2}),
+            ("battery", {"soc_min": 0.5, "soc_max": 0.4, "max_charge_kw": -10.0}),
+            ("grid", {"export_limit_kw": math.nan}),
+            ("economics", {"discount_rate": 1.5})]:
+        config = replace_spec(config, section, **changes)
+    assert [str(v) for v in validate_config(config).violations] == [
+        "pv.capital_cost: must be >= 0, got -1.0",
+        "wind.om_cost: must be >= 0, got -1.0",
+        "wind.speeds: must satisfy 0 < cut_in < rated_speed < cut_out, "
+        "got (30.0, 12.0, 24.0)",
+        "wind.capacity_kw: must be a whole multiple of unit_rated_kw (3.0), got 100.0",
+        "diesel.min_loading_fraction: must be in [0, 1], got 1.2",
+        "battery.max_charge_kw: must be >= 0, got -10.0",
+        "battery.soc_band: must satisfy 0 <= soc_min < soc_max <= 1, got [0.5, 0.4]",
+        "grid.export_limit_kw: must be a finite number, got nan",
+        "ems.percentile: must be in (0, 1), got 1.0",
+        "economics.discount_rate: must be <= 1.0, got 1.5",
+        "pv.lifetime_years: must be >= project_lifetime_years / 100 (0.25), got 0.2",
+        "emissions.grid.co2: must be >= 0, got -0.1",
+        "step_hours: must be in [1/3600, 8760.0] (one second to one year), got 0.0"]
