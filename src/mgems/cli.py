@@ -27,7 +27,7 @@ from ._kernel import SOC
 from .configio import SCENARIO_PREFIX, LoadedConfig, load_config
 from .dispatch import (GRID_CONNECTED, ISLANDED, HorizonArrays, check_balance,
                        initial_state, price_threshold, run_arrays)
-from .errors import BalanceError, ConfigFileError, MgemsError, ProfileFormatError
+from .errors import BalanceError, MgemsError, ProfileFormatError
 from .metrics import build_report
 from .model import MicrogridConfig, validate_config
 from .profiles import (GENERATION_MODE, PRICE_CENTS, RESOURCE_MODE, Profile,
@@ -86,10 +86,7 @@ def _read_config(args) -> LoadedConfig:
     path = Path(args.config)
     if not path.is_file():
         raise _CommandError(EXIT_IO, f"config file not found: {path}")
-    try:
-        return load_config(path)
-    except ConfigFileError as exc:
-        raise _CommandError(EXIT_VALIDATION, str(exc))
+    return load_config(path)
 
 
 def _load_validated(args) -> LoadedConfig:
@@ -281,8 +278,6 @@ def cmd_simulate(args) -> int:
         inputs, config, trace = _simulate_trace(inputs, loaded.config,
                                                 _outage_override(args))
         report = build_report(trace, inputs, config)
-    except BalanceError as exc:
-        raise _CommandError(EXIT_INVARIANT, f"internal invariant breach: {exc}")
     except ValueError as exc:
         raise _CommandError(EXIT_VALIDATION, str(exc))
     _write_outputs(Path(args.out), {
@@ -358,8 +353,6 @@ def cmd_scenarios(args) -> int:
                                       _outage_override(args))
     try:
         outcomes = run_matrix(inputs, loaded.config, scenario_list)
-    except BalanceError as exc:
-        raise _CommandError(EXIT_INVARIANT, f"internal invariant breach: {exc}")
     except ValueError as exc:
         raise _CommandError(EXIT_VALIDATION, str(exc))
 
@@ -424,10 +417,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, profile_required=True):
+    def add_common(p):
         p.add_argument("--config", required=True, help="config file (INI)")
-        p.add_argument("--profile", required=profile_required,
-                       help="profile CSV")
+        p.add_argument("--profile", required=True, help="profile CSV")
         p.add_argument("--mode", choices=(GENERATION_MODE, RESOURCE_MODE),
                        default=GENERATION_MODE, help="profile flavour")
         p.add_argument("--steps", type=int, default=None,

@@ -10,8 +10,11 @@ columns are new arrays, unchanged columns are shared with the base run.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import mmap
+import numbers
+import operator
 import os
 import signal
 import sys
@@ -82,11 +85,26 @@ _MULTIPLIERS = ("demand_multiplier", "pv_multiplier", "wind_multiplier",
                 "fuel_price_multiplier")
 
 
+def _integer(name: str, value) -> int:
+    """``value`` by its ``__index__``, which numpy's integers have too."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _real(name: str, value):
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return value
+
+
 def _outage_steps(outage: OutageSpec, step_hours: float) -> int:
     if outage.duration_steps is not None:
-        steps = outage.duration_steps
+        steps = _integer("outage duration_steps", outage.duration_steps)
     elif outage.duration_hours is not None:
-        steps = outage.duration_hours / step_hours
+        steps = _real("outage duration_hours",
+                      outage.duration_hours) / step_hours
         if not math.isfinite(steps):
             raise ValueError(f"outage duration_hours {outage.duration_hours} "
                              "is not a finite number of steps")
@@ -101,19 +119,20 @@ def _outage_steps(outage: OutageSpec, step_hours: float) -> int:
 def validate_scenario(scenario: Scenario, step_hours: float) -> None:
     """Raise ValueError, naming the field, for a value no profile can make valid.
 
-    Each multiplier must be finite and > 0, an outage must last at least
-    one whole step of ``step_hours``, and an explicit outage start must be
-    >= 0. The outage window's fit to the horizon, and its default start,
-    depend on the profile and are checked when the scenario is applied.
+    Each multiplier must be a finite real number > 0, and an outage must
+    last at least one whole step of ``step_hours``, in integer steps or
+    real hours, from an integer start >= 0 if one is given. The outage
+    window's fit to the horizon, and its default start, depend on the
+    profile and are checked when the scenario is applied.
     """
     for name in _MULTIPLIERS:
-        value = getattr(scenario, name)
+        value = _real(name, getattr(scenario, name))
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and > 0, got {value}")
     if scenario.outage is not None:
         steps = _outage_steps(scenario.outage, step_hours)
         start = scenario.outage.start_step
-        if start is not None and start < 0:
+        if start is not None and _integer("outage start_step", start) < 0:
             raise ValueError(f"outage window [{start}, {start + steps}) does "
                              "not fit any horizon: start_step must be >= 0")
 
@@ -157,9 +176,11 @@ def apply_scenario(inputs: Profile, config: MicrogridConfig,
         factors = {"demand_kw": scenario.demand_multiplier,
                    "pv_kw": scenario.pv_multiplier,
                    "wind_kw": scenario.wind_multiplier}
-        # an overflow is named below by its first step, not warned about
+        # an overflow is named below by its first step, not warned about;
+        # a column left at a multiplier of 1 is the base's own
         with np.errstate(over="ignore"):
-            columns = {name: getattr(inputs, name) * factor
+            columns = {name: getattr(inputs, name) * factor if factor != 1
+                       else getattr(inputs, name)
                        for name, factor in factors.items()}
         for name, column in columns.items():
             finite = np.isfinite(column)
@@ -209,12 +230,6 @@ def _deltas(base: SimulationReport, new: SimulationReport) -> dict[str, float | 
     return out
 
 
-def _failed(scenario_id: str, exc: Exception) -> ScenarioOutcome:
-    return ScenarioOutcome(
-        scenario_id=scenario_id, report=None, trace=None, inputs=None,
-        deltas={name: None for name in DELTA_METRICS}, error=str(exc))
-
-
 # The matrix forks from this many kernel steps, runs times horizon steps: a
 # fork, its copy-on-write faults and the child's exit cost a few ms, and
 # this process faults in the shared pages of each trace the child made, 88
@@ -251,12 +266,6 @@ def _run(inputs: Profile, config: MicrogridConfig, threshold: float | None):
         return exc
 
 
-def _dispatch(runs: list[tuple[Profile, MicrogridConfig]],
-              threshold: float | None) -> list:
-    """Each run's trace at ``threshold``, or the exception its kernel raised."""
-    return [_run(inputs, config, threshold) for inputs, config in runs]
-
-
 def _claims(count: int) -> bytes:
     """Claims on ``count`` runs: the first run of each block of consecutive
     runs, 4 bytes each, in at most _MAX_CLAIMS blocks."""
@@ -273,26 +282,15 @@ def _claimed(fd: int, count: int) -> Iterator[int]:
         yield from range(first, min(first + block, count))
 
 
-def _slots(shared: mmap.mmap, runs: list) -> tuple[np.ndarray, np.ndarray]:
-    """``shared`` as each run's slot, whose transpose is an (n, 11)
-    column-major trace, and each run's done byte after the slots."""
-    count, n = len(runs), len(runs[0][0])
-    slots = np.frombuffer(shared, np.float64, count * N_COLUMNS * n)
-    done = np.frombuffer(shared, np.uint8, count, offset=slots.nbytes)
-    return slots.reshape(count, N_COLUMNS, n), done
-
-
 def _send(runs: list[tuple[Profile, MicrogridConfig]], threshold: float,
-          claims: int, shared: mmap.mmap) -> NoReturn:
+          claims: int, slots: np.ndarray, done: np.ndarray) -> NoReturn:
     """In the child: copy the trace of each run claimed from ``claims`` into
-    its slot of ``shared``, then set its done byte, and exit 0 once the
-    claims are used up. A run that raised is left unmarked. Every path ends
-    in os._exit, so the child runs no atexit handler and flushes no stdio
-    buffer it inherited.
+    its slot, then set its done byte, and exit 0 once the claims are used
+    up; a run that raised is left unmarked. Every path ends in os._exit, so
+    the child runs no atexit handler and flushes no inherited stdio buffer.
     """
     status = 1
     try:
-        slots, done = _slots(shared, runs)
         for i in _claimed(claims, len(runs)):
             trace = _run(*runs[i], threshold)
             if isinstance(trace, HorizonArrays):
@@ -303,57 +301,53 @@ def _send(runs: list[tuple[Profile, MicrogridConfig]], threshold: float,
         os._exit(status)
 
 
-def _receive(traces: list, runs: list[tuple[Profile, MicrogridConfig]],
-             threshold: float, shared: mmap.mmap, sent: bool) -> list:
-    """``traces``, where this process's runs are set, with every other run's
-    trace: over its slot of ``shared`` if the child ``sent`` (exited 0)
-    and set its done byte, else dispatched here."""
-    slots, done = _slots(shared, runs)
-    for i, (inputs, config) in enumerate(runs):
-        if traces[i] is None:
-            traces[i] = (HorizonArrays.from_columns(
-                slots[i].T, inputs, initial_state(config.battery), threshold)
-                if sent and done[i] else _run(inputs, config, threshold))
-    return traces
+def _dispatch(runs: list[tuple[Profile, MicrogridConfig]],
+              threshold: float | None) -> list:
+    """Each run's trace at ``threshold``, or the exception its kernel raised.
 
-
-def _dispatch_split(runs: list[tuple[Profile, MicrogridConfig]],
-                    threshold: float | None) -> list:
-    """``_dispatch(runs, threshold)``, shared with a forked child if
-    ``_splits``: both processes claim runs one at a time from a pipe filled
-    before the fork, and the child's traces come back through one anonymous
-    shared mapping, made before the fork, of which they stay views: the
-    mapping lives as long as any of them does. A run the child did not mark
-    done, or every run of a child that did not exit 0, is redone here; an
-    exception in this process, the interrupt included, kills and reaps the
-    child.
+    If ``_splits``, this process and a forked child claim runs one at a
+    time from a pipe filled before the fork (a failed fork leaves every
+    claim here). The child's traces are views of one anonymous shared
+    mapping, made before the fork: a slot per run, whose transpose is an
+    (n, 11) column-major trace, then a done byte per run, trusted only if
+    the child exited 0. Last, this process dispatches every run still
+    without a trace. An exception here, the interrupt included, kills and
+    reaps the child.
     """
-    if len(runs) < 2 or not _splits(len(runs) * len(runs[0][0])):
-        return _dispatch(runs, threshold)
-    shared = mmap.mmap(-1, len(runs) * (len(runs[0][0]) * N_COLUMNS * 8 + 1))
-    claims, fill = os.pipe()
-    os.write(fill, _claims(len(runs)))
-    os.close(fill)
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(claims)
-        return _dispatch(runs, threshold)
-    if pid == 0:
-        _send(runs, threshold, claims, shared)
-    traces: list = [None] * len(runs)
-    try:
-        for i in _claimed(claims, len(runs)):
-            traces[i] = _run(*runs[i], threshold)
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-        raise
-    finally:
-        os.close(claims)
-    _, status = os.waitpid(pid, 0)
-    return _receive(traces, runs, threshold, shared,
-                    os.waitstatus_to_exitcode(status) == 0)
+    count, n = len(runs), len(runs[0][0])
+    traces: list = [None] * count
+    if count >= 2 and _splits(count * n):
+        shared = mmap.mmap(-1, count * (n * N_COLUMNS * 8 + 1))
+        slots = np.frombuffer(shared, np.float64, count * N_COLUMNS * n
+                              ).reshape(count, N_COLUMNS, n)
+        done = np.frombuffer(shared, np.uint8, count, offset=slots.nbytes)
+        claims, fill = os.pipe()
+        os.write(fill, _claims(count))
+        os.close(fill)
+        pid = None
+        try:
+            with contextlib.suppress(OSError):
+                pid = os.fork()
+            if pid == 0:
+                _send(runs, threshold, claims, slots, done)
+            for i in _claimed(claims, count):
+                traces[i] = _run(*runs[i], threshold)
+        except BaseException:
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            raise
+        finally:
+            os.close(claims)
+        if pid is not None and os.waitstatus_to_exitcode(
+                os.waitpid(pid, 0)[1]) == 0:
+            for i in np.flatnonzero(done).tolist():
+                inputs, config = runs[i]
+                traces[i] = HorizonArrays.from_columns(
+                    slots[i].T, inputs, initial_state(config.battery),
+                    threshold)
+    return [_run(*run, threshold) if trace is None else trace
+            for run, trace in zip(runs, traces)]
 
 
 def _checked(trace, inputs: Profile, config: MicrogridConfig
@@ -374,8 +368,8 @@ def run_matrix(inputs: Profile, config: MicrogridConfig,
     a scenario changes neither the prices nor the EMS config. From
     MIN_KERNEL_STEPS kernel steps, runs times horizon steps, this process
     and a forked child claim the runs one at a time, and the child's traces
-    come back through a shared mapping; a run the child failed to deliver
-    is redone here (see ``_dispatch_split``). Last, this process checks and
+    come back through a shared mapping; every run left without a trace is
+    dispatched here (see ``_dispatch``). Last, this process checks and
     reports every run in the given order. Each outcome holds its own
     Profile, which shares unchanged columns with the base inputs, and its
     own trace; the traces the child made are views of one mapping. A
@@ -393,22 +387,23 @@ def run_matrix(inputs: Profile, config: MicrogridConfig,
     # an empty horizon has no percentile; run_arrays rejects it by name
     threshold = (price_threshold(inputs.price, config.ems)
                  if len(inputs) else None)
-    traces = _dispatch_split(runs, threshold)
+    traces = _dispatch(runs, threshold)
 
     base_trace, base_report = _checked(traces[0], inputs, config)
     outcomes = {BASE_KEY: ScenarioOutcome(
         scenario_id=BASE_KEY, report=base_report, trace=base_trace,
         inputs=inputs, deltas={name: 0.0 for name in DELTA_METRICS})}
     for scenario, run in applied:
-        if isinstance(run, Exception):
-            outcomes[scenario.id] = _failed(scenario.id, run)
-            continue
         try:
+            if isinstance(run, Exception):
+                raise run
             trace, report = _checked(traces[run], *runs[run])
             outcome = ScenarioOutcome(
                 scenario_id=scenario.id, report=report, trace=trace,
                 inputs=runs[run][0], deltas=_deltas(base_report, report))
         except Exception as exc:  # noqa: BLE001 - isolate failing scenarios
-            outcome = _failed(scenario.id, exc)
+            outcome = ScenarioOutcome(
+                scenario_id=scenario.id, report=None, trace=None, inputs=None,
+                deltas={name: None for name in DELTA_METRICS}, error=str(exc))
         outcomes[scenario.id] = outcome
     return outcomes

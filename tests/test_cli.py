@@ -15,6 +15,8 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, reject, settings, strategies as st
 
+from mgems import dispatch
+from mgems._kernel import IMPORT
 from mgems.cli import main, report_json_bytes
 from mgems.configio import load_config
 from mgems.dispatch import initial_state, run_arrays
@@ -88,6 +90,23 @@ def test_simulate_zero_steps_exits_2(fixture_args, capsys):
                    "--out", out / "run", "--steps", 0)
     assert code == 2
     assert "empty horizon" in capsys.readouterr().err
+    assert not (out / "run").exists()
+
+
+def test_simulate_exits_4_on_a_balance_breach(fixture_args, capsys):
+    config, profile, out = fixture_args
+    real = dispatch._kernel_run
+
+    def kernel(*args):
+        final = real(*args)
+        args[-1][0, IMPORT] += 1.0   # breaks the power balance at step 0
+        return final
+    with mock.patch.object(dispatch, "_kernel_run", kernel):
+        code = run_cli("simulate", "--config", config, "--profile", profile,
+                       "--out", out / "run")
+    assert code == 4
+    assert capsys.readouterr().err.startswith(
+        "error: internal invariant breach: power balance residual")
     assert not (out / "run").exists()
 
 

@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import gc
 import os
 import select
 import signal
@@ -31,6 +32,20 @@ from mgems.scenarios import (BASE_KEY, BUILTIN_IDS, IDENTITY_SCENARIO,
                              builtin_scenario, run_matrix, validate_scenario)
 
 from conftest import data_path, horizon, make_config, split_from
+
+
+@pytest.fixture(autouse=True)
+def no_file_descriptor_leaks():
+    """Each test leaves as many file descriptors open as it found: every
+    path of the matrix, the fork's included, closes its claims pipe."""
+    if not os.path.isdir("/proc/self/fd"):
+        yield
+        return
+    before = len(os.listdir("/proc/self/fd"))
+    yield
+    if len(os.listdir("/proc/self/fd")) != before:
+        gc.collect()   # closes a descriptor that only garbage still holds
+        assert len(os.listdir("/proc/self/fd")) == before
 
 
 def day(n=24, demand=100.0, price=0.2, pv=50.0, wind=10.0):
@@ -185,6 +200,58 @@ def test_validate_scenario_accepts_the_builtins_and_a_late_outage():
     # the window's fit depends on the profile, so it is left to apply_scenario
     validate_scenario(Scenario(id="x", outage=OutageSpec(start_step=10**9,
                                                          duration_steps=2)), 0.25)
+
+
+@pytest.mark.parametrize("scenario,message", [
+    (Scenario(id="x", outage=OutageSpec(start_step=0, duration_steps=2.5)),
+     "outage duration_steps must be an integer, got 2.5"),
+    (Scenario(id="x", outage=OutageSpec(start_step=0,
+                                        duration_steps=float("nan"))),
+     "outage duration_steps must be an integer, got nan"),
+    (Scenario(id="x", outage=OutageSpec(start_step=1.5, duration_steps=2)),
+     "outage start_step must be an integer, got 1.5"),
+    (Scenario(id="x", demand_multiplier="2"),
+     "demand_multiplier must be a real number, got '2'"),
+    (Scenario(id="x", demand_multiplier=None),
+     "demand_multiplier must be a real number, got None"),
+    (Scenario(id="x", outage=OutageSpec(duration_hours="6")),
+     "outage duration_hours must be a real number, got '6'"),
+], ids=["steps-2.5", "steps-nan", "start-1.5", "multiplier-str",
+        "multiplier-None", "hours-str"])
+def test_a_value_of_the_wrong_type_is_rejected_by_name(
+        example_config, example_inputs, scenario, message):
+    config = example_config.config
+    with pytest.raises(ValueError) as exc:
+        validate_scenario(scenario, config.step_hours)
+    assert str(exc.value) == message
+    with pytest.raises(ValueError) as exc:
+        apply_scenario(example_inputs, config, scenario)
+    assert str(exc.value) == f"scenario x: {message}"
+    outcome = run_matrix(example_inputs, config, [scenario])["x"]
+    assert outcome.error == f"scenario x: {message}"
+
+
+def test_numpy_numbers_are_integers_and_real_numbers():
+    as_numpy = Scenario(id="x", demand_multiplier=np.float32(1.5),
+                        outage=OutageSpec(start_step=np.int64(2),
+                                          duration_steps=np.uint8(3)))
+    as_python = Scenario(id="x", demand_multiplier=1.5,
+                         outage=OutageSpec(start_step=2, duration_steps=3))
+    got = apply_scenario(day(), make_config(), as_numpy)
+    assert got == apply_scenario(day(), make_config(), as_python)
+
+
+def test_a_scenario_shares_the_columns_it_leaves_unscaled(example_config,
+                                                          example_inputs):
+    outcomes = run_matrix(example_inputs, example_config.config,
+                          [builtin_scenario("S1"), builtin_scenario("S4")])
+    s1, s4 = outcomes["S1"].inputs, outcomes["S4"].inputs
+    for column in ("demand_kw", "price", "grid_available", "pv_kw",
+                   "wind_kw"):
+        assert getattr(s4, column) is getattr(example_inputs, column)
+    assert s1.pv_kw is example_inputs.pv_kw
+    assert s1.wind_kw is example_inputs.wind_kw
+    assert s1.demand_kw is not example_inputs.demand_kw
 
 
 @pytest.mark.parametrize("outage,ems,message", [
@@ -396,13 +463,16 @@ def both_take_runs(action=None, at=1):
     """Patch the matrix's run_arrays so that both processes take runs by a
     handshake, not by timing: this process's first run waits, up to 10 s,
     for a byte the child writes as it starts its ``at``-th run, and from
-    that run on the child calls ``action`` before each run. Yields the ids
-    of the inputs each process dispatched, "here" and "child" (filled in
-    when the block ends), and whether the wait saw the byte ("met").
+    that run on the child calls ``action`` before each run. The child's
+    first run waits, up to 10 s, until this process has begun its own, so
+    the child cannot claim every run first. Yields the ids of the inputs
+    each process dispatched, "here" and "child" (filled in when the block
+    ends), and whether the wait saw the byte ("met").
     """
     parent = os.getpid()
     real = scenarios.run_arrays
     started, start = os.pipe()
+    began, begin = os.pipe()
     record, log = os.pipe()
     calls = []
     taken = {"here": [], "child": [], "met": False}
@@ -411,12 +481,15 @@ def both_take_runs(action=None, at=1):
         calls.append(1)
         if os.getpid() == parent:
             if len(calls) == 1:
+                os.write(begin, b"\0")
                 taken["met"] = bool(select.select([started], [], [], 10)[0])
             taken["here"].append(id(inputs))
         else:
             os.write(log, struct.pack("<Q", id(inputs)))
             if len(calls) == at:
                 os.write(start, b"\0")
+            if len(calls) == 1:
+                select.select([began], [], [], 10)
             if len(calls) >= at and action is not None:
                 action()
         return real(inputs, *args)
@@ -428,7 +501,7 @@ def both_take_runs(action=None, at=1):
             data = pipe.read()
         taken["child"] = [value for value, in struct.iter_unpack("<Q", data)]
     finally:
-        for fd in (started, start, record, log):
+        for fd in (started, start, began, begin, record, log):
             with contextlib.suppress(OSError):
                 os.close(fd)
 
@@ -753,8 +826,9 @@ def test_a_scenario_whose_kernel_raises_fails_alone(example_config,
 
 @contextlib.contextmanager
 def _base_fault(fault):
-    """A _kernel_run that fails for the base run, in either process: the
-    run whose demand is the column the matrix applies its scenarios to."""
+    """A _kernel_run that fails, in either process, for every run whose
+    demand is the column the matrix applies its scenarios to: the base run,
+    and each scenario's run that leaves demand unscaled and so shares it."""
     real, real_apply = dispatch._kernel_run, scenarios.apply_scenario
     bases = []
 
