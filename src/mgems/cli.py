@@ -59,8 +59,6 @@ class _CommandError(Exception):
 
 def _load_inputs(args, loaded: LoadedConfig) -> Profile:
     path = Path(args.profile)
-    if not path.is_file():
-        raise _CommandError(EXIT_IO, f"profile file not found: {path}")
     try:
         inputs = load_profile(path, args.mode, loaded.config,
                               loaded.price_unit)
@@ -83,10 +81,13 @@ def _load_inputs(args, loaded: LoadedConfig) -> Profile:
 
 
 def _read_config(args) -> LoadedConfig:
+    """The config, not yet validated; a file that is missing or cannot be
+    read exits 3, as a profile's does."""
     path = Path(args.config)
-    if not path.is_file():
-        raise _CommandError(EXIT_IO, f"config file not found: {path}")
-    return load_config(path)
+    try:
+        return load_config(path)
+    except OSError as exc:
+        raise _CommandError(EXIT_IO, f"cannot read config file {path}: {exc}")
 
 
 def _load_validated(args) -> LoadedConfig:
@@ -297,7 +298,6 @@ def _select_scenarios(selection: str, loaded: LoadedConfig,
                               loaded.config.step_hours)
         except ValueError as exc:
             raise _CommandError(EXIT_VALIDATION, f"{OUTAGE_FLAGS}: {exc}")
-    names: list[str]
     if selection.strip().lower() == "all":
         # a custom section of a builtin's id runs in the builtin's place
         names = list(BUILTIN_IDS) + sorted(set(loaded.scenarios)
@@ -307,13 +307,7 @@ def _select_scenarios(selection: str, loaded: LoadedConfig,
         if not names:
             raise _CommandError(EXIT_VALIDATION, "empty scenario selection")
     result = []
-    for i, name in enumerate(names):
-        if name in names[:i]:
-            raise _CommandError(EXIT_VALIDATION,
-                                f"scenario {name!r} is selected twice")
-        if name == BASE_KEY:
-            raise _CommandError(EXIT_VALIDATION,
-                                f"scenario name {BASE_KEY!r} is reserved")
+    for name in names:
         if name in loaded.scenarios:
             scenario = loaded.scenarios[name]
         elif name in BUILTIN_IDS:

@@ -19,7 +19,7 @@ from .model import (BatterySpec, DieselSpec, EconomicsConfig, EmissionFactors,
                     EmsConfig, GridSpec, MicrogridConfig, POLLUTANTS, PvSpec,
                     WindSpec)
 from .profiles import PRICE_CENTS, PRICE_CURRENCY
-from .scenarios import BASE_KEY, OutageSpec, Scenario
+from .scenarios import BASE_KEY, MULTIPLIERS, OutageSpec, Scenario
 
 SCENARIO_PREFIX = "scenario:"
 
@@ -101,8 +101,6 @@ def _read_parser(path: Path) -> configparser.ConfigParser:
                                        interpolation=None)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigFileError(f"cannot read config file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigFileError(f"config file {path} is not UTF-8: {exc}") from exc
     try:
@@ -166,20 +164,15 @@ def _load_scenario(parser: configparser.ConfigParser, section_name: str,
         outage = OutageSpec(start_step=outage_start,
                             duration_steps=outage_steps,
                             duration_hours=outage_hours)
-    scenario = Scenario(
-        id=name,
-        demand_multiplier=section.number("demand_multiplier", 1.0),
-        pv_multiplier=section.number("pv_multiplier", 1.0),
-        wind_multiplier=section.number("wind_multiplier", 1.0),
-        fuel_price_multiplier=section.number("fuel_price_multiplier", 1.0),
-        outage=outage,
-    )
+    scenario = Scenario(id=name, outage=outage, **{
+        key: section.number(key, 1.0) for key in MULTIPLIERS})
     section.reject_unknown()
     return scenario
 
 
 def load_config(path: str | Path) -> LoadedConfig:
-    """Read and assemble a config file (structure only; validate separately)."""
+    """Read and assemble a config file (structure only; validate separately);
+    a read that fails raises its OSError, as in ``load_profile``."""
     path = Path(path)
     parser = _read_parser(path)
     sections = {name: _Section(parser, name) for name in _SECTIONS}

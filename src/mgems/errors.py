@@ -10,7 +10,7 @@ class ProfileFormatError(MgemsError):
 
 
 class ConfigFileError(MgemsError):
-    """A config file cannot be read or is structurally invalid."""
+    """A config file is not UTF-8 or is structurally invalid."""
 
 
 class BalanceError(MgemsError):

@@ -5,7 +5,8 @@ outage, S4 fuel price +100%. Impact is reported as numeric per-metric deltas
 against the base run; qualitative labeling is left to the reader.
 
 Applying a scenario is column arithmetic on the base Profile: scaled
-columns are new arrays, unchanged columns are shared with the base run.
+columns are new read-only arrays, which the Profile takes without a copy;
+unchanged columns are shared with the base run.
 """
 
 from __future__ import annotations
@@ -46,8 +47,10 @@ class OutageSpec:
     """A forced grid-unavailable window.
 
     start_step None defers to the default rule: the first step whose
-    threshold-comparison value exceeds the resolved threshold. Duration is
-    given in steps or in hours (converted with the configured step length).
+    threshold-comparison value exceeds the resolved threshold. Both come
+    from the base profile, as the matrix's threshold does: in load-threshold
+    mode the base demand, not the scaled one. Duration is given in steps or
+    in hours (converted with the configured step length).
     """
 
     start_step: int | None = None
@@ -81,8 +84,8 @@ def builtin_scenario(scenario_id: str) -> Scenario:
     raise ValueError(f"unknown builtin scenario: {scenario_id!r}")
 
 
-_MULTIPLIERS = ("demand_multiplier", "pv_multiplier", "wind_multiplier",
-                "fuel_price_multiplier")
+MULTIPLIERS = ("demand_multiplier", "pv_multiplier", "wind_multiplier",
+               "fuel_price_multiplier")
 
 
 def _integer(name: str, value) -> int:
@@ -125,7 +128,7 @@ def validate_scenario(scenario: Scenario, step_hours: float) -> None:
     window's fit to the horizon, and its default start, depend on the
     profile and are checked when the scenario is applied.
     """
-    for name in _MULTIPLIERS:
+    for name in MULTIPLIERS:
         value = _real(name, getattr(scenario, name))
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and > 0, got {value}")
@@ -173,6 +176,7 @@ def apply_scenario(inputs: Profile, config: MicrogridConfig,
             start, steps = _resolve_outage(scenario.outage, inputs, config)
             grid_available = grid_available.copy()
             grid_available[start:start + steps] = 0
+            grid_available.setflags(write=False)
         factors = {"demand_kw": scenario.demand_multiplier,
                    "pv_kw": scenario.pv_multiplier,
                    "wind_kw": scenario.wind_multiplier}
@@ -183,6 +187,7 @@ def apply_scenario(inputs: Profile, config: MicrogridConfig,
                        else getattr(inputs, name)
                        for name, factor in factors.items()}
         for name, column in columns.items():
+            column.setflags(write=False)
             finite = np.isfinite(column)
             if not finite.all():
                 raise ValueError(f"{name} scaled by {factors[name]} is not "
@@ -374,8 +379,16 @@ def run_matrix(inputs: Profile, config: MicrogridConfig,
     Profile, which shares unchanged columns with the base inputs, and its
     own trace; the traces the child made are views of one mapping. A
     failing scenario is reported in its outcome without aborting siblings;
-    a failing base run raises.
+    a failing base run raises. An id that is BASE_KEY or repeats raises
+    ValueError before any scenario is applied.
     """
+    scenarios = list(scenarios)
+    ids = [scenario.id for scenario in scenarios]
+    for i, name in enumerate(ids):
+        if name == BASE_KEY:
+            raise ValueError(f"scenario name {BASE_KEY!r} is reserved")
+        if name in ids[:i]:
+            raise ValueError(f"scenario {name!r} is selected twice")
     runs = [(inputs, config)]
     applied = []   # per scenario: its position in runs, or what apply raised
     for scenario in scenarios:

@@ -84,6 +84,52 @@ def test_simulate_missing_profile_exits_3(fixture_args, capsys):
     assert not (out / "run").exists()  # no partial outputs
 
 
+@pytest.mark.parametrize("command", [
+    ["simulate"], ["scenarios", "--scenarios", "all"], ["validate"]],
+    ids=["simulate", "scenarios", "validate"])
+@pytest.mark.parametrize("role,method,message", [
+    ("config", "read_text", "cannot read config file"),
+    ("profile", "read_bytes", "cannot read profile")],
+    ids=["config", "profile"])
+@pytest.mark.parametrize("failure", ["missing", "unreadable"])
+def test_a_file_that_cannot_be_read_exits_3(fixture_args, capsys, command,
+                                            role, method, message, failure):
+    config, profile, out = fixture_args
+    paths = {"config": Path(config), "profile": Path(profile)}
+    failing = paths[role]
+    if failure == "missing":
+        failing = paths[role] = out / "missing" / failing.name
+        error = f"[Errno 2] No such file or directory: '{failing}'"
+    else:
+        error = f"[Errno 13] Permission denied: '{failing}'"
+    real_read = getattr(Path, method)
+
+    # a patched read, since chmod cannot deny root a read
+    def read(path, *args, **kwargs):
+        if failure == "unreadable" and path == failing:
+            raise PermissionError(errno.EACCES, "Permission denied",
+                                  str(path))
+        return real_read(path, *args, **kwargs)
+
+    args = [*command, "--config", paths["config"], "--profile",
+            paths["profile"]]
+    if command[0] != "validate":
+        args += ["--out", out / "run"]
+    with mock.patch.object(Path, method, read):
+        assert run_cli(*args) == 3
+    assert capsys.readouterr().err == f"error: {message} {failing}: {error}\n"
+    assert not (out / "run").exists()
+
+
+def test_selecting_the_base_run_is_an_unknown_scenario(fixture_args, capsys):
+    config, profile, out = fixture_args
+    assert run_cli("scenarios", "--config", config, "--profile", profile,
+                   "--out", out / "runs", "--scenarios", "base") == 2
+    assert capsys.readouterr().err == \
+        "error: unknown scenario 'base' (builtins: S1, S2, S3, S4)\n"
+    assert not (out / "runs").exists()
+
+
 def test_simulate_zero_steps_exits_2(fixture_args, capsys):
     config, profile, out = fixture_args
     code = run_cli("simulate", "--config", config, "--profile", profile,

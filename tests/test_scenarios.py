@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mgems import dispatch, scenarios
+from mgems import dispatch, profiles, scenarios
 from mgems._kernel import ENERGY, IMPORT
 from mgems.cli import main, matrix_csv_bytes, report_json_bytes
 from mgems.dispatch import initial_state, price_threshold, run_arrays
@@ -319,6 +319,56 @@ def test_run_matrix_isolates_failing_scenarios(example_config, example_inputs):
     assert outcomes["broken"].error is not None
     assert outcomes["broken"].report is None
     assert "does not fit" in outcomes["broken"].error
+
+
+@pytest.mark.parametrize("matrix,message", [
+    ([Scenario("base", demand_multiplier=2.0), builtin_scenario("S1")],
+     "scenario name 'base' is reserved"),
+    ([builtin_scenario("S1"), builtin_scenario("S2"),
+      Scenario("S1", demand_multiplier=3.0)],
+     "scenario 'S1' is selected twice"),
+], ids=["base", "repeated"])
+def test_an_id_that_would_replace_an_outcome_raises_before_any_run(
+        example_config, example_inputs, matrix, message):
+    # outcomes are keyed by id: a second run of one id would take the
+    # first one's place, and a run named base the base run's
+    with mock.patch.object(scenarios, "apply_scenario",
+                           wraps=apply_scenario) as apply:
+        with pytest.raises(ValueError) as raised:
+            run_matrix(example_inputs, example_config.config, iter(matrix))
+    assert str(raised.value) == message
+    apply.assert_not_called()
+
+
+@pytest.mark.parametrize("scenario_id", ["S1", "S2", "S3"])
+def test_a_scenario_hands_its_new_columns_to_the_profile_uncopied(
+        example_config, example_inputs, scenario_id):
+    received = []
+    real_frozen_column = profiles._frozen_column
+
+    def frozen_column(values, dtype):
+        column = real_frozen_column(values, dtype)
+        received.append((values, column))
+        return column
+
+    with mock.patch.object(profiles, "_frozen_column", frozen_column):
+        apply_scenario(example_inputs, example_config.config,
+                       builtin_scenario(scenario_id))
+    assert len(received) == 5
+    assert all(column is values for values, column in received)
+
+
+def test_a_default_outage_start_compares_the_base_demand_not_the_scaled():
+    config = make_config(ems=EmsConfig(threshold_mode="load-threshold",
+                                       load_threshold_kw=150.0))
+    inputs = day(n=6, demand=np.array([100, 120, 140, 160, 200, 100.0]))
+    scenario = Scenario(id="hot", demand_multiplier=1.2,
+                        outage=OutageSpec(duration_steps=1))
+    scaled, _ = apply_scenario(inputs, config, scenario)
+    # the scaled demand exceeds 150 kW from step 2 (168 kW), the base's
+    # from step 3 (160 kW): the window is resolved on the base
+    assert scaled.demand_kw[2] > 150.0 >= inputs.demand_kw[2]
+    assert scaled.grid_available.tolist() == [1, 1, 1, 0, 1, 1]
 
 
 def test_s2_never_increases_renewable_fraction():
