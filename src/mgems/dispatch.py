@@ -1,9 +1,11 @@
 """EMS core: threshold resolution, horizon dispatch and its invariant check.
 
-Every function here takes its horizon as a Profile. The per-step
-allocation rule lives in one kernel, mgems._kernel.run_kernel;
-dispatch_step runs it on a one-step Profile, not a second description.
-run_arrays calls it through the module global _kernel_run, which the
+Every function here takes its horizon as a Profile, which alone holds
+per-step grid availability. The per-step allocation rule lives in one
+kernel, mgems._kernel.run_kernel, and a trace holds only its output
+columns, the threshold and the starting stored energy. dispatch_step
+reads one row of it, not a second description of the rule. run_arrays
+calls the kernel through the module global _kernel_run, which the
 benchmark's span tracer (perfbench/spans.py) wraps; BACKEND names the
 kernel in the benchmark's meta line.
 """
@@ -17,8 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernel
-from ._kernel import (CHARGE, CURTAILED, DG, DISCHARGE, ENERGY, EXPORT,
-                      IMPORT, N_COLUMNS, PV_USED, SOC, UNSERVED, WIND_USED)
+from ._kernel import (CHARGE, DG, DISCHARGE, ENERGY, EXPORT, IMPORT,
+                      N_COLUMNS, PV_USED, SOC, UNSERVED, WIND_USED)
 from .errors import BalanceError
 from .model import (THRESHOLD_FIXED, THRESHOLD_LOAD, THRESHOLD_PERCENTILE,
                     BatterySpec, EmsConfig, MicrogridConfig)
@@ -59,7 +61,8 @@ class DispatchDecision:
 
     Exactly one of charge/discharge and one of import/export may be nonzero;
     islanded steps have zero grid exchange, and the diesel unit only runs
-    islanded.
+    islanded. The nine flows are in the kernel's column order, PV_USED to
+    UNSERVED, as dispatch_step reads them.
     """
 
     pv_used_kw: float
@@ -103,46 +106,13 @@ class HorizonArrays:
 
     columns is the (n, 11) kernel output matrix, stored column-major (see
     mgems._kernel for the column order); threshold is the resolved
-    comparison threshold, and initial_energy_kwh / final_energy_kwh are the
-    stored energy before the first step and after the last.
+    comparison threshold, and initial_energy_kwh the stored energy before
+    the first step. Per-step grid availability is the run's Profile's.
     """
 
     columns: np.ndarray
-    grid_available: np.ndarray
     threshold: float
     initial_energy_kwh: float
-    final_energy_kwh: float
-
-    @classmethod
-    def from_columns(cls, columns: np.ndarray, inputs: Profile,
-                     initial: BatteryState, threshold: float) -> "HorizonArrays":
-        """The trace of ``inputs`` whose kernel output is ``columns``."""
-        return cls(columns=columns, grid_available=inputs.grid_available,
-                   threshold=float(threshold),
-                   initial_energy_kwh=float(initial.energy_kwh),
-                   final_energy_kwh=float(columns[-1, ENERGY]))
-
-    def column(self, index: int) -> np.ndarray:
-        return self.columns[:, index]
-
-    def decision(self, i: int) -> DispatchDecision:
-        row = self.columns[i]
-        return DispatchDecision(
-            pv_used_kw=float(row[PV_USED]),
-            wind_used_kw=float(row[WIND_USED]),
-            curtailed_kw=float(row[CURTAILED]),
-            battery_charge_kw=float(row[CHARGE]),
-            battery_discharge_kw=float(row[DISCHARGE]),
-            dg_kw=float(row[DG]),
-            grid_import_kw=float(row[IMPORT]),
-            grid_export_kw=float(row[EXPORT]),
-            unserved_kw=float(row[UNSERVED]),
-            mode=GRID_CONNECTED if self.grid_available[i] else ISLANDED,
-        )
-
-    def state(self, i: int) -> BatteryState:
-        row = self.columns[i]
-        return BatteryState(soc=float(row[SOC]), energy_kwh=float(row[ENERGY]))
 
     def __len__(self) -> int:
         return self.columns.shape[0]
@@ -179,7 +149,8 @@ def run_arrays(inputs: Profile, initial: BatteryState,
         config.grid.import_limit_kw, config.grid.export_limit_kw,
         config.diesel.capacity_kw, config.diesel.min_loading_fraction,
         b.soc_min, out)
-    return HorizonArrays.from_columns(out, inputs, initial, threshold)
+    return HorizonArrays(columns=out, threshold=float(threshold),
+                         initial_energy_kwh=float(initial.energy_kwh))
 
 
 def balance_residuals(trace: HorizonArrays, inputs: Profile) -> np.ndarray:
@@ -224,7 +195,7 @@ def check_balance(trace: HorizonArrays, inputs: Profile,
                 f"power balance residual {float(residuals[suspect[first]])} "
                 f"kW at step {int(suspect[first])} exceeds "
                 f"{float(tolerance[first])} kW")
-    grid = trace.grid_available != 0
+    grid = inputs.grid_available != 0
     charging, discharging = cols[:, CHARGE] != 0.0, cols[:, DISCHARGE] != 0.0
     importing, exporting = cols[:, IMPORT] != 0.0, cols[:, EXPORT] != 0.0
     soc, energy = cols[:, SOC], cols[:, ENERGY]
@@ -258,5 +229,7 @@ def dispatch_step(state: BatteryState, step: Profile, threshold: float,
     if len(step) != 1:
         raise ValueError(f"dispatch_step needs a one-step profile, "
                          f"got {len(step)} steps")
-    trace = run_arrays(step, state, config, threshold)
-    return trace.decision(0), trace.state(0)
+    row = run_arrays(step, state, config, threshold).columns[0].tolist()
+    mode = GRID_CONNECTED if step.grid_available[0] else ISLANDED
+    return (DispatchDecision(*row[:UNSERVED + 1], mode=mode),
+            BatteryState(soc=row[SOC], energy_kwh=row[ENERGY]))

@@ -342,6 +342,25 @@ def _wind_power_column(speed_ms: np.ndarray, spec: WindSpec) -> np.ndarray:
     return power
 
 
+def _power_column(name: str, convert, values: np.ndarray, spec) -> np.ndarray:
+    """``convert(values, spec)`` read-only, so a Profile takes it uncopied;
+    an overflow or a power that is not finite raises ValueError, not a
+    warning."""
+    with np.errstate(all="ignore"):
+        try:
+            power = convert(values, spec)
+        except OverflowError:  # from Python's float **, kept for its bits
+            raise ValueError(f"column {name}: the conversion overflows "
+                             "a float") from None
+    finite = np.isfinite(power)
+    if not finite.all():
+        step = int(np.argmin(finite))
+        raise ValueError(f"column {name}: step {step} converts to "
+                         f"{float(power[step])}, not a finite power")
+    power.setflags(write=False)
+    return power
+
+
 def resource_to_inputs(resource: ResourceProfile,
                        config: MicrogridConfig) -> Profile:
     """Convert resource measurements to dispatch inputs via the component models.
@@ -352,8 +371,10 @@ def resource_to_inputs(resource: ResourceProfile,
     """
     return Profile(demand_kw=resource.demand_kw, price=resource.price,
                    grid_available=resource.grid_available,
-                   pv_kw=_pv_power_column(resource.irradiance_wm2, config.pv),
-                   wind_kw=_wind_power_column(resource.wind_speed_ms, config.wind))
+                   pv_kw=_power_column("pv_kw", _pv_power_column,
+                                       resource.irradiance_wm2, config.pv),
+                   wind_kw=_power_column("wind_kw", _wind_power_column,
+                                         resource.wind_speed_ms, config.wind))
 
 
 def convert_prices(profile: Profile, price_unit: str) -> Profile:
@@ -361,7 +382,9 @@ def convert_prices(profile: Profile, price_unit: str) -> Profile:
     if price_unit == PRICE_CURRENCY:
         return profile
     if price_unit == PRICE_CENTS:
-        return replace(profile, price=profile.price / 100.0)
+        price = profile.price / 100.0
+        price.setflags(write=False)
+        return replace(profile, price=price)
     raise ValueError(f"unknown price unit: {price_unit!r}")
 
 

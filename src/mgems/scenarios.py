@@ -68,9 +68,6 @@ class Scenario:
     outage: OutageSpec | None = None
 
 
-IDENTITY_SCENARIO = Scenario(id="identity")
-
-
 def builtin_scenario(scenario_id: str) -> Scenario:
     """The four standard stress scenarios."""
     if scenario_id == "S1":
@@ -347,10 +344,10 @@ def _dispatch(runs: list[tuple[Profile, MicrogridConfig]],
         if pid is not None and os.waitstatus_to_exitcode(
                 os.waitpid(pid, 0)[1]) == 0:
             for i in np.flatnonzero(done).tolist():
-                inputs, config = runs[i]
-                traces[i] = HorizonArrays.from_columns(
-                    slots[i].T, inputs, initial_state(config.battery),
-                    threshold)
+                initial = initial_state(runs[i][1].battery)
+                traces[i] = HorizonArrays(
+                    columns=slots[i].T, threshold=float(threshold),
+                    initial_energy_kwh=float(initial.energy_kwh))
     return [_run(*run, threshold) if trace is None else trace
             for run, trace in zip(runs, traces)]
 

@@ -17,6 +17,7 @@ from mgems.model import (BatterySpec, DieselSpec, EconomicsConfig,
                          EmissionFactors, EmsConfig, GridSpec,
                          MicrogridConfig, PvSpec, WindSpec)
 from mgems.profiles import Profile, load_profile
+from mgems.scenarios import Scenario
 
 # hourly demand (kW) and real-time price (cents/kWh) of the example day
 DAY_DEMAND_KW = [
@@ -29,6 +30,9 @@ DAY_PRICES_CENTS = [
     27.0, 26.64, 26.424, 21.6, 23.184, 22.968, 23.256, 26.28, 28.872, 26.496,
     28.08, 20.52, 18.0, 12.6,
 ]
+
+# a scenario that changes nothing, to derive others from with replace()
+IDENTITY_SCENARIO = Scenario(id="identity")
 
 
 def data_path(name: str):

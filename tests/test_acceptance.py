@@ -21,11 +21,11 @@ from mgems.metrics import (EnergyTotals, accumulate, build_report,
                            renewable_fraction)
 from mgems.model import EmissionFactors, EmsConfig
 from mgems.profiles import Profile
-from mgems.scenarios import (IDENTITY_SCENARIO, OutageSpec, apply_scenario,
-                             builtin_scenario, run_matrix)
+from mgems.scenarios import (OutageSpec, apply_scenario, builtin_scenario,
+                             run_matrix)
 from mgems._kernel import CHARGE, DG, DISCHARGE, EXPORT, IMPORT, SOC
 
-from conftest import data_path, make_config
+from conftest import IDENTITY_SCENARIO, data_path, make_config
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -87,7 +87,7 @@ def test_c1_balance_invariant_suite():
         assert float(np.max(np.abs(balance_residuals(trace, inputs)))) <= 1e-6
         assert np.all(cols[:, CHARGE] * cols[:, DISCHARGE] == 0.0)
         assert np.all(cols[:, IMPORT] * cols[:, EXPORT] == 0.0)
-        down = trace.grid_available == 0
+        down = inputs.grid_available == 0
         assert np.all(cols[down, IMPORT] == 0.0)
         assert np.all(cols[down, EXPORT] == 0.0)
         assert np.all(cols[~down, DG] == 0.0)
@@ -306,13 +306,13 @@ def test_c3_example_day_peak_shaving():
                                             capacity_kwh=capacity))
     managed = run_arrays(inputs, initial_state(sized.battery), sized)
     assert managed.threshold == threshold
-    managed_peak = float(managed.column(IMPORT).max())
+    managed_peak = float(managed.columns[:, IMPORT].max())
 
     unmanaged_cfg = dataclasses.replace(
         config, battery=dataclasses.replace(config.battery, capacity_kwh=0.0))
     unmanaged = run_arrays(inputs, initial_state(unmanaged_cfg.battery),
                            unmanaged_cfg)
-    unmanaged_peak = float(unmanaged.column(IMPORT).max())
+    unmanaged_peak = float(unmanaged.columns[:, IMPORT].max())
     assert unmanaged_peak == 235.2  # the day's raw demand peak
 
     achieved_pct = (unmanaged_peak - managed_peak) / unmanaged_peak * 100.0

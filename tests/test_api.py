@@ -1,12 +1,22 @@
-"""The package's public API: every exported name exists, and no other."""
+"""The package's public API: every exported name exists, and no other;
+the trace's column layout; the README's library example."""
 
 import dataclasses
+import re
+from pathlib import Path
 
 import numpy as np
 
 import mgems
+from mgems._kernel import (CHARGE, CURTAILED, DG, DISCHARGE, ENERGY, EXPORT,
+                           IMPORT, N_COLUMNS, PV_USED, SOC, UNSERVED,
+                           WIND_USED)
+from mgems.cli import TRACE_HEADER
+from mgems.dispatch import HorizonArrays
 
 from conftest import horizon, make_config
+
+ROOT = Path(__file__).resolve().parent.parent
 
 PUBLIC_NAMES = {
     "BACKEND", "BatterySpec", "BatteryState", "DieselSpec", "DispatchDecision",
@@ -48,3 +58,39 @@ def test_traces_and_outcomes_compare_by_identity():
     assert trace == trace and trace != twin
     assert outcome == outcome and outcome != dataclasses.replace(outcome)
     assert len({trace, twin, outcome}) == 3
+
+
+def test_a_trace_holds_only_what_the_kernel_made():
+    assert [f.name for f in dataclasses.fields(HorizonArrays)] == [
+        "columns", "threshold", "initial_energy_kwh"]
+
+
+def test_the_trace_layout_is_the_kernel_column_order():
+    # dispatch_step reads a DispatchDecision and a BatteryState off a kernel
+    # row by position, and the trace writer names the same columns
+    kernel_column = dict(
+        pv_used_kw=PV_USED, wind_used_kw=WIND_USED, curtailed_kw=CURTAILED,
+        battery_charge_kw=CHARGE, battery_discharge_kw=DISCHARGE, dg_kw=DG,
+        grid_import_kw=IMPORT, grid_export_kw=EXPORT, unserved_kw=UNSERVED)
+    decision = [f.name for f in dataclasses.fields(mgems.DispatchDecision)]
+    flows = decision[:-1]
+    assert decision[-1] == "mode"
+    assert [kernel_column[name] for name in flows] == \
+        list(range(PV_USED, UNSERVED + 1))
+    assert PV_USED == 0
+    assert [f.name for f in dataclasses.fields(mgems.BatteryState)] == \
+        ["soc", "energy_kwh"]
+    assert (SOC, ENERGY, N_COLUMNS) == (UNSERVED + 1, UNSERVED + 2, 11)
+    first = TRACE_HEADER.index(flows[0])
+    assert TRACE_HEADER[first:first + len(flows) + 1] == (*flows, "soc")
+
+
+def test_the_readme_library_example_runs(monkeypatch, capsys):
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    (code,) = re.findall(r"```python\n(.*?)```", section, re.DOTALL)
+    monkeypatch.chdir(ROOT)
+    exec(compile(code, "README.md", "exec"), {})
+    lcoe_and_uptime, deltas = capsys.readouterr().out.splitlines()
+    assert lcoe_and_uptime.endswith(" 1.0")
+    assert deltas.startswith("{'base': 0.0, 'S1': ")

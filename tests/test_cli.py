@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import errno
 import json
+import math
 import re
 import signal
 import tempfile
@@ -24,7 +25,8 @@ from mgems.errors import ConfigFileError
 from mgems.metrics import build_report
 from mgems.model import validate_config
 
-from conftest import data_path, example_config_text
+from conftest import (DAY_DEMAND_KW, DAY_PRICES_CENTS, data_path,
+                      example_config_text)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -852,6 +854,53 @@ def test_a_config_the_draw_found_exits_2_without_a_warning(
     assert not (out / "run").exists()
 
 
+RESOURCE_HEADER = "index,demand_kw,price,grid_available,irradiance_wm2,wind_speed_ms\n"
+
+
+# configs that validate accepted and whose resource conversion then crashed:
+# a NaN power breached the balance (exit 4), an OverflowError escaped from
+# Python's float ** (exit 1), or numpy warned of an overflow (exit 4)
+@pytest.mark.parametrize("changes,message", [
+    ({("wind", "hub_height_m"): "1e300", ("wind", "anemometer_height_m"): "1e-300"},
+     "column wind_kw: step 0 converts to nan, not a finite power"),
+    ({("wind", "rated_speed_ms"): "1e200", ("wind", "cut_out_ms"): "1e201"},
+     "column wind_kw: the conversion overflows a float"),
+    ({("wind", "capacity_kw"): "1e308", ("wind", "unit_rated_kw"): "1e308"},
+     "column wind_kw: step 1 converts to inf, not a finite power"),
+], ids=["shear-overflow", "rated-cube-overflow", "capacity-overflow"])
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+def test_a_resource_conversion_that_overflows_exits_2_without_a_warning(
+        fixture_args, capsys, changes, message, command):
+    config, _, out = fixture_args
+    custom = out / "custom.ini"
+    custom.write_text(example_config_text(changes))
+    profile = out / "resource.csv"
+    profile.write_text(RESOURCE_HEADER + "0,50,10,1,500,0\n1,60,12,1,0,5\n"
+                       "2,70,30,0,100,0\n")
+    args = [command, "--config", custom, "--profile", profile, "--mode",
+            "resource"]
+    if command == "simulate":
+        args += ["--out", out / "run"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(*args) == 2
+    assert f"error: profile {profile}: {message}\n" in capsys.readouterr().err
+    assert not (out / "run").exists()
+
+
+def resource_day() -> str:
+    """The example day's demand and prices as a resource-mode profile: the
+    sun up from 06:00 to 18:00, the wind from calm past cut-out, and two
+    islanded evening steps."""
+    rows = []
+    for h, (demand, price) in enumerate(zip(DAY_DEMAND_KW, DAY_PRICES_CENTS)):
+        irradiance = max(0.0, 1100.0 * math.sin(math.pi * (h - 6) / 12))
+        grid = 0 if h in (19, 20) else 1
+        rows.append(f"{h},{demand!r},{price!r},{grid},{irradiance!r},"
+                    f"{h * 1.1!r}\n")
+    return RESOURCE_HEADER + "".join(rows)
+
+
 def _numeric_keys():
     """Each (section, key) of the example config whose value is a number."""
     keys = []
@@ -887,9 +936,14 @@ def test_a_config_validate_accepts_simulates_or_exits_2(changes):
         except ConfigFileError:
             reject()
         assume(validate_config(loaded.config).ok)
-        with time_limit(20), warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code = main(["simulate", "--config", str(custom), "--profile",
-                         str(data_path("example_day.csv")), "--out",
-                         str(Path(tmp) / "run")])
-    assert code in (0, 2)
+        resource = Path(tmp) / "resource.csv"
+        resource.write_text(resource_day())
+        # resource mode runs the wind curve and the shear settings too
+        for mode, profile in (("generation", data_path("example_day.csv")),
+                              ("resource", resource)):
+            with time_limit(20), warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(["simulate", "--config", str(custom), "--profile",
+                             str(profile), "--mode", mode, "--out",
+                             str(Path(tmp) / mode)])
+            assert code in (0, 2)

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mgems.dispatch import (BatteryState, HorizonArrays, balance_residuals,
-                            check_balance, dispatch_step, initial_state,
-                            price_threshold, run_arrays)
+from mgems.dispatch import (GRID_CONNECTED, ISLANDED, BatteryState,
+                            HorizonArrays, balance_residuals, check_balance,
+                            dispatch_step, initial_state, price_threshold,
+                            run_arrays)
 from mgems.errors import BalanceError
 from mgems.model import EmsConfig
 from mgems.profiles import Profile
@@ -136,7 +137,7 @@ def test_net_exchange_sums_the_surplus_over_steps():
     gens = [100.0, 50.0, 0.0]
     trace = run_arrays(step(demand=60.0, price=0.3, pv=gens),
                        initial_state(config.battery), config, 0.25)
-    net = (trace.column(EXPORT) - trace.column(IMPORT)) * config.step_hours
+    net = (trace.columns[:, EXPORT] - trace.columns[:, IMPORT]) * config.step_hours
     assert net.tolist() == [40.0, -10.0, -60.0]
     assert net.sum() == pytest.approx(-30.0)
 
@@ -293,21 +294,13 @@ def test_dispatch_load_threshold_mode_compares_demand():
 
 # --- horizons ---------------------------------------------------------------
 
-def rows(trace):
-    """The trace as (decision, post-step battery state) row views."""
-    return [(trace.decision(i), trace.state(i)) for i in range(len(trace))]
-
-
 def test_run_arrays_zero_step():
     config = make_config(ems=EmsConfig(threshold_mode="fixed-price",
                                        fixed_threshold=0.25))
     initial = initial_state(config.battery)
-    ((decision, state),) = rows(run_arrays(step(), initial, config))
-    for name in ("pv_used_kw", "wind_used_kw", "curtailed_kw",
-                 "battery_charge_kw", "battery_discharge_kw", "dg_kw",
-                 "grid_import_kw", "grid_export_kw", "unserved_kw"):
-        assert getattr(decision, name) == 0.0
-    assert state.energy_kwh == initial.energy_kwh
+    (row,) = run_arrays(step(), initial, config).columns
+    assert row[:UNSERVED + 1].tolist() == [0.0] * 9
+    assert row[ENERGY] == initial.energy_kwh
 
 
 @pytest.mark.parametrize("demand", [[], [10.0, 20.0]], ids=["empty", "two"])
@@ -328,7 +321,7 @@ def test_run_arrays_is_deterministic(example_config, example_inputs):
     config = example_config.config
     first = run_arrays(example_inputs, initial_state(config.battery), config)
     second = run_arrays(example_inputs, initial_state(config.battery), config)
-    assert rows(first) == rows(second)
+    assert np.array_equal(first.columns, second.columns)
 
 
 def test_run_arrays_stores_the_trace_column_major(example_config,
@@ -349,9 +342,13 @@ def test_run_arrays_matches_scalar_fold(example_config, example_inputs):
     for i in range(len(example_inputs)):
         decision, state = dispatch_step(state, example_inputs[i:i + 1],
                                         threshold, config)
-        folded.append((decision, state))
-    assert rows(run_arrays(example_inputs, initial_state(config.battery),
-                           config)) == folded
+        folded.append([*dataclasses.astuple(decision)[:-1], state.soc,
+                       state.energy_kwh])
+        assert decision.mode == (GRID_CONNECTED
+                                 if example_inputs.grid_available[i]
+                                 else ISLANDED)
+    assert run_arrays(example_inputs, initial_state(config.battery),
+                      config).columns.tolist() == folded
 
 
 # --- randomized invariants --------------------------------------------------
@@ -369,7 +366,7 @@ def assert_step_invariants(trace, inputs, config):
     assert np.all(cols[:, :9] >= 0.0)
     assert np.all(cols[:, CHARGE] * cols[:, DISCHARGE] == 0.0)
     assert np.all(cols[:, IMPORT] * cols[:, EXPORT] == 0.0)
-    islanded = trace.grid_available == 0
+    islanded = inputs.grid_available == 0
     assert np.all(cols[islanded, IMPORT] == 0.0)
     assert np.all(cols[islanded, EXPORT] == 0.0)
     assert np.all(cols[~islanded, DG] == 0.0)  # DG only runs islanded
@@ -404,7 +401,8 @@ def test_peak_shaving_never_raises_the_import_peak():
         managed = run_arrays(inputs, initial_state(base.battery), base)
         unmanaged = run_arrays(inputs, initial_state(no_battery.battery),
                                no_battery)
-        assert managed.column(IMPORT).max() <= unmanaged.column(IMPORT).max() + 1e-9
+        assert managed.columns[:, IMPORT].max() <= \
+            unmanaged.columns[:, IMPORT].max() + 1e-9
 
 
 def test_battery_energy_conservation_over_long_horizon():
@@ -416,9 +414,9 @@ def test_battery_energy_conservation_over_long_horizon():
     trace = run_arrays(inputs, initial, config)
     sqrt_eta = math.sqrt(config.battery.roundtrip_efficiency)
     dt = config.step_hours
-    stored_delta = (trace.column(CHARGE).sum() * sqrt_eta * dt
-                    - trace.column(DISCHARGE).sum() / sqrt_eta * dt)
-    drift = abs(stored_delta - (trace.final_energy_kwh - initial.energy_kwh))
+    stored_delta = (trace.columns[:, CHARGE].sum() * sqrt_eta * dt
+                    - trace.columns[:, DISCHARGE].sum() / sqrt_eta * dt)
+    drift = abs(stored_delta - (trace.columns[-1, ENERGY] - initial.energy_kwh))
     assert drift <= 1e-6
 
 
@@ -491,11 +489,9 @@ def planted_trace(flows, grid, demand):
     columns[:, ENERGY] = energy
     for column, value in flows.items():
         columns[2, column] = value
-    grid_available = np.array([1, 1, grid, 1], dtype=np.uint8)
-    inputs = step(demand=[0.0, 0.0, demand, 0.0], grid=grid_available)
-    trace = HorizonArrays(columns=columns, grid_available=grid_available,
-                          threshold=0.25, initial_energy_kwh=energy,
-                          final_energy_kwh=energy)
+    inputs = step(demand=[0.0, 0.0, demand, 0.0], grid=[1, 1, grid, 1])
+    trace = HorizonArrays(columns=columns, threshold=0.25,
+                          initial_energy_kwh=energy)
     return trace, inputs, config
 
 
@@ -519,7 +515,7 @@ def test_check_balance_passes_a_dispatched_day_with_the_battery_checks(
         example_config, example_inputs):
     config = example_config.config
     trace = run_arrays(example_inputs, initial_state(config.battery), config)
-    assert trace.column(CHARGE).any() and trace.column(DISCHARGE).any()
+    assert trace.columns[:, CHARGE].any() and trace.columns[:, DISCHARGE].any()
     check_balance(trace, example_inputs, config)
 
 

@@ -35,10 +35,8 @@ def trace(rows):
             columns[i, COLUMN[name]] = value
     columns[:, SOC] = 0.5
     columns[:, ENERGY] = 100.0
-    return HorizonArrays(columns=columns,
-                         grid_available=np.ones(len(rows), dtype=np.uint8),
-                         threshold=0.0, initial_energy_kwh=100.0,
-                         final_energy_kwh=100.0)
+    return HorizonArrays(columns=columns, threshold=0.0,
+                         initial_energy_kwh=100.0)
 
 
 def totals(**kw):

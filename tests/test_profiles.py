@@ -188,6 +188,26 @@ def test_resource_rows_convert_and_pass_through():
         assert getattr(inputs, name).tolist() == getattr(rows, name).tolist()
 
 
+
+def test_a_conversion_hands_its_new_columns_to_the_profile_uncopied():
+    rows = ResourceProfile(demand_kw=[50.0, 60.25], price=[0.1, 0.2],
+                           grid_available=[1, 0], irradiance_wm2=[0.0, 1000.0],
+                           wind_speed_ms=[0.0, 12.0])
+    config, cents = make_config(), horizon(price=[10.0, 20.0])
+    received = []
+    real_frozen_column = profiles._frozen_column
+
+    def frozen_column(values, dtype):
+        column = real_frozen_column(values, dtype)
+        received.append((values, column))
+        return column
+
+    with mock.patch.object(profiles, "_frozen_column", frozen_column):
+        resource_to_inputs(rows, config)
+        convert_prices(cents, "cents_per_kwh")
+    assert len(received) == 10
+    assert all(column is values for values, column in received)
+
 def test_wind_fleet_scales_with_capacity():
     fleet = WindSpec(capacity_kw=120.0, unit_rated_kw=3.0, cut_in_ms=4.0,
                      cut_out_ms=24.0, rated_speed_ms=12.0, hub_height_m=15.0,
