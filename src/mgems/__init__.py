@@ -8,8 +8,7 @@ and emission metrics.
 
 __version__ = "0.1.0"
 
-from .dispatch import (BACKEND, BatteryState, DispatchDecision, dispatch_step,
-                       initial_state, price_threshold, run_arrays)
+from .dispatch import BACKEND, initial_state, price_threshold, run_arrays
 from .metrics import (EconomicSummary, EmissionSummary, EnergyTotals,
                       ReliabilityStats, SimulationReport, accumulate,
                       build_report, emissions, lcoe, npc, percent_change,
@@ -23,13 +22,13 @@ from .scenarios import (Scenario, ScenarioOutcome, apply_scenario,
                         builtin_scenario, run_matrix, validate_scenario)
 
 __all__ = [
-    "BACKEND", "BatterySpec", "BatteryState", "DieselSpec", "DispatchDecision",
+    "BACKEND", "BatterySpec", "DieselSpec",
     "EconomicSummary", "EconomicsConfig", "EmissionFactors", "EmissionSummary",
     "EmsConfig", "EnergyTotals", "GridSpec", "MicrogridConfig", "Profile",
     "PvSpec", "ReliabilityStats", "ResourceProfile", "Scenario",
     "ScenarioOutcome", "SimulationReport", "ValidationReport",
     "WindSpec", "accumulate", "apply_scenario", "build_report",
-    "builtin_scenario", "dispatch_step", "emissions", "initial_state", "lcoe",
+    "builtin_scenario", "emissions", "initial_state", "lcoe",
     "load_profile", "npc", "parse_profile",
     "percent_change", "price_threshold", "renewable_fraction",
     "resource_to_inputs", "run_arrays", "run_matrix", "validate_config",

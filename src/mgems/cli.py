@@ -25,13 +25,13 @@ import numpy as np
 from . import __version__
 from ._kernel import SOC
 from .configio import SCENARIO_PREFIX, LoadedConfig, load_config
-from .dispatch import (GRID_CONNECTED, ISLANDED, HorizonArrays, check_balance,
-                       initial_state, price_threshold, run_arrays)
+from .dispatch import (HorizonArrays, check_balance, initial_state,
+                       price_threshold, run_arrays)
 from .errors import BalanceError, MgemsError, ProfileFormatError
 from .metrics import build_report
 from .model import MicrogridConfig, validate_config
-from .profiles import (GENERATION_MODE, PRICE_CENTS, RESOURCE_MODE, Profile,
-                       load_profile)
+from .profiles import (GENERATION_HEADER, GENERATION_MODE, PRICE_CENTS,
+                       RESOURCE_MODE, Profile, load_profile)
 from .scenarios import (BASE_KEY, BUILTIN_IDS, DELTA_METRICS, OutageSpec,
                         Scenario, builtin_scenario, run_matrix,
                         validate_scenario)
@@ -44,11 +44,13 @@ EXIT_INVARIANT = 4
 # what simulate's outage errors name: the flags that forced the outage
 OUTAGE_FLAGS = "--outage-start/--outage-hours"
 
-TRACE_HEADER = ("index", "demand_kw", "price", "grid_available", "pv_kw",
-                "wind_kw", "pv_used_kw", "wind_used_kw", "curtailed_kw",
-                "battery_charge_kw", "battery_discharge_kw", "dg_kw",
-                "grid_import_kw", "grid_export_kw", "unserved_kw", "soc",
-                "threshold", "mode")
+TRACE_HEADER = GENERATION_HEADER + (
+    "pv_used_kw", "wind_used_kw", "curtailed_kw", "battery_charge_kw",
+    "battery_discharge_kw", "dg_kw", "grid_import_kw", "grid_export_kw",
+    "unserved_kw", "soc", "threshold", "mode")
+# trace.csv's mode column
+GRID_CONNECTED = "grid-connected"
+ISLANDED = "islanded"
 
 
 class _CommandError(Exception):

@@ -3,8 +3,9 @@
 Every function here takes its horizon as a Profile, which alone holds
 per-step grid availability. The per-step allocation rule lives in one
 kernel, mgems._kernel.run_kernel, and a trace holds only its output
-columns, the threshold and the starting stored energy. dispatch_step
-reads one row of it, not a second description of the rule. run_arrays
+columns, the threshold and the starting stored energy. A run starts from
+that stored energy alone, in kWh: it is the only state the kernel carries
+from one step to the next. This module holds no output format. run_arrays
 calls the kernel through the module global _kernel_run, which the
 benchmark's span tracer (perfbench/spans.py) wraps; BACKEND names the
 kernel in the benchmark's meta line.
@@ -30,51 +31,13 @@ BALANCE_TOLERANCE_KW = 1e-6
 BALANCE_RELATIVE = 8 * float(np.finfo(np.float64).eps)
 SOC_TOLERANCE = 1e-9
 
-GRID_CONNECTED = "grid-connected"
-ISLANDED = "islanded"
-
-
 _kernel_run = _kernel.run_kernel
 BACKEND = "python"
 
 
-@dataclass(frozen=True)
-class BatteryState:
-    """Battery state at a step boundary: SOC fraction and stored energy."""
-
-    soc: float
-    energy_kwh: float
-
-    @classmethod
-    def from_soc(cls, soc: float, spec: BatterySpec) -> "BatteryState":
-        return cls(soc=soc, energy_kwh=soc * spec.capacity_kwh)
-
-
-def initial_state(spec: BatterySpec) -> BatteryState:
-    """Default starting state: battery at its lower SOC bound."""
-    return BatteryState.from_soc(spec.soc_min, spec)
-
-
-@dataclass(frozen=True)
-class DispatchDecision:
-    """Complete power allocation for one step, all fields nonnegative kW.
-
-    Exactly one of charge/discharge and one of import/export may be nonzero;
-    islanded steps have zero grid exchange, and the diesel unit only runs
-    islanded. The nine flows are in the kernel's column order, PV_USED to
-    UNSERVED, as dispatch_step reads them.
-    """
-
-    pv_used_kw: float
-    wind_used_kw: float
-    curtailed_kw: float
-    battery_charge_kw: float
-    battery_discharge_kw: float
-    dg_kw: float
-    grid_import_kw: float
-    grid_export_kw: float
-    unserved_kw: float
-    mode: str
+def initial_state(spec: BatterySpec) -> float:
+    """Default starting stored energy, kWh: the battery at its SOC floor."""
+    return spec.soc_min * spec.capacity_kwh
 
 
 def price_threshold(prices: Sequence[float], ems: EmsConfig) -> float:
@@ -125,12 +88,13 @@ def compare_values(inputs: Profile, ems: EmsConfig) -> np.ndarray:
     return inputs.price
 
 
-def run_arrays(inputs: Profile, initial: BatteryState,
+def run_arrays(inputs: Profile, initial_energy_kwh: float,
                config: MicrogridConfig,
                threshold: float | None = None) -> HorizonArrays:
     """Dispatch a horizon and return the trace as arrays.
 
-    The threshold is resolved from the full price sequence unless given.
+    The run starts with ``initial_energy_kwh`` stored. The threshold is
+    resolved from the full price sequence unless given.
     """
     if not len(inputs):
         raise ValueError("empty horizon")
@@ -143,14 +107,14 @@ def run_arrays(inputs: Profile, initial: BatteryState,
     _kernel_run(
         inputs.demand_kw, inputs.pv_kw, inputs.wind_kw, inputs.grid_available,
         compare_values(inputs, config.ems), float(threshold),
-        config.step_hours, b.capacity_kwh, initial.energy_kwh,
+        config.step_hours, b.capacity_kwh, initial_energy_kwh,
         b.soc_min * b.capacity_kwh, b.soc_max * b.capacity_kwh,
         math.sqrt(b.roundtrip_efficiency), b.max_charge_kw, b.max_discharge_kw,
         config.grid.import_limit_kw, config.grid.export_limit_kw,
         config.diesel.capacity_kw, config.diesel.min_loading_fraction,
         b.soc_min, out)
     return HorizonArrays(columns=out, threshold=float(threshold),
-                         initial_energy_kwh=float(initial.energy_kwh))
+                         initial_energy_kwh=float(initial_energy_kwh))
 
 
 def balance_residuals(trace: HorizonArrays, inputs: Profile) -> np.ndarray:
@@ -218,18 +182,3 @@ def check_balance(trace: HorizonArrays, inputs: Profile,
             step = np.argmax(broken.reshape(len(cols), -1).any(axis=1))
             raise BalanceError(f"{name} at step {int(step)}")
 
-
-def dispatch_step(state: BatteryState, step: Profile, threshold: float,
-                  config: MicrogridConfig) -> tuple[DispatchDecision, BatteryState]:
-    """Allocate one step and advance the battery state.
-
-    ``step`` is a one-step horizon, such as ``profile[i:i + 1]``; any other
-    length raises ValueError.
-    """
-    if len(step) != 1:
-        raise ValueError(f"dispatch_step needs a one-step profile, "
-                         f"got {len(step)} steps")
-    row = run_arrays(step, state, config, threshold).columns[0].tolist()
-    mode = GRID_CONNECTED if step.grid_available[0] else ISLANDED
-    return (DispatchDecision(*row[:UNSERVED + 1], mode=mode),
-            BatteryState(soc=row[SOC], energy_kwh=row[ENERGY]))

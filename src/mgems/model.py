@@ -10,9 +10,9 @@ factors and the EMS threshold parameters, whose checks depend on which values
 are set, are checked by _check_emissions and _check_ems. Violations are listed
 section by section in MicrogridConfig's field order: within a section, its
 field ranges in field order, then its checks that compare fields (the wind
-speed order and whole units, the battery SOC band, the EMS mode, and, after
-[economics], the component lifetimes against the project's); step_hours
-comes last.
+speed order, whole units and a finite shear factor, the battery SOC band,
+the EMS mode, and, after [economics], the component lifetimes against the
+project's); step_hours comes last.
 """
 
 from __future__ import annotations
@@ -254,6 +254,18 @@ def _check_wind(c: _Checker, config: MicrogridConfig) -> None:
                 "wind.capacity_kw",
                 f"must be a whole multiple of unit_rated_kw ({w.unit_rated_kw}), "
                 f"got {w.capacity_kw}")
+    heights = (w.hub_height_m, w.anemometer_height_m)
+    if all(_finite(h) and h > 0 for h in heights) \
+            and _finite(w.shear_exponent) and w.shear_exponent >= 0:
+        # Python's float **, as the resource conversion computes it
+        ratio = w.hub_height_m / w.anemometer_height_m
+        try:
+            factor = ratio ** w.shear_exponent
+        except OverflowError:
+            factor = math.inf
+        c.check(math.isfinite(factor), "wind.shear_exponent",
+                "must keep the shear factor (hub_height_m / anemometer_height_m)"
+                f" ** shear_exponent finite, got {ratio} ** {w.shear_exponent}")
 
 
 def _check_battery(c: _Checker, config: MicrogridConfig) -> None:

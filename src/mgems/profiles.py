@@ -334,11 +334,14 @@ def _wind_power_column(speed_ms: np.ndarray, spec: WindSpec) -> np.ndarray:
     ramp = running & ~at_rated
     power = np.zeros(len(v), dtype=np.float64)
     power[running & at_rated] = spec.capacity_kw
-    ci3 = spec.cut_in_ms ** 3
-    # Python's float power, as in the scalar reference: numpy's vectorised
-    # pow may round differently from the C library on some CPUs
-    cubes = np.array([x ** 3 for x in v[ramp].tolist()], dtype=np.float64)
-    power[ramp] = spec.capacity_kw * (cubes - ci3) / (spec.rated_speed_ms ** 3 - ci3)
+    # the cubes only where a step is on the ramp, as in the scalar
+    # reference: a curve whose cubes overflow still converts calm steps
+    if ramp.any():
+        ci3 = spec.cut_in_ms ** 3
+        # Python's float power, as in the scalar reference: numpy's
+        # vectorised pow may round differently from the C library on some CPUs
+        cubes = np.array([x ** 3 for x in v[ramp].tolist()], dtype=np.float64)
+        power[ramp] = spec.capacity_kw * (cubes - ci3) / (spec.rated_speed_ms ** 3 - ci3)
     return power
 
 

@@ -344,10 +344,9 @@ def _dispatch(runs: list[tuple[Profile, MicrogridConfig]],
         if pid is not None and os.waitstatus_to_exitcode(
                 os.waitpid(pid, 0)[1]) == 0:
             for i in np.flatnonzero(done).tolist():
-                initial = initial_state(runs[i][1].battery)
                 traces[i] = HorizonArrays(
                     columns=slots[i].T, threshold=float(threshold),
-                    initial_energy_kwh=float(initial.energy_kwh))
+                    initial_energy_kwh=initial_state(runs[i][1].battery))
     return [_run(*run, threshold) if trace is None else trace
             for run, trace in zip(runs, traces)]
 

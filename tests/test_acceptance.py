@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from mgems.cli import main, report_json_bytes
-from mgems.dispatch import (BatteryState, balance_residuals, check_balance,
-                            initial_state, run_arrays)
+from mgems.dispatch import (balance_residuals, check_balance, initial_state,
+                            run_arrays)
 from mgems.metrics import (EnergyTotals, accumulate, build_report,
                            emissions, lcoe, npc, percent_change,
                            renewable_fraction)
@@ -23,7 +23,8 @@ from mgems.model import EmissionFactors, EmsConfig
 from mgems.profiles import Profile
 from mgems.scenarios import (OutageSpec, apply_scenario, builtin_scenario,
                              run_matrix)
-from mgems._kernel import CHARGE, DG, DISCHARGE, EXPORT, IMPORT, SOC
+from mgems._kernel import (CHARGE, CURTAILED, DG, DISCHARGE, ENERGY, EXPORT,
+                           IMPORT, PV_USED, SOC, UNSERVED, WIND_USED)
 
 from conftest import IDENTITY_SCENARIO, data_path, make_config
 
@@ -80,8 +81,7 @@ def test_c1_balance_invariant_suite():
         inputs = random_inputs(rng, int(rng.integers(1, 25)))
         soc0 = float(rng.uniform(config.battery.soc_min,
                                  config.battery.soc_max))
-        initial = BatteryState.from_soc(soc0, config.battery)
-        trace = run_arrays(inputs, initial, config)
+        trace = run_arrays(inputs, soc0 * config.battery.capacity_kwh, config)
         cols = trace.columns
         assert np.all(cols[:, :9] >= 0.0)
         assert float(np.max(np.abs(balance_residuals(trace, inputs)))) <= 1e-6
@@ -188,10 +188,9 @@ def oracle_allocation(step, energy, threshold, config):
     pv_used = min(pv, used)
     energy_after = energy + chg * sqrt_eta * dt - (dis / sqrt_eta) * dt
     return {
-        "pv_used_kw": pv_used, "wind_used_kw": used - pv_used,
-        "curtailed_kw": curt, "battery_charge_kw": chg,
-        "battery_discharge_kw": dis, "dg_kw": dg, "grid_import_kw": imp,
-        "grid_export_kw": exp, "unserved_kw": uns,
+        PV_USED: pv_used, WIND_USED: used - pv_used, CURTAILED: curt,
+        CHARGE: chg, DISCHARGE: dis, DG: dg, IMPORT: imp, EXPORT: exp,
+        UNSERVED: uns,
     }, energy_after
 
 
@@ -218,7 +217,6 @@ def quantized_config(rng):
 
 
 def test_c2_oracle_equivalence_on_quantized_horizons():
-    from mgems.dispatch import dispatch_step
     rng = np.random.default_rng(99)
     mismatches = 0
     for _ in range(1_000):
@@ -228,17 +226,15 @@ def test_c2_oracle_equivalence_on_quantized_horizons():
             (rng.integers(0, 13), rng.choice([0.1, 0.25, 0.4]),
              rng.random() > 0.3, rng.integers(0, 7), rng.integers(0, 7))
             for _ in range(n)]))
-        state = initial_state(config.battery)
-        oracle_energy = state.energy_kwh
-        for i in range(n):
-            step = inputs[i:i + 1]
-            decision, state = dispatch_step(state, step, 0.25, config)
+        trace = run_arrays(inputs, initial_state(config.battery), config, 0.25)
+        oracle_energy = initial_state(config.battery)
+        for i, row in enumerate(trace.columns):
             expected, oracle_energy = oracle_allocation(
-                step, oracle_energy, 0.25, config)
-            for field, value in expected.items():
-                if abs(getattr(decision, field) - value) > 1e-9:
+                inputs[i:i + 1], oracle_energy, 0.25, config)
+            for column, value in expected.items():
+                if abs(row[column] - value) > 1e-9:
                     mismatches += 1
-            if abs(state.energy_kwh - oracle_energy) > 1e-9:
+            if abs(row[ENERGY] - oracle_energy) > 1e-9:
                 mismatches += 1
     assert mismatches == 0
     report_pass("oracle equivalence: 1,000 quantized horizons, 0 mismatches")

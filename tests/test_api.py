@@ -8,9 +8,8 @@ from pathlib import Path
 import numpy as np
 
 import mgems
-from mgems._kernel import (CHARGE, CURTAILED, DG, DISCHARGE, ENERGY, EXPORT,
-                           IMPORT, N_COLUMNS, PV_USED, SOC, UNSERVED,
-                           WIND_USED)
+from mgems._kernel import (CHARGE, CURTAILED, DG, DISCHARGE, EXPORT, IMPORT,
+                           PV_USED, SOC, UNSERVED, WIND_USED)
 from mgems.cli import TRACE_HEADER
 from mgems.dispatch import HorizonArrays
 
@@ -19,13 +18,13 @@ from conftest import horizon, make_config
 ROOT = Path(__file__).resolve().parent.parent
 
 PUBLIC_NAMES = {
-    "BACKEND", "BatterySpec", "BatteryState", "DieselSpec", "DispatchDecision",
+    "BACKEND", "BatterySpec", "DieselSpec",
     "EconomicSummary", "EconomicsConfig", "EmissionFactors", "EmissionSummary",
     "EmsConfig", "EnergyTotals", "GridSpec", "MicrogridConfig", "Profile",
     "PvSpec", "ReliabilityStats", "ResourceProfile", "Scenario",
     "ScenarioOutcome", "SimulationReport", "ValidationReport",
     "WindSpec", "accumulate", "apply_scenario", "build_report",
-    "builtin_scenario", "dispatch_step", "emissions", "initial_state", "lcoe",
+    "builtin_scenario", "emissions", "initial_state", "lcoe",
     "load_profile", "npc", "parse_profile",
     "percent_change", "price_threshold", "renewable_fraction",
     "resource_to_inputs", "run_arrays", "run_matrix", "validate_config",
@@ -66,23 +65,16 @@ def test_a_trace_holds_only_what_the_kernel_made():
 
 
 def test_the_trace_layout_is_the_kernel_column_order():
-    # dispatch_step reads a DispatchDecision and a BatteryState off a kernel
-    # row by position, and the trace writer names the same columns
+    # the trace writer writes kernel columns PV_USED..SOC under these names
     kernel_column = dict(
         pv_used_kw=PV_USED, wind_used_kw=WIND_USED, curtailed_kw=CURTAILED,
         battery_charge_kw=CHARGE, battery_discharge_kw=DISCHARGE, dg_kw=DG,
-        grid_import_kw=IMPORT, grid_export_kw=EXPORT, unserved_kw=UNSERVED)
-    decision = [f.name for f in dataclasses.fields(mgems.DispatchDecision)]
-    flows = decision[:-1]
-    assert decision[-1] == "mode"
-    assert [kernel_column[name] for name in flows] == \
-        list(range(PV_USED, UNSERVED + 1))
-    assert PV_USED == 0
-    assert [f.name for f in dataclasses.fields(mgems.BatteryState)] == \
-        ["soc", "energy_kwh"]
-    assert (SOC, ENERGY, N_COLUMNS) == (UNSERVED + 1, UNSERVED + 2, 11)
-    first = TRACE_HEADER.index(flows[0])
-    assert TRACE_HEADER[first:first + len(flows) + 1] == (*flows, "soc")
+        grid_import_kw=IMPORT, grid_export_kw=EXPORT, unserved_kw=UNSERVED,
+        soc=SOC)
+    first = TRACE_HEADER.index("pv_used_kw")
+    names = TRACE_HEADER[first:first + len(kernel_column)]
+    assert [kernel_column[name] for name in names] == \
+        list(range(PV_USED, SOC + 1))
 
 
 def test_the_readme_library_example_runs(monkeypatch, capsys):

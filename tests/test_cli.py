@@ -19,7 +19,7 @@ from hypothesis import assume, given, reject, settings, strategies as st
 from mgems import dispatch
 from mgems._kernel import IMPORT
 from mgems.cli import main, report_json_bytes
-from mgems.configio import load_config
+from mgems.configio import OUTPUT_FILE_NAMES, load_config
 from mgems.dispatch import initial_state, run_arrays
 from mgems.errors import ConfigFileError
 from mgems.metrics import build_report
@@ -235,6 +235,18 @@ def test_scenarios_all_matches_golden_matrix(fixture_args):
         (GOLDEN / "matrix.csv").read_bytes()
     for name in ("base", "S1", "S2", "S3", "S4"):
         assert (out / "runs" / name / "trace.csv").is_file()
+
+
+def test_every_top_level_output_file_is_a_reserved_scenario_name(fixture_args):
+    # a scenario's output directory may not take the name of a file beside it
+    config, profile, out = fixture_args
+    assert run_cli("simulate", "--config", config, "--profile", profile,
+                   "--out", out / "run") == 0
+    assert run_cli("scenarios", "--config", config, "--profile", profile,
+                   "--out", out / "runs", "--scenarios", "all") == 0
+    for run in ("run", "runs"):
+        written = {path.name for path in (out / run).iterdir() if path.is_file()}
+        assert written and written <= set(OUTPUT_FILE_NAMES)
 
 
 def test_scenarios_unknown_id_exits_2(fixture_args, capsys):
@@ -857,16 +869,20 @@ def test_a_config_the_draw_found_exits_2_without_a_warning(
 RESOURCE_HEADER = "index,demand_kw,price,grid_available,irradiance_wm2,wind_speed_ms\n"
 
 
-# configs that validate accepted and whose resource conversion then crashed:
-# a NaN power breached the balance (exit 4), an OverflowError escaped from
-# Python's float ** (exit 1), or numpy warned of an overflow (exit 4)
+# configs that validate once accepted and whose resource conversion then
+# crashed: a NaN power breached the balance (exit 4), an OverflowError
+# escaped from Python's float ** (exit 1), or numpy warned of an overflow
+# (exit 4); validate now rejects the first by its shear factor
 @pytest.mark.parametrize("changes,message", [
     ({("wind", "hub_height_m"): "1e300", ("wind", "anemometer_height_m"): "1e-300"},
-     "column wind_kw: step 0 converts to nan, not a finite power"),
+     "wind.shear_exponent: must keep the shear factor (hub_height_m / "
+     "anemometer_height_m) ** shear_exponent finite, got inf ** "
+     "0.14285714285714285"),
     ({("wind", "rated_speed_ms"): "1e200", ("wind", "cut_out_ms"): "1e201"},
-     "column wind_kw: the conversion overflows a float"),
+     "error: profile {profile}: column wind_kw: the conversion overflows a float"),
     ({("wind", "capacity_kw"): "1e308", ("wind", "unit_rated_kw"): "1e308"},
-     "column wind_kw: step 1 converts to inf, not a finite power"),
+     "error: profile {profile}: column wind_kw: step 1 converts to inf, not a "
+     "finite power"),
 ], ids=["shear-overflow", "rated-cube-overflow", "capacity-overflow"])
 @pytest.mark.parametrize("command", ["validate", "simulate"])
 def test_a_resource_conversion_that_overflows_exits_2_without_a_warning(
@@ -884,8 +900,26 @@ def test_a_resource_conversion_that_overflows_exits_2_without_a_warning(
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run_cli(*args) == 2
-    assert f"error: profile {profile}: {message}\n" in capsys.readouterr().err
+    assert message.format(profile=profile) + "\n" in capsys.readouterr().err
     assert not (out / "run").exists()
+
+
+@pytest.mark.parametrize("changes,factor", [
+    ({("wind", "hub_height_m"): "1e300", ("wind", "anemometer_height_m"): "1e-300"},
+     "inf ** 0.14285714285714285"),
+    ({("wind", "hub_height_m"): "1e10", ("wind", "anemometer_height_m"): "1",
+      ("wind", "shear_exponent"): "100"},
+     "10000000000.0 ** 100.0"),
+], ids=["infinite-ratio", "power-overflow"])
+def test_validate_rejects_a_shear_factor_that_is_not_finite(
+        fixture_args, capsys, changes, factor):
+    _, _, out = fixture_args
+    custom = out / "custom.ini"
+    custom.write_text(example_config_text(changes))
+    assert run_cli("validate", "--config", custom) == 2
+    assert capsys.readouterr().err == (
+        "wind.shear_exponent: must keep the shear factor (hub_height_m / "
+        f"anemometer_height_m) ** shear_exponent finite, got {factor}\n")
 
 
 def resource_day() -> str:

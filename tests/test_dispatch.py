@@ -7,15 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mgems.dispatch import (GRID_CONNECTED, ISLANDED, BatteryState,
-                            HorizonArrays, balance_residuals, check_balance,
-                            dispatch_step, initial_state, price_threshold,
-                            run_arrays)
+from mgems.dispatch import (HorizonArrays, balance_residuals, check_balance,
+                            initial_state, price_threshold, run_arrays)
 from mgems.errors import BalanceError
 from mgems.model import EmsConfig
 from mgems.profiles import Profile
-from mgems._kernel import (CHARGE, DG, DISCHARGE, ENERGY, EXPORT, IMPORT,
-                           N_COLUMNS, PV_USED, SOC, UNSERVED)
+from mgems._kernel import (CHARGE, CURTAILED, DG, DISCHARGE, ENERGY, EXPORT,
+                           IMPORT, N_COLUMNS, PV_USED, SOC, UNSERVED,
+                           WIND_USED)
 
 from conftest import DAY_PRICES_CENTS, horizon, make_config
 
@@ -61,12 +60,11 @@ def test_load_threshold_mode_returns_the_load_level():
 
 def test_price_at_the_threshold_charges_from_surplus():
     config = make_config()
-    state = BatteryState.from_soc(0.5, config.battery)
+    energy = 0.5 * config.battery.capacity_kwh
 
     def charge(price):
-        decision, _ = dispatch_step(
-            state, step(demand=50.0, price=price, pv=80.0), 0.25, config)
-        return decision.battery_charge_kw
+        return run_arrays(step(demand=50.0, price=price, pv=80.0), energy,
+                          config, 0.25).columns[0, CHARGE]
 
     assert charge(0.2808) == 0.0  # discharge regime: surplus never charges
     assert charge(0.08496) == 30.0
@@ -75,59 +73,56 @@ def test_price_at_the_threshold_charges_from_surplus():
 
 def test_full_battery_takes_no_charge_and_the_surplus_is_exported():
     config = make_config()
-    full = BatteryState.from_soc(config.battery.soc_max, config.battery)
+    full = config.battery.soc_max * config.battery.capacity_kwh
     surplus = step(demand=50.0, price=0.1, pv=80.0)
-    decision, after = dispatch_step(full, surplus, 0.25, config)
-    assert decision.battery_charge_kw == 0.0
-    assert decision.grid_export_kw == 30.0
-    assert after.energy_kwh == full.energy_kwh
+    row = run_arrays(surplus, full, config, 0.25).columns[0]
+    assert row[CHARGE] == 0.0
+    assert row[EXPORT] == 30.0
+    assert row[ENERGY] == full
     # the band stops the battery only toward its edge
-    decision, _ = dispatch_step(full, step(demand=80.0, price=0.3, pv=50.0),
-                                0.25, config)
-    assert decision.battery_discharge_kw == 30.0
-    inside = BatteryState.from_soc(0.5, config.battery)
-    assert dispatch_step(inside, surplus, 0.25, config)[0] \
-        .battery_charge_kw == 30.0
+    row = run_arrays(step(demand=80.0, price=0.3, pv=50.0), full, config,
+                     0.25).columns[0]
+    assert row[DISCHARGE] == 30.0
+    inside = 0.5 * config.battery.capacity_kwh
+    assert run_arrays(surplus, inside, config, 0.25).columns[0, CHARGE] \
+        == 30.0
 
 
 def test_empty_battery_delivers_nothing_and_the_grid_imports():
     config = make_config()
-    empty = BatteryState.from_soc(config.battery.soc_min, config.battery)
+    empty = config.battery.soc_min * config.battery.capacity_kwh
     deficit = step(demand=80.0, price=0.3, pv=50.0)
-    decision, after = dispatch_step(empty, deficit, 0.25, config)
-    assert decision.battery_discharge_kw == 0.0
-    assert decision.grid_import_kw == 30.0
-    assert after.energy_kwh == empty.energy_kwh
+    row = run_arrays(deficit, empty, config, 0.25).columns[0]
+    assert row[DISCHARGE] == 0.0
+    assert row[IMPORT] == 30.0
+    assert row[ENERGY] == empty
     # the band stops the battery only toward its edge
-    decision, _ = dispatch_step(empty, step(demand=50.0, price=0.1, pv=80.0),
-                                0.25, config)
-    assert decision.battery_charge_kw == 30.0
-    inside = BatteryState.from_soc(0.5, config.battery)
-    assert dispatch_step(inside, deficit, 0.25, config)[0] \
-        .battery_discharge_kw == 30.0
+    row = run_arrays(step(demand=50.0, price=0.1, pv=80.0), empty, config,
+                     0.25).columns[0]
+    assert row[CHARGE] == 30.0
+    inside = 0.5 * config.battery.capacity_kwh
+    assert run_arrays(deficit, inside, config, 0.25).columns[0, DISCHARGE] \
+        == 30.0
 
 
 # --- surplus and the grid ---------------------------------------------------
 
 def test_balanced_step_leaves_the_state_unchanged():
     config = make_config()
-    state = BatteryState.from_soc(0.37, config.battery)
-    decision, after = dispatch_step(
-        state, step(demand=50.0, pv=30.0, wind=20.0), 0.25, config)
-    assert after == state
-    for name in ("battery_charge_kw", "battery_discharge_kw",
-                 "grid_import_kw", "grid_export_kw", "curtailed_kw",
-                 "unserved_kw"):
-        assert getattr(decision, name) == 0.0
+    energy = 0.37 * config.battery.capacity_kwh
+    row = run_arrays(step(demand=50.0, pv=30.0, wind=20.0), energy, config,
+                     0.25).columns[0]
+    assert row[SOC] == 0.37 and row[ENERGY] == energy
+    for column in (CHARGE, DISCHARGE, IMPORT, EXPORT, CURTAILED, UNSERVED):
+        assert row[column] == 0.0
 
 
 def test_deficit_of_example_day_hour_4_is_imported():
     config = make_config()
-    decision, _ = dispatch_step(
-        initial_state(config.battery),
-        step(demand=69.972, price=0.0936, pv=0.0, wind=5.18), 0.25, config)
-    assert decision.battery_discharge_kw == 0.0
-    assert decision.grid_import_kw == pytest.approx(64.792)
+    row = run_arrays(step(demand=69.972, price=0.0936, pv=0.0, wind=5.18),
+                     initial_state(config.battery), config, 0.25).columns[0]
+    assert row[DISCHARGE] == 0.0
+    assert row[IMPORT] == pytest.approx(64.792)
 
 
 def test_net_exchange_sums_the_surplus_over_steps():
@@ -154,28 +149,28 @@ def _whole_band_config():
 
 def test_charge_of_20_kw_for_an_hour_stores_20_sqrt_eta_kwh():
     config = _whole_band_config()
-    state = BatteryState.from_soc(0.5, config.battery)
-    decision, after = dispatch_step(state, step(demand=0.0, pv=20.0), 0.25,
-                                    config)
-    assert decision.battery_charge_kw == 20.0
+    energy = 0.5 * config.battery.capacity_kwh
+    row = run_arrays(step(demand=0.0, pv=20.0), energy, config,
+                     0.25).columns[0]
+    assert row[CHARGE] == 20.0
     gain = 20.0 * math.sqrt(0.9)
-    assert after.energy_kwh == pytest.approx(100.0 + gain, rel=1e-12)
-    assert after.soc == pytest.approx(0.5 + gain / 200.0, rel=1e-12)
+    assert row[ENERGY] == pytest.approx(100.0 + gain, rel=1e-12)
+    assert row[SOC] == pytest.approx(0.5 + gain / 200.0, rel=1e-12)
     assert gain == pytest.approx(18.9737, abs=1e-4)
 
 
 def test_charge_then_discharge_returns_90_percent():
     config = _whole_band_config()
-    state = BatteryState.from_soc(0.5, config.battery)
+    energy = 0.5 * config.battery.capacity_kwh
     absorbed = 20.0
-    _, charged = dispatch_step(state, step(demand=0.0, pv=absorbed), 0.25,
-                               config)
-    stored = charged.energy_kwh - state.energy_kwh
+    charged = run_arrays(step(demand=0.0, pv=absorbed), energy, config,
+                         0.25).columns[0, ENERGY]
+    stored = charged - energy
     delivered = stored * math.sqrt(0.9)
-    decision, discharged = dispatch_step(
-        charged, step(demand=delivered, price=0.3), 0.25, config)
-    assert decision.battery_discharge_kw == delivered
-    assert discharged.energy_kwh == pytest.approx(state.energy_kwh, rel=1e-12)
+    row = run_arrays(step(demand=delivered, price=0.3), charged, config,
+                     0.25).columns[0]
+    assert row[DISCHARGE] == delivered
+    assert row[ENERGY] == pytest.approx(energy, rel=1e-12)
     assert delivered / absorbed == pytest.approx(0.9, rel=1e-12)
 
 
@@ -184,16 +179,14 @@ def test_charge_then_discharge_returns_90_percent():
 def test_dispatch_low_price_surplus_charges_battery():
     # example-day hour 2 shape: cheap power, ample renewables and headroom
     config = make_config()
-    state = BatteryState.from_soc(0.5, config.battery)
-    decision, after = dispatch_step(
-        state, step(demand=73.5, price=0.1224, pv=100.0, wind=50.0),
-        0.25, config)
-    assert decision.battery_charge_kw == pytest.approx(76.5)
-    assert decision.grid_export_kw == 0.0
-    assert decision.curtailed_kw == 0.0
-    assert decision.unserved_kw == 0.0
-    assert decision.mode == "grid-connected"
-    assert after.energy_kwh > state.energy_kwh
+    energy = 0.5 * config.battery.capacity_kwh
+    row = run_arrays(step(demand=73.5, price=0.1224, pv=100.0, wind=50.0),
+                     energy, config, 0.25).columns[0]
+    assert row[CHARGE] == pytest.approx(76.5)
+    assert row[EXPORT] == 0.0
+    assert row[CURTAILED] == 0.0
+    assert row[UNSERVED] == 0.0
+    assert row[ENERGY] > energy
 
 
 def test_dispatch_low_price_surplus_overflows_to_export_then_curtailment():
@@ -201,12 +194,11 @@ def test_dispatch_low_price_surplus_overflows_to_export_then_curtailment():
     battery = dataclasses.replace(config.battery, max_charge_kw=30.0)
     grid = dataclasses.replace(config.grid, export_limit_kw=25.0)
     config = dataclasses.replace(config, battery=battery, grid=grid)
-    decision, _ = dispatch_step(
-        BatteryState.from_soc(0.5, battery),
-        step(demand=73.5, price=0.1224, pv=100.0, wind=50.0), 0.25, config)
-    assert decision.battery_charge_kw == 30.0
-    assert decision.grid_export_kw == 25.0
-    assert decision.curtailed_kw == pytest.approx(21.5)
+    row = run_arrays(step(demand=73.5, price=0.1224, pv=100.0, wind=50.0),
+                     0.5 * battery.capacity_kwh, config, 0.25).columns[0]
+    assert row[CHARGE] == 30.0
+    assert row[EXPORT] == 25.0
+    assert row[CURTAILED] == pytest.approx(21.5)
 
 
 def test_dispatch_high_price_deficit_discharges_then_imports():
@@ -214,82 +206,74 @@ def test_dispatch_high_price_deficit_discharges_then_imports():
     config = make_config()
     battery = dataclasses.replace(config.battery, max_discharge_kw=100.0)
     config = dataclasses.replace(config, battery=battery)
-    decision, _ = dispatch_step(
-        BatteryState.from_soc(0.8, battery),
-        step(demand=211.68, price=0.28872, pv=30.0, wind=20.0), 0.25, config)
-    assert decision.battery_discharge_kw == pytest.approx(100.0)
-    assert decision.grid_import_kw == pytest.approx(61.68)
-    assert decision.grid_export_kw == 0.0
-    assert decision.unserved_kw == 0.0
+    row = run_arrays(step(demand=211.68, price=0.28872, pv=30.0, wind=20.0),
+                     0.8 * battery.capacity_kwh, config, 0.25).columns[0]
+    assert row[DISCHARGE] == pytest.approx(100.0)
+    assert row[IMPORT] == pytest.approx(61.68)
+    assert row[EXPORT] == 0.0
+    assert row[UNSERVED] == 0.0
 
 
 def test_dispatch_high_price_surplus_exports_without_charging():
     config = make_config()
-    decision, after = dispatch_step(
-        BatteryState.from_soc(0.5, config.battery),
-        step(demand=87.024, price=0.27, pv=220.0, wind=30.0), 0.2628, config)
-    assert decision.battery_charge_kw == 0.0
-    assert decision.grid_export_kw == pytest.approx(162.976)
-    assert after.soc == 0.5
+    row = run_arrays(step(demand=87.024, price=0.27, pv=220.0, wind=30.0),
+                     0.5 * config.battery.capacity_kwh, config,
+                     0.2628).columns[0]
+    assert row[CHARGE] == 0.0
+    assert row[EXPORT] == pytest.approx(162.976)
+    assert row[SOC] == 0.5
 
 
 def test_dispatch_islanded_deficit_uses_dg_then_unserved():
     # example-day hour 17 shape: outage with a drained battery
     config = make_config()
-    decision, _ = dispatch_step(
-        initial_state(config.battery),
+    row = run_arrays(
         step(demand=182.28, price=0.23256, grid=False, pv=20.0, wind=10.0),
-        0.2628, config)
-    assert decision.mode == "islanded"
-    assert decision.battery_discharge_kw == 0.0
-    assert decision.dg_kw == pytest.approx(60.0)
-    assert decision.unserved_kw == pytest.approx(92.28)
-    assert decision.grid_import_kw == 0.0
-    assert decision.grid_export_kw == 0.0
+        initial_state(config.battery), config, 0.2628).columns[0]
+    assert row[DISCHARGE] == 0.0
+    assert row[DG] == pytest.approx(60.0)
+    assert row[UNSERVED] == pytest.approx(92.28)
+    assert row[IMPORT] == 0.0
+    assert row[EXPORT] == 0.0
 
 
 def test_dispatch_islanded_surplus_charges_then_curtails():
     config = make_config()
     battery = dataclasses.replace(config.battery, max_charge_kw=40.0)
     config = dataclasses.replace(config, battery=battery)
-    decision, _ = dispatch_step(
-        BatteryState.from_soc(0.5, battery),
+    row = run_arrays(
         step(demand=50.0, price=0.1, grid=False, pv=100.0, wind=20.0),
-        0.25, config)
-    assert decision.battery_charge_kw == 40.0
-    assert decision.curtailed_kw == pytest.approx(30.0)
-    assert decision.grid_export_kw == 0.0
+        0.5 * battery.capacity_kwh, config, 0.25).columns[0]
+    assert row[CHARGE] == 40.0
+    assert row[CURTAILED] == pytest.approx(30.0)
+    assert row[EXPORT] == 0.0
 
 
 def test_dispatch_min_loading_keeps_dg_off_below_threshold():
     config = make_config()
     diesel = dataclasses.replace(config.diesel, min_loading_fraction=0.5)
     config = dataclasses.replace(config, diesel=diesel)
-    decision, _ = dispatch_step(
-        initial_state(config.battery),
-        step(demand=20.0, price=0.1, grid=False), 0.25, config)
-    assert decision.dg_kw == 0.0  # 20 kW < 50% of 60 kW: unit stays off
-    assert decision.unserved_kw == pytest.approx(20.0)
-    decision, _ = dispatch_step(
-        initial_state(config.battery),
-        step(demand=40.0, price=0.1, grid=False), 0.25, config)
-    assert decision.dg_kw == pytest.approx(40.0)
+    row = run_arrays(step(demand=20.0, price=0.1, grid=False),
+                     initial_state(config.battery), config, 0.25).columns[0]
+    assert row[DG] == 0.0  # 20 kW < 50% of 60 kW: unit stays off
+    assert row[UNSERVED] == pytest.approx(20.0)
+    row = run_arrays(step(demand=40.0, price=0.1, grid=False),
+                     initial_state(config.battery), config, 0.25).columns[0]
+    assert row[DG] == pytest.approx(40.0)
 
 
 def test_dispatch_load_threshold_mode_compares_demand():
     config = make_config(ems=EmsConfig(threshold_mode="load-threshold",
                                        load_threshold_kw=150.0))
-    battery = dataclasses.replace(config.battery)
-    state = BatteryState.from_soc(0.8, battery)
+    capacity = config.battery.capacity_kwh
     # above the load threshold: discharge regime even at a cheap price
-    decision, _ = dispatch_step(
-        state, step(demand=200.0, price=0.01, pv=0.0), 150.0, config)
-    assert decision.battery_discharge_kw > 0.0
+    row = run_arrays(step(demand=200.0, price=0.01, pv=0.0), 0.8 * capacity,
+                     config, 150.0).columns[0]
+    assert row[DISCHARGE] > 0.0
     # below it: surplus charges
-    decision, _ = dispatch_step(
-        BatteryState.from_soc(0.5, battery),
-        step(demand=100.0, price=0.01, pv=120.0), 150.0, config)
-    assert decision.battery_charge_kw == pytest.approx(20.0)
+    row = run_arrays(step(demand=100.0, price=0.01, pv=120.0),
+                     0.5 * capacity, config, 150.0).columns[0]
+    assert row[CHARGE] == pytest.approx(20.0)
 
 
 # --- horizons ---------------------------------------------------------------
@@ -300,15 +284,7 @@ def test_run_arrays_zero_step():
     initial = initial_state(config.battery)
     (row,) = run_arrays(step(), initial, config).columns
     assert row[:UNSERVED + 1].tolist() == [0.0] * 9
-    assert row[ENERGY] == initial.energy_kwh
-
-
-@pytest.mark.parametrize("demand", [[], [10.0, 20.0]], ids=["empty", "two"])
-def test_dispatch_step_takes_exactly_one_step(demand):
-    config = make_config()
-    with pytest.raises(ValueError, match=f"one-step profile, got {len(demand)} "):
-        dispatch_step(initial_state(config.battery), step(demand=demand), 0.25,
-                      config)
+    assert row[ENERGY] == initial
 
 
 def test_run_arrays_rejects_empty_inputs():
@@ -337,16 +313,13 @@ def test_run_arrays_stores_the_trace_column_major(example_config,
 def test_run_arrays_matches_scalar_fold(example_config, example_inputs):
     config = example_config.config
     threshold = price_threshold(example_inputs.price, config.ems)
-    state = initial_state(config.battery)
+    energy = initial_state(config.battery)
     folded = []
     for i in range(len(example_inputs)):
-        decision, state = dispatch_step(state, example_inputs[i:i + 1],
-                                        threshold, config)
-        folded.append([*dataclasses.astuple(decision)[:-1], state.soc,
-                       state.energy_kwh])
-        assert decision.mode == (GRID_CONNECTED
-                                 if example_inputs.grid_available[i]
-                                 else ISLANDED)
+        row = run_arrays(example_inputs[i:i + 1], energy, config,
+                         threshold).columns[0].tolist()
+        folded.append(row)
+        energy = row[ENERGY]
     assert run_arrays(example_inputs, initial_state(config.battery),
                       config).columns.tolist() == folded
 
@@ -416,7 +389,7 @@ def test_battery_energy_conservation_over_long_horizon():
     dt = config.step_hours
     stored_delta = (trace.columns[:, CHARGE].sum() * sqrt_eta * dt
                     - trace.columns[:, DISCHARGE].sum() / sqrt_eta * dt)
-    drift = abs(stored_delta - (trace.columns[-1, ENERGY] - initial.energy_kwh))
+    drift = abs(stored_delta - (trace.columns[-1, ENERGY] - initial))
     assert drift <= 1e-6
 
 
@@ -428,15 +401,13 @@ def test_battery_energy_conservation_over_long_horizon():
 def test_single_step_balance_property(demand, renewables, price, grid, soc0):
     config = make_config(ems=EmsConfig(threshold_mode="fixed-price",
                                        fixed_threshold=0.25))
-    state = BatteryState.from_soc(soc0, config.battery)
-    decision, _ = dispatch_step(
-        state, step(demand=demand, price=price, grid=grid, pv=renewables),
-        0.25, config)
-    supply = (decision.pv_used_kw + decision.wind_used_kw
-              + decision.battery_discharge_kw + decision.dg_kw
-              + decision.grid_import_kw)
-    load = ((demand - decision.unserved_kw) + decision.battery_charge_kw
-            + decision.grid_export_kw)
+    row = run_arrays(step(demand=demand, price=price, grid=grid,
+                          pv=renewables),
+                     soc0 * config.battery.capacity_kwh, config,
+                     0.25).columns[0]
+    supply = (row[PV_USED] + row[WIND_USED] + row[DISCHARGE] + row[DG]
+              + row[IMPORT])
+    load = (demand - row[UNSERVED]) + row[CHARGE] + row[EXPORT]
     assert supply == pytest.approx(load, abs=1e-6)
 
 

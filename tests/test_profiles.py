@@ -299,6 +299,17 @@ def test_resource_conversion_equals_scalar_models_bitwise(rows, wind_spec):
         _bits([wind_power(ws, wind_spec) for _, ws in rows])
 
 
+def test_a_calm_profile_converts_where_the_curve_cubes_overflow():
+    # rated_speed_ms ** 3 overflows a float, but no step is on the ramp
+    wind_spec = dataclasses.replace(WT, rated_speed_ms=1e200, cut_out_ms=1e201)
+    records = ResourceProfile(demand_kw=[10.0, 10.0], price=[0.1, 0.1],
+                              grid_available=[1, 1], irradiance_wm2=[0.0, 0.0],
+                              wind_speed_ms=[0.0, 1.0])
+    profile = resource_to_inputs(records, make_config(pv=PV, wind=wind_spec))
+    assert _bits(profile.wind_kw) == \
+        _bits([wind_power(ws, wind_spec) for ws in (0.0, 1.0)]) == _bits([0.0, 0.0])
+
+
 finite_value = st.floats(min_value=0, max_value=1e9, allow_nan=False,
                          allow_infinity=False)
 

@@ -8,8 +8,7 @@ the trace.csv format, and so of the golden files.
 """
 
 from mgems._kernel import SOC
-from mgems.cli import TRACE_HEADER
-from mgems.dispatch import GRID_CONNECTED, ISLANDED
+from mgems.cli import GRID_CONNECTED, ISLANDED, TRACE_HEADER
 
 
 def trace_csv_reference(inputs, trace) -> bytes:
