@@ -216,7 +216,10 @@ class ValidationReport:
 
 
 def _finite(value) -> bool:
-    return isinstance(value, (int, float)) and math.isfinite(value)
+    try:
+        return isinstance(value, (int, float)) and math.isfinite(value)
+    except OverflowError:  # an int beyond any float
+        return False
 
 
 class _Checker:

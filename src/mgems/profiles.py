@@ -14,7 +14,8 @@ A parsed horizon is held column by column: a Profile (dispatch inputs) or a
 ResourceProfile (raw measurements) keeps one read-only array per field, so
 scenario runs can share the columns they do not change. A horizon has a
 length and slices into a shorter horizon that shares its columns; it is
-the only input type the other modules take.
+the only input type the other modules take. However it is built, a
+horizon checks its own values (see _frozen_column).
 """
 
 from __future__ import annotations
@@ -43,13 +44,22 @@ PRICE_CENTS = "cents_per_kwh"
 STANDARD_IRRADIANCE_WM2 = 1000.0
 
 
-def _frozen_column(values, dtype) -> np.ndarray:
-    """``values`` as a contiguous read-only 1-D array; writable input is copied."""
-    array = np.asarray(values, dtype=dtype)
+def _frozen_column(name: str, values) -> np.ndarray:
+    """Column ``name`` as a contiguous read-only 1-D array; writable input is
+    copied. The horizon's one rule: each value is finite and >= 0, and each
+    of grid_available's is 0 or 1, judged before its uint8 cast."""
+    flags = name == "grid_available"
+    array = np.asarray(values, dtype=None if flags else np.float64)
     if array.ndim != 1:
         raise ValueError(f"a profile column must be 1-D, got shape {array.shape}")
+    valid = (array == 0) | (array == 1) if flags else (array >= 0) & (array < np.inf)
+    if not valid.all():
+        step = int(np.argmin(valid))
+        raise ValueError(f"column {name}: step {step} is {array[step]}, expected "
+                         + ("0 or 1" if flags else "a finite number >= 0"))
+    array = np.asarray(array, dtype=np.uint8 if flags else np.float64)
     if array.flags.writeable or not array.flags.c_contiguous:
-        array = np.array(array, dtype=dtype, order="C")
+        array = np.array(array, order="C")
         array.setflags(write=False)
     return array
 
@@ -64,8 +74,7 @@ class _Columns:
     def __post_init__(self) -> None:
         length = None
         for field in fields(self):
-            dtype = np.uint8 if field.name == "grid_available" else np.float64
-            column = _frozen_column(getattr(self, field.name), dtype)
+            column = _frozen_column(field.name, getattr(self, field.name))
             if length is None:
                 length = len(column)
             elif len(column) != length:
@@ -253,6 +262,7 @@ def _read_cells(block: bytes, out: np.ndarray) -> int | None:
     # the separator scan shows six cells a line, each one JSON number
     rows = out[:len(separators)]
     rows.reshape(-1)[:] = cells
+    # _frozen_column's rule, checked here so that _parse_rows names the line
     if not (np.isfinite(rows).all() and (rows[:, 1:] >= 0).all()):
         return None
     return len(rows)
@@ -312,9 +322,6 @@ def _pv_power_column(irradiance_wm2: np.ndarray, spec: PvSpec) -> np.ndarray:
     Bit-identical to the scalar pv_power in tests/resource_reference.py:
     the same operations in the same order.
     """
-    if np.any(irradiance_wm2 < 0):
-        raise ValueError("irradiance must be >= 0, got "
-                         f"{irradiance_wm2[irradiance_wm2 < 0][0]}")
     ratio = np.minimum(irradiance_wm2 / STANDARD_IRRADIANCE_WM2, 1.0)
     return spec.capacity_kw * spec.derating_factor * ratio
 
@@ -326,8 +333,6 @@ def _wind_power_column(speed_ms: np.ndarray, spec: WindSpec) -> np.ndarray:
     Bit-identical to the scalar wind_power in tests/resource_reference.py:
     the same operations in the same order.
     """
-    if np.any(speed_ms < 0):
-        raise ValueError(f"wind speed must be >= 0, got {speed_ms[speed_ms < 0][0]}")
     v = speed_ms * (spec.hub_height_m / spec.anemometer_height_m) ** spec.shear_exponent
     running = ~((v < spec.cut_in_ms) | (v >= spec.cut_out_ms))
     at_rated = v >= spec.rated_speed_ms
@@ -346,20 +351,14 @@ def _wind_power_column(speed_ms: np.ndarray, spec: WindSpec) -> np.ndarray:
 
 
 def _power_column(name: str, convert, values: np.ndarray, spec) -> np.ndarray:
-    """``convert(values, spec)`` read-only, so a Profile takes it uncopied;
-    an overflow or a power that is not finite raises ValueError, not a
-    warning."""
+    """``convert(values, spec)`` read-only, so a Profile takes it uncopied and
+    judges it; an overflow raises ValueError, not a warning."""
     with np.errstate(all="ignore"):
         try:
             power = convert(values, spec)
         except OverflowError:  # from Python's float **, kept for its bits
             raise ValueError(f"column {name}: the conversion overflows "
                              "a float") from None
-    finite = np.isfinite(power)
-    if not finite.all():
-        step = int(np.argmin(finite))
-        raise ValueError(f"column {name}: step {step} converts to "
-                         f"{float(power[step])}, not a finite power")
     power.setflags(write=False)
     return power
 

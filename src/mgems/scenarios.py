@@ -162,9 +162,10 @@ def apply_scenario(inputs: Profile, config: MicrogridConfig,
     Demand/PV/wind columns scale pointwise, the outage window (step
     positions) forces grid unavailability, and the fuel price scales;
     everything else passes through unchanged. A value validate_scenario
-    rejects, an outage window that does not fit the horizon, or a scaled
-    column or fuel price that is not finite raises ValueError prefixed with
-    the scenario id; its __cause__ is the error without the prefix.
+    rejects, an outage window that does not fit the horizon, a scaled column
+    the Profile rejects, or a fuel price that is not finite raises
+    ValueError prefixed with the scenario id; its __cause__ is the error
+    without the prefix.
     """
     grid_available = inputs.grid_available
     try:
@@ -177,18 +178,15 @@ def apply_scenario(inputs: Profile, config: MicrogridConfig,
         factors = {"demand_kw": scenario.demand_multiplier,
                    "pv_kw": scenario.pv_multiplier,
                    "wind_kw": scenario.wind_multiplier}
-        # an overflow is named below by its first step, not warned about;
-        # a column left at a multiplier of 1 is the base's own
+        # the Profile below names an overflow (not warned of) before the fuel
+        # price does; a column left at a multiplier of 1 is the base's own
         with np.errstate(over="ignore"):
             columns = {name: getattr(inputs, name) * factor if factor != 1
                        else getattr(inputs, name)
                        for name, factor in factors.items()}
-        for name, column in columns.items():
+        for column in columns.values():
             column.setflags(write=False)
-            finite = np.isfinite(column)
-            if not finite.all():
-                raise ValueError(f"{name} scaled by {factors[name]} is not "
-                                 f"finite at step {int(np.argmin(finite))}")
+        scaled = replace(inputs, grid_available=grid_available, **columns)
         fuel_cost = (config.diesel.fuel_cost_per_kwh
                      * scenario.fuel_price_multiplier)
         if not math.isfinite(fuel_cost):
@@ -196,7 +194,6 @@ def apply_scenario(inputs: Profile, config: MicrogridConfig,
                              f"{scenario.fuel_price_multiplier} is not finite")
     except ValueError as exc:
         raise ValueError(f"scenario {scenario.id}: {exc}") from exc
-    scaled = replace(inputs, grid_available=grid_available, **columns)
     new_config = replace(config, diesel=replace(config.diesel,
                                                 fuel_cost_per_kwh=fuel_cost))
     return scaled, new_config

@@ -881,8 +881,8 @@ RESOURCE_HEADER = "index,demand_kw,price,grid_available,irradiance_wm2,wind_spee
     ({("wind", "rated_speed_ms"): "1e200", ("wind", "cut_out_ms"): "1e201"},
      "error: profile {profile}: column wind_kw: the conversion overflows a float"),
     ({("wind", "capacity_kw"): "1e308", ("wind", "unit_rated_kw"): "1e308"},
-     "error: profile {profile}: column wind_kw: step 1 converts to inf, not a "
-     "finite power"),
+     "error: profile {profile}: column wind_kw: step 1 is inf, expected a "
+     "finite number >= 0"),
 ], ids=["shear-overflow", "rated-cube-overflow", "capacity-overflow"])
 @pytest.mark.parametrize("command", ["validate", "simulate"])
 def test_a_resource_conversion_that_overflows_exits_2_without_a_warning(

@@ -2,16 +2,19 @@
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import mgems._kernel as pykernel
 from mgems.dispatch import (HorizonArrays, balance_residuals, check_balance,
                             initial_state, price_threshold, run_arrays)
 from mgems.errors import BalanceError
 from mgems.model import EmsConfig
 from mgems.profiles import Profile
+from mgems.scenarios import apply_scenario, builtin_scenario
 from mgems._kernel import (CHARGE, CURTAILED, DG, DISCHARGE, ENERGY, EXPORT,
                            IMPORT, N_COLUMNS, PV_USED, SOC, UNSERVED,
                            WIND_USED)
@@ -324,6 +327,85 @@ def test_run_arrays_matches_scalar_fold(example_config, example_inputs):
                       config).columns.tolist() == folded
 
 
+# --- a run split at any step and resumed is the same run --------------------
+
+def assert_resumed_runs_are_the_run(inputs, config, splits):
+    """Each split k: inputs[:k] from the initial state, then inputs[k:]
+    from the first part's last stored energy, both at the whole horizon's
+    threshold, joins to the one-piece run bit for bit."""
+    whole = run_arrays(inputs, initial_state(config.battery), config)
+    for k in splits:
+        first = run_arrays(inputs[:k], initial_state(config.battery), config,
+                           whole.threshold)
+        rest = run_arrays(inputs[k:], first.columns[-1, ENERGY], config,
+                          whole.threshold)
+        joined = np.concatenate((first.columns, rest.columns))
+        assert joined.tobytes() == whole.columns.tobytes(), f"split at {k}"
+
+
+def skipped_stretches(inputs, config):
+    """(first, stop) of each stretch the kernel skips in a one-piece run."""
+    stretches = []
+    fill_skipped = pykernel._fill_skipped
+
+    def spy(skipped, *columns):
+        stretches.extend(np.frombuffer(skipped, np.int64).reshape(-1, 2).tolist())
+        return fill_skipped(skipped, *columns)
+
+    with mock.patch.object(pykernel, "_fill_skipped", spy):
+        run_arrays(inputs, initial_state(config.battery), config)
+    return stretches
+
+
+@pytest.mark.parametrize("scenario_id", [None, "S1", "S2", "S3"])
+def test_a_run_resumed_at_a_skipped_stretchs_edge_is_the_same_run(
+        example_config, example_inputs, scenario_id):
+    # the example day for a month: the battery sits pinned for hours a day
+    month = Profile(*(np.tile(getattr(example_inputs, field.name), 30)
+                      for field in dataclasses.fields(Profile)))
+    config = example_config.config
+    if scenario_id is not None:
+        month, config = apply_scenario(month, config,
+                                       builtin_scenario(scenario_id))
+    stretches = skipped_stretches(month, config)
+    assert sum(stop - first for first, stop in stretches) > len(month) // 4
+    # resume at the first, at the last and just after each skipped step
+    assert_resumed_runs_are_the_run(month, config, sorted(
+        {k for first, stop in stretches for k in (first, stop - 1, stop)}
+        - {len(month)}))
+
+
+@st.composite
+def split_runs(draw):
+    """A horizon of ties, zeros and free rows, a battery, and a split."""
+    rows = draw(st.lists(st.tuples(
+        st.floats(0.0, 400.0), st.floats(0.0, 300.0), st.floats(0.0, 200.0),
+        st.booleans(), st.floats(0.0, 0.6),
+        st.sampled_from(["free", "tie", "zero"])), min_size=2, max_size=40))
+    columns = []
+    for demand, pv, wind, grid, price, shape in rows:
+        if shape == "zero":
+            demand = pv = wind = 0.0
+        elif shape == "tie":
+            demand = pv + wind
+        columns.append((demand, price, grid, pv, wind))
+    soc_min = draw(st.floats(0.0, 0.4))
+    config = make_config()
+    config = dataclasses.replace(config, battery=dataclasses.replace(
+        config.battery, capacity_kwh=draw(st.floats(0.0, 900.0)),
+        soc_min=soc_min, soc_max=draw(st.floats(soc_min + 0.05, 1.0)),
+        max_charge_kw=draw(st.floats(0.0, 200.0)),
+        max_discharge_kw=draw(st.floats(0.0, 300.0))))
+    return Profile(*zip(*columns)), config, draw(st.integers(1, len(rows) - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(split_runs())
+def test_a_run_split_at_any_step_and_resumed_is_the_same_run(case):
+    inputs, config, k = case
+    assert_resumed_runs_are_the_run(inputs, config, [k])
+
+
 # --- randomized invariants --------------------------------------------------
 
 def random_horizon(rng, config, n=None):
@@ -412,10 +494,13 @@ def test_single_step_balance_property(demand, renewables, price, grid, soc0):
 
 
 def test_check_balance_rejects_a_nan_residual():
+    # a Profile holds no NaN: the NaN is planted in the trace's columns
     config = make_config()
-    inputs = step(demand=[50.0, float("nan")])
+    inputs = step(demand=[50.0, 60.0])
     trace = run_arrays(inputs, initial_state(config.battery), config)
-    with pytest.raises(BalanceError, match="at step 1"):
+    check_balance(trace, inputs, config)
+    trace.columns[1, IMPORT] = float("nan")
+    with pytest.raises(BalanceError, match=r"residual nan kW at step 1 "):
         check_balance(trace, inputs, config)
 
 

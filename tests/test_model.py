@@ -227,3 +227,12 @@ def test_violations_are_listed_by_section_then_field_then_cross_field_check():
         "pv.lifetime_years: must be >= project_lifetime_years / 100 (0.25), got 0.2",
         "emissions.grid.co2: must be >= 0, got -0.1",
         "step_hours: must be in [1/3600, 8760.0] (one second to one year), got 0.0"]
+
+
+@pytest.mark.parametrize("section,name", [
+    ("pv", "capacity_kw"), ("economics", "project_lifetime_years")])
+def test_an_int_beyond_any_float_is_not_a_finite_number(section, name):
+    huge = 10**400
+    config = replace_spec(make_config(), section, **{name: huge})
+    assert [str(v) for v in validate_config(config).violations] == [
+        f"{section}.{name}: must be a finite number, got {huge!r}"]

@@ -197,8 +197,8 @@ def test_a_conversion_hands_its_new_columns_to_the_profile_uncopied():
     received = []
     real_frozen_column = profiles._frozen_column
 
-    def frozen_column(values, dtype):
-        column = real_frozen_column(values, dtype)
+    def frozen_column(name, values):
+        column = real_frozen_column(name, values)
         received.append((values, column))
         return column
 
@@ -264,6 +264,79 @@ def test_profile_does_not_alias_a_writable_source():
 def test_profile_columns_must_have_equal_length():
     with pytest.raises(ValueError, match="column price"):
         Profile([1.0, 2.0], [0.1], [1, 1], [0.0, 0.0], [0.0, 0.0])
+
+
+def two_steps(kind, **columns):
+    """A two-step horizon of ``kind`` with valid values but for ``columns``."""
+    valid = ([5.0, 6.0], [0.1, 0.2], [1, 0], [0.0, 3.0], [1.0, 0.0])
+    names = [field.name for field in dataclasses.fields(kind)]
+    return kind(**{**dict(zip(names, valid)), **columns})
+
+
+NOT_A_FLOW = "expected a finite number >= 0"
+NOT_A_FLAG = "expected 0 or 1"
+
+# a column, its values and the error's text after "column NAME: "
+SHARED_BREAKS = [
+    ("demand_kw", [-100, 100], f"step 0 is -100.0, {NOT_A_FLOW}"),
+    ("demand_kw", [5.0, -1e-10], f"step 1 is -1e-10, {NOT_A_FLOW}"),
+    ("price", [0.1, float("inf")], f"step 1 is inf, {NOT_A_FLOW}"),
+    ("price", [float("nan"), 0.1], f"step 0 is nan, {NOT_A_FLOW}"),
+    ("grid_available", [2, 1], f"step 0 is 2, {NOT_A_FLAG}"),
+    ("grid_available", [1, 0.5], f"step 1 is 0.5, {NOT_A_FLAG}"),
+    ("grid_available", [257.0, 1], f"step 0 is 257.0, {NOT_A_FLAG}"),
+    ("grid_available", [256, 1], f"step 0 is 256, {NOT_A_FLAG}"),
+    ("grid_available", np.array([257, 1]), f"step 0 is 257, {NOT_A_FLAG}"),
+    ("grid_available", [1, -1], f"step 1 is -1, {NOT_A_FLAG}"),
+    ("grid_available", [1.0, float("nan")], f"step 1 is nan, {NOT_A_FLAG}"),
+]
+RULE_BREAKS = (
+    [pytest.param(Profile, *b, id=f"Profile-{b[0]}-{b[2]}") for b in SHARED_BREAKS
+     + [("pv_kw", [float("nan"), 0.0], f"step 0 is nan, {NOT_A_FLOW}"),
+        ("wind_kw", [0.0, -math.inf], f"step 1 is -inf, {NOT_A_FLOW}")]]
+    + [pytest.param(ResourceProfile, *b, id=f"ResourceProfile-{b[0]}-{b[2]}")
+       for b in SHARED_BREAKS
+       + [("irradiance_wm2", [0.0, -1.0], f"step 1 is -1.0, {NOT_A_FLOW}"),
+          ("wind_speed_ms", [-5e-324, 0.0], f"step 0 is -5e-324, {NOT_A_FLOW}")]])
+
+
+@pytest.mark.parametrize("kind,name,values,message", RULE_BREAKS)
+def test_a_horizon_rejects_a_value_outside_the_column_rule(kind, name, values,
+                                                           message):
+    with pytest.raises(ValueError) as exc:
+        two_steps(kind, **{name: values})
+    assert str(exc.value) == f"column {name}: {message}"
+
+
+# the smallest and largest negative floats, one between, and the
+# non-finite values: each is rejected in every float column
+OUTSIDE_A_FLOW = [-5e-324, -2.2250738585072014e-308, -1e-10,
+                  -1.7976931348623157e308, float("nan"), float("inf"),
+                  float("-inf")]
+
+
+@pytest.mark.parametrize("value", OUTSIDE_A_FLOW, ids=repr)
+@pytest.mark.parametrize("kind,name", [
+    (Profile, "demand_kw"), (Profile, "price"), (Profile, "pv_kw"),
+    (Profile, "wind_kw"), (ResourceProfile, "irradiance_wm2"),
+    (ResourceProfile, "wind_speed_ms")])
+def test_every_float_column_rejects_a_negative_or_non_finite_value(
+        kind, name, value):
+    with pytest.raises(ValueError) as exc:
+        two_steps(kind, **{name: np.array([1.0, value])})
+    assert str(exc.value) == f"column {name}: step 1 is {value!r}, {NOT_A_FLOW}"
+
+
+@pytest.mark.parametrize("kind", [Profile, ResourceProfile])
+def test_a_horizon_accepts_negative_zero_and_flags_of_any_type(kind):
+    names = [field.name for field in dataclasses.fields(kind)]
+    zeros = two_steps(kind, **{name: [-0.0, 1.0] for name in names})
+    for name in names:
+        if name != "grid_available":
+            assert math.copysign(1.0, getattr(zeros, name)[0]) == -1.0
+    for flags in ([True, False], [1.0, -0.0], np.array([1, 0], dtype=np.int64)):
+        grid = two_steps(kind, grid_available=flags).grid_available
+        assert grid.dtype == np.uint8 and grid.tolist() == [1, 0]
 
 
 # --- exactness of the column arithmetic --------------------------------------

@@ -347,8 +347,8 @@ def test_a_scenario_hands_its_new_columns_to_the_profile_uncopied(
     received = []
     real_frozen_column = profiles._frozen_column
 
-    def frozen_column(values, dtype):
-        column = real_frozen_column(values, dtype)
+    def frozen_column(name, values):
+        column = real_frozen_column(name, values)
         received.append((values, column))
         return column
 
@@ -837,6 +837,34 @@ def test_a_split_equals_one_process_for_any_matrix(drawn):
     assert_no_child_left()
 
 
+def assert_order_free(inputs, config, matrix, permuted):
+    """``permuted`` gives each id the outcome ``matrix`` does, in one
+    process and split; only the outcomes' order follows it."""
+    want = in_one_process(inputs, config, matrix)
+    with split_from(2), mock.patch.object(os, "fork", wraps=os.fork) as fork:
+        split = run_matrix(inputs, config, permuted)
+    runs = sum(outcome.error is None for outcome in want.values())
+    assert fork.call_count == int(runs >= 2)
+    assert_no_child_left()
+    for got in (in_one_process(inputs, config, permuted), split):
+        assert list(got) == [BASE_KEY] + [s.id for s in permuted]
+        assert_same_outcomes({key: got[key] for key in want}, want)
+
+
+def test_the_example_matrix_in_reverse_order_gives_the_same_outcomes(
+        example_config, example_inputs):
+    assert_order_free(example_inputs, example_config.config, MIXED,
+                      MIXED[::-1])
+
+
+@settings(max_examples=10, deadline=None)
+@given(matrices(), st.data())
+def test_scenario_order_does_not_change_any_outcome(drawn, data):
+    inputs, config, matrix = drawn
+    assert_order_free(inputs, config, matrix,
+                      data.draw(st.permutations(matrix)))
+
+
 def _kernel_failing_for(demand0, error):
     """A _kernel_run that raises ``error`` for the run whose first demand
     is ``demand0`` and runs the kernel for every other."""
@@ -1017,7 +1045,7 @@ def test_a_scaled_column_that_is_not_finite_is_named(multiplier, column):
     scenario = Scenario(id="X", **{multiplier: 1e301})
     with pytest.raises(ValueError) as exc:
         apply_scenario(inputs, make_config(), scenario)
-    cause = f"{column} scaled by 1e+301 is not finite at step 1"
+    cause = f"column {column}: step 1 is inf, expected a finite number >= 0"
     assert str(exc.value) == f"scenario X: {cause}"
     assert str(exc.value.__cause__) == cause
     outcome = run_matrix(inputs, make_config(), [scenario])["X"]
@@ -1041,6 +1069,16 @@ def test_a_scaled_fuel_price_that_is_not_finite_is_named():
     assert scaled.diesel.fuel_cost_per_kwh == 1e300 * 1e8
 
 
+def test_a_scaled_column_is_named_before_a_scaled_fuel_price():
+    scenario = Scenario(id="B", demand_multiplier=1e308,
+                        fuel_price_multiplier=1e308)
+    with pytest.raises(ValueError) as exc:
+        apply_scenario(day(), replace_fuel(make_config(), 2.0), scenario)
+    cause = "column demand_kw: step 0 is inf, expected a finite number >= 0"
+    assert str(exc.value) == f"scenario B: {cause}"
+    assert str(exc.value.__cause__) == cause
+
+
 def test_scenarios_names_a_scaled_demand_that_is_not_finite(tmp_path, capsys):
     config = tmp_path / "config.ini"
     config.write_text(data_path("example_config.ini").read_text()
@@ -1049,5 +1087,5 @@ def test_scenarios_names_a_scaled_demand_that_is_not_finite(tmp_path, capsys):
                  str(data_path("example_day.csv")), "--out",
                  str(tmp_path / "runs"), "--scenarios", "X"]) == 0
     assert capsys.readouterr().err == (
-        "scenario X failed: scenario X: demand_kw scaled by 1e+308 is not "
-        "finite at step 0\n")
+        "scenario X failed: scenario X: column demand_kw: step 0 is inf, "
+        "expected a finite number >= 0\n")
