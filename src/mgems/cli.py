@@ -29,12 +29,12 @@ from .dispatch import (HorizonArrays, check_balance, initial_state,
                        price_threshold, run_arrays)
 from .errors import BalanceError, MgemsError, ProfileFormatError
 from .metrics import build_report
-from .model import MicrogridConfig, validate_config
-from .profiles import (GENERATION_HEADER, GENERATION_MODE, PRICE_CENTS,
-                       RESOURCE_MODE, Profile, load_profile)
-from .scenarios import (BASE_KEY, BUILTIN_IDS, DELTA_METRICS, OutageSpec,
-                        Scenario, builtin_scenario, run_matrix,
-                        validate_scenario)
+from .model import (BASE_KEY, PRICE_CENTS, MicrogridConfig, OutageSpec,
+                    Scenario, validate_config, validate_scenario)
+from .profiles import (GENERATION_HEADER, GENERATION_MODE, RESOURCE_MODE,
+                       Profile, load_profile)
+from .scenarios import (BUILTIN_IDS, DELTA_METRICS, builtin_scenario,
+                        run_matrix)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2

@@ -15,11 +15,10 @@ from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigFileError
-from .model import (BatterySpec, DieselSpec, EconomicsConfig, EmissionFactors,
-                    EmsConfig, GridSpec, MicrogridConfig, POLLUTANTS, PvSpec,
-                    WindSpec)
-from .profiles import PRICE_CENTS, PRICE_CURRENCY
-from .scenarios import BASE_KEY, MULTIPLIERS, OutageSpec, Scenario
+from .model import (BASE_KEY, MULTIPLIERS, POLLUTANTS, PRICE_CENTS,
+                    PRICE_CURRENCY, BatterySpec, DieselSpec, EconomicsConfig,
+                    EmissionFactors, EmsConfig, GridSpec, MicrogridConfig,
+                    OutageSpec, PvSpec, Scenario, WindSpec)
 
 SCENARIO_PREFIX = "scenario:"
 
@@ -153,17 +152,14 @@ def _scenario_name(section: str, taken: dict[str, Scenario]) -> str:
 def _load_scenario(parser: configparser.ConfigParser, section_name: str,
                    name: str) -> Scenario:
     section = _Section(parser, section_name)
-    outage_start = section.integer("outage_start", None)
-    outage_steps = section.integer("outage_steps", None)
-    outage_hours = section.number("outage_hours", None)
-    outage = None
-    if outage_steps is not None or outage_hours is not None or outage_start is not None:
-        if outage_steps is None and outage_hours is None:
-            raise ConfigFileError(
-                f"[{section.name}] outage_start needs outage_steps or outage_hours")
-        outage = OutageSpec(start_step=outage_start,
-                            duration_steps=outage_steps,
-                            duration_hours=outage_hours)
+    outage = OutageSpec(start_step=section.integer("outage_start", None),
+                        duration_steps=section.integer("outage_steps", None),
+                        duration_hours=section.number("outage_hours", None))
+    if outage == OutageSpec():
+        outage = None
+    elif outage.duration_steps is None and outage.duration_hours is None:
+        raise ConfigFileError(
+            f"[{section.name}] outage_start needs outage_steps or outage_hours")
     scenario = Scenario(id=name, outage=outage, **{
         key: section.number(key, 1.0) for key in MULTIPLIERS})
     section.reject_unknown()

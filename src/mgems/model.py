@@ -1,9 +1,10 @@
 """Typed microgrid model: component specs, EMS settings, and validation.
 
 All types are frozen dataclasses, immutable after construction and safe to
-share across threads. Validation never raises on bad parameter values; it
-returns a report listing every violated invariant so callers can surface all
-problems at once.
+share across threads. validate_config never raises on bad parameter values;
+it returns a report listing every violated invariant so callers can surface
+all problems at once. validate_scenario raises ValueError on a scenario's
+first bad value instead, since apply_scenario and the CLI need an exception.
 
 Each numeric field declares its range on itself, with _ranged; the emission
 factors and the EMS threshold parameters, whose checks depend on which values
@@ -18,6 +19,8 @@ project's); step_hours comes last.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 POLLUTANTS = ("co2", "co", "uh", "pm", "so2", "no2")
@@ -26,6 +29,11 @@ THRESHOLD_FIXED = "fixed-price"
 THRESHOLD_PERCENTILE = "price-percentile"
 THRESHOLD_LOAD = "load-threshold"
 THRESHOLD_MODES = (THRESHOLD_FIXED, THRESHOLD_PERCENTILE, THRESHOLD_LOAD)
+
+PRICE_CURRENCY = "currency_per_kwh"
+PRICE_CENTS = "cents_per_kwh"
+
+BASE_KEY = "base"
 
 # bounds on the cash-flow loops of the economic metrics: a year's discount
 # factor (1 + rate) ** year stays far from overflow, and each component is
@@ -215,9 +223,9 @@ class ValidationReport:
         return "\n".join(str(v) for v in self.violations)
 
 
-def _finite(value) -> bool:
+def _finite(value, kinds=(int, float)) -> bool:
     try:
-        return isinstance(value, (int, float)) and math.isfinite(value)
+        return isinstance(value, kinds) and math.isfinite(value)
     except OverflowError:  # an int beyond any float
         return False
 
@@ -365,3 +373,85 @@ def validate_config(config: MicrogridConfig) -> ValidationReport:
             _SECTION_CHECKS[section.name](c, config)
     _check_ranges(c, config, "")
     return ValidationReport(tuple(c.violations))
+
+
+@dataclass(frozen=True)
+class OutageSpec:
+    """A forced grid-unavailable window.
+
+    start_step None defers to the default rule: the first step whose
+    threshold-comparison value exceeds the resolved threshold. Both come
+    from the base profile, as the matrix's threshold does: in load-threshold
+    mode the base demand, not the scaled one. Duration is given in steps or
+    in hours (converted with the configured step length).
+    """
+
+    start_step: int | None = None
+    duration_steps: int | None = None
+    duration_hours: float | None = None
+
+
+@dataclass(frozen=True)
+class Scenario:
+    id: str
+    demand_multiplier: float = 1.0
+    pv_multiplier: float = 1.0
+    wind_multiplier: float = 1.0
+    fuel_price_multiplier: float = 1.0
+    outage: OutageSpec | None = None
+
+
+MULTIPLIERS = ("demand_multiplier", "pv_multiplier", "wind_multiplier",
+               "fuel_price_multiplier")
+
+
+def _integer(name: str, value) -> int:
+    """``value`` by its ``__index__``, which numpy's integers have too."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _real(name: str, value):
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return value
+
+
+def outage_steps(outage: OutageSpec, step_hours: float) -> int:
+    if outage.duration_steps is not None:
+        steps = _integer("outage duration_steps", outage.duration_steps)
+    elif outage.duration_hours is not None:
+        steps = _real("outage duration_hours", outage.duration_hours)
+        steps = steps / step_hours if _finite(steps, numbers.Real) else math.inf
+        if not math.isfinite(steps):
+            raise ValueError(f"outage duration_hours {outage.duration_hours} "
+                             "is not a finite number of steps")
+        steps = round(steps)
+    else:
+        raise ValueError("outage needs duration_steps or duration_hours")
+    if steps < 1:
+        raise ValueError(f"outage duration must cover at least one step, got {steps}")
+    return steps
+
+
+def validate_scenario(scenario: Scenario, step_hours: float) -> None:
+    """Raise ValueError, naming the field, for a value no profile can make valid.
+
+    Each multiplier must be a finite real number > 0, and an outage must
+    last at least one whole step of ``step_hours``, in integer steps or
+    real hours, from an integer start >= 0 if one is given. The outage
+    window's fit to the horizon, and its default start, depend on the
+    profile and are checked when the scenario is applied.
+    """
+    for name in MULTIPLIERS:
+        value = _real(name, getattr(scenario, name))
+        if not (_finite(value, numbers.Real) and value > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
+    if scenario.outage is not None:
+        steps = outage_steps(scenario.outage, step_hours)
+        start = scenario.outage.start_step
+        if start is not None and _integer("outage start_step", start) < 0:
+            raise ValueError(f"outage window [{start}, {start + steps}) does "
+                             "not fit any horizon: start_step must be >= 0")

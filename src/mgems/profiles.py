@@ -28,7 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ProfileFormatError
-from .model import MicrogridConfig, PvSpec, WindSpec
+from .model import (PRICE_CENTS, PRICE_CURRENCY, MicrogridConfig, PvSpec,
+                    WindSpec)
 
 GENERATION_MODE = "generation"
 RESOURCE_MODE = "resource"
@@ -37,9 +38,6 @@ GENERATION_HEADER = ("index", "demand_kw", "price", "grid_available", "pv_kw", "
 RESOURCE_HEADER = ("index", "demand_kw", "price", "grid_available",
                    "irradiance_wm2", "wind_speed_ms")
 
-PRICE_CURRENCY = "currency_per_kwh"
-PRICE_CENTS = "cents_per_kwh"
-
 # reference irradiance (W/m^2) at which a PV array delivers rated output
 STANDARD_IRRADIANCE_WM2 = 1000.0
 
@@ -47,12 +45,17 @@ STANDARD_IRRADIANCE_WM2 = 1000.0
 def _frozen_column(name: str, values) -> np.ndarray:
     """Column ``name`` as a contiguous read-only 1-D array; writable input is
     copied. The horizon's one rule: each value is finite and >= 0, and each
-    of grid_available's is 0 or 1, judged before its uint8 cast."""
+    of grid_available's is 0 or 1, judged before its uint8 cast. An int
+    beyond any float64 is judged as it is, and is not finite."""
     flags = name == "grid_available"
-    array = np.asarray(values, dtype=None if flags else np.float64)
+    try:
+        array = np.asarray(values, dtype=None if flags else np.float64)
+    except OverflowError:
+        array = np.asarray(values, dtype=object)
     if array.ndim != 1:
         raise ValueError(f"a profile column must be 1-D, got shape {array.shape}")
-    valid = (array == 0) | (array == 1) if flags else (array >= 0) & (array < np.inf)
+    valid = ((array == 0) | (array == 1) if flags
+             else (array >= 0) & (array <= np.finfo(np.float64).max))
     if not valid.all():
         step = int(np.argmin(valid))
         raise ValueError(f"column {name}: step {step} is {array[step]}, expected "
@@ -187,8 +190,8 @@ def _require_finite(value: float, line_no: int, column: str) -> float:
     return value
 
 
-def _require_finite_nonneg(value: float, line_no: int, column: str) -> float:
-    _require_finite(value, line_no, column)
+def _parse_flow(text: str, line_no: int, column: str) -> float:
+    value = _require_finite(_parse_float(text, line_no, column), line_no, column)
     if value < 0:
         raise ProfileFormatError(
             f"line {line_no}, column {column}: must be >= 0, got {value}")
@@ -224,15 +227,11 @@ def _parse_rows(lines: list[str], header: tuple[str, ...], first_line_no: int) -
                 f"line {line_no}: expected {len(header)} fields, got {len(fields)}")
         # must be a finite number of any sign; file order wins over its value
         _require_finite(_parse_float(fields[0], line_no, "index"), line_no, "index")
-        demand = _require_finite_nonneg(
-            _parse_float(fields[1], line_no, "demand_kw"), line_no, "demand_kw")
-        price = _require_finite_nonneg(
-            _parse_float(fields[2], line_no, "price"), line_no, "price")
+        demand = _parse_flow(fields[1], line_no, "demand_kw")
+        price = _parse_flow(fields[2], line_no, "price")
         grid_available = _parse_flag(fields[3], line_no)
-        a = _require_finite_nonneg(_parse_float(fields[4], line_no, header[4]),
-                                   line_no, header[4])
-        b = _require_finite_nonneg(_parse_float(fields[5], line_no, header[5]),
-                                   line_no, header[5])
+        a = _parse_flow(fields[4], line_no, header[4])
+        b = _parse_flow(fields[5], line_no, header[5])
         records.append((demand, price, grid_available, a, b))
     return list(zip(*records)) if records else [()] * 5
 

@@ -1,4 +1,4 @@
-"""Stress-test scenarios: perturb a base profile/config pair and compare runs.
+"""Stress-test scenarios, specified in model.py: apply, dispatch and compare.
 
 Built-ins: S1 demand +5%, S2 PV -20% with wind -40%, S3 a 6-hour grid
 outage, S4 fuel price +100%. Impact is reported as numeric per-metric deltas
@@ -14,8 +14,6 @@ from __future__ import annotations
 import contextlib
 import math
 import mmap
-import numbers
-import operator
 import os
 import signal
 import sys
@@ -29,43 +27,16 @@ from ._kernel import N_COLUMNS
 from .dispatch import (HorizonArrays, check_balance, compare_values,
                        initial_state, price_threshold, run_arrays)
 from .metrics import SimulationReport, build_report, percent_change
-from .model import MicrogridConfig
+from .model import (BASE_KEY, MicrogridConfig, OutageSpec, Scenario,
+                    outage_steps, validate_scenario)
 from .profiles import Profile
 
 BUILTIN_IDS = ("S1", "S2", "S3", "S4")
-
-BASE_KEY = "base"
 
 # report fields compared scenario-vs-base in outcome deltas
 DELTA_METRICS = ("operating_cost", "npc", "lcoe", "renewable_fraction",
                  "imported_kwh", "exported_kwh", "dg_kwh", "unserved_kwh",
                  "uptime_fraction")
-
-
-@dataclass(frozen=True)
-class OutageSpec:
-    """A forced grid-unavailable window.
-
-    start_step None defers to the default rule: the first step whose
-    threshold-comparison value exceeds the resolved threshold. Both come
-    from the base profile, as the matrix's threshold does: in load-threshold
-    mode the base demand, not the scaled one. Duration is given in steps or
-    in hours (converted with the configured step length).
-    """
-
-    start_step: int | None = None
-    duration_steps: int | None = None
-    duration_hours: float | None = None
-
-
-@dataclass(frozen=True)
-class Scenario:
-    id: str
-    demand_multiplier: float = 1.0
-    pv_multiplier: float = 1.0
-    wind_multiplier: float = 1.0
-    fuel_price_multiplier: float = 1.0
-    outage: OutageSpec | None = None
 
 
 def builtin_scenario(scenario_id: str) -> Scenario:
@@ -81,65 +52,9 @@ def builtin_scenario(scenario_id: str) -> Scenario:
     raise ValueError(f"unknown builtin scenario: {scenario_id!r}")
 
 
-MULTIPLIERS = ("demand_multiplier", "pv_multiplier", "wind_multiplier",
-               "fuel_price_multiplier")
-
-
-def _integer(name: str, value) -> int:
-    """``value`` by its ``__index__``, which numpy's integers have too."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
-def _real(name: str, value):
-    if not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    return value
-
-
-def _outage_steps(outage: OutageSpec, step_hours: float) -> int:
-    if outage.duration_steps is not None:
-        steps = _integer("outage duration_steps", outage.duration_steps)
-    elif outage.duration_hours is not None:
-        steps = _real("outage duration_hours",
-                      outage.duration_hours) / step_hours
-        if not math.isfinite(steps):
-            raise ValueError(f"outage duration_hours {outage.duration_hours} "
-                             "is not a finite number of steps")
-        steps = round(steps)
-    else:
-        raise ValueError("outage needs duration_steps or duration_hours")
-    if steps < 1:
-        raise ValueError(f"outage duration must cover at least one step, got {steps}")
-    return steps
-
-
-def validate_scenario(scenario: Scenario, step_hours: float) -> None:
-    """Raise ValueError, naming the field, for a value no profile can make valid.
-
-    Each multiplier must be a finite real number > 0, and an outage must
-    last at least one whole step of ``step_hours``, in integer steps or
-    real hours, from an integer start >= 0 if one is given. The outage
-    window's fit to the horizon, and its default start, depend on the
-    profile and are checked when the scenario is applied.
-    """
-    for name in MULTIPLIERS:
-        value = _real(name, getattr(scenario, name))
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be finite and > 0, got {value}")
-    if scenario.outage is not None:
-        steps = _outage_steps(scenario.outage, step_hours)
-        start = scenario.outage.start_step
-        if start is not None and _integer("outage start_step", start) < 0:
-            raise ValueError(f"outage window [{start}, {start + steps}) does "
-                             "not fit any horizon: start_step must be >= 0")
-
-
 def _resolve_outage(outage: OutageSpec, inputs: Profile,
                     config: MicrogridConfig) -> tuple[int, int]:
-    steps = _outage_steps(outage, config.step_hours)
+    steps = outage_steps(outage, config.step_hours)
     start = outage.start_step
     if start is None:
         threshold = price_threshold(inputs.price, config.ems)

@@ -1,6 +1,8 @@
 """The package's public API: every exported name exists, and no other;
-the trace's column layout; the README's library example."""
+the modules a config is read with; the trace's column layout; the README's
+library example."""
 
+import ast
 import dataclasses
 import re
 from pathlib import Path
@@ -8,6 +10,7 @@ from pathlib import Path
 import numpy as np
 
 import mgems
+from mgems import cli, configio, model, profiles, scenarios
 from mgems._kernel import (CHARGE, CURTAILED, DG, DISCHARGE, EXPORT, IMPORT,
                            PV_USED, SOC, UNSERVED, WIND_USED)
 from mgems.cli import TRACE_HEADER
@@ -44,6 +47,50 @@ def test_exported_names_are_exactly_the_public_api():
     # adding or removing a public name is a decision: change both lists
     assert len(mgems.__all__) == len(PUBLIC_NAMES)
     assert set(mgems.__all__) == PUBLIC_NAMES
+
+
+def syntax_tree(module) -> ast.Module:
+    return ast.parse(Path(module.__file__).read_text())
+
+
+def package_imports(module) -> set:
+    """The modules ``module`` imports relative to its package, as the
+    package writes every import of its own modules."""
+    return {node.module for node in ast.walk(syntax_tree(module))
+            if isinstance(node, ast.ImportFrom) and node.level}
+
+
+def top_level_definitions(module) -> set:
+    names = set()
+    for node in syntax_tree(module).body:
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(target.id for target in node.targets
+                         if isinstance(target, ast.Name))
+    return names
+
+
+# the config schema's names that model.py alone defines
+SCHEMA_NAMES = {"OutageSpec", "Scenario", "MULTIPLIERS", "BASE_KEY",
+                "validate_scenario", "outage_steps", "_integer", "_real",
+                "PRICE_CURRENCY", "PRICE_CENTS"}
+
+
+def test_a_config_is_read_with_the_model_and_its_errors_alone():
+    assert package_imports(configio) == {"errors", "model"}
+    assert package_imports(model) == set()
+
+
+def test_the_config_schema_is_defined_in_model_alone():
+    assert SCHEMA_NAMES <= top_level_definitions(model)
+    for module in (cli, configio, profiles, scenarios):
+        assert not SCHEMA_NAMES & top_level_definitions(module), module.__name__
+    # the modules that use them still bind them, as the benchmark reads
+    # mgems.scenarios.BASE_KEY
+    for name in ("BASE_KEY", "OutageSpec", "Scenario", "validate_scenario"):
+        assert getattr(scenarios, name) is getattr(model, name)
+    assert profiles.PRICE_CENTS is model.PRICE_CENTS
 
 
 def test_traces_and_outcomes_compare_by_identity():

@@ -158,6 +158,36 @@ def test_simulate_exits_4_on_a_balance_breach(fixture_args, capsys):
     assert not (out / "run").exists()
 
 
+HEADER_ONLY = b"index,demand_kw,price,grid_available,pv_kw,wind_kw\n"
+
+
+@pytest.mark.parametrize("command,profile_bytes,flags,message", [
+    ("simulate", None, ["--steps", 1000],
+     "--steps 1000 exceeds the 24-step profile"),
+    ("simulate", HEADER_ONLY, [], "profile has no data rows: empty horizon"),
+    ("simulate", b"", [], "profile {profile}: empty file: expected a header row"),
+    ("simulate", None, ["--outage-start", 3],
+     "--outage-start needs --outage-hours"),
+    ("scenarios", None, ["--outage-start", 3, "--scenarios", "S3"],
+     "--outage-start needs --outage-hours"),
+    ("scenarios", None, ["--scenarios", " , "], "empty scenario selection"),
+], ids=["steps-beyond-profile", "header-only", "empty-file",
+        "simulate-outage-start-alone", "scenarios-outage-start-alone",
+        "empty-selection"])
+def test_a_run_that_cannot_start_exits_2_with_its_reason(
+        fixture_args, capsys, command, profile_bytes, flags, message):
+    config, profile, out = fixture_args
+    if profile_bytes is not None:
+        profile = out / "profile.csv"
+        profile.write_bytes(profile_bytes)
+    assert run_cli(command, "--config", config, "--profile", profile,
+                   "--out", out / "run", *flags) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message.format(profile=profile)}\n"
+    assert captured.out == ""
+    assert not (out / "run").exists()
+
+
 def test_simulate_steps_truncates_horizon(fixture_args):
     config, profile, out = fixture_args
     assert run_cli("simulate", "--config", config, "--profile", profile,
@@ -198,6 +228,15 @@ def test_validate_prints_summary(fixture_args, capsys):
     assert "cents_per_kwh (prices divided by 100" in out
     assert "horizon: 24 steps x 1.0 h" in out
     assert "0.26280000000000003 (price-percentile)" in out
+
+
+def test_validate_names_a_price_unit_of_currency_per_kwh(fixture_args, capsys):
+    _, _, out = fixture_args
+    config = out / "currency.ini"
+    config.write_text(example_config_text(
+        {("simulation", "price_unit"): "currency_per_kwh"}))
+    assert run_cli("validate", "--config", config) == 0
+    assert "\nprice unit: currency_per_kwh\n" in capsys.readouterr().out
 
 
 def test_validate_reports_violations_one_per_line(fixture_args, capsys):

@@ -90,6 +90,47 @@ def test_a_bad_value_is_named(tmp_path, section, key, value, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("text,message", [
+    (example_config_text({("emissions", "export_offset_enabled"): "maybe"}),
+     "[emissions] export_offset_enabled: not a boolean: 'maybe'"),
+    (EXAMPLE + "\n[scenario:X]\noutage_start = 3\n",
+     "[scenario:X] outage_start needs outage_steps or outage_hours"),
+    (example_config_text({("simulation", "price_unit"): "dollars"}),
+     "[simulation] price_unit: expected currency_per_kwh or cents_per_kwh, "
+     "got 'dollars'"),
+    (EXAMPLE + "\n[foo]\nkey = 1\n", "unknown section [foo]"),
+], ids=["flag-maybe", "outage-start-alone", "price-unit-dollars",
+        "unknown-section"])
+def test_a_malformed_config_exits_2_naming_its_fault(tmp_path, capsys, text,
+                                                     message):
+    with pytest.raises(ConfigFileError) as exc:
+        load(tmp_path, text)
+    assert str(exc.value) == message
+    assert main(["validate", "--config", str(tmp_path / "config.ini")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_a_config_without_a_section_header_exits_2(tmp_path, capsys):
+    path = tmp_path / "config.ini"
+    path.write_text("capacity_kw = 250\n" + EXAMPLE)
+    assert main(["validate", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"error: config file {path}: File contains no section headers.")
+
+
+@pytest.mark.parametrize("value,enabled", [("off", False), (None, False),
+                                           ("true", True)],
+                         ids=["off", "missing", "true"])
+def test_export_offset_enabled_is_a_flag_that_defaults_to_false(
+        tmp_path, value, enabled):
+    text = example_config_text({("emissions", "export_offset_enabled"): value})
+    assert load(tmp_path, text).config.emissions.export_offset_enabled is enabled
+
+
 def test_optional_keys_take_their_defaults(tmp_path):
     text = example_config_text({("wind", "anemometer_height_m"): None,
                                 ("wind", "shear_exponent"): None,

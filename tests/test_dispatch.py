@@ -12,7 +12,9 @@ import mgems._kernel as pykernel
 from mgems.dispatch import (HorizonArrays, balance_residuals, check_balance,
                             initial_state, price_threshold, run_arrays)
 from mgems.errors import BalanceError
-from mgems.model import EmsConfig
+from mgems.metrics import build_report
+from mgems.model import (THRESHOLD_FIXED, THRESHOLD_LOAD, THRESHOLD_MODES,
+                         THRESHOLD_PERCENTILE, EmsConfig, validate_config)
 from mgems.profiles import Profile
 from mgems.scenarios import apply_scenario, builtin_scenario
 from mgems._kernel import (CHARGE, CURTAILED, DG, DISCHARGE, ENERGY, EXPORT,
@@ -404,6 +406,109 @@ def split_runs(draw):
 def test_a_run_split_at_any_step_and_resumed_is_the_same_run(case):
     inputs, config, k = case
     assert_resumed_runs_are_the_run(inputs, config, [k])
+
+
+# --- doubling every power and energy doubles every flow ---------------------
+
+# Doubling a float is exact, and so is every sum, difference, product and
+# quotient of doubled operands, as long as no result overflows or falls
+# below the normal range, where floats are spaced evenly and lose relative
+# precision. So every magnitude is drawn as 0 or between 1e-3 and 1e3.
+magnitude = st.one_of(st.just(0.0), st.floats(1e-3, 1e3))
+
+# the kernel columns that are kW or kWh; SOC is a ratio of two of them
+SCALED_COLUMNS = [PV_USED, WIND_USED, CURTAILED, CHARGE, DISCHARGE, DG,
+                  IMPORT, EXPORT, UNSERVED, ENERGY]
+
+# the report's fields that double with every power and energy; every other
+# field stays, but for the threshold in load-threshold mode
+DOUBLED_FIELDS = {"energy": None, "emissions": None,
+                  "economics": ("operating_cost", "capex", "npc")}
+
+
+@st.composite
+def sized_runs(draw):
+    """A horizon of ties, zeros and free rows, and a config of drawn sizes
+    and limits in one of the three threshold modes."""
+    rows = draw(st.lists(st.tuples(
+        magnitude, magnitude, magnitude, st.booleans(), st.floats(0.0, 0.6),
+        st.sampled_from(["free", "tie", "zero"])), min_size=1, max_size=30))
+    columns = []
+    for demand, pv, wind, grid, price, shape in rows:
+        if shape == "zero":
+            demand = pv = wind = 0.0
+        elif shape == "tie":
+            demand = pv + wind
+        columns.append((demand, price, grid, pv, wind))
+    mode = draw(st.sampled_from(THRESHOLD_MODES))
+    ems = EmsConfig(threshold_mode=mode, **{
+        THRESHOLD_FIXED: {"fixed_threshold": draw(st.floats(0.0, 0.6))},
+        THRESHOLD_PERCENTILE: {"percentile": draw(st.floats(0.05, 0.95))},
+        THRESHOLD_LOAD: {"load_threshold_kw": draw(magnitude)}}[mode])
+    config = make_config(ems=ems, step_hours=draw(st.sampled_from([0.25, 1.0])))
+    soc_min = draw(st.floats(0.0, 0.4))
+    units = draw(st.integers(0, 40))
+    unit_rated_kw = draw(st.floats(1.0, 10.0))
+    return Profile(*zip(*columns)), dataclasses.replace(
+        config,
+        pv=dataclasses.replace(config.pv, capacity_kw=draw(magnitude)),
+        wind=dataclasses.replace(config.wind, unit_rated_kw=unit_rated_kw,
+                                 capacity_kw=units * unit_rated_kw),
+        battery=dataclasses.replace(
+            config.battery, capacity_kwh=draw(magnitude), soc_min=soc_min,
+            soc_max=draw(st.floats(soc_min + 0.05, soc_min + 0.6)),
+            max_charge_kw=draw(magnitude), max_discharge_kw=draw(magnitude)),
+        grid=dataclasses.replace(config.grid, import_limit_kw=draw(magnitude),
+                                 export_limit_kw=draw(magnitude)),
+        diesel=dataclasses.replace(config.diesel, capacity_kw=draw(magnitude),
+                                   min_loading_fraction=draw(st.floats(0.0, 0.5))))
+
+
+def doubled(inputs, config):
+    """The horizon and config with every power and energy doubled: the
+    demand, PV and wind columns, and every kW or kWh size and limit."""
+    def twice(spec, *names):
+        return dataclasses.replace(
+            spec, **{name: 2 * getattr(spec, name) for name in names})
+    ems = config.ems
+    if ems.threshold_mode == THRESHOLD_LOAD:
+        ems = twice(ems, "load_threshold_kw")
+    return (dataclasses.replace(inputs, demand_kw=2 * inputs.demand_kw,
+                                pv_kw=2 * inputs.pv_kw,
+                                wind_kw=2 * inputs.wind_kw),
+            dataclasses.replace(
+                config, pv=twice(config.pv, "capacity_kw"),
+                wind=twice(config.wind, "capacity_kw", "unit_rated_kw"),
+                battery=twice(config.battery, "capacity_kwh", "max_charge_kw",
+                              "max_discharge_kw"),
+                grid=twice(config.grid, "import_limit_kw", "export_limit_kw"),
+                diesel=twice(config.diesel, "capacity_kw"), ems=ems))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sized_runs())
+def test_doubling_every_power_and_energy_doubles_every_flow(case):
+    inputs, config = case
+    inputs2, config2 = doubled(inputs, config)
+    assert validate_config(config).ok and validate_config(config2).ok
+    trace = run_arrays(inputs, initial_state(config.battery), config)
+    trace2 = run_arrays(inputs2, initial_state(config2.battery), config2)
+    assert (2 * trace.columns[:, SCALED_COLUMNS]).tobytes() == \
+        trace2.columns[:, SCALED_COLUMNS].tobytes()
+    assert trace.columns[:, SOC].tobytes() == trace2.columns[:, SOC].tobytes()
+
+    report = build_report(trace, inputs, config).to_dict()
+    report2 = build_report(trace2, inputs2, config2).to_dict()
+    for section, values in report.items():
+        if not isinstance(values, dict):
+            continue
+        scaled = DOUBLED_FIELDS.get(section, ())
+        for name, value in values.items():
+            if scaled is None or name in scaled or (
+                    (section, name) == ("horizon", "threshold")
+                    and config.ems.threshold_mode == THRESHOLD_LOAD):
+                value = 2 * value
+            assert report2[section][name] == value, (section, name)
 
 
 # --- randomized invariants --------------------------------------------------

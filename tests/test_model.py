@@ -6,7 +6,8 @@ import math
 import pytest
 
 from mgems import model
-from mgems.model import EmissionFactors, EmsConfig, MicrogridConfig, validate_config
+from mgems.model import (EmissionFactors, EmsConfig, MicrogridConfig,
+                         ValidationReport, validate_config)
 
 from conftest import make_config
 
@@ -236,3 +237,16 @@ def test_an_int_beyond_any_float_is_not_a_finite_number(section, name):
     config = replace_spec(make_config(), section, **{name: huge})
     assert [str(v) for v in validate_config(config).violations] == [
         f"{section}.{name}: must be a finite number, got {huge!r}"]
+
+
+def test_an_unknown_pollutant_is_a_violation_named_by_its_path():
+    report = validate_config(make_config(
+        emissions=EmissionFactors(dg={"xx": 1.0})))
+    assert [str(v) for v in report.violations] == [
+        "emissions.dg.xx: unknown pollutant "
+        "(expected one of co2, co, uh, pm, so2, no2)"]
+
+
+def test_an_empty_report_reads_ok():
+    assert ValidationReport().ok
+    assert str(ValidationReport()) == "ok"

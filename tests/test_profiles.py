@@ -289,6 +289,9 @@ SHARED_BREAKS = [
     ("grid_available", np.array([257, 1]), f"step 0 is 257, {NOT_A_FLAG}"),
     ("grid_available", [1, -1], f"step 1 is -1, {NOT_A_FLAG}"),
     ("grid_available", [1.0, float("nan")], f"step 1 is nan, {NOT_A_FLAG}"),
+    ("demand_kw", [10**400, 1.0], f"step 0 is {10**400}, {NOT_A_FLOW}"),
+    ("price", np.array([0.1, -10**400], dtype=object),
+     f"step 1 is {-10**400}, {NOT_A_FLOW}"),
 ]
 RULE_BREAKS = (
     [pytest.param(Profile, *b, id=f"Profile-{b[0]}-{b[2]}") for b in SHARED_BREAKS

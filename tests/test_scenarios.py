@@ -185,6 +185,10 @@ def test_infinite_multiplier_is_rejected(name):
      "outage needs duration_steps or duration_hours"),
     (Scenario(id="x", outage=OutageSpec(start_step=-1, duration_steps=2)),
      "outage window [-1, 1) does not fit any horizon: start_step must be >= 0"),
+    (Scenario(id="x", demand_multiplier=10**400),
+     f"demand_multiplier must be finite and > 0, got {10**400}"),
+    (Scenario(id="x", outage=OutageSpec(duration_hours=10**400)),
+     f"outage duration_hours {10**400} is not a finite number of steps"),
 ])
 def test_validate_scenario_names_the_bad_field(scenario, message):
     with pytest.raises(ValueError) as exc:
@@ -217,8 +221,13 @@ def test_validate_scenario_accepts_the_builtins_and_a_late_outage():
      "demand_multiplier must be a real number, got None"),
     (Scenario(id="x", outage=OutageSpec(duration_hours="6")),
      "outage duration_hours must be a real number, got '6'"),
+    (Scenario(id="x", pv_multiplier=-10**400),
+     f"pv_multiplier must be finite and > 0, got {-10**400}"),
+    (Scenario(id="x", outage=OutageSpec(duration_hours=10**400)),
+     f"outage duration_hours {10**400} is not a finite number of steps"),
 ], ids=["steps-2.5", "steps-nan", "start-1.5", "multiplier-str",
-        "multiplier-None", "hours-str"])
+        "multiplier-None", "hours-str", "multiplier-beyond-float",
+        "hours-beyond-float"])
 def test_a_value_of_the_wrong_type_is_rejected_by_name(
         example_config, example_inputs, scenario, message):
     config = example_config.config
