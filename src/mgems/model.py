@@ -230,6 +230,18 @@ def _finite(value, kinds=(int, float)) -> bool:
         return False
 
 
+def shown(value, text=str) -> str:
+    """``text(value)`` for a message; an int with more digits than str()
+    converts (see sys.set_int_max_str_digits) is shown by its size."""
+    try:
+        return text(value)
+    except ValueError:
+        if not isinstance(value, int):
+            raise
+        sign = "a negative" if value < 0 else "an"
+        return f"{sign} int of {value.bit_length()} bits"
+
+
 class _Checker:
     def __init__(self) -> None:
         self.violations: list[Violation] = []
@@ -242,7 +254,8 @@ class _Checker:
         """Check that ``value`` is finite, an int if ``integer``, and passes
         each (test, wording) bound."""
         if not _finite(value):
-            self.violations.append(Violation(path, f"must be a finite number, got {value!r}"))
+            self.violations.append(Violation(
+                path, f"must be a finite number, got {shown(value, repr)}"))
         elif integer and not isinstance(value, int):
             self.violations.append(Violation(path, f"must be an integer, got {value}"))
         else:
@@ -426,7 +439,7 @@ def outage_steps(outage: OutageSpec, step_hours: float) -> int:
         steps = _real("outage duration_hours", outage.duration_hours)
         steps = steps / step_hours if _finite(steps, numbers.Real) else math.inf
         if not math.isfinite(steps):
-            raise ValueError(f"outage duration_hours {outage.duration_hours} "
+            raise ValueError(f"outage duration_hours {shown(outage.duration_hours)} "
                              "is not a finite number of steps")
         steps = round(steps)
     else:
@@ -448,10 +461,10 @@ def validate_scenario(scenario: Scenario, step_hours: float) -> None:
     for name in MULTIPLIERS:
         value = _real(name, getattr(scenario, name))
         if not (_finite(value, numbers.Real) and value > 0):
-            raise ValueError(f"{name} must be finite and > 0, got {value}")
+            raise ValueError(f"{name} must be finite and > 0, got {shown(value)}")
     if scenario.outage is not None:
         steps = outage_steps(scenario.outage, step_hours)
         start = scenario.outage.start_step
         if start is not None and _integer("outage start_step", start) < 0:
-            raise ValueError(f"outage window [{start}, {start + steps}) does "
-                             "not fit any horizon: start_step must be >= 0")
+            raise ValueError(f"outage window [{shown(start)}, {shown(start + steps)}) "
+                             "does not fit any horizon: start_step must be >= 0")

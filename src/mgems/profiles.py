@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ProfileFormatError
 from .model import (PRICE_CENTS, PRICE_CURRENCY, MicrogridConfig, PvSpec,
-                    WindSpec)
+                    WindSpec, shown)
 
 GENERATION_MODE = "generation"
 RESOURCE_MODE = "resource"
@@ -58,8 +58,9 @@ def _frozen_column(name: str, values) -> np.ndarray:
              else (array >= 0) & (array <= np.finfo(np.float64).max))
     if not valid.all():
         step = int(np.argmin(valid))
-        raise ValueError(f"column {name}: step {step} is {array[step]}, expected "
-                         + ("0 or 1" if flags else "a finite number >= 0"))
+        raise ValueError(
+            f"column {name}: step {step} is {shown(array[step])}, expected "
+            + ("0 or 1" if flags else "a finite number >= 0"))
     array = np.asarray(array, dtype=np.uint8 if flags else np.float64)
     if array.flags.writeable or not array.flags.c_contiguous:
         array = np.array(array, order="C")

@@ -6,7 +6,8 @@ against the base run; qualitative labeling is left to the reader.
 
 Applying a scenario is column arithmetic on the base Profile: scaled
 columns are new read-only arrays, which the Profile takes without a copy;
-unchanged columns are shared with the base run.
+unchanged columns are shared with the base run. A matrix run is one unit of
+work, ``_run``: the process that runs it dispatches and checks it.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .dispatch import (HorizonArrays, check_balance, compare_values,
                        initial_state, price_threshold, run_arrays)
 from .metrics import SimulationReport, build_report, percent_change
 from .model import (BASE_KEY, MicrogridConfig, OutageSpec, Scenario,
-                    outage_steps, validate_scenario)
+                    outage_steps, shown, validate_scenario)
 from .profiles import Profile
 
 BUILTIN_IDS = ("S1", "S2", "S3", "S4")
@@ -65,8 +66,8 @@ def _resolve_outage(outage: OutageSpec, inputs: Profile,
         start = int(above[0])
     if start + steps > len(inputs):
         raise ValueError(
-            f"outage window [{start}, {start + steps}) does not fit the "
-            f"{len(inputs)}-step horizon")
+            f"outage window [{shown(start)}, {shown(start + steps)}) does not "
+            f"fit the {len(inputs)}-step horizon")
     return start, steps
 
 
@@ -171,13 +172,14 @@ def _splits(steps: int) -> bool:
             and signal.getsignal(signal.SIGCHLD) != signal.SIG_IGN)
 
 
-def _run(inputs: Profile, config: MicrogridConfig, threshold: float | None):
-    """The run's trace at ``threshold``, or the exception its kernel raised."""
-    try:
-        return run_arrays(inputs, initial_state(config.battery), config,
-                          threshold)
-    except Exception as exc:  # noqa: BLE001 - kept for its run
-        return exc
+def _run(inputs: Profile, config: MicrogridConfig,
+         threshold: float | None) -> HorizonArrays:
+    """The run's checked trace at ``threshold``; raises what its kernel or
+    its check does."""
+    trace = run_arrays(inputs, initial_state(config.battery), config,
+                       threshold)
+    check_balance(trace, inputs, config)
+    return trace
 
 
 def _claims(count: int) -> bytes:
@@ -206,9 +208,8 @@ def _send(runs: list[tuple[Profile, MicrogridConfig]], threshold: float,
     status = 1
     try:
         for i in _claimed(claims, len(runs)):
-            trace = _run(*runs[i], threshold)
-            if isinstance(trace, HorizonArrays):
-                slots[i].T[...] = trace.columns
+            with contextlib.suppress(Exception):
+                slots[i].T[...] = _run(*runs[i], threshold).columns
                 done[i] = 1
         status = 0
     finally:
@@ -216,60 +217,51 @@ def _send(runs: list[tuple[Profile, MicrogridConfig]], threshold: float,
 
 
 def _dispatch(runs: list[tuple[Profile, MicrogridConfig]],
-              threshold: float | None) -> list:
-    """Each run's trace at ``threshold``, or the exception its kernel raised.
+              threshold: float | None) -> dict[int, HorizonArrays]:
+    """The checked traces a split made, by run: {} unless ``_splits``.
 
-    If ``_splits``, this process and a forked child claim runs one at a
-    time from a pipe filled before the fork (a failed fork leaves every
-    claim here). The child's traces are views of one anonymous shared
-    mapping, made before the fork: a slot per run, whose transpose is an
-    (n, 11) column-major trace, then a done byte per run, trusted only if
-    the child exited 0. Last, this process dispatches every run still
-    without a trace. An exception here, the interrupt included, kills and
-    reaps the child.
+    This process and a forked child claim runs one at a time from a pipe
+    filled before the fork (a failed fork leaves every claim here). The
+    child's traces are views of one anonymous shared mapping, made before
+    the fork: a slot per run, whose transpose is an (n, 11) column-major
+    trace, then a done byte per run, trusted only if the child exited 0. A
+    run that raised, in either process, is absent. Any other exception
+    here, the interrupt included, kills and reaps the child.
     """
     count, n = len(runs), len(runs[0][0])
-    traces: list = [None] * count
-    if count >= 2 and _splits(count * n):
-        shared = mmap.mmap(-1, count * (n * N_COLUMNS * 8 + 1))
-        slots = np.frombuffer(shared, np.float64, count * N_COLUMNS * n
-                              ).reshape(count, N_COLUMNS, n)
-        done = np.frombuffer(shared, np.uint8, count, offset=slots.nbytes)
-        claims, fill = os.pipe()
-        os.write(fill, _claims(count))
-        os.close(fill)
-        pid = None
-        try:
-            with contextlib.suppress(OSError):
-                pid = os.fork()
-            if pid == 0:
-                _send(runs, threshold, claims, slots, done)
-            for i in _claimed(claims, count):
+    if count < 2 or not _splits(count * n):
+        return {}
+    shared = mmap.mmap(-1, count * (n * N_COLUMNS * 8 + 1))
+    slots = np.frombuffer(shared, np.float64, count * N_COLUMNS * n
+                          ).reshape(count, N_COLUMNS, n)
+    done = np.frombuffer(shared, np.uint8, count, offset=slots.nbytes)
+    claims, fill = os.pipe()
+    os.write(fill, _claims(count))
+    os.close(fill)
+    traces = {}
+    pid = None
+    try:
+        with contextlib.suppress(OSError):
+            pid = os.fork()
+        if pid == 0:
+            _send(runs, threshold, claims, slots, done)
+        for i in _claimed(claims, count):
+            with contextlib.suppress(Exception):
                 traces[i] = _run(*runs[i], threshold)
-        except BaseException:
-            if pid is not None:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-            raise
-        finally:
-            os.close(claims)
-        if pid is not None and os.waitstatus_to_exitcode(
-                os.waitpid(pid, 0)[1]) == 0:
-            for i in np.flatnonzero(done).tolist():
-                traces[i] = HorizonArrays(
-                    columns=slots[i].T, threshold=float(threshold),
-                    initial_energy_kwh=initial_state(runs[i][1].battery))
-    return [_run(*run, threshold) if trace is None else trace
-            for run, trace in zip(runs, traces)]
-
-
-def _checked(trace, inputs: Profile, config: MicrogridConfig
-             ) -> tuple[HorizonArrays, SimulationReport]:
-    """The checked trace and its report; raises what the run's kernel did."""
-    if isinstance(trace, Exception):
-        raise trace
-    check_balance(trace, inputs, config)
-    return trace, build_report(trace, inputs, config)
+    except BaseException:
+        if pid is not None:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        raise
+    finally:
+        os.close(claims)
+    if pid is not None and os.waitstatus_to_exitcode(
+            os.waitpid(pid, 0)[1]) == 0:
+        for i in np.flatnonzero(done).tolist():
+            traces[i] = HorizonArrays(
+                columns=slots[i].T, threshold=float(threshold),
+                initial_energy_kwh=initial_state(runs[i][1].battery))
+    return traces
 
 
 def run_matrix(inputs: Profile, config: MicrogridConfig,
@@ -280,15 +272,15 @@ def run_matrix(inputs: Profile, config: MicrogridConfig,
     scenario's run are dispatched at the base's threshold, resolved once:
     a scenario changes neither the prices nor the EMS config. From
     MIN_KERNEL_STEPS kernel steps, runs times horizon steps, this process
-    and a forked child claim the runs one at a time, and the child's traces
-    come back through a shared mapping; every run left without a trace is
-    dispatched here (see ``_dispatch``). Last, this process checks and
-    reports every run in the given order. Each outcome holds its own
-    Profile, which shares unchanged columns with the base inputs, and its
-    own trace; the traces the child made are views of one mapping. A
-    failing scenario is reported in its outcome without aborting siblings;
-    a failing base run raises. An id that is BASE_KEY or repeats raises
-    ValueError before any scenario is applied.
+    and a forked child claim the runs one at a time, each checking the runs
+    it dispatches, and the child's traces come back through a shared
+    mapping (see ``_dispatch``). Last, in the given order, this process
+    dispatches and checks each run still without a trace, and reports every
+    run. Each outcome holds its own Profile, which shares unchanged columns
+    with the base inputs, and its own trace; the traces the child made are
+    views of one mapping. A failing scenario is reported in its outcome
+    without aborting siblings; a failing base run raises. An id that is
+    BASE_KEY or repeats raises ValueError before any scenario is applied.
     """
     scenarios = list(scenarios)
     ids = [scenario.id for scenario in scenarios]
@@ -310,18 +302,24 @@ def run_matrix(inputs: Profile, config: MicrogridConfig,
                  if len(inputs) else None)
     traces = _dispatch(runs, threshold)
 
-    base_trace, base_report = _checked(traces[0], inputs, config)
-    outcomes = {BASE_KEY: ScenarioOutcome(
-        scenario_id=BASE_KEY, report=base_report, trace=base_trace,
-        inputs=inputs, deltas={name: 0.0 for name in DELTA_METRICS})}
+    def succeeded(scenario_id: str, run: int,
+                  base: SimulationReport | None = None) -> ScenarioOutcome:
+        """The run's outcome: deltas against ``base``, all 0.0 without."""
+        trace = traces.get(run)
+        if trace is None:
+            trace = _run(*runs[run], threshold)
+        report = build_report(trace, *runs[run])
+        deltas = ({name: 0.0 for name in DELTA_METRICS} if base is None
+                  else _deltas(base, report))
+        return ScenarioOutcome(scenario_id=scenario_id, report=report,
+                               trace=trace, inputs=runs[run][0], deltas=deltas)
+
+    outcomes = {BASE_KEY: succeeded(BASE_KEY, 0)}
     for scenario, run in applied:
         try:
             if isinstance(run, Exception):
                 raise run
-            trace, report = _checked(traces[run], *runs[run])
-            outcome = ScenarioOutcome(
-                scenario_id=scenario.id, report=report, trace=trace,
-                inputs=runs[run][0], deltas=_deltas(base_report, report))
+            outcome = succeeded(scenario.id, run, outcomes[BASE_KEY].report)
         except Exception as exc:  # noqa: BLE001 - isolate failing scenarios
             outcome = ScenarioOutcome(
                 scenario_id=scenario.id, report=None, trace=None, inputs=None,

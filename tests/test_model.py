@@ -230,13 +230,22 @@ def test_violations_are_listed_by_section_then_field_then_cross_field_check():
         "step_hours: must be in [1/3600, 8760.0] (one second to one year), got 0.0"]
 
 
-@pytest.mark.parametrize("section,name", [
-    ("pv", "capacity_kw"), ("economics", "project_lifetime_years")])
-def test_an_int_beyond_any_float_is_not_a_finite_number(section, name):
-    huge = 10**400
-    config = replace_spec(make_config(), section, **{name: huge})
+# an int beyond str()'s digit limit is shown by its size
+@pytest.mark.parametrize("huge,shown", [
+    (10**400, repr(10**400)), (10**5000, "an int of 16610 bits")],
+    ids=["400-digits", "5000-digits"])
+@pytest.mark.parametrize("section,name,path", [
+    ("pv", "capacity_kw", "pv.capacity_kw"),
+    ("economics", "project_lifetime_years", "economics.project_lifetime_years"),
+    ("ems", "percentile", "ems.percentile"),
+    ("emissions", "grid", "emissions.grid.co2")],
+    ids=["pv", "economics", "ems", "emissions"])
+def test_an_int_beyond_any_float_is_not_a_finite_number(section, name, path,
+                                                         huge, shown):
+    value = {"co2": huge} if section == "emissions" else huge
+    config = replace_spec(make_config(), section, **{name: value})
     assert [str(v) for v in validate_config(config).violations] == [
-        f"{section}.{name}: must be a finite number, got {huge!r}"]
+        f"{path}: must be a finite number, got {shown}"]
 
 
 def test_an_unknown_pollutant_is_a_violation_named_by_its_path():

@@ -292,6 +292,11 @@ SHARED_BREAKS = [
     ("demand_kw", [10**400, 1.0], f"step 0 is {10**400}, {NOT_A_FLOW}"),
     ("price", np.array([0.1, -10**400], dtype=object),
      f"step 1 is {-10**400}, {NOT_A_FLOW}"),
+    ("demand_kw", [10**5000, 1.0], f"step 0 is an int of 16610 bits, {NOT_A_FLOW}"),
+    ("price", [0.1, -10**5000],
+     f"step 1 is a negative int of 16610 bits, {NOT_A_FLOW}"),
+    ("grid_available", [10**5000, 1],
+     f"step 0 is an int of 16610 bits, {NOT_A_FLAG}"),
 ]
 RULE_BREAKS = (
     [pytest.param(Profile, *b, id=f"Profile-{b[0]}-{b[2]}") for b in SHARED_BREAKS

@@ -189,6 +189,15 @@ def test_infinite_multiplier_is_rejected(name):
      f"demand_multiplier must be finite and > 0, got {10**400}"),
     (Scenario(id="x", outage=OutageSpec(duration_hours=10**400)),
      f"outage duration_hours {10**400} is not a finite number of steps"),
+    (Scenario(id="x", demand_multiplier=10**5000),
+     "demand_multiplier must be finite and > 0, got an int of 16610 bits"),
+    (Scenario(id="x", outage=OutageSpec(duration_hours=10**5000)),
+     "outage duration_hours an int of 16610 bits is not a finite number of "
+     "steps"),
+    (Scenario(id="x", outage=OutageSpec(start_step=-10**5000,
+                                        duration_steps=2)),
+     "outage window [a negative int of 16610 bits, a negative int of 16610 "
+     "bits) does not fit any horizon: start_step must be >= 0"),
 ])
 def test_validate_scenario_names_the_bad_field(scenario, message):
     with pytest.raises(ValueError) as exc:
@@ -225,9 +234,12 @@ def test_validate_scenario_accepts_the_builtins_and_a_late_outage():
      f"pv_multiplier must be finite and > 0, got {-10**400}"),
     (Scenario(id="x", outage=OutageSpec(duration_hours=10**400)),
      f"outage duration_hours {10**400} is not a finite number of steps"),
+    (Scenario(id="x", fuel_price_multiplier=10**5000),
+     "fuel_price_multiplier must be finite and > 0, got an int of 16610 "
+     "bits"),
 ], ids=["steps-2.5", "steps-nan", "start-1.5", "multiplier-str",
         "multiplier-None", "hours-str", "multiplier-beyond-float",
-        "hours-beyond-float"])
+        "hours-beyond-float", "multiplier-beyond-str"])
 def test_a_value_of_the_wrong_type_is_rejected_by_name(
         example_config, example_inputs, scenario, message):
     config = example_config.config
@@ -270,6 +282,9 @@ def test_a_scenario_shares_the_columns_it_leaves_unscaled(example_config,
     (OutageSpec(duration_hours=6.0),
      EmsConfig(threshold_mode="load-threshold", load_threshold_kw=150.0),
      "no step above the threshold; set the outage start explicitly"),
+    (OutageSpec(start_step=0, duration_steps=10**5000), None,
+     "outage window [0, an int of 16610 bits) does not fit the 24-step "
+     "horizon"),
 ])
 def test_a_window_the_profile_rejects_names_the_scenario(outage, ems, message):
     config = make_config() if ems is None else make_config(ems=ems)
@@ -584,6 +599,24 @@ def test_a_split_matrix_equals_the_one_process_matrix(example_config,
     assert_no_child_left()
 
 
+def test_each_run_is_checked_once_by_the_process_that_dispatched_it(
+        example_config, example_inputs):
+    config = example_config.config
+    with mock.patch.object(scenarios, "check_balance",
+                           wraps=scenarios.check_balance) as check:
+        one = in_one_process(example_inputs, config, MIXED)
+        assert sorted(id(c.args[1]) for c in check.call_args_list) == \
+            dispatched(one)
+        check.reset_mock()
+        with both_take_runs() as taken:
+            split_once(example_inputs, config, MIXED)
+    assert taken["met"] and taken["here"] and taken["child"]
+    # the child's checks are recorded in the child's copy of the mock
+    assert sorted(id(c.args[1]) for c in check.call_args_list) == \
+        sorted(taken["here"])
+    assert_no_child_left()
+
+
 def _raise():
     raise RuntimeError("the child's run failed")
 
@@ -674,19 +707,21 @@ def test_the_claims_fit_one_page_and_cover_each_run_once(count):
 @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
 def test_an_error_in_this_process_half_kills_and_reaps_the_child(
         example_config, example_inputs, error):
+    """A run that raises is only absent from the split, so the error comes
+    from this process's first read of the claims, after the fork."""
     parent = os.getpid()
-    real = scenarios._run
+    real = scenarios._claimed
 
-    def run(*args):
+    def claimed(*args):
         if os.getpid() != parent:
             time.sleep(20)   # killed, not waited for
         else:
-            raise error("this process's run failed")
+            raise error("this process's claim failed")
         return real(*args)
 
     started = time.monotonic()
-    with mock.patch.object(scenarios, "_run", run), \
-            pytest.raises(error, match="this process's run failed"):
+    with mock.patch.object(scenarios, "_claimed", claimed), \
+            pytest.raises(error, match="this process's claim failed"):
         split_once(example_inputs, example_config.config, MIXED)
     assert time.monotonic() - started < 10
     assert_no_child_left()
