@@ -44,21 +44,25 @@ def price_threshold(prices: Sequence[float], ems: EmsConfig) -> float:
     """Resolve the charge/discharge threshold for a horizon.
 
     Fixed mode passes the configured price through; percentile mode takes the
-    lower-interpolation percentile of the sorted price sequence;
-    load-threshold mode returns the configured load level (kW, compared
-    against demand rather than price).
+    lower-interpolation percentile of the sorted price sequence, found by
+    selection; load-threshold mode returns the configured load level (kW,
+    compared against demand rather than price).
     """
     if ems.threshold_mode == THRESHOLD_FIXED:
         return float(ems.fixed_threshold)
     if ems.threshold_mode == THRESHOLD_LOAD:
         return float(ems.load_threshold_kw)
     if ems.threshold_mode == THRESHOLD_PERCENTILE:
-        # stable, as sorted() was: equal prices keep their order (0.0 / -0.0)
-        ordered = np.sort(np.asarray(prices, dtype=np.float64), kind="stable")
-        if not len(ordered):
+        values = np.asarray(prices, dtype=np.float64)
+        if not len(values):
             raise ValueError("percentile threshold needs a nonempty price sequence")
-        index = math.floor(ems.percentile * (len(ordered) - 1))
-        return float(ordered[index])
+        index = math.floor(ems.percentile * (len(values) - 1))
+        value = np.partition(values, index)[index]
+        if value == 0:
+            # a stable sort keeps equal prices in input order: of 0.0 and
+            # -0.0, it picks the zero that is k-th in the input
+            value = values[values == 0][index - np.count_nonzero(values < 0)]
+        return float(value)
     raise ValueError(f"unknown threshold mode: {ems.threshold_mode!r}")
 
 

@@ -50,8 +50,8 @@ _MAX_STEP_HOURS = 8760.0
 
 
 def _ranged(*bounds, default=MISSING):
-    """A numeric field that must be finite, an int where annotated int, and
-    pass each (test, wording) bound."""
+    """A numeric field whose value must be a number by _number, an integer
+    where annotated int, finite, and pass each (test, wording) bound."""
     return field(default=default, metadata={"bounds": bounds})
 
 
@@ -223,23 +223,35 @@ class ValidationReport:
         return "\n".join(str(v) for v in self.violations)
 
 
-def _finite(value, kinds=(int, float)) -> bool:
+def _number(value, integer: bool = False) -> bool:
+    """The one rule for a number, in every numeric field of a config and a
+    scenario: an int or a float (np.float64 is one) in a real field, what
+    operator.index takes (numpy's ints too) in an integer field; no bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Number):
+        return False
+    return hasattr(type(value), "__index__") if integer else isinstance(value, (int, float))
+
+
+def _finite(value, integer: bool = False) -> bool:
     try:
-        return isinstance(value, kinds) and math.isfinite(value)
+        return _number(value, integer) and math.isfinite(value)
     except OverflowError:  # an int beyond any float
         return False
 
 
 def shown(value, text=str) -> str:
-    """``text(value)`` for a message; an int with more digits than str()
-    converts (see sys.set_int_max_str_digits) is shown by its size."""
+    """``text(value)`` for a message, bounded: an int beyond str()'s digit
+    limit (see sys.set_int_max_str_digits) by its size, and a value other
+    than an int or a float by its type and at most 40 characters of its text."""
     try:
-        return text(value)
-    except ValueError:
-        if not isinstance(value, int):
-            raise
-        sign = "a negative" if value < 0 else "an"
-        return f"{sign} int of {value.bit_length()} bits"
+        out = text(value)
+    except ValueError:  # a Fraction beyond the digit limit, say
+        if isinstance(value, int):
+            return f"{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits"
+        return f"a {type(value).__name__} beyond str()'s digit limit"
+    if _number(value):
+        return out
+    return f"{out[:40]}{'...' * (len(out) > 40)} of type {type(value).__name__}"
 
 
 class _Checker:
@@ -251,17 +263,15 @@ class _Checker:
             self.violations.append(Violation(path, message))
 
     def within(self, value: float, path: str, bounds, integer: bool = False) -> None:
-        """Check that ``value`` is finite, an int if ``integer``, and passes
-        each (test, wording) bound."""
-        if not _finite(value):
-            self.violations.append(Violation(
-                path, f"must be a finite number, got {shown(value, repr)}"))
-        elif integer and not isinstance(value, int):
-            self.violations.append(Violation(path, f"must be an integer, got {value}"))
+        """Check that ``value`` is a finite number, an integer if
+        ``integer``, and passes each (test, wording) bound."""
+        if not _finite(value, integer):
+            wanted = ("a finite number" if _number(value, integer)
+                      else "an integer" if integer else "an int or a float")
+            self.violations.append(Violation(path, f"must be {wanted}, got {shown(value, repr)}"))
         else:
             for test, wording in bounds:
-                if not test(value):
-                    self.violations.append(Violation(path, f"must be {wording}, got {value}"))
+                self.check(test(value), path, f"must be {wording}, got {value}")
 
 
 def _check_wind(c: _Checker, config: MicrogridConfig) -> None:
@@ -317,14 +327,11 @@ def _check_ems(c: _Checker, config: MicrogridConfig) -> None:
     }
     active = params[e.threshold_mode]
     for mode, name in params.items():
-        value = getattr(e, name)
         if name == active:
-            if value is None:
-                c.violations.append(Violation(
-                    f"ems.{name}", f"required in {mode} mode"))
-        elif value is not None:
-            c.violations.append(Violation(
-                f"ems.{name}", f"must be unset in {e.threshold_mode} mode"))
+            c.check(getattr(e, name) is not None, f"ems.{name}", f"required in {mode} mode")
+        else:
+            c.check(getattr(e, name) is None, f"ems.{name}",
+                    f"must be unset in {e.threshold_mode} mode")
     value = getattr(e, active)
     if value is not None:
         c.within(value, f"ems.{active}", [(lambda v: 0 < v < 1, "in (0, 1)")]
@@ -335,7 +342,7 @@ def _check_replacements(c: _Checker, config: MicrogridConfig) -> None:
     """Each replaced component lasts at least 1/_MAX_REPLACEMENTS of a
     valid project lifetime."""
     years = config.economics.project_lifetime_years
-    if not (_finite(years) and 1 <= years <= _MAX_PROJECT_YEARS):
+    if not (_finite(years, integer=True) and 1 <= years <= _MAX_PROJECT_YEARS):
         return
     for name in ("pv", "wind", "battery"):
         lifetime = getattr(config, name).lifetime_years
@@ -407,39 +414,30 @@ class OutageSpec:
 @dataclass(frozen=True)
 class Scenario:
     id: str
-    demand_multiplier: float = 1.0
-    pv_multiplier: float = 1.0
-    wind_multiplier: float = 1.0
-    fuel_price_multiplier: float = 1.0
+    demand_multiplier: float = _ranged(_POSITIVE, default=1.0)
+    pv_multiplier: float = _ranged(_POSITIVE, default=1.0)
+    wind_multiplier: float = _ranged(_POSITIVE, default=1.0)
+    fuel_price_multiplier: float = _ranged(_POSITIVE, default=1.0)
     outage: OutageSpec | None = None
 
 
-MULTIPLIERS = ("demand_multiplier", "pv_multiplier", "wind_multiplier",
-               "fuel_price_multiplier")
+MULTIPLIERS = tuple(f.name for f in fields(Scenario) if "bounds" in f.metadata)
 
 
 def _integer(name: str, value) -> int:
-    """``value`` by its ``__index__``, which numpy's integers have too."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
-def _real(name: str, value):
-    if not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    return value
+    if not _number(value, integer=True):
+        raise ValueError(f"{name} must be an integer, got {shown(value, repr)}")
+    return operator.index(value)
 
 
 def outage_steps(outage: OutageSpec, step_hours: float) -> int:
     if outage.duration_steps is not None:
         steps = _integer("outage duration_steps", outage.duration_steps)
     elif outage.duration_hours is not None:
-        steps = _real("outage duration_hours", outage.duration_hours)
-        steps = steps / step_hours if _finite(steps, numbers.Real) else math.inf
+        hours = outage.duration_hours
+        steps = hours / step_hours if _finite(hours) else math.inf
         if not math.isfinite(steps):
-            raise ValueError(f"outage duration_hours {shown(outage.duration_hours)} "
+            raise ValueError(f"outage duration_hours {shown(hours, repr)} "
                              "is not a finite number of steps")
         steps = round(steps)
     else:
@@ -452,19 +450,20 @@ def outage_steps(outage: OutageSpec, step_hours: float) -> int:
 def validate_scenario(scenario: Scenario, step_hours: float) -> None:
     """Raise ValueError, naming the field, for a value no profile can make valid.
 
-    Each multiplier must be a finite real number > 0, and an outage must
+    Each multiplier is checked as a config field is, and an outage must
     last at least one whole step of ``step_hours``, in integer steps or
     real hours, from an integer start >= 0 if one is given. The outage
     window's fit to the horizon, and its default start, depend on the
     profile and are checked when the scenario is applied.
     """
-    for name in MULTIPLIERS:
-        value = _real(name, getattr(scenario, name))
-        if not (_finite(value, numbers.Real) and value > 0):
-            raise ValueError(f"{name} must be finite and > 0, got {shown(value)}")
+    c = _Checker()
+    _check_ranges(c, scenario, "")
+    if c.violations:
+        first = c.violations[0]
+        raise ValueError(f"{first.path} {first.message}")
     if scenario.outage is not None:
         steps = outage_steps(scenario.outage, step_hours)
         start = scenario.outage.start_step
-        if start is not None and _integer("outage start_step", start) < 0:
+        if start is not None and (start := _integer("outage start_step", start)) < 0:
             raise ValueError(f"outage window [{shown(start)}, {shown(start + steps)}) "
                              "does not fit any horizon: start_step must be >= 0")

@@ -58,8 +58,9 @@ def _frozen_column(name: str, values) -> np.ndarray:
              else (array >= 0) & (array <= np.finfo(np.float64).max))
     if not valid.all():
         step = int(np.argmin(valid))
+        value = array[step:step + 1].item()   # as a Python int or float
         raise ValueError(
-            f"column {name}: step {step} is {shown(array[step])}, expected "
+            f"column {name}: step {step} is {shown(value)}, expected "
             + ("0 or 1" if flags else "a finite number >= 0"))
     array = np.asarray(array, dtype=np.uint8 if flags else np.float64)
     if array.flags.writeable or not array.flags.c_contiguous:
@@ -165,6 +166,15 @@ def _blocks(data: bytes, start: int = 0):
         stop = len(data) if stop < 0 else stop + 1
         yield start, stop
         start = stop
+
+
+def _newlines(data: bytes, start: int = 0, stop: int | None = None) -> int:
+    """``data.count(b"\n", start, stop)``, by numpy one _BLOCK_BYTES slice at
+    a time: bytes.count of one byte is a plain byte loop, about five times
+    slower on a 5.5 MB profile."""
+    raw = np.frombuffer(data, dtype=np.uint8)[start:stop]
+    return sum(int(np.count_nonzero(raw[i:i + _BLOCK_BYTES] == ord("\n")))
+               for i in range(0, len(raw), _BLOCK_BYTES))
 
 
 def _parse_float(text: str, line_no: int, column: str) -> float:
@@ -282,7 +292,7 @@ def _parse_blocks(data: bytes, header: tuple[str, ...]) -> np.ndarray | None:
     if end < 0 or tuple(name.strip() for name in
                         data[:end].decode("ascii").split(",")) != header:
         return None
-    values = np.empty((data.count(b"\n", end + 1) + 1, 6))
+    values = np.empty((_newlines(data, end + 1) + 1, 6))
     rows = 0
     for start, stop in _blocks(data, end + 1):
         block = data[start:stop]
@@ -293,7 +303,7 @@ def _parse_blocks(data: bytes, header: tuple[str, ...]) -> np.ndarray | None:
             read = _read_cells(_BLANK_LINE.sub(b"", block), values[rows:])
         if read is None:
             columns = _parse_rows(block.decode("ascii").splitlines(), header,
-                                  data.count(b"\n", 0, start) + 1)
+                                  _newlines(data, 0, start) + 1)
             read = len(columns[0])
             values[rows:rows + read, 1:] = np.transpose(columns)
         rows += read

@@ -63,7 +63,8 @@ def _resolve_outage(outage: OutageSpec, inputs: Profile,
         if not len(above):
             raise ValueError("no step above the threshold; "
                              "set the outage start explicitly")
-        start = int(above[0])
+        start = above[0]
+    start = int(start)   # a numpy int would overflow, or fail, on + steps
     if start + steps > len(inputs):
         raise ValueError(
             f"outage window [{shown(start)}, {shown(start + steps)}) does not "

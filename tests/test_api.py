@@ -73,7 +73,7 @@ def top_level_definitions(module) -> set:
 
 # the config schema's names that model.py alone defines
 SCHEMA_NAMES = {"OutageSpec", "Scenario", "MULTIPLIERS", "BASE_KEY",
-                "validate_scenario", "outage_steps", "_integer", "_real",
+                "validate_scenario", "outage_steps", "_integer", "_number",
                 "PRICE_CURRENCY", "PRICE_CENTS"}
 
 

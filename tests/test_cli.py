@@ -523,16 +523,15 @@ def test_infinite_scenario_multiplier_is_reported_as_bad_input(fixture_args):
     with open(out / "runs" / "matrix.csv", newline="") as fh:
         rows = {row[0]: row for row in csv.reader(fh)}
     assert rows["X"][1] == \
-        "scenario X: demand_multiplier must be finite and > 0, got inf"
+        "scenario X: demand_multiplier must be a finite number, got inf"
     assert (out / "runs" / "S1" / "report.json").is_file()
 
 
 @pytest.mark.parametrize("key,value,message", [
-    ("demand_multiplier", "inf", "demand_multiplier must be finite and > 0, got inf"),
-    ("demand_multiplier", "0", "demand_multiplier must be finite and > 0, got 0.0"),
-    ("demand_multiplier", "nan", "demand_multiplier must be finite and > 0, got nan"),
-    ("fuel_price_multiplier", "-1",
-     "fuel_price_multiplier must be finite and > 0, got -1.0"),
+    ("demand_multiplier", "inf", "demand_multiplier must be a finite number, got inf"),
+    ("demand_multiplier", "0", "demand_multiplier must be > 0, got 0.0"),
+    ("demand_multiplier", "nan", "demand_multiplier must be a finite number, got nan"),
+    ("fuel_price_multiplier", "-1", "fuel_price_multiplier must be > 0, got -1.0"),
     ("outage_hours", "inf",
      "outage duration_hours inf is not a finite number of steps"),
     ("outage_hours", "0.2", "outage duration must cover at least one step, got 0"),

@@ -50,6 +50,19 @@ def test_percentile_zero_is_the_minimum():
     assert price_threshold([0.3, 0.1, 0.2], ems) == 0.1
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from([0.0, -0.0, math.nan, 0.5, -0.5]),
+                          st.floats(allow_nan=False)), min_size=1, max_size=40),
+       st.floats(0.0, 1.0))
+def test_percentile_selection_picks_the_stable_sorts_bits(prices, percentile):
+    # the stable sort keeps 0.0 and -0.0 in input order; selection must
+    # return the same zero, and the same bits for every other value
+    ems = EmsConfig(threshold_mode="price-percentile", percentile=percentile)
+    ordered = np.sort(np.array(prices), kind="stable")
+    expected = ordered[math.floor(percentile * (len(prices) - 1))]
+    assert np.float64(price_threshold(prices, ems)).tobytes() == expected.tobytes()
+
+
 def test_percentile_needs_prices():
     ems = EmsConfig(threshold_mode="price-percentile", percentile=0.75)
     with pytest.raises(ValueError):
