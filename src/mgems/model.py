@@ -282,8 +282,9 @@ def _check_wind(c: _Checker, config: MicrogridConfig) -> None:
                 f"({w.cut_in_ms}, {w.rated_speed_ms}, {w.cut_out_ms})")
     if _finite(w.unit_rated_kw) and w.unit_rated_kw > 0 and _finite(w.capacity_kw) \
             and w.capacity_kw >= 0:
-        units = w.capacity_kw / w.unit_rated_kw
+        # Python's float /, which overflows to inf where numpy's warns;
         # an overflowing quotient counts no whole number of units
+        units = float(w.capacity_kw) / float(w.unit_rated_kw)
         c.check(math.isfinite(units) and abs(units - round(units)) < 1e-9,
                 "wind.capacity_kw",
                 f"must be a whole multiple of unit_rated_kw ({w.unit_rated_kw}), "
@@ -291,10 +292,11 @@ def _check_wind(c: _Checker, config: MicrogridConfig) -> None:
     heights = (w.hub_height_m, w.anemometer_height_m)
     if all(_finite(h) and h > 0 for h in heights) \
             and _finite(w.shear_exponent) and w.shear_exponent >= 0:
-        # Python's float **, as the resource conversion computes it
-        ratio = w.hub_height_m / w.anemometer_height_m
+        # Python's float ** (numpy's warns where it overflows), as the
+        # resource conversion computes it for a config read from a file
+        ratio = float(w.hub_height_m) / float(w.anemometer_height_m)
         try:
-            factor = ratio ** w.shear_exponent
+            factor = ratio ** float(w.shear_exponent)
         except OverflowError:
             factor = math.inf
         c.check(math.isfinite(factor), "wind.shear_exponent",

@@ -29,10 +29,12 @@ from conftest import make_config
 
 HUGE = 10**5000   # beyond str()'s default digit limit
 
-# one value of each kind: bool, int, huge int, float, NaN, numpy scalars,
-# Fraction, Decimal, str and None
+# one value of each kind: bool, int, huge int, float, NaN, numpy scalars (a
+# tiny np.float64 overflows a quotient it divides), Fraction, Decimal, str
+# and None
 KINDS = [True, False, 2, -3, 10**400, HUGE, 0.5, 2.0, math.nan, math.inf,
-         np.float64(1.5), np.float32(2.0), np.int64(2), np.uint8(3), np.bool_(True),
+         np.float64(1.5), np.float64(1e-308), np.float32(2.0), np.int64(2), np.uint8(3),
+         np.bool_(True),
          Fraction(3, 2), Fraction(HUGE), Decimal("2"), Decimal(HUGE), "2", "x" * 10**4,
          None]
 
