@@ -92,12 +92,24 @@ def _read_config(args) -> LoadedConfig:
         raise _CommandError(EXIT_IO, f"cannot read config file {path}: {exc}")
 
 
+def _bad_values(loaded: LoadedConfig) -> list[str]:
+    """Every bad value of the file, a line each: the config's, then each
+    [scenario:NAME]'s first once step_hours, its outage hours' unit, is valid."""
+    violations = validate_config(loaded.config).violations
+    lines = [str(violation) for violation in violations]
+    if all(violation.path != "step_hours" for violation in violations):
+        for name, scenario in loaded.scenarios.items():
+            try:
+                validate_scenario(scenario, loaded.config.step_hours)
+            except ValueError as exc:
+                lines.append(f"[{SCENARIO_PREFIX}{name}] {exc}")
+    return lines
+
+
 def _load_validated(args) -> LoadedConfig:
     loaded = _read_config(args)
-    report = validate_config(loaded.config)
-    if not report.ok:
-        raise _CommandError(EXIT_VALIDATION,
-                            "invalid config:\n" + str(report))
+    if bad := _bad_values(loaded):
+        raise _CommandError(EXIT_VALIDATION, "invalid config:\n" + "\n".join(bad))
     return loaded
 
 
@@ -369,18 +381,10 @@ def cmd_scenarios(args) -> int:
 
 def cmd_validate(args) -> int:
     loaded = _read_config(args)
-    report = validate_config(loaded.config)
-    if not report.ok:
-        for violation in report.violations:
-            print(violation, file=sys.stderr)
+    if bad := _bad_values(loaded):
+        print("\n".join(bad), file=sys.stderr)
         return EXIT_VALIDATION
     config = loaded.config
-    for name, scenario in loaded.scenarios.items():
-        try:
-            validate_scenario(scenario, config.step_hours)
-        except ValueError as exc:
-            raise _CommandError(EXIT_VALIDATION, f"[{SCENARIO_PREFIX}{name}] {exc}")
-
     print("config: OK")
     print(f"pv: {config.pv.capacity_kw} kW | wind: {config.wind.capacity_kw} kW | "
           f"diesel: {config.diesel.capacity_kw} kW | "

@@ -5,12 +5,16 @@ live in [scenario:NAME] sections; the built-ins S1-S4 need no definition.
 NAME, stripped, names the scenario's output directory, so it must be a
 plain directory name other than the base run's and the top-level output
 files'.
+
+This module only reads: a number is passed on as a float (an integer key's
+integral float as its int), and a value that parses as no number, or as no
+boolean for export_offset_enabled, as its stripped text, for model.py to
+judge. ConfigFileError means a malformed file, never a bad value.
 """
 
 from __future__ import annotations
 
 import configparser
-import math
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
@@ -45,48 +49,26 @@ class _Section:
         self.values = dict(parser.items(name)) if parser.has_section(name) else {}
         self.seen: set[str] = set()
 
-    def _fetch(self, key: str, default):
-        """The key's raw text, or None where ``default`` is returned instead;
+    def text(self, key: str, default=MISSING):
+        """The key's stripped text, or ``default`` where the key is unset;
         MISSING as ``default`` makes the key required."""
         self.seen.add(key)
-        raw = self.values.get(key)
-        if raw is None and default is MISSING:
+        if key in self.values:
+            return self.values[key].strip()
+        if default is MISSING:
             raise ConfigFileError(f"[{self.name}] missing required key {key!r}")
-        return raw
+        return default
 
-    def number(self, key: str, default=MISSING) -> float | None:
-        raw = self._fetch(key, default)
-        if raw is None:
-            return default
+    def number(self, key: str, default=MISSING):
+        value = self.text(key, default)
         try:
-            return float(raw)
+            return float(value) if isinstance(value, str) else value
         except ValueError:
-            raise ConfigFileError(
-                f"[{self.name}] {key}: not a number: {raw!r}") from None
+            return value
 
-    def integer(self, key: str, default=MISSING) -> int | None:
+    def integer(self, key: str, default=MISSING):
         value = self.number(key, default)
-        if value is None:
-            return None
-        if not math.isfinite(value) or value != int(value):
-            raise ConfigFileError(
-                f"[{self.name}] {key}: must be an integer, got {value}")
-        return int(value)
-
-    def text(self, key: str, default=MISSING) -> str | None:
-        raw = self._fetch(key, default)
-        return default if raw is None else raw.strip()
-
-    def flag(self, key: str, default: bool) -> bool:
-        raw = self._fetch(key, default)
-        if raw is None:
-            return default
-        lowered = raw.strip().lower()
-        if lowered in ("1", "true", "yes", "on"):
-            return True
-        if lowered in ("0", "false", "no", "off"):
-            return False
-        raise ConfigFileError(f"[{self.name}] {key}: not a boolean: {raw!r}")
+        return int(value) if isinstance(value, float) and value.is_integer() else value
 
     def reject_unknown(self) -> None:
         unknown = set(self.values) - self.seen
@@ -127,9 +109,9 @@ def _load_emissions(section: _Section) -> EmissionFactors:
             value = section.number(f"{side}_{pollutant}", None)
             if value is not None:
                 side_factors[pollutant] = value
-    return EmissionFactors(
-        **factors,
-        export_offset_enabled=section.flag("export_offset_enabled", False))
+    offset = section.text("export_offset_enabled", "false")
+    return EmissionFactors(**factors, export_offset_enabled=(
+        configparser.ConfigParser.BOOLEAN_STATES.get(offset.lower(), offset)))
 
 
 def _scenario_name(section: str, taken: dict[str, Scenario]) -> str:
@@ -155,20 +137,17 @@ def _load_scenario(parser: configparser.ConfigParser, section_name: str,
     outage = OutageSpec(start_step=section.integer("outage_start", None),
                         duration_steps=section.integer("outage_steps", None),
                         duration_hours=section.number("outage_hours", None))
-    if outage == OutageSpec():
-        outage = None
-    elif outage.duration_steps is None and outage.duration_hours is None:
-        raise ConfigFileError(
-            f"[{section.name}] outage_start needs outage_steps or outage_hours")
-    scenario = Scenario(id=name, outage=outage, **{
+    scenario = Scenario(id=name, outage=None if outage == OutageSpec() else outage, **{
         key: section.number(key, 1.0) for key in MULTIPLIERS})
     section.reject_unknown()
     return scenario
 
 
 def load_config(path: str | Path) -> LoadedConfig:
-    """Read and assemble a config file (structure only; validate separately);
-    a read that fails raises its OSError, as in ``load_profile``."""
+    """Read and assemble a config file, its values unjudged: validate the
+    config with validate_config and each scenario with validate_scenario.
+    A malformed file raises ConfigFileError; a read that fails raises its
+    OSError, as in ``load_profile``."""
     path = Path(path)
     parser = _read_parser(path)
     sections = {name: _Section(parser, name) for name in _SECTIONS}

@@ -11,9 +11,9 @@ factors and the EMS threshold parameters, whose checks depend on which values
 are set, are checked by _check_emissions and _check_ems. Violations are listed
 section by section in MicrogridConfig's field order: within a section, its
 field ranges in field order, then its checks that compare fields (the wind
-speed order, whole units and a finite shear factor, the battery SOC band,
-the EMS mode, and, after [economics], the component lifetimes against the
-project's); step_hours comes last.
+speed order, whole units and a finite shear factor, the battery SOC band
+and scale, the EMS mode, and, after [economics], the component lifetimes
+against the project's); step_hours comes last.
 """
 
 from __future__ import annotations
@@ -47,6 +47,14 @@ _MAX_REPLACEMENTS = 100
 # precision to subnormal numbers or divide by zero
 _MIN_STEP_HOURS = 1.0 / 3600.0
 _MAX_STEP_HOURS = 8760.0
+
+# the least nonzero capacity_kwh * sqrt(roundtrip_efficiency) and SOC floor
+# e_min = capacity_kwh * soc_min (a zero soc_min sets no floor): a discharge
+# headroom, (energy - e_min) * sqrt_eta / step, of one ulp of the capacity
+# (capacity * 2**-52) over the longest step is then normal (>= 2**-1022), not
+# a subnormal whose lost precision x / sqrt_eta * step carries past soc_min,
+# and e_min is normal, so it keeps every bit as the battery is rescaled
+_MIN_BATTERY_SCALE = 2.0 ** -970 * _MAX_STEP_HOURS
 
 
 def _ranged(*bounds, default=MISSING):
@@ -310,9 +318,15 @@ def _check_battery(c: _Checker, config: MicrogridConfig) -> None:
         c.check(0 <= b.soc_min < b.soc_max <= 1, "battery.soc_band",
                 f"must satisfy 0 <= soc_min < soc_max <= 1, got [{b.soc_min}, {b.soc_max}]")
         if _finite(b.depth_of_discharge):
-            c.check(b.soc_max - b.soc_min <= b.depth_of_discharge + 1e-12, "battery.soc_band",
-                    f"band width {b.soc_max - b.soc_min} exceeds depth_of_discharge "
-                    f"{b.depth_of_discharge}")
+            width = float(b.soc_max) - float(b.soc_min)   # inf where numpy's warns
+            c.check(width <= b.depth_of_discharge + 1e-12, "battery.soc_band",
+                    f"band width {width} exceeds depth_of_discharge {b.depth_of_discharge}")
+    eta = b.roundtrip_efficiency
+    if _finite(b.capacity_kwh) and _finite(eta) and eta >= 0 and _finite(b.soc_min):
+        scale = float(b.capacity_kwh) * min(math.sqrt(eta), float(b.soc_min) or 1.0)
+        c.check(not 0 < scale < _MIN_BATTERY_SCALE, "battery.capacity_kwh",
+                "must be 0 or make capacity_kwh * sqrt(roundtrip_efficiency) and a nonzero "
+                f"capacity_kwh * soc_min >= {_MIN_BATTERY_SCALE:.3g}, got {scale}")
 
 
 def _check_ems(c: _Checker, config: MicrogridConfig) -> None:
@@ -349,7 +363,7 @@ def _check_replacements(c: _Checker, config: MicrogridConfig) -> None:
     for name in ("pv", "wind", "battery"):
         lifetime = getattr(config, name).lifetime_years
         if _finite(lifetime) and lifetime > 0:
-            c.check(lifetime * _MAX_REPLACEMENTS >= years, f"{name}.lifetime_years",
+            c.check(float(lifetime) * _MAX_REPLACEMENTS >= years, f"{name}.lifetime_years",
                     f"must be >= project_lifetime_years / {_MAX_REPLACEMENTS} "
                     f"({years / _MAX_REPLACEMENTS}), got {lifetime}")
 
@@ -364,6 +378,8 @@ def _check_emissions(c: _Checker, config: MicrogridConfig) -> None:
                     f"unknown pollutant (expected one of {', '.join(POLLUTANTS)})"))
             else:
                 c.within(value, f"emissions.{side}.{pollutant}", [_NONNEG])
+    c.check(isinstance(e.export_offset_enabled, bool), "emissions.export_offset_enabled",
+            f"must be a bool, got {shown(e.export_offset_enabled, repr)}")
 
 
 def _check_ranges(c: _Checker, spec, prefix: str) -> None:
@@ -437,7 +453,7 @@ def outage_steps(outage: OutageSpec, step_hours: float) -> int:
         steps = _integer("outage duration_steps", outage.duration_steps)
     elif outage.duration_hours is not None:
         hours = outage.duration_hours
-        steps = hours / step_hours if _finite(hours) else math.inf
+        steps = float(hours) / float(step_hours) if _finite(hours) else math.inf
         if not math.isfinite(steps):
             raise ValueError(f"outage duration_hours {shown(hours, repr)} "
                              "is not a finite number of steps")

@@ -104,8 +104,8 @@ def apply_scenario(inputs: Profile, config: MicrogridConfig,
         for column in columns.values():
             column.setflags(write=False)
         scaled = replace(inputs, grid_available=grid_available, **columns)
-        fuel_cost = (config.diesel.fuel_cost_per_kwh
-                     * scenario.fuel_price_multiplier)
+        fuel_cost = (float(config.diesel.fuel_cost_per_kwh)
+                     * float(scenario.fuel_price_multiplier))
         if not math.isfinite(fuel_cost):
             raise ValueError("fuel_cost_per_kwh scaled by "
                              f"{scenario.fuel_price_multiplier} is not finite")

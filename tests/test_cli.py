@@ -14,7 +14,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, reject, settings, strategies as st
+from hypothesis import assume, example, given, reject, settings, strategies as st
 
 from mgems import dispatch
 from mgems._kernel import IMPORT
@@ -252,6 +252,26 @@ def test_validate_reports_violations_one_per_line(fixture_args, capsys):
     assert any("battery.soc_band" in line for line in err)
 
 
+def test_validate_lists_every_bad_value_of_the_file(fixture_args, capsys):
+    _, _, out = fixture_args
+    bad = out / "bad.ini"
+    bad.write_text(example_config_text({
+        ("pv", "capacity_kw"): "big",
+        ("battery", "capacity_kwh"): "-5",
+        ("economics", "project_lifetime_years"): "2.5",
+        ("emissions", "export_offset_enabled"): "maybe"})
+        + "\n[scenario:X]\ndemand_multiplier = 0\n")
+    assert run_cli("validate", "--config", bad) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "pv.capacity_kw: must be an int or a float, got 'big' of type str\n"
+        "battery.capacity_kwh: must be >= 0, got -5.0\n"
+        "economics.project_lifetime_years: must be an integer, got 2.5\n"
+        "emissions.export_offset_enabled: must be a bool, got 'maybe' of type str\n"
+        "[scenario:X] demand_multiplier must be > 0, got 0.0\n")
+
+
 def test_scenarios_selection_cardinality(fixture_args):
     config, profile, out = fixture_args
     assert run_cli("scenarios", "--config", config, "--profile", profile,
@@ -404,22 +424,46 @@ def test_simulate_accepts_a_huge_finite_demand(fixture_args):
                    "--out", out / "run") == 0
 
 
-@pytest.mark.parametrize("value", ["inf", "nan"])
-@pytest.mark.parametrize("key", ["outage_steps", "outage_start"])
-@pytest.mark.parametrize("command", ["validate", "scenarios"])
+# each a [scenario:X] section validate_scenario rejects, and its message
+BAD_SCENARIOS = {
+    "steps-inf": ("outage_steps = inf",
+                  "outage duration_steps must be an integer, got inf"),
+    "steps-nan": ("outage_steps = nan",
+                  "outage duration_steps must be an integer, got nan"),
+    "steps-2.5": ("outage_steps = 2.5",
+                  "outage duration_steps must be an integer, got 2.5"),
+    "start-inf": ("outage_start = inf\noutage_steps = 2",
+                  "outage start_step must be an integer, got inf"),
+    "start-nan": ("outage_start = nan\noutage_steps = 2",
+                  "outage start_step must be an integer, got nan"),
+    "start-alone": ("outage_start = 5",
+                    "outage needs duration_steps or duration_hours"),
+    "start-negative": ("outage_start = -1\noutage_steps = 2",
+                       "outage window [-1, 1) does not fit any horizon: "
+                       "start_step must be >= 0"),
+    "demand-abc": ("demand_multiplier = abc",
+                   "demand_multiplier must be an int or a float, got 'abc' of type str"),
+    "demand-0": ("demand_multiplier = 0", "demand_multiplier must be > 0, got 0.0"),
+}
+
+
+@pytest.mark.parametrize("keys,message", BAD_SCENARIOS.values(), ids=BAD_SCENARIOS)
+@pytest.mark.parametrize("command", ["validate", "simulate", "scenarios"])
 def test_non_finite_scenario_integer_exits_2(fixture_args, capsys, command,
-                                             key, value):
+                                             keys, message):
     config, profile, out = fixture_args
     custom = out / "custom.ini"
-    keys = {"outage_steps": "2", key: value}
-    custom.write_text(Path(config).read_text() + "\n[scenario:X]\n"
-                      + "".join(f"{k} = {v}\n" for k, v in keys.items()))
+    custom.write_text(Path(config).read_text() + f"\n[scenario:X]\n{keys}\n")
     args = ["--config", custom, "--profile", profile]
+    if command != "validate":
+        args += ["--out", out / "runs"]
     if command == "scenarios":
-        args += ["--out", out / "runs", "--scenarios", "X"]
+        args += ["--scenarios", "X"]
     assert run_cli(command, *args) == 2
-    assert f"[scenario:X] {key}: must be an integer, got {value}" in \
-        capsys.readouterr().err
+    captured = capsys.readouterr()
+    header = "" if command == "validate" else "error: invalid config:\n"
+    assert captured.err == f"{header}[scenario:X] {message}\n"
+    assert captured.out == ""
     assert not (out / "runs").exists()
 
 
@@ -512,19 +556,17 @@ def test_simulate_manifest_records_the_invocation(fixture_args):
         "}\n")
 
 
-def test_infinite_scenario_multiplier_is_reported_as_bad_input(fixture_args):
+def test_infinite_scenario_multiplier_is_reported_as_bad_input(fixture_args, capsys):
     config, profile, out = fixture_args
     custom = out / "custom.ini"
     custom.write_text(Path(config).read_text() + "\n[scenario:X]\n"
                       "demand_multiplier = inf\n")
+    # a bad value no profile can make valid stops the whole run, S1 too
     assert run_cli("scenarios", "--config", custom, "--profile", profile,
-                   "--out", out / "runs", "--scenarios", "S1,X") == 0
-    import csv
-    with open(out / "runs" / "matrix.csv", newline="") as fh:
-        rows = {row[0]: row for row in csv.reader(fh)}
-    assert rows["X"][1] == \
-        "scenario X: demand_multiplier must be a finite number, got inf"
-    assert (out / "runs" / "S1" / "report.json").is_file()
+                   "--out", out / "runs", "--scenarios", "S1,X") == 2
+    assert capsys.readouterr().err == ("error: invalid config:\n[scenario:X] "
+                                       "demand_multiplier must be a finite number, got inf\n")
+    assert not (out / "runs").exists()
 
 
 @pytest.mark.parametrize("key,value,message", [
@@ -545,26 +587,13 @@ def test_validate_rejects_a_bad_scenario_value(fixture_args, capsys, key, value,
                       + f"\n[scenario:OK]\n\n[scenario:X]\n{key} = {value}\n")
     assert run_cli("validate", "--config", custom) == 2
     captured = capsys.readouterr()
-    assert captured.err == f"error: [scenario:X] {message}\n"
+    assert captured.err == f"[scenario:X] {message}\n"
     assert "config: OK" not in captured.out
 
 
-def test_validate_rejects_a_negative_outage_start(fixture_args, capsys):
-    config, profile, out = fixture_args
-    custom = out / "custom.ini"
-    custom.write_text(Path(config).read_text()
-                      + "\n[scenario:X]\noutage_start = -1\noutage_steps = 2\n")
-    assert run_cli("validate", "--config", custom) == 2
-    captured = capsys.readouterr()
-    assert captured.err == ("error: [scenario:X] outage window [-1, 1) does not "
-                            "fit any horizon: start_step must be >= 0\n")
-    assert "config: OK" not in captured.out
-
-
+# a window that fits no horizon at all exits 2: see BAD_SCENARIOS
 @pytest.mark.parametrize("start,steps,message", [
     (100, 6, "outage window [100, 106) does not fit the 24-step horizon"),
-    (-1, 2, "outage window [-1, 1) does not fit any horizon: "
-            "start_step must be >= 0"),
 ])
 def test_matrix_error_cell_names_the_scenario_of_a_bad_window(
         fixture_args, start, steps, message):
@@ -998,6 +1027,10 @@ magnitude = st.builds(lambda mantissa, exponent: mantissa * 10.0 ** exponent,
 @settings(max_examples=150, deadline=timedelta(seconds=10))
 @given(st.dictionaries(st.sampled_from(_numeric_keys()), magnitude,
                        min_size=1, max_size=3))
+# a battery whose discharge headroom is subnormal, so its SOC fell under
+# soc_min (exit 4) before validate_config bounded the battery's scale
+@example({("battery", "roundtrip_efficiency"): 1e-182,
+          ("battery", "capacity_kwh"): 1.4999999999999998e-225})
 def test_a_config_validate_accepts_simulates_or_exits_2(changes):
     with tempfile.TemporaryDirectory() as tmp:
         custom = Path(tmp) / "custom.ini"

@@ -75,13 +75,6 @@ def test_of_several_missing_keys_the_first_read_is_named(tmp_path, position):
 
 
 @pytest.mark.parametrize("section,key,value,message", [
-    ("pv", "capacity_kw", "big", "[pv] capacity_kw: not a number: 'big'"),
-    ("wind", "shear_exponent", "x", "[wind] shear_exponent: not a number: 'x'"),
-    ("ems", "percentile", "high", "[ems] percentile: not a number: 'high'"),
-    ("economics", "project_lifetime_years", "2.5",
-     "[economics] project_lifetime_years: must be an integer, got 2.5"),
-    ("economics", "project_lifetime_years", "inf",
-     "[economics] project_lifetime_years: must be an integer, got inf"),
     ("pv", "capacity", "1", "[pv] unknown key(s): capacity"),
 ])
 def test_a_bad_value_is_named(tmp_path, section, key, value, message):
@@ -91,16 +84,11 @@ def test_a_bad_value_is_named(tmp_path, section, key, value, message):
 
 
 @pytest.mark.parametrize("text,message", [
-    (example_config_text({("emissions", "export_offset_enabled"): "maybe"}),
-     "[emissions] export_offset_enabled: not a boolean: 'maybe'"),
-    (EXAMPLE + "\n[scenario:X]\noutage_start = 3\n",
-     "[scenario:X] outage_start needs outage_steps or outage_hours"),
     (example_config_text({("simulation", "price_unit"): "dollars"}),
      "[simulation] price_unit: expected currency_per_kwh or cents_per_kwh, "
      "got 'dollars'"),
     (EXAMPLE + "\n[foo]\nkey = 1\n", "unknown section [foo]"),
-], ids=["flag-maybe", "outage-start-alone", "price-unit-dollars",
-        "unknown-section"])
+], ids=["price-unit-dollars", "unknown-section"])
 def test_a_malformed_config_exits_2_naming_its_fault(tmp_path, capsys, text,
                                                      message):
     with pytest.raises(ConfigFileError) as exc:
@@ -110,6 +98,48 @@ def test_a_malformed_config_exits_2_naming_its_fault(tmp_path, capsys, text,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+# configio only reads: a value is passed on for model.py to judge
+@pytest.mark.parametrize("section,key,value,read", [
+    ("pv", "capacity_kw", " big ", "big"),
+    ("pv", "capacity_kw", "", ""),
+    ("wind", "shear_exponent", "x", "x"),
+    ("ems", "percentile", "high", "high"),
+    ("battery", "capacity_kwh", "-5", -5.0),
+    ("economics", "project_lifetime_years", "2.5", 2.5),
+    ("economics", "project_lifetime_years", "inf", math.inf),
+    ("economics", "project_lifetime_years", "25.0", 25),
+    ("economics", "project_lifetime_years", "ten", "ten"),
+    ("emissions", "export_offset_enabled", "maybe", "maybe"),
+    ("emissions", "export_offset_enabled", "ON", True),
+], ids=lambda value: repr(value) if isinstance(value, str) else None)
+def test_a_value_is_passed_on_as_read(tmp_path, section, key, value, read):
+    config = load(tmp_path, example_config_text({(section, key): value})).config
+    got = getattr(getattr(config, section), key)
+    assert got == read and type(got) is type(read)
+
+
+def test_a_hub_height_that_is_no_number_is_named_at_both_heights(tmp_path):
+    # the hub height is the anemometer's default height, as read
+    text = example_config_text({("wind", "hub_height_m"): "tall",
+                                ("wind", "anemometer_height_m"): None})
+    report = model.validate_config(load(tmp_path, text).config)
+    assert [str(v) for v in report.violations] == [
+        "wind.hub_height_m: must be an int or a float, got 'tall' of type str",
+        "wind.anemometer_height_m: must be an int or a float, got 'tall' of type str"]
+
+
+@pytest.mark.parametrize("keys,outage", [
+    ("outage_start = 3", model.OutageSpec(start_step=3)),
+    ("outage_start = 2.5\noutage_hours = x",
+     model.OutageSpec(start_step=2.5, duration_hours="x")),
+    ("outage_steps = 4.0", model.OutageSpec(duration_steps=4)),
+], ids=["start-alone", "text-and-float", "integral-float"])
+def test_a_scenario_outage_is_passed_on_as_read(tmp_path, keys, outage):
+    scenarios = load(tmp_path, EXAMPLE + f"\n[scenario:X]\n{keys}\n").scenarios
+    assert scenarios["X"].outage == outage
+    assert type(scenarios["X"].outage.start_step) is type(outage.start_step)
 
 
 def test_a_config_without_a_section_header_exits_2(tmp_path, capsys):

@@ -459,7 +459,9 @@ def sized_runs(draw):
         THRESHOLD_PERCENTILE: {"percentile": draw(st.floats(0.05, 0.95))},
         THRESHOLD_LOAD: {"load_threshold_kw": draw(magnitude)}}[mode])
     config = make_config(ems=ems, step_hours=draw(st.sampled_from([0.25, 1.0])))
-    soc_min = draw(st.floats(0.0, 0.4))
+    # validate_config takes no nonzero SOC floor under 8.8e-289 kWh, the
+    # least capacity 1e-3 kWh times 1e-285
+    soc_min = draw(st.just(0.0) | st.floats(1e-285, 0.4))
     units = draw(st.integers(0, 40))
     unit_rated_kw = draw(st.floats(1.0, 10.0))
     return Profile(*zip(*columns)), dataclasses.replace(

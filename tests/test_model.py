@@ -259,3 +259,33 @@ def test_an_unknown_pollutant_is_a_violation_named_by_its_path():
 def test_an_empty_report_reads_ok():
     assert ValidationReport().ok
     assert str(ValidationReport()) == "ok"
+
+
+@pytest.mark.parametrize("capacity,eta,soc_min,scale", [
+    # its SOC fell under soc_min
+    (1.4999999999999998e-225, 1e-182, 0.2, 1.4999999999999998e-316),
+    # its floor, 3.9e-311 kWh, did not double with the battery's size
+    (1.75, 0.9, 2.225073858507e-311, 1.75 * 2.225073858507e-311),
+    (model._MIN_BATTERY_SCALE, 1.0, 0.0, None),
+    (model._MIN_BATTERY_SCALE / 0.25, 1.0, 0.25, None),
+    (model._MIN_BATTERY_SCALE * 0.999, 1.0, 0.0, model._MIN_BATTERY_SCALE * 0.999),
+    (0.0, 1e-300, 1e-300, None),                       # no battery
+    (1e-130, 1e-300, 0.0, None),                       # no floor
+], ids=["subnormal-headroom", "subnormal-floor", "at-the-bound", "floor-at-the-bound",
+        "under-the-bound", "zero", "tiny-eta"])
+def test_a_battery_too_small_for_normal_energies_is_flagged(capacity, eta, soc_min, scale):
+    config = replace_spec(make_config(), "battery", capacity_kwh=capacity,
+                          roundtrip_efficiency=eta, soc_min=soc_min, soc_max=1.0,
+                          depth_of_discharge=1.0)
+    violations = [str(v) for v in validate_config(config).violations]
+    assert violations == ([] if scale is None else [
+        "battery.capacity_kwh: must be 0 or make capacity_kwh * sqrt(roundtrip_efficiency) "
+        f"and a nonzero capacity_kwh * soc_min >= 8.78e-289, got {scale}"])
+
+
+@pytest.mark.parametrize("flag,shown", [("maybe", "'maybe' of type str"), (1, "1"),
+                                        (None, "None of type NoneType")])
+def test_export_offset_enabled_must_be_a_bool(flag, shown):
+    config = make_config(emissions=EmissionFactors(export_offset_enabled=flag))
+    assert [str(v) for v in validate_config(config).violations] == [
+        f"emissions.export_offset_enabled: must be a bool, got {shown}"]

@@ -227,3 +227,37 @@ def test_a_numpy_outage_start_adds_its_steps_exactly(example_inputs, start, step
     else:
         with pytest.raises(ValueError, match="does not fit the 24-step horizon"):
             apply_scenario(example_inputs, make_config(), scenario)
+
+
+
+def test_a_numpy_soc_band_too_wide_for_a_float_is_named():
+    # soc_max - soc_min in numpy overflowed with a warning, not a violation
+    config = with_value("battery.soc_max", np.float64(1.7e308))
+    config = dataclasses.replace(config, battery=dataclasses.replace(
+        config.battery, soc_min=np.float64(-1.7e308)))
+    assert [str(v) for v in validate_config(config).violations] == [
+        "battery.soc_band: must satisfy 0 <= soc_min < soc_max <= 1, "
+        "got [-1.7e+308, 1.7e+308]",
+        "battery.soc_band: band width inf exceeds depth_of_discharge 0.8"]
+
+
+def test_a_numpy_lifetime_too_long_to_multiply_is_valid():
+    # lifetime * 100 in numpy overflowed with a warning
+    assert validate_config(with_value("pv.lifetime_years", np.float64(1e307))).ok
+
+
+def test_a_numpy_outage_too_long_for_a_float_of_steps_is_named():
+    # hours / step_hours in numpy overflowed with a warning
+    scenario = with_field("duration_hours", np.float64(1e308))
+    with pytest.raises(ValueError, match=r"^outage duration_hours .*1e\+308\)? "
+                       "is not a finite number of steps$"):
+        validate_scenario(scenario, 1 / 3600)
+
+
+def test_a_numpy_fuel_price_scaled_past_a_float_is_named(example_inputs):
+    # fuel_cost_per_kwh * fuel_price_multiplier in numpy overflowed with a warning
+    config = with_value("diesel.fuel_cost_per_kwh", np.float64(1e300))
+    with pytest.raises(ValueError) as exc:
+        apply_scenario(example_inputs, config, with_field("fuel_price_multiplier", 1e10))
+    assert str(exc.value) == \
+        "scenario x: fuel_cost_per_kwh scaled by 10000000000.0 is not finite"
