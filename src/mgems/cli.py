@@ -22,15 +22,15 @@ from typing import Sequence
 
 import numpy as np
 
-from . import __version__
+from . import __version__, scenarios
 from ._kernel import SOC
 from .configio import SCENARIO_PREFIX, LoadedConfig, load_config
 from .dispatch import (HorizonArrays, check_balance, initial_state,
                        price_threshold, run_arrays)
 from .errors import BalanceError, MgemsError, ProfileFormatError
 from .metrics import build_report
-from .model import (BASE_KEY, PRICE_CENTS, MicrogridConfig, OutageSpec,
-                    Scenario, validate_config, validate_scenario)
+from .model import (BASE_KEY, PRICE_CENTS, OutageSpec, Scenario,
+                    validate_config, validate_scenario)
 from .profiles import (GENERATION_HEADER, GENERATION_MODE, RESOURCE_MODE,
                        Profile, load_profile)
 from .scenarios import (BUILTIN_IDS, DELTA_METRICS, builtin_scenario,
@@ -41,7 +41,7 @@ EXIT_VALIDATION = 2
 EXIT_IO = 3
 EXIT_INVARIANT = 4
 
-# what simulate's outage errors name: the flags that forced the outage
+# what the outage flags' errors name
 OUTAGE_FLAGS = "--outage-start/--outage-hours"
 
 TRACE_HEADER = GENERATION_HEADER + (
@@ -113,14 +113,21 @@ def _load_validated(args) -> LoadedConfig:
     return loaded
 
 
-def _outage_override(args) -> OutageSpec | None:
+def _outage_override(args, step_hours: float) -> OutageSpec | None:
+    """The outage the flags force, checked as a scenario's is, for both
+    simulate and scenarios; None without the flags."""
     if args.outage_start is None and args.outage_hours is None:
         return None
     if args.outage_hours is None:
         raise _CommandError(EXIT_VALIDATION,
                             "--outage-start needs --outage-hours")
-    return OutageSpec(start_step=args.outage_start,
-                      duration_hours=args.outage_hours)
+    outage = OutageSpec(start_step=args.outage_start,
+                        duration_hours=args.outage_hours)
+    try:
+        validate_scenario(Scenario(id=OUTAGE_FLAGS, outage=outage), step_hours)
+    except ValueError as exc:
+        raise _CommandError(EXIT_VALIDATION, f"{OUTAGE_FLAGS}: {exc}")
+    return outage
 
 
 # rows formatted and encoded per chunk, so that no list of every row's
@@ -268,30 +275,22 @@ def _manifest_json_bytes(args, selection: tuple[str, ...] = ()) -> bytes:
     return (json.dumps(manifest, indent=2) + "\n").encode("utf-8")
 
 
-def _simulate_trace(inputs: Profile, config: MicrogridConfig,
-                    outage: OutageSpec | None):
-    if outage is not None:
-        # imported here, so each call finds the name the module holds now:
-        # a span tracer that wraps scenarios.apply_scenario sees this call
-        from .scenarios import apply_scenario
-        try:
-            inputs, config = apply_scenario(
-                inputs, config, Scenario(id=OUTAGE_FLAGS, outage=outage))
-        except ValueError as exc:
-            # the flags, not a scenario, are what the user wrote
-            raise _CommandError(EXIT_VALIDATION,
-                                f"{OUTAGE_FLAGS}: {exc.__cause__}") from None
-    trace = run_arrays(inputs, initial_state(config.battery), config)
-    check_balance(trace, inputs, config)
-    return inputs, config, trace
-
-
 def cmd_simulate(args) -> int:
     loaded = _load_validated(args)
     inputs = _load_inputs(args, loaded)
+    config = loaded.config
+    outage = _outage_override(args, config.step_hours)
+    if outage is not None:
+        try:
+            # through the module, so a tracer that wraps
+            # scenarios.apply_scenario sees this call
+            inputs, config = scenarios.apply_scenario(
+                inputs, config, Scenario(id=OUTAGE_FLAGS, outage=outage))
+        except ValueError as exc:
+            raise _CommandError(EXIT_VALIDATION, f"{OUTAGE_FLAGS}: {exc}")
     try:
-        inputs, config, trace = _simulate_trace(inputs, loaded.config,
-                                                _outage_override(args))
+        trace = run_arrays(inputs, initial_state(config.battery), config)
+        check_balance(trace, inputs, config)
         report = build_report(trace, inputs, config)
     except ValueError as exc:
         raise _CommandError(EXIT_VALIDATION, str(exc))
@@ -306,12 +305,6 @@ def cmd_simulate(args) -> int:
 
 def _select_scenarios(selection: str, loaded: LoadedConfig,
                       outage: OutageSpec | None) -> list[Scenario]:
-    if outage is not None:
-        try:
-            validate_scenario(Scenario(id=OUTAGE_FLAGS, outage=outage),
-                              loaded.config.step_hours)
-        except ValueError as exc:
-            raise _CommandError(EXIT_VALIDATION, f"{OUTAGE_FLAGS}: {exc}")
     if selection.strip().lower() == "all":
         # a custom section of a builtin's id runs in the builtin's place
         names = list(BUILTIN_IDS) + sorted(set(loaded.scenarios)
@@ -357,8 +350,8 @@ def matrix_csv_bytes(outcomes, order: Sequence[str]) -> bytes:
 def cmd_scenarios(args) -> int:
     loaded = _load_validated(args)
     inputs = _load_inputs(args, loaded)
-    scenario_list = _select_scenarios(args.scenarios, loaded,
-                                      _outage_override(args))
+    scenario_list = _select_scenarios(
+        args.scenarios, loaded, _outage_override(args, loaded.config.step_hours))
     try:
         outcomes = run_matrix(inputs, loaded.config, scenario_list)
     except ValueError as exc:

@@ -247,12 +247,14 @@ def _finite(value, integer: bool = False) -> bool:
         return False
 
 
-def shown(value, text=str) -> str:
-    """``text(value)`` for a message, bounded: an int beyond str()'s digit
-    limit (see sys.set_int_max_str_digits) by its size, and a value other
-    than an int or a float by its type and at most 40 characters of its text."""
+def shown(value) -> str:
+    """``value`` for a message: a text by repr(), so its quotes show, and any
+    other value by str(), which prints a numpy scalar alike under numpy 1 and
+    2. Bounded: an int beyond str()'s digit limit (see
+    sys.set_int_max_str_digits) by its size, and a value other than an int or
+    a float by its type and at most 40 characters of its text."""
     try:
-        out = text(value)
+        out = repr(value) if isinstance(value, str) else str(value)
     except ValueError:  # a Fraction beyond the digit limit, say
         if isinstance(value, int):
             return f"{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits"
@@ -276,7 +278,7 @@ class _Checker:
         if not _finite(value, integer):
             wanted = ("a finite number" if _number(value, integer)
                       else "an integer" if integer else "an int or a float")
-            self.violations.append(Violation(path, f"must be {wanted}, got {shown(value, repr)}"))
+            self.violations.append(Violation(path, f"must be {wanted}, got {shown(value)}"))
         else:
             for test, wording in bounds:
                 self.check(test(value), path, f"must be {wording}, got {value}")
@@ -379,7 +381,7 @@ def _check_emissions(c: _Checker, config: MicrogridConfig) -> None:
             else:
                 c.within(value, f"emissions.{side}.{pollutant}", [_NONNEG])
     c.check(isinstance(e.export_offset_enabled, bool), "emissions.export_offset_enabled",
-            f"must be a bool, got {shown(e.export_offset_enabled, repr)}")
+            f"must be a bool, got {shown(e.export_offset_enabled)}")
 
 
 def _check_ranges(c: _Checker, spec, prefix: str) -> None:
@@ -444,7 +446,7 @@ MULTIPLIERS = tuple(f.name for f in fields(Scenario) if "bounds" in f.metadata)
 
 def _integer(name: str, value) -> int:
     if not _number(value, integer=True):
-        raise ValueError(f"{name} must be an integer, got {shown(value, repr)}")
+        raise ValueError(f"{name} must be an integer, got {shown(value)}")
     return operator.index(value)
 
 
@@ -455,7 +457,7 @@ def outage_steps(outage: OutageSpec, step_hours: float) -> int:
         hours = outage.duration_hours
         steps = float(hours) / float(step_hours) if _finite(hours) else math.inf
         if not math.isfinite(steps):
-            raise ValueError(f"outage duration_hours {shown(hours, repr)} "
+            raise ValueError(f"outage duration_hours {shown(hours)} "
                              "is not a finite number of steps")
         steps = round(steps)
     else:

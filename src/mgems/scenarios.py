@@ -81,36 +81,32 @@ def apply_scenario(inputs: Profile, config: MicrogridConfig,
     everything else passes through unchanged. A value validate_scenario
     rejects, an outage window that does not fit the horizon, a scaled column
     the Profile rejects, or a fuel price that is not finite raises
-    ValueError prefixed with the scenario id; its __cause__ is the error
-    without the prefix.
+    ValueError; the caller names the scenario.
     """
+    validate_scenario(scenario, config.step_hours)
     grid_available = inputs.grid_available
-    try:
-        validate_scenario(scenario, config.step_hours)
-        if scenario.outage is not None:
-            start, steps = _resolve_outage(scenario.outage, inputs, config)
-            grid_available = grid_available.copy()
-            grid_available[start:start + steps] = 0
-            grid_available.setflags(write=False)
-        factors = {"demand_kw": scenario.demand_multiplier,
-                   "pv_kw": scenario.pv_multiplier,
-                   "wind_kw": scenario.wind_multiplier}
-        # the Profile below names an overflow (not warned of) before the fuel
-        # price does; a column left at a multiplier of 1 is the base's own
-        with np.errstate(over="ignore"):
-            columns = {name: getattr(inputs, name) * factor if factor != 1
-                       else getattr(inputs, name)
-                       for name, factor in factors.items()}
-        for column in columns.values():
-            column.setflags(write=False)
-        scaled = replace(inputs, grid_available=grid_available, **columns)
-        fuel_cost = (float(config.diesel.fuel_cost_per_kwh)
-                     * float(scenario.fuel_price_multiplier))
-        if not math.isfinite(fuel_cost):
-            raise ValueError("fuel_cost_per_kwh scaled by "
-                             f"{scenario.fuel_price_multiplier} is not finite")
-    except ValueError as exc:
-        raise ValueError(f"scenario {scenario.id}: {exc}") from exc
+    if scenario.outage is not None:
+        start, steps = _resolve_outage(scenario.outage, inputs, config)
+        grid_available = grid_available.copy()
+        grid_available[start:start + steps] = 0
+        grid_available.setflags(write=False)
+    factors = {"demand_kw": scenario.demand_multiplier,
+               "pv_kw": scenario.pv_multiplier,
+               "wind_kw": scenario.wind_multiplier}
+    # the Profile below names an overflow (not warned of) before the fuel
+    # price does; a column left at a multiplier of 1 is the base's own
+    with np.errstate(over="ignore"):
+        columns = {name: getattr(inputs, name) * factor if factor != 1
+                   else getattr(inputs, name)
+                   for name, factor in factors.items()}
+    for column in columns.values():
+        column.setflags(write=False)
+    scaled = replace(inputs, grid_available=grid_available, **columns)
+    fuel_cost = (float(config.diesel.fuel_cost_per_kwh)
+                 * float(scenario.fuel_price_multiplier))
+    if not math.isfinite(fuel_cost):
+        raise ValueError("fuel_cost_per_kwh scaled by "
+                         f"{scenario.fuel_price_multiplier} is not finite")
     new_config = replace(config, diesel=replace(config.diesel,
                                                 fuel_cost_per_kwh=fuel_cost))
     return scaled, new_config
@@ -119,7 +115,6 @@ def apply_scenario(inputs: Profile, config: MicrogridConfig,
 # compared by identity, as the HorizonArrays and Profile it holds
 @dataclass(frozen=True, eq=False)
 class ScenarioOutcome:
-    scenario_id: str
     report: SimulationReport | None
     trace: HorizonArrays | None
     inputs: Profile | None
@@ -144,6 +139,11 @@ def _deltas(base: SimulationReport, new: SimulationReport) -> dict[str, float | 
         else:
             out[name] = percent_change(base_value, new_value)
     return out
+
+
+def _failed(exc: Exception) -> ScenarioOutcome:
+    return ScenarioOutcome(report=None, trace=None, inputs=None,
+                           deltas=dict.fromkeys(DELTA_METRICS), error=str(exc))
 
 
 # The matrix forks from this many kernel steps, runs times horizon steps: a
@@ -275,13 +275,14 @@ def run_matrix(inputs: Profile, config: MicrogridConfig,
     MIN_KERNEL_STEPS kernel steps, runs times horizon steps, this process
     and a forked child claim the runs one at a time, each checking the runs
     it dispatches, and the child's traces come back through a shared
-    mapping (see ``_dispatch``). Last, in the given order, this process
-    dispatches and checks each run still without a trace, and reports every
-    run. Each outcome holds its own Profile, which shares unchanged columns
-    with the base inputs, and its own trace; the traces the child made are
-    views of one mapping. A failing scenario is reported in its outcome
-    without aborting siblings; a failing base run raises. An id that is
-    BASE_KEY or repeats raises ValueError before any scenario is applied.
+    mapping (see ``_dispatch``). Last, in order, this process dispatches
+    and checks each run still without a trace, and reports every run. Each
+    outcome holds its own Profile, which shares unchanged columns with the
+    base inputs, and its own trace; the traces the child made are views of
+    one mapping. A scenario that fails to apply, dispatch, check or report
+    is an outcome holding its error, and its siblings still run; a failing
+    base run raises. An id that is BASE_KEY or repeats raises ValueError
+    before any scenario is applied.
     """
     scenarios = list(scenarios)
     ids = [scenario.id for scenario in scenarios]
@@ -290,40 +291,29 @@ def run_matrix(inputs: Profile, config: MicrogridConfig,
             raise ValueError(f"scenario name {BASE_KEY!r} is reserved")
         if name in ids[:i]:
             raise ValueError(f"scenario {name!r} is selected twice")
-    runs = [(inputs, config)]
-    applied = []   # per scenario: its position in runs, or what apply raised
+    names, runs = [BASE_KEY], [(inputs, config)]
+    outcomes: dict[str, ScenarioOutcome] = {}
     for scenario in scenarios:
         try:
             runs.append(apply_scenario(inputs, config, scenario))
-            applied.append((scenario, len(runs) - 1))
+            names.append(scenario.id)
         except Exception as exc:  # noqa: BLE001 - isolate failing scenarios
-            applied.append((scenario, exc))
+            outcomes[scenario.id] = _failed(exc)
     # an empty horizon has no percentile; run_arrays rejects it by name
     threshold = (price_threshold(inputs.price, config.ems)
                  if len(inputs) else None)
     traces = _dispatch(runs, threshold)
-
-    def succeeded(scenario_id: str, run: int,
-                  base: SimulationReport | None = None) -> ScenarioOutcome:
-        """The run's outcome: deltas against ``base``, all 0.0 without."""
-        trace = traces.get(run)
-        if trace is None:
-            trace = _run(*runs[run], threshold)
-        report = build_report(trace, *runs[run])
-        deltas = ({name: 0.0 for name in DELTA_METRICS} if base is None
-                  else _deltas(base, report))
-        return ScenarioOutcome(scenario_id=scenario_id, report=report,
-                               trace=trace, inputs=runs[run][0], deltas=deltas)
-
-    outcomes = {BASE_KEY: succeeded(BASE_KEY, 0)}
-    for scenario, run in applied:
+    for i, (name, run) in enumerate(zip(names, runs)):
         try:
-            if isinstance(run, Exception):
-                raise run
-            outcome = succeeded(scenario.id, run, outcomes[BASE_KEY].report)
+            trace = traces[i] if i in traces else _run(*run, threshold)
+            report = build_report(trace, *run)
+            deltas = (dict.fromkeys(DELTA_METRICS, 0.0) if name == BASE_KEY
+                      else _deltas(outcomes[BASE_KEY].report, report))
         except Exception as exc:  # noqa: BLE001 - isolate failing scenarios
-            outcome = ScenarioOutcome(
-                scenario_id=scenario.id, report=None, trace=None, inputs=None,
-                deltas={name: None for name in DELTA_METRICS}, error=str(exc))
-        outcomes[scenario.id] = outcome
-    return outcomes
+            if name == BASE_KEY:
+                raise
+            outcomes[name] = _failed(exc)
+        else:
+            outcomes[name] = ScenarioOutcome(report=report, trace=trace,
+                                             inputs=run[0], deltas=deltas)
+    return {name: outcomes[name] for name in [BASE_KEY, *ids]}

@@ -478,28 +478,41 @@ def test_simulate_rejects_a_non_finite_outage_duration(fixture_args, capsys,
     assert not (out / "run").exists()
 
 
-@pytest.mark.parametrize("start,hours,message", [
-    (100, 6, "outage window [100, 106) does not fit the 24-step horizon"),
-    (16, 0, "outage duration must cover at least one step, got 0"),
+# one message from both commands: simulate exits 2 on each; scenarios exits
+# 2 on a value no profile can make valid, and fails S3 alone on a window
+# that does not fit this profile
+@pytest.mark.parametrize("flags,fits_no_horizon,message", [
+    (["--outage-start", 100, "--outage-hours", 6], False,
+     "outage window [100, 106) does not fit the 24-step horizon"),
+    (["--outage-start", 16, "--outage-hours", 0], True,
+     "outage duration must cover at least one step, got 0"),
+    (["--outage-hours", -3], True,
+     "outage duration must cover at least one step, got -3"),
+    (["--outage-start", -1, "--outage-hours", 6], True,
+     "outage window [-1, 5) does not fit any horizon: start_step must be >= 0"),
 ])
-def test_simulate_outage_errors_name_the_flags(fixture_args, capsys, start,
-                                               hours, message):
+def test_simulate_outage_errors_name_the_flags(fixture_args, capsys, flags,
+                                               fits_no_horizon, message):
     config, profile, out = fixture_args
     assert run_cli("simulate", "--config", config, "--profile", profile,
-                   "--out", out / "run", "--outage-start", start,
-                   "--outage-hours", hours) == 2
-    captured = capsys.readouterr()
-    assert captured.err == f"error: --outage-start/--outage-hours: {message}\n"
+                   "--out", out / "run", *flags) == 2
+    error = f"error: --outage-start/--outage-hours: {message}\n"
+    assert capsys.readouterr().err == error
     assert not (out / "run").exists()
+    code = run_cli("scenarios", "--config", config, "--profile", profile,
+                   "--out", out / "runs", "--scenarios", "S3", *flags)
+    if fits_no_horizon:
+        assert code == 2
+        assert capsys.readouterr().err == error
+        assert not (out / "runs").exists()
+    else:
+        assert code == 0
+        assert capsys.readouterr().err == f"scenario S3 failed: {message}\n"
 
 
 @pytest.mark.parametrize("selection,flags,message", [
     ("S1", ["--outage-start", 16, "--outage-hours", 6],
      "no selected scenario has an outage window to replace"),
-    ("S3", ["--outage-hours", -3],
-     "outage duration must cover at least one step, got -3"),
-    ("S3", ["--outage-start", -1, "--outage-hours", 6],
-     "outage window [-1, 5) does not fit any horizon: start_step must be >= 0"),
 ])
 def test_scenarios_outage_flag_errors_name_the_flags(fixture_args, capsys,
                                                      selection, flags,
@@ -530,9 +543,8 @@ def test_scenarios_outage_flags_that_do_not_fit_fail_their_scenario_alone(
     assert run_cli("scenarios", "--config", config, "--profile", profile,
                    "--out", out / "runs", "--scenarios", "S1,S3",
                    "--outage-start", 100, "--outage-hours", 6) == 0
-    message = ("scenario S3: outage window [100, 106) does not fit the "
-               "24-step horizon")
-    assert f"scenario S3 failed: {message}\n" in capsys.readouterr().err
+    message = "outage window [100, 106) does not fit the 24-step horizon"
+    assert capsys.readouterr().err == f"scenario S3 failed: {message}\n"
     rows = (out / "runs" / "matrix.csv").read_text().splitlines()
     assert [row.split(",")[0] for row in rows[1:]] == ["S1", "S3"]
     assert rows[2].startswith(f'S3,"{message}",')
@@ -595,7 +607,7 @@ def test_validate_rejects_a_bad_scenario_value(fixture_args, capsys, key, value,
 @pytest.mark.parametrize("start,steps,message", [
     (100, 6, "outage window [100, 106) does not fit the 24-step horizon"),
 ])
-def test_matrix_error_cell_names_the_scenario_of_a_bad_window(
+def test_matrix_error_cell_holds_the_error_of_a_bad_window(
         fixture_args, start, steps, message):
     config, profile, out = fixture_args
     custom = out / "custom.ini"
@@ -606,7 +618,7 @@ def test_matrix_error_cell_names_the_scenario_of_a_bad_window(
     import csv
     with open(out / "runs" / "matrix.csv", newline="") as fh:
         rows = {row[0]: row for row in csv.reader(fh)}
-    assert rows["W"][1] == f"scenario W: {message}"
+    assert rows["W"][1] == message
     assert rows["S1"][1] == ""
 
 

@@ -526,6 +526,34 @@ def test_doubling_every_power_and_energy_doubles_every_flow(case):
             assert report2[section][name] == value, (section, name)
 
 
+# A battery only lowers the residual that import, diesel and unserved energy
+# are taken from: it charges from surplus alone. So a battery, started
+# anywhere in its band, never raises the peak import, bit for bit, whatever
+# the diesel's minimum loading. Nor does it raise unserved energy without a
+# minimum loading; with one, a discharge can leave a residual under the
+# diesel's cutoff, and unserved energy rises.
+@settings(max_examples=60, deadline=None)
+@given(sized_runs(), st.floats(0.0, 1.0), st.sampled_from([0.0, 0.3, 1.0]),
+       st.sampled_from([("capacity_kwh",), ("max_charge_kw", "max_discharge_kw")]))
+def test_a_battery_never_raises_the_peak_import(case, start, fraction, caps):
+    inputs, config = case
+    config = dataclasses.replace(config, diesel=dataclasses.replace(
+        config.diesel, min_loading_fraction=fraction))
+    without = dataclasses.replace(config, battery=dataclasses.replace(
+        config.battery, **dict.fromkeys(caps, 0.0)))
+    assert validate_config(config).ok and validate_config(without).ok
+    b = config.battery
+    energy = b.capacity_kwh * min(b.soc_min + start * (b.soc_max - b.soc_min),
+                                  b.soc_max)
+    runs = [run_arrays(inputs, energy, config),
+            run_arrays(inputs, initial_state(without.battery), without)]
+    assert runs[0].columns[:, IMPORT].max() <= runs[1].columns[:, IMPORT].max()
+    if fraction == 0.0:
+        unserved = [build_report(trace, inputs, c).energy.unserved_kwh
+                    for trace, c in zip(runs, (config, without))]
+        assert unserved[0] <= unserved[1]
+
+
 # --- randomized invariants --------------------------------------------------
 
 def random_horizon(rng, config, n=None):

@@ -246,12 +246,21 @@ def test_a_numpy_lifetime_too_long_to_multiply_is_valid():
     assert validate_config(with_value("pv.lifetime_years", np.float64(1e307))).ok
 
 
-def test_a_numpy_outage_too_long_for_a_float_of_steps_is_named():
+# a numpy scalar reads as str() shows it, alike under numpy 1 and 2 (numpy
+# 2's repr reads np.float64(1e+308))
+@pytest.mark.parametrize("scenario,message", [
     # hours / step_hours in numpy overflowed with a warning
-    scenario = with_field("duration_hours", np.float64(1e308))
-    with pytest.raises(ValueError, match=r"^outage duration_hours .*1e\+308\)? "
-                       "is not a finite number of steps$"):
+    (with_field("duration_hours", np.float64(1e308)),
+     "outage duration_hours 1e+308 is not a finite number of steps"),
+    (with_field("demand_multiplier", np.float32(2.0)),
+     "demand_multiplier must be an int or a float, got 2.0 of type float32"),
+    (with_field("pv_multiplier", np.int64(5)),
+     "pv_multiplier must be an int or a float, got 5 of type int64"),
+], ids=["float64", "float32", "int64"])
+def test_a_numpy_scalar_is_shown_alike_under_numpy_1_and_2(scenario, message):
+    with pytest.raises(ValueError) as exc:
         validate_scenario(scenario, 1 / 3600)
+    assert str(exc.value) == message
 
 
 def test_a_numpy_fuel_price_scaled_past_a_float_is_named(example_inputs):
@@ -260,4 +269,4 @@ def test_a_numpy_fuel_price_scaled_past_a_float_is_named(example_inputs):
     with pytest.raises(ValueError) as exc:
         apply_scenario(example_inputs, config, with_field("fuel_price_multiplier", 1e10))
     assert str(exc.value) == \
-        "scenario x: fuel_cost_per_kwh scaled by 10000000000.0 is not finite"
+        "fuel_cost_per_kwh scaled by 10000000000.0 is not finite"
