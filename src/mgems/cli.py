@@ -77,8 +77,6 @@ def _load_inputs(args, loaded: LoadedConfig) -> Profile:
                 EXIT_VALIDATION,
                 f"--steps {args.steps} exceeds the {len(inputs)}-step profile")
         inputs = inputs[:args.steps]
-    if not len(inputs):
-        raise _CommandError(EXIT_VALIDATION, "profile has no data rows: empty horizon")
     return inputs
 
 
@@ -113,21 +111,21 @@ def _load_validated(args) -> LoadedConfig:
     return loaded
 
 
-def _outage_override(args, step_hours: float) -> OutageSpec | None:
-    """The outage the flags force, checked as a scenario's is, for both
+def _outage_override(args, step_hours: float) -> Scenario | None:
+    """The outage the flags force, as a scenario checked as any is, for both
     simulate and scenarios; None without the flags."""
     if args.outage_start is None and args.outage_hours is None:
         return None
     if args.outage_hours is None:
         raise _CommandError(EXIT_VALIDATION,
                             "--outage-start needs --outage-hours")
-    outage = OutageSpec(start_step=args.outage_start,
-                        duration_hours=args.outage_hours)
+    forced = Scenario(id=OUTAGE_FLAGS, outage=OutageSpec(
+        start_step=args.outage_start, duration_hours=args.outage_hours))
     try:
-        validate_scenario(Scenario(id=OUTAGE_FLAGS, outage=outage), step_hours)
+        validate_scenario(forced, step_hours)
     except ValueError as exc:
         raise _CommandError(EXIT_VALIDATION, f"{OUTAGE_FLAGS}: {exc}")
-    return outage
+    return forced
 
 
 # rows formatted and encoded per chunk, so that no list of every row's
@@ -279,13 +277,12 @@ def cmd_simulate(args) -> int:
     loaded = _load_validated(args)
     inputs = _load_inputs(args, loaded)
     config = loaded.config
-    outage = _outage_override(args, config.step_hours)
-    if outage is not None:
+    forced = _outage_override(args, config.step_hours)
+    if forced is not None:
         try:
             # through the module, so a tracer that wraps
             # scenarios.apply_scenario sees this call
-            inputs, config = scenarios.apply_scenario(
-                inputs, config, Scenario(id=OUTAGE_FLAGS, outage=outage))
+            inputs, config = scenarios.apply_scenario(inputs, config, forced)
         except ValueError as exc:
             raise _CommandError(EXIT_VALIDATION, f"{OUTAGE_FLAGS}: {exc}")
     try:
@@ -304,7 +301,7 @@ def cmd_simulate(args) -> int:
 
 
 def _select_scenarios(selection: str, loaded: LoadedConfig,
-                      outage: OutageSpec | None) -> list[Scenario]:
+                      forced: Scenario | None) -> list[Scenario]:
     if selection.strip().lower() == "all":
         # a custom section of a builtin's id runs in the builtin's place
         names = list(BUILTIN_IDS) + sorted(set(loaded.scenarios)
@@ -323,10 +320,10 @@ def _select_scenarios(selection: str, loaded: LoadedConfig,
             raise _CommandError(
                 EXIT_VALIDATION,
                 f"unknown scenario {name!r} (builtins: {', '.join(BUILTIN_IDS)})")
-        if outage is not None and scenario.outage is not None:
-            scenario = replace(scenario, outage=outage)
+        if forced is not None and scenario.outage is not None:
+            scenario = replace(scenario, outage=forced.outage)
         result.append(scenario)
-    if outage is not None and all(s.outage is None for s in result):
+    if forced is not None and all(s.outage is None for s in result):
         raise _CommandError(EXIT_VALIDATION, f"{OUTAGE_FLAGS}: no selected "
                             "scenario has an outage window to replace")
     return result

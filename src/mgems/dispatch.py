@@ -100,8 +100,6 @@ def run_arrays(inputs: Profile, initial_energy_kwh: float,
     The run starts with ``initial_energy_kwh`` stored. The threshold is
     resolved from the full price sequence unless given.
     """
-    if not len(inputs):
-        raise ValueError("empty horizon")
     if threshold is None:
         threshold = price_threshold(inputs.price, config.ems)
     b = config.battery

@@ -106,8 +106,6 @@ def accumulate(trace: HorizonArrays, inputs: Profile,
     if len(trace) != len(inputs):
         raise ValueError(
             f"trace length {len(trace)} != inputs length {len(inputs)}")
-    if not len(inputs):
-        raise ValueError("empty horizon")
     columns = trace.columns
     demand, pv, wind = inputs.demand_kw, inputs.pv_kw, inputs.wind_kw
     unserved = columns[:, UNSERVED]

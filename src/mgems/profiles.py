@@ -12,10 +12,10 @@ lines and names the line and column of the first bad field.
 
 A parsed horizon is held column by column: a Profile (dispatch inputs) or a
 ResourceProfile (raw measurements) keeps one read-only array per field, so
-scenario runs can share the columns they do not change. A horizon has a
-length and slices into a shorter horizon that shares its columns; it is
-the only input type the other modules take. However it is built, a
-horizon checks its own values (see _frozen_column).
+scenario runs can share the columns they do not change. A horizon has at
+least one step and slices into a shorter horizon that shares its columns;
+it is the only input type the other modules take. However it is built, a
+horizon checks its own length and values (see _Columns, _frozen_column).
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ class _Columns:
     """Column handling shared by Profile and ResourceProfile.
 
     Subclasses are frozen dataclasses with five per-step columns, all of
-    one length. Slices share the parent's columns.
+    one length of at least one step. Slices share the parent's columns.
     """
 
     def __post_init__(self) -> None:
@@ -86,6 +86,8 @@ class _Columns:
                 raise ValueError(f"column {field.name} has {len(column)} steps, "
                                  f"expected {length}")
             object.__setattr__(self, field.name, column)
+        if not length:
+            raise ValueError("empty horizon: a horizon has at least one step")
 
     def __len__(self) -> int:
         return len(self.demand_kw)
@@ -315,8 +317,9 @@ def parse_profile(data: bytes, mode: str) -> Profile | ResourceProfile:
 
     Steps keep file order and are indexed 0..n-1 by position. Raises
     ProfileFormatError naming the 1-based line number and column for any
-    malformed, negative or non-finite field. What orjson's block reads do
-    not take (see ``_parse_blocks``) is parsed and judged line by line.
+    malformed, negative or non-finite field; a body of no data row is an
+    empty horizon (see _Columns). What orjson's block reads do not take
+    (see ``_parse_blocks``) is parsed and judged line by line.
     """
     header, kind = _layout(mode)
     block = _parse_blocks(data, header)

@@ -32,7 +32,13 @@ from .model import (BASE_KEY, MicrogridConfig, OutageSpec, Scenario,
                     outage_steps, shown, validate_scenario)
 from .profiles import Profile
 
-BUILTIN_IDS = ("S1", "S2", "S3", "S4")
+# frozen, so each run may share them
+_BUILTINS = {scenario.id: scenario for scenario in (
+    Scenario(id="S1", demand_multiplier=1.05),
+    Scenario(id="S2", pv_multiplier=0.80, wind_multiplier=0.60),
+    Scenario(id="S3", outage=OutageSpec(duration_hours=6.0)),
+    Scenario(id="S4", fuel_price_multiplier=2.0))}
+BUILTIN_IDS = tuple(_BUILTINS)
 
 # report fields compared scenario-vs-base in outcome deltas
 DELTA_METRICS = ("operating_cost", "npc", "lcoe", "renewable_fraction",
@@ -42,15 +48,9 @@ DELTA_METRICS = ("operating_cost", "npc", "lcoe", "renewable_fraction",
 
 def builtin_scenario(scenario_id: str) -> Scenario:
     """The four standard stress scenarios."""
-    if scenario_id == "S1":
-        return Scenario(id="S1", demand_multiplier=1.05)
-    if scenario_id == "S2":
-        return Scenario(id="S2", pv_multiplier=0.80, wind_multiplier=0.60)
-    if scenario_id == "S3":
-        return Scenario(id="S3", outage=OutageSpec(duration_hours=6.0))
-    if scenario_id == "S4":
-        return Scenario(id="S4", fuel_price_multiplier=2.0)
-    raise ValueError(f"unknown builtin scenario: {scenario_id!r}")
+    if scenario_id not in _BUILTINS:
+        raise ValueError(f"unknown builtin scenario: {scenario_id!r}")
+    return _BUILTINS[scenario_id]
 
 
 def _resolve_outage(outage: OutageSpec, inputs: Profile,
@@ -174,7 +174,7 @@ def _splits(steps: int) -> bool:
 
 
 def _run(inputs: Profile, config: MicrogridConfig,
-         threshold: float | None) -> HorizonArrays:
+         threshold: float) -> HorizonArrays:
     """The run's checked trace at ``threshold``; raises what its kernel or
     its check does."""
     trace = run_arrays(inputs, initial_state(config.battery), config,
@@ -218,7 +218,7 @@ def _send(runs: list[tuple[Profile, MicrogridConfig]], threshold: float,
 
 
 def _dispatch(runs: list[tuple[Profile, MicrogridConfig]],
-              threshold: float | None) -> dict[int, HorizonArrays]:
+              threshold: float) -> dict[int, HorizonArrays]:
     """The checked traces a split made, by run: {} unless ``_splits``.
 
     This process and a forked child claim runs one at a time from a pipe
@@ -299,9 +299,7 @@ def run_matrix(inputs: Profile, config: MicrogridConfig,
             names.append(scenario.id)
         except Exception as exc:  # noqa: BLE001 - isolate failing scenarios
             outcomes[scenario.id] = _failed(exc)
-    # an empty horizon has no percentile; run_arrays rejects it by name
-    threshold = (price_threshold(inputs.price, config.ems)
-                 if len(inputs) else None)
+    threshold = price_threshold(inputs.price, config.ems)
     traces = _dispatch(runs, threshold)
     for i, (name, run) in enumerate(zip(names, runs)):
         try:

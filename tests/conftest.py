@@ -34,6 +34,9 @@ DAY_PRICES_CENTS = [
 # a scenario that changes nothing, to derive others from with replace()
 IDENTITY_SCENARIO = Scenario(id="identity")
 
+# what a horizon of no step raises, however it is made
+EMPTY_HORIZON = "empty horizon: a horizon has at least one step"
+
 
 def data_path(name: str):
     return importlib.resources.files("mgems") / "data" / name

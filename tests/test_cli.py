@@ -25,8 +25,8 @@ from mgems.errors import ConfigFileError
 from mgems.metrics import build_report
 from mgems.model import validate_config
 
-from conftest import (DAY_DEMAND_KW, DAY_PRICES_CENTS, data_path,
-                      example_config_text)
+from conftest import (DAY_DEMAND_KW, DAY_PRICES_CENTS, EMPTY_HORIZON,
+                      data_path, example_config_text)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -158,20 +158,16 @@ def test_simulate_exits_4_on_a_balance_breach(fixture_args, capsys):
     assert not (out / "run").exists()
 
 
-HEADER_ONLY = b"index,demand_kw,price,grid_available,pv_kw,wind_kw\n"
-
-
 @pytest.mark.parametrize("command,profile_bytes,flags,message", [
     ("simulate", None, ["--steps", 1000],
      "--steps 1000 exceeds the 24-step profile"),
-    ("simulate", HEADER_ONLY, [], "profile has no data rows: empty horizon"),
     ("simulate", b"", [], "profile {profile}: empty file: expected a header row"),
     ("simulate", None, ["--outage-start", 3],
      "--outage-start needs --outage-hours"),
     ("scenarios", None, ["--outage-start", 3, "--scenarios", "S3"],
      "--outage-start needs --outage-hours"),
     ("scenarios", None, ["--scenarios", " , "], "empty scenario selection"),
-], ids=["steps-beyond-profile", "header-only", "empty-file",
+], ids=["steps-beyond-profile", "empty-file",
         "simulate-outage-start-alone", "scenarios-outage-start-alone",
         "empty-selection"])
 def test_a_run_that_cannot_start_exits_2_with_its_reason(
@@ -186,6 +182,29 @@ def test_a_run_that_cannot_start_exits_2_with_its_reason(
     assert captured.err == f"error: {message.format(profile=profile)}\n"
     assert captured.out == ""
     assert not (out / "run").exists()
+
+
+@pytest.mark.parametrize("body", [pytest.param(b"", id="header-only"),
+                                  pytest.param(b"\n \r\n\t\n", id="blank-only")])
+@pytest.mark.parametrize("command", [["validate"], ["simulate"],
+                                     ["scenarios", "--scenarios", "all"]],
+                         ids=["validate", "simulate", "scenarios"])
+def test_an_empty_horizon_exits_2_from_every_command(fixture_args, capsys,
+                                                     command, body):
+    config, _, out = fixture_args
+    profile = out / "profile.csv"
+    profile.write_bytes(b"index,demand_kw,price,grid_available,pv_kw,wind_kw\n"
+                        + body)
+    args = [*command, "--config", config, "--profile", profile]
+    if command[0] != "validate":
+        args += ["--out", out / "run"]
+    assert run_cli(*args) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: profile {profile}: {EMPTY_HORIZON}\n"
+    # validate prints the config's summary, then stops at the profile
+    assert "horizon:" not in captured.out
+    assert captured.out == "" or command[0] == "validate"
+    assert sorted(out.iterdir()) == [profile]
 
 
 def test_simulate_steps_truncates_horizon(fixture_args):

@@ -305,12 +305,6 @@ def test_run_arrays_zero_step():
     assert row[ENERGY] == initial
 
 
-def test_run_arrays_rejects_empty_inputs():
-    config = make_config()
-    with pytest.raises(ValueError, match="empty"):
-        run_arrays(step(demand=[]), initial_state(config.battery), config)
-
-
 def test_run_arrays_is_deterministic(example_config, example_inputs):
     config = example_config.config
     first = run_arrays(example_inputs, initial_state(config.battery), config)

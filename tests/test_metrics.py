@@ -102,11 +102,6 @@ def test_accumulate_rejects_length_mismatch():
         accumulate(trace([{}]), horizon(demand=[0.0, 0.0]), 1.0)
 
 
-def test_accumulate_rejects_an_empty_horizon():
-    with pytest.raises(ValueError, match="empty horizon"):
-        accumulate(trace([]), horizon(demand=[]), 1.0)
-
-
 def test_accumulate_is_additive_over_concatenation():
     rng = np.random.default_rng(11)
     demand, pv = zip(*[(rng.uniform(0, 100), rng.uniform(0, 50))

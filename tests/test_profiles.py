@@ -19,7 +19,7 @@ from mgems.model import PvSpec, WindSpec
 from mgems.profiles import (Profile, ResourceProfile, convert_prices,
                             parse_profile, resource_to_inputs)
 
-from conftest import horizon, make_config
+from conftest import EMPTY_HORIZON, horizon, make_config
 from resource_reference import pv_power, serialize_profile, wind_power
 
 GEN_HEADER = "index,demand_kw,price,grid_available,pv_kw,wind_kw"
@@ -36,13 +36,6 @@ def test_parse_single_row():
     data = (GEN_HEADER + "\n1,99.96,0.12168,1,12.5,3.25\n").encode()
     assert parse_profile(data, "generation") == \
         horizon(demand=99.96, price=0.12168, pv=12.5, wind=3.25)
-
-
-def test_header_only_gives_empty_sequence():
-    assert parse_profile((GEN_HEADER + "\n").encode(), "generation") == \
-        horizon(demand=[])
-    assert parse_profile(RES_HEADER.encode(), "resource") == \
-        ResourceProfile(*[[]] * 5)
 
 
 def test_indices_are_renumbered_in_file_order():
@@ -90,9 +83,9 @@ finite_power = st.floats(min_value=0, max_value=1e6, allow_nan=False)
 @given(st.lists(
     st.tuples(finite_power, finite_power, st.booleans(), finite_power,
               finite_power),
-    max_size=30))
+    min_size=1, max_size=30))
 def test_parse_serialize_parse_round_trip(rows):
-    records = Profile(*(list(zip(*rows)) or [[]] * 5))
+    records = Profile(*zip(*rows))
     once = parse_profile(serialize_profile(records), "generation")
     assert once == records
     assert parse_profile(serialize_profile(once), "generation") == once
@@ -273,6 +266,19 @@ def two_steps(kind, **columns):
     return kind(**{**dict(zip(names, valid)), **columns})
 
 
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: Profile(*[[]] * 5), id="Profile"),
+    pytest.param(lambda: ResourceProfile(*[np.empty(0)] * 5), id="ResourceProfile"),
+    pytest.param(lambda: two_steps(Profile)[1:1], id="Profile-slice"),
+    pytest.param(lambda: two_steps(ResourceProfile)[3:3],
+                 id="ResourceProfile-slice-past-the-end"),
+])
+def test_a_horizon_has_at_least_one_step(make):
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value) == EMPTY_HORIZON
+
+
 NOT_A_FLOW = "expected a finite number >= 0"
 NOT_A_FLAG = "expected 0 or 1"
 
@@ -365,11 +371,11 @@ def _bits(values) -> bytes:
     return np.asarray(values, dtype=np.float64).tobytes()
 
 
-@given(st.lists(st.tuples(irradiance, speed), max_size=40),
+@given(st.lists(st.tuples(irradiance, speed), min_size=1, max_size=40),
        st.sampled_from([WT, SHEARED]))
 def test_resource_conversion_equals_scalar_models_bitwise(rows, wind_spec):
     config = make_config(pv=PV, wind=wind_spec)
-    irradiances, speeds = list(zip(*rows)) or ([], [])
+    irradiances, speeds = zip(*rows)
     records = ResourceProfile(demand_kw=np.full(len(rows), 10.0),
                               price=np.full(len(rows), 0.1),
                               grid_available=np.ones(len(rows)),
@@ -395,7 +401,7 @@ finite_value = st.floats(min_value=0, max_value=1e9, allow_nan=False,
                          allow_infinity=False)
 
 
-@given(st.lists(finite_value, max_size=40))
+@given(st.lists(finite_value, min_size=1, max_size=40))
 def test_cents_conversion_equals_python_division(prices):
     records = horizon(demand=np.ones(len(prices)), price=prices)
     converted = convert_prices(records, "cents_per_kwh")
@@ -501,7 +507,7 @@ line_edit = st.one_of(blank_line.map(lambda text: ("blank", text)),
 
 
 @settings(max_examples=500, deadline=None)
-@given(rows=st.lists(clean_row, max_size=10),
+@given(rows=st.lists(clean_row, min_size=1, max_size=10),
        newline=st.sampled_from(["\n", "\n", "\r\n", "\r"]),
        cell_edits=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 7),
                                      odd_cell), max_size=2),
@@ -514,8 +520,6 @@ line_edit = st.one_of(blank_line.map(lambda text: ("blank", text)),
          cell_edits=[(0, 7, "0.0"), (0, 5, "0.0")], line_edits=[],
          padded_header=False, ending="", mode="generation",
          block=profiles._BLOCK_BYTES)
-@example(rows=[], newline="\n", cell_edits=[], line_edits=[],
-         padded_header=False, ending="\n  \n", mode="generation", block=1)
 def test_fast_parse_equals_the_row_loop(rows, newline, cell_edits, line_edits,
                                         padded_header, ending, mode, block):
     # a valid body, then up to two odd cells (column 6 adds a seventh field,
@@ -614,20 +618,27 @@ def test_the_c_reader_keeps_a_body_with_whitespace_only_lines(body):
     assert len(want) == 2
 
 
-@pytest.mark.parametrize("body", [
-    pytest.param("\n\n", id="blank-lines-only"),
-    pytest.param("\n  \n", id="whitespace-lines-only"),
-    pytest.param("\r\n \t\r\n", id="crlf"),
+# what follows the header: only the bare header reaches the row loop, with
+# no line; a header-only or blank body never does
+@pytest.mark.parametrize("tail,row_loop_calls", [
+    pytest.param("", 1, id="bare-header"),
+    pytest.param("\n", 0, id="header-only"),
+    pytest.param("\n\n\n", 0, id="blank-lines-only"),
+    pytest.param("\n\n  \n", 0, id="whitespace-lines-only"),
+    pytest.param("\n\r\n \t\r\n", 0, id="crlf"),
 ])
+@pytest.mark.parametrize("mode", ["generation", "resource"])
 @pytest.mark.parametrize("block", [1, profiles._BLOCK_BYTES])
-def test_the_block_reader_reads_a_body_of_blank_lines_as_no_steps(body, block):
-    data = (GEN_HEADER + "\n" + body).encode()
-    want = row_loop(data, "generation")
+def test_a_body_of_no_data_row_is_an_empty_horizon(tail, row_loop_calls, mode,
+                                                   block):
+    header = GEN_HEADER if mode == "generation" else RES_HEADER
     with mock.patch.object(profiles, "_BLOCK_BYTES", block), \
             mock.patch.object(profiles, "_parse_rows",
-                              side_effect=AssertionError("row loop")):
-        assert_same_columns(parse_profile(data, "generation"), want)
-    assert len(want) == 0
+                              wraps=profiles._parse_rows) as rows, \
+            pytest.raises(ValueError) as exc:
+        parse_profile((header + tail).encode(), mode)
+    assert str(exc.value) == EMPTY_HORIZON
+    assert rows.call_count == row_loop_calls
 
 
 def test_fast_parse_equals_the_row_loop_on_a_long_body():

@@ -76,8 +76,11 @@ def test_builtin_condition_changes_are_exact():
     assert s4.fuel_price_multiplier == 2.0
     assert s4.outage is None
 
-    with pytest.raises(ValueError):
+    assert BUILTIN_IDS == ("S1", "S2", "S3", "S4")
+    assert [builtin_scenario(name).id for name in BUILTIN_IDS] == list(BUILTIN_IDS)
+    with pytest.raises(ValueError) as exc:
         builtin_scenario("S9")
+    assert str(exc.value) == "unknown builtin scenario: 'S9'"
 
 
 def test_identity_scenario_is_bit_exact_identity():
