@@ -1,9 +1,11 @@
 """Command-line frontend: validate configs, run simulations, run scenarios.
 
-Exit codes: 0 success, 2 config/profile validation failure, 3 I/O failure,
-4 internal invariant breach. All commands are deterministic: identical
-inputs produce bit-identical output files, and nothing is written outside
-the designated output directory.
+Exit codes: 0 success, 2 config/profile validation failure (a ValueError or
+an MgemsError), 3 I/O failure (an OSError), 4 internal invariant breach (a
+BalanceError). ``main`` alone maps an error's type to its code; the commands
+only raise, adding context to a message where it helps. All commands are
+deterministic: identical inputs produce bit-identical output files, and
+nothing is written outside the designated output directory.
 """
 
 from __future__ import annotations
@@ -53,28 +55,20 @@ GRID_CONNECTED = "grid-connected"
 ISLANDED = "islanded"
 
 
-class _CommandError(Exception):
-    def __init__(self, exit_code: int, message: str):
-        super().__init__(message)
-        self.exit_code = exit_code
-
-
 def _load_inputs(args, loaded: LoadedConfig) -> Profile:
     path = Path(args.profile)
     try:
         inputs = load_profile(path, args.mode, loaded.config,
                               loaded.price_unit)
     except OSError as exc:
-        raise _CommandError(EXIT_IO, f"cannot read profile {path}: {exc}")
+        raise OSError(f"cannot read profile {path}: {exc}")
     except (ProfileFormatError, ValueError) as exc:
-        raise _CommandError(EXIT_VALIDATION, f"profile {path}: {exc}")
+        raise ValueError(f"profile {path}: {exc}")
     if args.steps is not None:
         if args.steps < 1:
-            raise _CommandError(EXIT_VALIDATION,
-                                f"--steps {args.steps}: empty horizon")
+            raise ValueError(f"--steps {args.steps}: empty horizon")
         if args.steps > len(inputs):
-            raise _CommandError(
-                EXIT_VALIDATION,
+            raise ValueError(
                 f"--steps {args.steps} exceeds the {len(inputs)}-step profile")
         inputs = inputs[:args.steps]
     return inputs
@@ -87,7 +81,7 @@ def _read_config(args) -> LoadedConfig:
     try:
         return load_config(path)
     except OSError as exc:
-        raise _CommandError(EXIT_IO, f"cannot read config file {path}: {exc}")
+        raise OSError(f"cannot read config file {path}: {exc}")
 
 
 def _bad_values(loaded: LoadedConfig) -> list[str]:
@@ -107,7 +101,7 @@ def _bad_values(loaded: LoadedConfig) -> list[str]:
 def _load_validated(args) -> LoadedConfig:
     loaded = _read_config(args)
     if bad := _bad_values(loaded):
-        raise _CommandError(EXIT_VALIDATION, "invalid config:\n" + "\n".join(bad))
+        raise ValueError("invalid config:\n" + "\n".join(bad))
     return loaded
 
 
@@ -117,14 +111,13 @@ def _outage_override(args, step_hours: float) -> Scenario | None:
     if args.outage_start is None and args.outage_hours is None:
         return None
     if args.outage_hours is None:
-        raise _CommandError(EXIT_VALIDATION,
-                            "--outage-start needs --outage-hours")
+        raise ValueError("--outage-start needs --outage-hours")
     forced = Scenario(id=OUTAGE_FLAGS, outage=OutageSpec(
         start_step=args.outage_start, duration_hours=args.outage_hours))
     try:
         validate_scenario(forced, step_hours)
     except ValueError as exc:
-        raise _CommandError(EXIT_VALIDATION, f"{OUTAGE_FLAGS}: {exc}")
+        raise ValueError(f"{OUTAGE_FLAGS}: {exc}")
     return forced
 
 
@@ -223,15 +216,13 @@ def _write_outputs(out_dir: Path, files: dict[str, bytes]) -> None:
     directories = {parent for target in targets for parent in target.parents}
     for target in targets:
         if target in directories or target.is_dir():
-            raise _CommandError(EXIT_IO,
-                                f"cannot write outputs: {target} is a directory")
+            raise OSError(f"cannot write outputs: {target} is a directory")
     made: list[Path] = []   # the directories this call makes
     for directory in directories:
         if not directory.exists():
             made.append(directory)
         elif not directory.is_dir():
-            raise _CommandError(
-                EXIT_IO, f"cannot write outputs: {directory} is not a directory")
+            raise OSError(f"cannot write outputs: {directory} is not a directory")
     # deepest first, so that a failed write can remove them again
     made.sort(key=lambda directory: len(directory.parts), reverse=True)
     staged: list[tuple[Path, Path]] = []
@@ -246,7 +237,7 @@ def _write_outputs(out_dir: Path, files: dict[str, bytes]) -> None:
             os.replace(temporary, target)
         written = True
     except OSError as exc:
-        raise _CommandError(EXIT_IO, f"cannot write outputs: {exc}")
+        raise OSError(f"cannot write outputs: {exc}")
     finally:
         # a no-op for each temporary already moved into place
         for temporary, _ in staged:
@@ -284,13 +275,10 @@ def cmd_simulate(args) -> int:
             # scenarios.apply_scenario sees this call
             inputs, config = scenarios.apply_scenario(inputs, config, forced)
         except ValueError as exc:
-            raise _CommandError(EXIT_VALIDATION, f"{OUTAGE_FLAGS}: {exc}")
-    try:
-        trace = run_arrays(inputs, initial_state(config.battery), config)
-        check_balance(trace, inputs, config)
-        report = build_report(trace, inputs, config)
-    except ValueError as exc:
-        raise _CommandError(EXIT_VALIDATION, str(exc))
+            raise ValueError(f"{OUTAGE_FLAGS}: {exc}")
+    trace = run_arrays(inputs, initial_state(config.battery), config)
+    check_balance(trace, inputs, config)
+    report = build_report(trace, inputs, config)
     _write_outputs(Path(args.out), {
         "trace.csv": trace_csv_bytes(inputs, trace),
         "report.json": report_json_bytes(report),
@@ -309,7 +297,7 @@ def _select_scenarios(selection: str, loaded: LoadedConfig,
     else:
         names = [n.strip() for n in selection.split(",") if n.strip()]
         if not names:
-            raise _CommandError(EXIT_VALIDATION, "empty scenario selection")
+            raise ValueError("empty scenario selection")
     result = []
     for name in names:
         if name in loaded.scenarios:
@@ -317,15 +305,14 @@ def _select_scenarios(selection: str, loaded: LoadedConfig,
         elif name in BUILTIN_IDS:
             scenario = builtin_scenario(name)
         else:
-            raise _CommandError(
-                EXIT_VALIDATION,
+            raise ValueError(
                 f"unknown scenario {name!r} (builtins: {', '.join(BUILTIN_IDS)})")
         if forced is not None and scenario.outage is not None:
             scenario = replace(scenario, outage=forced.outage)
         result.append(scenario)
     if forced is not None and all(s.outage is None for s in result):
-        raise _CommandError(EXIT_VALIDATION, f"{OUTAGE_FLAGS}: no selected "
-                            "scenario has an outage window to replace")
+        raise ValueError(f"{OUTAGE_FLAGS}: no selected scenario has an "
+                         "outage window to replace")
     return result
 
 
@@ -349,11 +336,7 @@ def cmd_scenarios(args) -> int:
     inputs = _load_inputs(args, loaded)
     scenario_list = _select_scenarios(
         args.scenarios, loaded, _outage_override(args, loaded.config.step_hours))
-    try:
-        outcomes = run_matrix(inputs, loaded.config, scenario_list)
-    except ValueError as exc:
-        raise _CommandError(EXIT_VALIDATION, str(exc))
-
+    outcomes = run_matrix(inputs, loaded.config, scenario_list)
     order = [s.id for s in scenario_list]
     files = {"matrix.csv": matrix_csv_bytes(outcomes, order)}
     for name in [BASE_KEY] + order:
@@ -389,13 +372,9 @@ def cmd_validate(args) -> int:
     else:
         print("price unit: currency_per_kwh")
     if args.profile is not None:
-        args.steps = None
         inputs = _load_inputs(args, loaded)
         print(f"horizon: {len(inputs)} steps x {config.step_hours} h")
-        try:
-            threshold = price_threshold(inputs.price, config.ems)
-        except ValueError as exc:
-            raise _CommandError(EXIT_VALIDATION, str(exc))
+        threshold = price_threshold(inputs.price, config.ems)
         print(f"threshold: {threshold!r} ({config.ems.threshold_mode})")
     return EXIT_OK
 
@@ -437,7 +416,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--profile", default=None)
     p_val.add_argument("--mode", choices=(GENERATION_MODE, RESOURCE_MODE),
                        default=GENERATION_MODE)
-    p_val.set_defaults(func=cmd_validate)
+    # validate reads the whole profile: _load_inputs finds no --steps
+    p_val.set_defaults(func=cmd_validate, steps=None)
 
     return parser
 
@@ -446,15 +426,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _CommandError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
+    # a BalanceError is an MgemsError: its clause comes first
     except BalanceError as exc:
         print(f"error: internal invariant breach: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except MgemsError as exc:
+    except (MgemsError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

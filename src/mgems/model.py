@@ -451,6 +451,9 @@ def _integer(name: str, value) -> int:
 
 
 def outage_steps(outage: OutageSpec, step_hours: float) -> int:
+    """The outage's length in steps, at least one. Hours count in steps of
+    ``step_hours``, rounded half to even as ``round`` does: at 1-hour steps,
+    1.5 h and 2.5 h both last 2 steps, and 0.5 h rounds to 0 and is rejected."""
     if outage.duration_steps is not None:
         steps = _integer("outage duration_steps", outage.duration_steps)
     elif outage.duration_hours is not None:

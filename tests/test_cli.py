@@ -16,12 +16,12 @@ from unittest import mock
 import pytest
 from hypothesis import assume, example, given, reject, settings, strategies as st
 
-from mgems import dispatch
+from mgems import cli, dispatch
 from mgems._kernel import IMPORT
 from mgems.cli import main, report_json_bytes
 from mgems.configio import OUTPUT_FILE_NAMES, load_config
 from mgems.dispatch import initial_state, run_arrays
-from mgems.errors import ConfigFileError
+from mgems.errors import BalanceError, ConfigFileError, ProfileFormatError
 from mgems.metrics import build_report
 from mgems.model import validate_config
 
@@ -156,6 +156,32 @@ def test_simulate_exits_4_on_a_balance_breach(fixture_args, capsys):
     assert capsys.readouterr().err.startswith(
         "error: internal invariant breach: power balance residual")
     assert not (out / "run").exists()
+
+
+@pytest.mark.parametrize("error,code,line", [
+    (ValueError("bad"), 2, "error: bad\n"),
+    (ProfileFormatError("bad"), 2, "error: bad\n"),
+    (OSError("bad"), 3, "error: bad\n"),
+    (BalanceError("bad"), 4, "error: internal invariant breach: bad\n"),
+], ids=["ValueError", "ProfileFormatError", "OSError", "BalanceError"])
+def test_the_type_of_an_error_picks_its_exit_code(fixture_args, capsys,
+                                                  error, code, line):
+    # trace_csv_bytes adds no context: main alone maps the error
+    config, profile, out = fixture_args
+    with mock.patch.object(cli, "trace_csv_bytes", side_effect=error):
+        assert run_cli("simulate", "--config", config, "--profile", profile,
+                       "--out", out / "run") == code
+    assert capsys.readouterr().err == line
+    assert not (out / "run").exists()
+
+
+def test_an_error_of_no_mapped_type_is_not_caught(fixture_args):
+    config, profile, out = fixture_args
+    with mock.patch.object(cli, "trace_csv_bytes",
+                           side_effect=RuntimeError("bug")), \
+            pytest.raises(RuntimeError, match="bug"):
+        run_cli("simulate", "--config", config, "--profile", profile,
+                "--out", out / "run")
 
 
 @pytest.mark.parametrize("command,profile_bytes,flags,message", [

@@ -69,6 +69,12 @@ def test_percentile_needs_prices():
         price_threshold([], ems)
 
 
+def test_an_unknown_threshold_mode_is_rejected():
+    with pytest.raises(ValueError) as exc:
+        price_threshold([0.1, 0.2], EmsConfig(threshold_mode="median"))
+    assert str(exc.value) == "unknown threshold mode: 'median'"
+
+
 def test_load_threshold_mode_returns_the_load_level():
     ems = EmsConfig(threshold_mode="load-threshold", load_threshold_kw=180.0)
     assert price_threshold([0.1], ems) == 180.0

@@ -10,7 +10,8 @@ from mgems._kernel import (CHARGE, CURTAILED, DG, DISCHARGE, ENERGY, EXPORT,
                            IMPORT, N_COLUMNS, PV_USED, SOC, UNSERVED,
                            WIND_USED)
 from mgems.dispatch import HorizonArrays
-from mgems.metrics import (EnergyTotals, _variable_cost_terms, accumulate,
+from mgems.metrics import (EnergyTotals, _replacement_and_salvage,
+                           _variable_cost_terms, accumulate,
                            build_report, capital_cost, capital_recovery_factor,
                            emissions, fixed_annual_om, lcoe, npc,
                            percent_change, project_npc, renewable_fraction)
@@ -401,6 +402,10 @@ def test_project_npc_no_salvage_when_lifetime_divides_project():
     # replacement at year 10 only; the second unit dies exactly at year 20
     assert project_npc(0.0, config) == pytest.approx(2 * battery_install,
                                                      rel=1e-12)
+    # the last of three 1/3-year units ends 5.6e-17 years before the 1-year
+    # project does: that remainder is no negative salvage
+    assert _replacement_and_salvage(battery_install, 1 / 3, 0.0, 1) == (
+        2 * battery_install, 0.0)
 
 
 def test_project_npc_discounts_lifecycle_flows():

@@ -7,7 +7,7 @@ import pytest
 
 from mgems import model
 from mgems.model import (EmissionFactors, EmsConfig, MicrogridConfig,
-                         ValidationReport, validate_config)
+                         ValidationReport, Violation, validate_config)
 
 from conftest import make_config
 
@@ -259,6 +259,14 @@ def test_an_unknown_pollutant_is_a_violation_named_by_its_path():
 def test_an_empty_report_reads_ok():
     assert ValidationReport().ok
     assert str(ValidationReport()) == "ok"
+
+
+def test_a_report_reads_one_line_per_violation():
+    report = ValidationReport((Violation("pv.capacity_kw", "must be >= 0"),
+                               Violation("step_hours", "must be > 0")))
+    assert not report.ok
+    assert str(report) == ("pv.capacity_kw: must be >= 0\n"
+                           "step_hours: must be > 0")
 
 
 @pytest.mark.parametrize("capacity,eta,soc_min,scale", [

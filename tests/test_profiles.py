@@ -71,6 +71,12 @@ def test_wrong_header_is_rejected():
         parse_profile(b"a,b,c,d,e,f\n", "generation")
 
 
+def test_an_unknown_mode_is_rejected():
+    with pytest.raises(ValueError) as exc:
+        parse_profile((GEN_HEADER + "\n0,5,0.12,1,0,0\n").encode(), "hourly")
+    assert str(exc.value) == "unknown profile mode: 'hourly'"
+
+
 def test_resource_mode_negative_speed_is_rejected():
     data = (RES_HEADER + "\n0,5,0.12,1,100,-3\n").encode()
     with pytest.raises(ProfileFormatError, match="wind_speed_ms"):
@@ -95,6 +101,9 @@ def test_price_conversion_from_cents():
     records = horizon(demand=1.0, price=12.168)
     assert convert_prices(records, "cents_per_kwh").price[0] == 0.12168
     assert convert_prices(records, "currency_per_kwh") == records
+    with pytest.raises(ValueError) as exc:
+        convert_prices(records, "mills_per_kwh")
+    assert str(exc.value) == "unknown price unit: 'mills_per_kwh'"
 
 
 PV = PvSpec(capacity_kw=100.0, derating_factor=0.8, capital_cost=0.0,
@@ -264,6 +273,26 @@ def two_steps(kind, **columns):
     valid = ([5.0, 6.0], [0.1, 0.2], [1, 0], [0.0, 3.0], [1.0, 0.0])
     names = [field.name for field in dataclasses.fields(kind)]
     return kind(**{**dict(zip(names, valid)), **columns})
+
+
+@pytest.mark.parametrize("kind", [Profile, ResourceProfile])
+@pytest.mark.parametrize("name,values,shape", [
+    ("demand_kw", [[5.0], [6.0]], (2, 1)),
+    ("grid_available", [[1, 0]], (1, 2)),
+    ("price", 0.1, ()),
+])
+def test_a_profile_column_must_be_one_dimensional(kind, name, values, shape):
+    with pytest.raises(ValueError) as exc:
+        two_steps(kind, **{name: values})
+    assert str(exc.value) == f"a profile column must be 1-D, got shape {shape}"
+
+
+def test_a_horizon_equals_only_its_own_type_with_equal_columns():
+    profile, resource = two_steps(Profile), two_steps(ResourceProfile)
+    assert profile == two_steps(Profile)
+    assert profile != two_steps(Profile, price=[0.1, 0.3])
+    assert profile != resource and resource != profile
+    assert profile != 3 and resource != 3
 
 
 @pytest.mark.parametrize("make", [

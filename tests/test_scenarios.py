@@ -27,7 +27,7 @@ from mgems.cli import main, matrix_csv_bytes, report_json_bytes
 from mgems.dispatch import initial_state, price_threshold, run_arrays
 from mgems.errors import BalanceError
 from mgems.metrics import accumulate, renewable_fraction
-from mgems.model import EmsConfig
+from mgems.model import EmsConfig, outage_steps
 from mgems.profiles import Profile
 from mgems.scenarios import (BASE_KEY, BUILTIN_IDS, OutageSpec, Scenario,
                              apply_scenario, builtin_scenario, run_matrix,
@@ -138,6 +138,17 @@ def test_outage_duration_hours_converts_with_step_length():
     assert sum(1 for g in scaled.grid_available if not g) == 12
 
 
+# hours / step_hours rounds half to even, as Python's round does
+@pytest.mark.parametrize("hours,steps", [
+    (1.5, 2), (2.5, 2), (3.5, 4), (1.4, 1), (2.6, 3)])
+def test_outage_hours_round_half_to_even_steps(hours, steps):
+    outage = OutageSpec(start_step=0, duration_hours=hours)
+    assert outage_steps(outage, 1.0) == steps
+    scaled, _ = apply_scenario(day(), make_config(),
+                               Scenario(id="x", outage=outage))
+    assert scaled.grid_available.tolist() == [0] * steps + [1] * (24 - steps)
+
+
 def test_default_outage_start_is_first_step_above_threshold():
     config = make_config(ems=EmsConfig(threshold_mode="fixed-price",
                                        fixed_threshold=0.25))
@@ -203,6 +214,9 @@ def test_infinite_multiplier_is_rejected(name):
                                         duration_steps=2)),
      "outage window [a negative int of 16610 bits, a negative int of 16610 "
      "bits) does not fit any horizon: start_step must be >= 0"),
+    # half a step rounds to even: none
+    (Scenario(id="x", outage=OutageSpec(duration_hours=0.5)),
+     "outage duration must cover at least one step, got 0"),
 ])
 def test_validate_scenario_names_the_bad_field(scenario, message):
     with pytest.raises(ValueError) as exc:
